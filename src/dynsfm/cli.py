@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration, 3 I/O, 4 solver, 5 evaluation.
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from .baseline import DeadReckonState, dead_reckon_positions
 from .config import config_from_dict, config_to_dict, reference_config
 from .derivatives import savgol_filter
 from .errors import ConfigError, DynSfmError
-from .evaluate import evaluate, procrustes_no_scale
+from .evaluate import evaluate
 from .simulate import simulate_dataset
 from .solver import SolverOptions, reconstruct
 
@@ -67,12 +68,25 @@ def _write(path, obj):
         raise _CliFailure(EXIT_IO, f"cannot write {path}: {err}")
 
 
+def _write_outputs(out, docs, tables):
+    """Write JSON documents and CSV (header, rows) tables, keyed by file
+    name, into the directory out."""
+    out = Path(out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, doc in docs.items():
+            jsonio.write_json(out / name, doc)
+        for name, (header, rows) in tables.items():
+            jsonio.write_csv(out / name, header, rows)
+    except OSError as err:
+        raise _CliFailure(EXIT_IO, f"cannot write outputs: {err}")
+
+
 def _eval_outputs(recon, dataset):
     """Error report plus the plot-ready trajectory/structure tables."""
     traj, scene = dataset.trajectory, dataset.scene
     try:
         report = evaluate(recon, traj, scene, dataset.gravity)
-        align = procrustes_no_scale(recon.structure, scene.points)
     except DynSfmError as err:
         raise _CliFailure(EXIT_EVAL, f"evaluation failed: {err}")
     meas = dataset.measurements
@@ -85,6 +99,7 @@ def _eval_outputs(recon, dataset):
     dr_err = imu_T[F - window:] - traj.T[F - window:]
     dr_rmse = float(np.sqrt((dr_err ** 2).sum(axis=1).mean()))
 
+    align = report.alignment
     est_T = align.apply(recon.positions)
     rows = []
     try:
@@ -167,14 +182,8 @@ def cmd_eval(args):
     except (json.JSONDecodeError, KeyError, ValueError) as err:
         raise _CliFailure(EXIT_IO, f"bad reconstruction file: {err}")
     report, traj_csv, struct_csv = _eval_outputs(recon, dataset)
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        jsonio.write_json(out / "report.json", report)
-        jsonio.write_csv(out / "trajectory.csv", *traj_csv)
-        jsonio.write_csv(out / "structure.csv", *struct_csv)
-    except OSError as err:
-        raise _CliFailure(EXIT_IO, f"cannot write outputs: {err}")
+    _write_outputs(args.out, {"report.json": report},
+                   {"trajectory.csv": traj_csv, "structure.csv": struct_csv})
     if not args.quiet:
         print(f"trans_rmse={report['trans_rmse']:.4e} "
               f"struct_rmse={report['struct_rmse']:.4e} "
@@ -185,20 +194,14 @@ def cmd_eval(args):
 
 def cmd_pipeline(args):
     cfg = _load_config(args.config, args.seed)
-    out = Path(args.out)
     dataset = _simulate(cfg)
     recon = _solve(dataset, cfg.solver)
     report, traj_csv, struct_csv = _eval_outputs(recon, dataset)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        jsonio.write_json(out / "dataset.json", jsonio.dataset_to_dict(dataset))
-        jsonio.write_json(out / "reconstruction.json",
-                          jsonio.reconstruction_to_dict(recon))
-        jsonio.write_json(out / "report.json", report)
-        jsonio.write_csv(out / "trajectory.csv", *traj_csv)
-        jsonio.write_csv(out / "structure.csv", *struct_csv)
-    except OSError as err:
-        raise _CliFailure(EXIT_IO, f"cannot write outputs: {err}")
+    docs = {"dataset.json": jsonio.dataset_to_dict(dataset),
+            "reconstruction.json": jsonio.reconstruction_to_dict(recon),
+            "report.json": report}
+    _write_outputs(args.out, docs,
+                   {"trajectory.csv": traj_csv, "structure.csv": struct_csv})
     if not args.quiet:
         print(f"trans_rmse={report['trans_rmse']:.4e} "
               f"gravity_angle_err={report['gravity_angle_err']:.4e} "
@@ -229,10 +232,9 @@ def cmd_sweep(args):
     failures = 0
     for scale in scales:
         for seed in seeds:
-            run_cfg = _load_config(args.config)
-            run_cfg.seed = seed
-            run_cfg.noise = run_cfg.noise.scaled(scale)
-            run_cfg.noise.seed = seed + NOISE_SEED_OFFSET
+            noise = replace(cfg.noise.scaled(scale),
+                            seed=seed + NOISE_SEED_OFFSET)
+            run_cfg = replace(cfg, seed=seed, noise=noise)
             try:
                 dataset = _simulate(run_cfg)
                 recon = _solve(dataset, run_cfg.solver)

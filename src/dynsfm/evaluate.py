@@ -36,6 +36,7 @@ class ErrorReport:
     gravity_angle_err: float  # rad
     per_axis_err: np.ndarray  # (3,) RMS translation error along each
                               # camera axis (x, y, depth), m
+    alignment: Alignment      # est -> gt fit on the structure points
 
     @property
     def rot_err_mean(self):
@@ -93,4 +94,4 @@ def evaluate(recon, trajectory, scene, gravity):
     g_angle = float(np.arccos(np.clip(cosang, -1.0, 1.0)))
     return ErrorReport(rot_err=rot_err, trans_rmse=trans_rmse,
                        struct_rmse=struct_rmse, gravity_angle_err=g_angle,
-                       per_axis_err=per_axis)
+                       per_axis_err=per_axis, alignment=align)

@@ -242,38 +242,31 @@ def synthesize_imu(trajectory, gravity=DEFAULT_GRAVITY):
 def synthesize_images(trajectory, scene, gravity=DEFAULT_GRAVITY):
     """Affine tracks, flows and double flows for every frame and point.
 
-    With tau = R^T T, nu = R^T dT and the accelerometer reading a_imu:
+    With tau = R^T T, nu = R^T dT, the accelerometer reading a_imu and
+    the rate blocks W1 = [w]x, W2 = W1^2 - [dw]x of so3.rate_blocks:
       x   = P (R^T X - tau)
-      dx  = P (-hat(w) R^T X + hat(w) tau - nu)
-      ddx = P ((hat(w)^2 - hat(dw)) (R^T X - tau) + 2 hat(w) nu
-               - a_imu + R^T g)
+      dx  = P (-W1 R^T X + W1 tau - nu)
+      ddx = P (W2 (R^T X - tau) + 2 W1 nu - a_imu + R^T g)
     where P drops the third coordinate.
     """
-    F = trajectory.n_frames
-    P = scene.n_points
-    X = scene.points
+    R = trajectory.rotations
     tau = body_translation(trajectory)
     nu = body_velocity(trajectory)
     _, accel = synthesize_imu(trajectory, gravity)
-    tracks = np.zeros((F, P, 2))
-    flows = np.zeros((F, P, 2))
-    dflows = np.zeros((F, P, 2))
-    for f in range(F):
-        R = trajectory.rotations[f]
-        W1 = so3.hat(trajectory.omega[f])
-        W2 = W1 @ W1 - so3.hat(trajectory.domega[f])
-        RX = X @ R  # rows are R^T X_p
-        tracks[f] = (RX - tau[f]) @ PROJECTOR.T
-        flows[f] = (-(RX @ W1.T) + (W1 @ tau[f] - nu[f])) @ PROJECTOR.T
-        dflows[f] = ((RX @ W2.T)
-                     + (-W2 @ tau[f] + 2.0 * W1 @ nu[f]
-                        - accel[f] + R.T @ gravity)) @ PROJECTOR.T
+    W1, W2 = so3.rate_blocks(trajectory.omega, trajectory.domega)
+    RX = scene.points @ R  # (F, P, 3), rows are R_f^T X_p
+    offset1 = so3.matvec(W1, tau) - nu
+    offset2 = (so3.matvec(-W2, tau) + so3.matvec(2.0 * W1, nu) - accel
+               + so3.matvec(R.transpose(0, 2, 1), gravity))
+    tracks = (RX - tau[:, None]) @ PROJECTOR.T
+    flows = (-(RX @ W1.transpose(0, 2, 1)) + offset1[:, None]) @ PROJECTOR.T
+    dflows = ((RX @ W2.transpose(0, 2, 1)) + offset2[:, None]) @ PROJECTOR.T
     return tracks, flows, dflows
 
 
 def euler_omega_dot(inertia, torque, omega):
     """Angular acceleration from the rigid-body equation of motion:
-    domega = J^-1 (torque - hat(omega) J omega)."""
+    domega = J^-1 (torque - omega x (J omega))."""
     J = np.asarray(inertia, dtype=float)
     if J.shape != (3, 3) or np.linalg.norm(J - J.T) > 1e-9 * np.linalg.norm(J):
         raise SingularInertia("inertia must be a symmetric 3x3 matrix")

@@ -15,12 +15,36 @@ SMALL_ANGLE = 1e-8
 
 
 def hat(v):
-    """Skew-symmetric cross-product matrix: hat(v) @ w == cross(v, w)."""
+    """Skew-symmetric cross-product matrix: hat(v) @ w == cross(v, w).
+
+    Accepts a stack of vectors (..., 3) and returns (..., 3, 3).
+    """
     v = np.asarray(v)
-    z = np.zeros((), dtype=v.dtype)
-    return np.array([[z, -v[2], v[1]],
-                     [v[2], z, -v[0]],
-                     [-v[1], v[0], z]])
+    H = np.zeros(v.shape + (3,), dtype=v.dtype)
+    H[..., 0, 1], H[..., 0, 2] = -v[..., 2], v[..., 1]
+    H[..., 1, 0], H[..., 1, 2] = v[..., 2], -v[..., 0]
+    H[..., 2, 0], H[..., 2, 1] = -v[..., 1], v[..., 0]
+    return H
+
+
+def rate_blocks(omega, domega):
+    """Per-frame rate blocks (hat(w), hat(w)^2 - hat(dw)) of an (F, 3)
+    gyro series and its rate, each (F, 3, 3).
+
+    A static point with body coordinates y = R^T X moves as
+    dy/dt = -W1 y and d2y/dt2 = W2 y.
+    """
+    W1 = hat(omega)
+    return W1, W1 @ W1 - hat(domega)
+
+
+def matvec(A, x):
+    """Stacked matrix-vector product A @ x over the leading axes.
+
+    Each product keeps the operand shapes of the per-item A_f @ x_f, so
+    the result is bit-equal to a per-frame loop.
+    """
+    return (A @ np.asarray(x)[..., None])[..., 0]
 
 
 def vee(A, tol=1e-9):
@@ -77,18 +101,19 @@ def rotation_angle(R):
 def project_to_so3(A):
     """Nearest rotation (Frobenius) to a 3x3 matrix, via SVD.
 
-    The reflection case det(U V^T) < 0 flips the singular vector of the
-    smallest singular value. Raises DegenerateMatrix when the smallest
-    singular value is <= 1e-12 (nearest rotation not unique).
+    Accepts a stack (..., 3, 3). The reflection case det(U V^T) < 0 flips
+    the singular vector of the smallest singular value. Raises
+    DegenerateMatrix when any smallest singular value is <= 1e-12 (nearest
+    rotation not unique).
     """
     A = np.asarray(A, dtype=float)
     U, s, Vt = np.linalg.svd(A)
-    if s[-1] <= 1e-12:
+    if np.any(s[..., -1] <= 1e-12):
         raise DegenerateMatrix("smallest singular value below 1e-12")
     R = U @ Vt
-    if np.linalg.det(R) < 0:
-        U = U.copy()
-        U[:, -1] = -U[:, -1]
+    flip = np.linalg.det(R) < 0
+    if np.any(flip):
+        U[..., -1] = np.where(flip[..., None], -U[..., -1], U[..., -1])
         R = U @ Vt
     return R
 

@@ -105,28 +105,22 @@ def assemble_W(measurements):
     return W
 
 
-def coefficient_blocks(omega, domega):
-    """Per-frame 2x3 coefficient blocks (order 0, 1, 2) of the C matrix."""
-    W1 = so3.hat(omega)
-    W2 = W1 @ W1 - so3.hat(domega)
-    return PROJECTOR, -PROJECTOR @ W1, PROJECTOR @ W2
-
-
 def assemble_C(omega, domega):
     """Coefficient matrix C (6F x 3F), fully determined by the gyro series
-    and its rate: block row (order o, frame f) holds the order-o block at
-    block column f."""
+    and its rate: block row (order o, frame f) holds the order-o block
+    P, -P W1_f or P W2_f (the so3.rate_blocks) at block column f."""
     omega = np.asarray(omega, dtype=float)
     domega = np.asarray(domega, dtype=float)
     if omega.shape != domega.shape:
         raise LengthMismatch("omega and domega lengths differ")
     F = omega.shape[0]
+    W1, W2 = so3.rate_blocks(omega, domega)
     C = np.zeros((6 * F, 3 * F))
-    for f in range(F):
-        b0, b1, b2 = coefficient_blocks(omega[f], domega[f])
-        C[2 * f:2 * f + 2, 3 * f:3 * f + 3] = b0
-        C[2 * F + 2 * f:2 * F + 2 * f + 2, 3 * f:3 * f + 3] = b1
-        C[4 * F + 2 * f:4 * F + 2 * f + 2, 3 * f:3 * f + 3] = b2
+    blocks = C.reshape(3, F, 2, F, 3)  # (order, frame, row, frame, col) view
+    f = np.arange(F)
+    blocks[0, f, :, f] = PROJECTOR
+    blocks[1, f, :, f] = -PROJECTOR @ W1
+    blocks[2, f, :, f] = PROJECTOR @ W2
     return C
 
 
@@ -136,17 +130,13 @@ def translation_vector(omega, domega, tau, nu, accel, rotations, gravity):
     Used by tests and by the factorization-identity oracle; the solver
     itself recovers m from the data.
     """
-    F = omega.shape[0]
-    m = np.zeros(6 * F)
-    for f in range(F):
-        W1 = so3.hat(omega[f])
-        W2 = W1 @ W1 - so3.hat(domega[f])
-        m[2 * f:2 * f + 2] = -PROJECTOR @ tau[f]
-        m[2 * F + 2 * f:2 * F + 2 * f + 2] = PROJECTOR @ (W1 @ tau[f] - nu[f])
-        m[4 * F + 2 * f:4 * F + 2 * f + 2] = PROJECTOR @ (
-            -W2 @ tau[f] + 2.0 * W1 @ nu[f] - accel[f]
-            + rotations[f].T @ gravity)
-    return m
+    W1, W2 = so3.rate_blocks(omega, domega)
+    m0 = so3.matvec(-PROJECTOR, tau)
+    m1 = so3.matvec(PROJECTOR, so3.matvec(W1, tau) - nu)
+    RTg = so3.matvec(np.swapaxes(rotations, 1, 2), gravity)
+    m2 = so3.matvec(PROJECTOR, so3.matvec(-W2, tau)
+                    + so3.matvec(2.0 * W1, nu) - accel + RTg)
+    return np.concatenate([m0.ravel(), m1.ravel(), m2.ravel()])
 
 
 def factor_rank4(W):
@@ -245,21 +235,15 @@ def metric_upgrade(M2):
     than one eigenvalue needs clamping.
     """
     F = M2.shape[0] // 3
-    pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-    A = np.zeros((6 * F, 6))
-    b = np.zeros(6 * F)
-    for f in range(F):
-        Mf = M2[3 * f:3 * f + 3]
-        for e, (i, j) in enumerate(pairs):
-            mi, mj = Mf[i], Mf[j]
-            A[6 * f + e] = [
-                mi[0] * mj[0],
-                mi[0] * mj[1] + mi[1] * mj[0],
-                mi[0] * mj[2] + mi[2] * mj[0],
-                mi[1] * mj[1],
-                mi[1] * mj[2] + mi[2] * mj[1],
-                mi[2] * mj[2]]
-            b[6 * f + e] = 1.0 if i == j else 0.0
+    # unknowns q = (Q00, Q01, Q02, Q11, Q12, Q22); equation e of frame f
+    # is row I[e] of M''_f Q times row J[e] of M''_f = delta(I[e], J[e])
+    I, J = np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2])
+    Mf = M2.reshape(F, 3, 3)
+    mi, mj = Mf[:, I], Mf[:, J]
+    A = np.stack([mi[..., a] * mj[..., c] if a == c
+                  else mi[..., a] * mj[..., c] + mi[..., c] * mj[..., a]
+                  for a, c in zip(I, J)], axis=-1).reshape(6 * F, 6)
+    b = np.tile((I == J).astype(float), F)
     q, _ = lstsq_checked(A, b, "metric_upgrade")
     Q = np.array([[q[0], q[1], q[2]],
                   [q[1], q[3], q[4]],
@@ -271,8 +255,8 @@ def metric_upgrade(M2):
         raise IndefiniteQ(f"{clamped} eigenvalues of Q are not positive")
     w = np.clip(w, floor, None)
     K = V @ np.diag(np.sqrt(w)) @ V.T
-    fit = max(np.linalg.norm(M2[3 * f:3 * f + 3] @ Q @ M2[3 * f:3 * f + 3].T
-                             - np.eye(3)) for f in range(F))
+    fit = np.linalg.norm(Mf @ Q @ Mf.transpose(0, 2, 1) - np.eye(3),
+                         axis=(1, 2)).max()
     return K, fit
 
 
@@ -298,8 +282,8 @@ def extract_rotations_structure(M2, K_upg, St_rows, reflection="auto",
     for flip in flips:
         K = K_upg @ flip
         M_hat = M2 @ K
-        rotations = np.array([so3.project_to_so3(M_hat[3 * f:3 * f + 3]).T
-                              for f in range(F)])
+        rotations = np.ascontiguousarray(
+            so3.project_to_so3(M_hat.reshape(F, 3, 3)).transpose(0, 2, 1))
         structure = np.linalg.solve(K, St_rows).T
         if len(flips) == 1:
             return rotations, structure
@@ -334,44 +318,35 @@ def translation_system(m_hat, rotations, omega, domega, accel, t_s,
     A = np.zeros((n_data + 6 * n_centers, n))
     b = np.zeros(n_data + 6 * n_centers)
     Pi = PROJECTOR
-
-    def tau_cols(f):
-        return slice(3 * f, 3 * f + 3)
-
-    def nu_cols(f):
-        return slice(3 * F + 3 * f, 3 * F + 3 * f + 3)
-
-    g_cols = slice(6 * F, 6 * F + 3)
-    skip = 0 if include_order0 else 2 * F
-    for f in range(F):
-        W1 = so3.hat(omega[f])
-        W2 = W1 @ W1 - so3.hat(domega[f])
-        if include_order0:
-            r0 = slice(2 * f, 2 * f + 2)
-            A[r0, tau_cols(f)] = -Pi
-            b[r0] = m_hat[2 * f:2 * f + 2]
-        r1 = slice(2 * F + 2 * f - skip, 2 * F + 2 * f + 2 - skip)
-        A[r1, tau_cols(f)] = Pi @ W1
-        A[r1, nu_cols(f)] = -Pi
-        b[r1] = m_hat[2 * F + 2 * f:2 * F + 2 * f + 2]
-        r2 = slice(4 * F + 2 * f - skip, 4 * F + 2 * f + 2 - skip)
-        A[r2, tau_cols(f)] = -Pi @ W2
-        A[r2, nu_cols(f)] = 2.0 * Pi @ W1
-        A[r2, g_cols] = Pi @ rotations[f].T
-        b[r2] = m_hat[4 * F + 2 * f:4 * F + 2 * f + 2] + Pi @ accel[f]
-    row = n_data
+    rotations = np.asarray(rotations)
+    W1, W2 = so3.rate_blocks(omega, domega)
+    f = np.arange(F)
+    # data rows as a view (order, frame, row) x (tau|nu, frame, column)
+    data = A[:n_data, :6 * F].reshape(-1, F, 2, 2, F, 3)
+    if include_order0:
+        data[0, f, :, 0, f] = -Pi
+    data[-2, f, :, 0, f] = Pi @ W1
+    data[-2, f, :, 1, f] = -Pi
+    data[-1, f, :, 0, f] = -Pi @ W2
+    data[-1, f, :, 1, f] = 2.0 * Pi @ W1
+    A[n_data - 2 * F:n_data, 6 * F:] = (
+        Pi @ rotations.transpose(0, 2, 1)).reshape(2 * F, 3)
+    b[:n_data] = m_hat[6 * F - n_data:]
+    b[n_data - 2 * F:n_data] += so3.matvec(Pi, accel).ravel()
+    # regularizer rows as a view (center, tau|nu equation, row) x
+    # (tau|nu, frame, column); center c sits at frame c + half
     st, sn = np.sqrt(lambda_tau), np.sqrt(lambda_nu)
-    for center in range(half, F - half):
-        rt = slice(row, row + 3)
-        rn = slice(row + 3, row + 6)
-        for k in range(win):
-            f = center - half + k
-            A[rt, tau_cols(f)] += st * taps[k] * rotations[f]
-            A[rn, nu_cols(f)] += sn * taps[k] * rotations[f]
-        A[rt, nu_cols(center)] += -st * rotations[center]
-        A[rn, g_cols] += sn * np.eye(3)
-        b[rn] = sn * rotations[center] @ accel[center]
-        row += 6
+    c = np.arange(n_centers)
+    reg = A[n_data:, :6 * F].reshape(n_centers, 2, 3, 2, F, 3)
+    for k in range(win):
+        R_k = rotations[k:k + n_centers]
+        reg[c, 0, :, 0, c + k] += st * taps[k] * R_k
+        reg[c, 1, :, 1, c + k] += sn * taps[k] * R_k
+    R_c = rotations[half:half + n_centers]
+    reg[c, 0, :, 1, c + half] += -st * R_c
+    A[n_data:, 6 * F:].reshape(n_centers, 2, 3, 3)[:, 1] += sn * np.eye(3)
+    b[n_data:].reshape(n_centers, 2, 3)[:, 1] = so3.matvec(
+        sn * R_c, accel[half:half + n_centers])
     return A, b
 
 

@@ -204,3 +204,50 @@ def test_right_jacobian_matches_finite_difference():
         R = so3.exp_so3(th)
         omega_fd = so3.vee((R.T @ Rdot - (R.T @ Rdot).T) / 2, tol=1e-3)
         assert np.allclose(so3.right_jacobian(th) @ dth, omega_fd, atol=1e-6)
+
+
+def _stack_inputs():
+    rng = np.random.default_rng(41)
+    A = rng.normal(size=(6, 3, 3)) + 2 * np.eye(3)
+    A[2] = np.diag([1.0, 1.0, -1.0]) @ so3.exp_so3([0.3, 0.1, -0.2])
+    return A
+
+
+def test_hat_stack_equals_per_item():
+    v = np.random.default_rng(40).normal(size=(2, 5, 3))
+    H = so3.hat(v)
+    assert H.shape == (2, 5, 3, 3)
+    for idx in np.ndindex(2, 5):
+        assert np.array_equal(H[idx], so3.hat(v[idx]))
+
+
+def test_project_stack_equals_per_item_including_reflection():
+    A = _stack_inputs()
+    assert np.linalg.det(A[2]) < 0
+    R = so3.project_to_so3(A)
+    for f in range(A.shape[0]):
+        assert np.array_equal(R[f], so3.project_to_so3(A[f]))
+    assert np.allclose(np.linalg.det(R), 1.0, atol=1e-12)
+
+
+def test_project_stack_rejects_one_degenerate_matrix():
+    A = _stack_inputs()
+    A[4] = np.diag([1.0, 1.0, 0.0])
+    with pytest.raises(DegenerateMatrix):
+        so3.project_to_so3(A)
+
+
+def test_rate_blocks_stack_equals_per_item():
+    rng = np.random.default_rng(42)
+    omega, domega = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
+    W1, W2 = so3.rate_blocks(omega, domega)
+    for f in range(7):
+        w1 = so3.hat(omega[f])
+        assert np.array_equal(W1[f], w1)
+        assert np.array_equal(W2[f], w1 @ w1 - so3.hat(domega[f]))
+
+
+def test_rate_blocks_hand_value():
+    W1, W2 = so3.rate_blocks(np.array([[0.0, 0.0, 1.0]]), np.zeros((1, 3)))
+    assert np.array_equal(W1[0], [[0, -1, 0], [1, 0, 0], [0, 0, 0]])
+    assert np.array_equal(W2[0], [[-1, 0, 0], [0, -1, 0], [0, 0, 0]])
