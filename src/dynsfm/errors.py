@@ -73,6 +73,11 @@ class DimensionMismatch(DynSfmError):
     pass
 
 
+class NumericalFailure(DynSfmError):
+    """A solver stage broke down numerically: LAPACK failed, or the stage
+    produced non-finite values."""
+
+
 class ConfigError(DynSfmError):
     """Invalid run configuration; message names the offending field."""
 

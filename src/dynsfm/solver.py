@@ -18,11 +18,14 @@ import numpy as np
 from . import so3
 from .derivatives import omega_dot_series, savgol_filter
 from .errors import (DynSfmError, IllConditionedWarning, IndefiniteQ,
-                     LengthMismatch, RankDeficient, SingularTransform,
-                     TooFewFramesOrPoints)
+                     LengthMismatch, NumericalFailure, RankDeficient,
+                     SingularTransform, TooFewFramesOrPoints)
 from .simulate import PROJECTOR
 
 COND_LIMIT = 1e12  # normal-equation condition number that triggers a warning
+# Frames per diagonal block of the translation normal equations: fewer,
+# larger blocks mean fewer Python-level steps per banded solve.
+FRAMES_PER_GROUP = 6
 
 
 @dataclass
@@ -295,15 +298,19 @@ def extract_rotations_structure(M2, K_upg, St_rows, reflection="auto",
     return best[1], best[2]
 
 
-def translation_system(m_hat, rotations, omega, domega, accel, t_s,
+def translation_blocks(m_hat, rotations, omega, domega, accel, t_s,
                        lambda_tau, lambda_nu, reg_filter=None,
                        include_order0=True):
-    """Assemble the (A, b) of the translation/velocity/gravity solve.
+    """Block rows of the translation/velocity/gravity system.
 
-    Unknown ordering: x = stack(tau_1..tau_F, nu_1..nu_F, g). The
-    include_order0 switch exists for observability probes: without the
-    order-0 rows, gravity and a constant translation offset become jointly
-    near-unobservable.
+    Returns (data, data_rhs, reg, reg_rhs). Frame f contributes the data
+    block data[f] (two rows per order, 6 x 9 with the order-0 rows, 4 x 9
+    without) over (tau_f, nu_f, g). Filter center c (at frame
+    c + window // 2) contributes the regularizer block reg[c], 6 x
+    (6 window + 3): the tau and the nu equation over (tau_{c+k}, nu_{c+k})
+    for each tap k, then g. The include_order0 switch exists for
+    observability probes: without the order-0 rows, gravity and a
+    constant translation offset become jointly near-unobservable.
     """
     F = len(rotations)
     if not (len(omega) == len(domega) == len(accel) == F):
@@ -313,41 +320,248 @@ def translation_system(m_hat, rotations, omega, domega, accel, t_s,
     win, half = reg_filter.window, reg_filter.window // 2
     taps = reg_filter.taps / t_s
     n_centers = max(F - win + 1, 0)
-    n = 6 * F + 3
-    n_data = 6 * F if include_order0 else 4 * F
-    A = np.zeros((n_data + 6 * n_centers, n))
-    b = np.zeros(n_data + 6 * n_centers)
+    n_orders = 3 if include_order0 else 2
     Pi = PROJECTOR
     rotations = np.asarray(rotations)
     W1, W2 = so3.rate_blocks(omega, domega)
-    f = np.arange(F)
-    # data rows as a view (order, frame, row) x (tau|nu, frame, column)
-    data = A[:n_data, :6 * F].reshape(-1, F, 2, 2, F, 3)
+    # data rows (frame, order, row) x (tau|nu|g, column)
+    data = np.zeros((F, n_orders, 2, 3, 3))
     if include_order0:
-        data[0, f, :, 0, f] = -Pi
-    data[-2, f, :, 0, f] = Pi @ W1
-    data[-2, f, :, 1, f] = -Pi
-    data[-1, f, :, 0, f] = -Pi @ W2
-    data[-1, f, :, 1, f] = 2.0 * Pi @ W1
-    A[n_data - 2 * F:n_data, 6 * F:] = (
-        Pi @ rotations.transpose(0, 2, 1)).reshape(2 * F, 3)
-    b[:n_data] = m_hat[6 * F - n_data:]
-    b[n_data - 2 * F:n_data] += so3.matvec(Pi, accel).ravel()
-    # regularizer rows as a view (center, tau|nu equation, row) x
-    # (tau|nu, frame, column); center c sits at frame c + half
+        data[:, 0, :, 0] = -Pi
+    data[:, -2, :, 0] = Pi @ W1
+    data[:, -2, :, 1] = -Pi
+    data[:, -1, :, 0] = -Pi @ W2
+    data[:, -1, :, 1] = 2.0 * Pi @ W1
+    data[:, -1, :, 2] = Pi @ rotations.transpose(0, 2, 1)
+    data_rhs = m_hat[6 * F - 2 * n_orders * F:].reshape(
+        n_orders, F, 2).transpose(1, 0, 2).copy()
+    data_rhs[:, -1] += so3.matvec(Pi, accel)
+    # regularizer rows (center, tau|nu equation, row) x (tap, tau|nu, column)
     st, sn = np.sqrt(lambda_tau), np.sqrt(lambda_nu)
-    c = np.arange(n_centers)
-    reg = A[n_data:, :6 * F].reshape(n_centers, 2, 3, 2, F, 3)
+    reg = np.zeros((n_centers, 2, 3, win, 2, 3))
     for k in range(win):
         R_k = rotations[k:k + n_centers]
-        reg[c, 0, :, 0, c + k] += st * taps[k] * R_k
-        reg[c, 1, :, 1, c + k] += sn * taps[k] * R_k
+        reg[:, 0, :, k, 0] = st * taps[k] * R_k
+        reg[:, 1, :, k, 1] = sn * taps[k] * R_k
     R_c = rotations[half:half + n_centers]
-    reg[c, 0, :, 1, c + half] += -st * R_c
-    A[n_data:, 6 * F:].reshape(n_centers, 2, 3, 3)[:, 1] += sn * np.eye(3)
-    b[n_data:].reshape(n_centers, 2, 3)[:, 1] = so3.matvec(
-        sn * R_c, accel[half:half + n_centers])
+    reg[:, 0, :, half, 1] = -st * R_c
+    reg_g = np.zeros((n_centers, 2, 3, 3))
+    reg_g[:, 1] = sn * np.eye(3)
+    reg_rhs = np.zeros((n_centers, 2, 3))
+    reg_rhs[:, 1] = so3.matvec(sn * R_c, accel[half:half + n_centers])
+    return (data.reshape(F, 2 * n_orders, 9), data_rhs.reshape(F, -1),
+            np.concatenate([reg.reshape(n_centers, 6, 6 * win),
+                            reg_g.reshape(n_centers, 6, 3)], axis=2),
+            reg_rhs.reshape(n_centers, 6))
+
+
+def translation_system(m_hat, rotations, omega, domega, accel, t_s,
+                       lambda_tau, lambda_nu, reg_filter=None,
+                       include_order0=True):
+    """Assemble the dense (A, b) of the translation/velocity/gravity solve
+    by scattering the translation_blocks rows.
+
+    Unknown ordering: x = stack(tau_1..tau_F, nu_1..nu_F, g). Rows: the
+    data rows order-major (order, frame, row), then six regularizer rows
+    per filter center. Used by the ill-conditioning fallback of
+    recover_translations and as the test oracle.
+    """
+    data, data_rhs, reg, reg_rhs = translation_blocks(
+        m_hat, rotations, omega, domega, accel, t_s, lambda_tau, lambda_nu,
+        reg_filter, include_order0)
+    F, n_orders = len(data), data.shape[1] // 2
+    n_centers, win = len(reg), _width(reg)
+    n_data = 2 * n_orders * F
+    A = np.zeros((n_data + 6 * n_centers, 6 * F + 3))
+    b = np.zeros(n_data + 6 * n_centers)
+    f = np.arange(F)
+    blocks = data.reshape(F, n_orders, 2, 3, 3)
+    A[:n_data, :6 * F].reshape(n_orders, F, 2, 2, F, 3)[:, f, :, :, f] = (
+        blocks[:, :, :, :2])
+    A[:n_data, 6 * F:].reshape(n_orders, F, 2, 3)[:] = (
+        blocks[:, :, :, 2].transpose(1, 0, 2, 3))
+    b[:n_data] = data_rhs.reshape(F, n_orders, 2).transpose(1, 0, 2).ravel()
+    c = np.arange(n_centers)
+    rows = A[n_data:, :6 * F].reshape(n_centers, 2, 3, 2, F, 3)
+    taps = reg[:, :, :6 * win].reshape(n_centers, 2, 3, win, 2, 3)
+    for k in range(win):
+        rows[c, :, :, :, c + k] = taps[:, :, :, k]
+    A[n_data:, 6 * F:] = reg[:, :, 6 * win:].reshape(6 * n_centers, 3)
+    b[n_data:] = reg_rhs.ravel()
     return A, b
+
+
+def _width(block):
+    """Number of frames a (n, rows, 6 w + 3) block row spans."""
+    return (block.shape[2] - 3) // 6
+
+
+def _gather(z, g, n, w):
+    """Unknowns of n block rows spanning w frames: row i holds
+    (z_i, ..., z_{i+w-1}, g), shape (n, 6 w + 3)."""
+    return np.concatenate([z[k:k + n] for k in range(w)]
+                          + [np.broadcast_to(g, (n, 3))], axis=1)
+
+
+def _apply_transpose(F, blocks, vecs):
+    """Blockwise A^T v: the per-frame part (F, 6) and the gravity part."""
+    vz, vg = np.zeros((F, 6)), np.zeros(3)
+    for block, v in zip(blocks, vecs):
+        n, w = len(block), _width(block)
+        h = so3.matvec(block.transpose(0, 2, 1), v)
+        for k in range(w):
+            vz[k:k + n] += h[:, 6 * k:6 * k + 6]
+        vg += h[:, 6 * w:].sum(axis=0)
+    return vz, vg
+
+
+def _normal_matrix(F, s, blocks):
+    """Blockwise A^T A with the per-frame unknowns z_f = (tau_f, nu_f).
+
+    Frames are grouped s at a time, s at least the frame span of a block
+    row minus one, so N_zz is block tridiagonal in the groups. Returns
+    (P, Nzg, Ngg): P[i] = [N_ii | N_i,i+1], each 6s x 6s, and Nzg[f] =
+    N_{z_f,g}. The frames past F that fill the last group carry an
+    identity block and no coupling, so their unknowns solve to zero.
+    """
+    n_groups = -(-F // s)
+    P = np.zeros((n_groups, 6 * s, 12 * s))
+    rows = P.reshape(n_groups * s, 6, 2 * s, 6)  # (frame, row, frame, col)
+    Nzg, Ngg = np.zeros((n_groups * s, 6, 3)), np.zeros((3, 3))
+    for block in blocks:
+        n, w = len(block), _width(block)
+        for l in range(w):
+            # Gram columns of frame c + l, for each block row c
+            G = block.transpose(0, 2, 1) @ block[:, :, 6 * l:6 * l + 6]
+            for k in range(w):
+                f = np.arange(k, k + n)
+                col = f % s + l - k  # frame offset from f's group start
+                keep = col >= 0  # blocks left of f's group are not stored
+                rows[f[keep], :, col[keep]] += G[keep, 6 * k:6 * k + 6]
+            Nzg[l:l + n] += G[:, 6 * w:].transpose(0, 2, 1)
+        g = block[:, :, 6 * w:]
+        Ngg += (g.transpose(0, 2, 1) @ g).sum(axis=0)
+    pad = np.arange(F, n_groups * s)
+    rows[pad, :, pad % s] = np.eye(6)
+    return P, Nzg, Ngg
+
+
+def _block_cholesky(P):
+    """Cholesky N_zz = L L^T of the block-tridiagonal P of _normal_matrix.
+
+    Returns (Linv, V) with Linv[i] = L_ii^{-1} and V[i] = Linv[i] N_i,i+1,
+    which is L_i+1,i^T. Raises np.linalg.LinAlgError when N_zz is not
+    numerically positive definite.
+    """
+    m = P.shape[1]
+    Linv, V = np.empty((len(P), m, m)), np.empty((len(P), m, m))
+    D = P[0, :, :m]
+    for i in range(len(P)):
+        Linv[i] = np.linalg.inv(np.linalg.cholesky(D))
+        V[i] = Linv[i] @ P[i, :, m:]
+        if i + 1 < len(P):
+            D = P[i + 1, :, :m] - V[i].T @ V[i]
+    return Linv, V
+
+
+def _block_solve(Linv, V, rhs):
+    """Solve N_zz x = rhs, rhs (groups, 6s, k), with the factor of
+    _block_cholesky: forward through L, then back through L^T."""
+    x = rhs.copy()
+    for i in range(len(x)):
+        if i:
+            x[i] -= V[i - 1].T @ x[i - 1]
+        x[i] = Linv[i] @ x[i]
+    for i in reversed(range(len(x))):
+        if i + 1 < len(x):
+            x[i] -= V[i] @ x[i + 1]
+        x[i] = Linv[i].T @ x[i]
+    return x
+
+
+def _norm1(F, P, Nzg, Ngg):
+    """Exact 1-norm (largest absolute row sum; N is symmetric) of the
+    bordered normal matrix stored as in _normal_matrix."""
+    a = np.abs(P)
+    rows = a.sum(axis=2)
+    rows[1:] += a[:-1, :, a.shape[1]:].sum(axis=1)  # N_i,i-1 = N_i-1,i^T
+    rows = rows.reshape(-1, 6)[:F] + np.abs(Nzg[:F]).sum(axis=2)
+    g_rows = np.abs(Nzg).sum(axis=(0, 1)) + np.abs(Ngg).sum(axis=1)
+    return float(max(rows.max(), g_rows.max()))
+
+
+def _inverse_norm1(solve, n):
+    """Hager's estimate of |N^{-1}|_1 for symmetric N from a few solves,
+    with Higham's alternating-sign safeguard (the LAPACK xLACON scheme).
+    The estimate is a lower bound, in practice within a small factor."""
+    x = np.full(n, 1.0 / n)
+    est = 0.0
+    for it in range(5):
+        y = solve(x)
+        if it and np.abs(y).sum() <= est:
+            break
+        est = np.abs(y).sum()
+        z = solve(np.where(y >= 0, 1.0, -1.0))
+        j = np.argmax(np.abs(z))
+        if abs(z[j]) <= z @ x:
+            break
+        x = np.zeros(n)
+        x[j] = 1.0
+    alt = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / (n - 1))
+    return float(max(est, 2.0 * np.abs(solve(alt)).sum() / (3 * n)))
+
+
+def _solve_blocks(data, data_rhs, reg, reg_rhs):
+    """Normal-equation solve of the translation system in O(F).
+
+    Factors the block-tridiagonal N_zz, eliminates gravity through the
+    3 x 3 Schur complement S = N_gg - N_zg^T N_zz^{-1} N_zg (the
+    arrowhead elimination of bundle adjustment) and back-substitutes.
+    Returns (z, g, info): info["cond"] is a 1-norm estimate of the
+    bordered normal matrix's condition number, info["residual"] the norm
+    of the block residual rows r = A x - b, and info["normal_ratio"]
+    |N x - A^T b| / |A^T b|, with N x - A^T b formed as A^T r. Raises
+    np.linalg.LinAlgError when N_zz or S is not positive definite.
+    """
+    F = len(data)
+    s = max(FRAMES_PER_GROUP, _width(reg) - 1)
+    blocks, rhs = (data, reg), (data_rhs, reg_rhs)
+    P, Nzg, Ngg = _normal_matrix(F, s, blocks)
+    norm = _norm1(F, P, Nzg, Ngg)
+    rz, rg = _apply_transpose(len(Nzg), blocks, rhs)
+    Linv, V = _block_cholesky(P)
+    m = 6 * s
+    X = _block_solve(Linv, V, np.concatenate(
+        [Nzg.reshape(-1, m, 3), rz.reshape(-1, m, 1)], axis=2))
+    Xg, Nzg_rows = X[..., :3].reshape(-1, 3), Nzg.reshape(-1, 3)
+    S = Ngg - Nzg_rows.T @ Xg
+    np.linalg.cholesky(S)  # raises unless S is positive definite
+
+    def solve(u, vg):
+        """Bordered solve from u = N_zz^{-1} v_z (rows of z)."""
+        g = np.linalg.solve(S, vg - Nzg_rows.T @ u)
+        return u - Xg @ g, g
+
+    z, g = solve(X[..., 3].ravel(), rg)
+    z = z.reshape(-1, 6)
+
+    def solve_flat(v):
+        vz = np.zeros((len(Nzg), 6))
+        vz[:F] = v[:6 * F].reshape(F, 6)
+        u = _block_solve(Linv, V, vz.reshape(-1, m, 1)).ravel()
+        uz, ug = solve(u, v[6 * F:])
+        return np.concatenate([uz[:6 * F], ug])
+
+    cond = norm * _inverse_norm1(solve_flat, 6 * F + 3)
+    res = [so3.matvec(block, _gather(z, g, len(block), _width(block))) - b
+           for block, b in zip(blocks, rhs)]
+    nz, ng = _apply_transpose(F, blocks, res)
+    denom = np.sqrt(np.sum(rz ** 2) + np.sum(rg ** 2))
+    normal = np.sqrt(np.sum(nz ** 2) + np.sum(ng ** 2))
+    return z[:F], g, {
+        "cond": cond,
+        "normal_ratio": float(normal / denom) if denom > 0 else 0.0,
+        "residual": float(np.sqrt(sum(np.sum(r ** 2) for r in res)))}
 
 
 def recover_translations(m_hat, rotations, omega, domega, accel, t_s,
@@ -363,11 +577,23 @@ def recover_translations(m_hat, rotations, omega, domega, accel, t_s,
         D(R tau)_f - R_f nu_f          = 0
         D(R nu)_f + g                  = R_f a_imu_f
 
-    with D the filter derivative. Returns (tau, nu, gravity, info).
+    with D the filter derivative. The normal equations are block-banded
+    in the per-frame unknowns (tau_f, nu_f) with a 3-column gravity
+    border, so they are solved in O(F) (_solve_blocks). When they are not
+    numerically positive definite, or their estimated condition number
+    exceeds COND_LIMIT, the dense least-squares solve of
+    translation_system runs instead. Returns (tau, nu, gravity, info).
     """
+    args = (m_hat, rotations, omega, domega, accel, t_s, lambda_tau,
+            lambda_nu, reg_filter)
+    try:
+        z, gravity, info = _solve_blocks(*translation_blocks(*args))
+        if info["cond"] <= COND_LIMIT:
+            return z[:, :3].copy(), z[:, 3:].copy(), gravity, info
+    except np.linalg.LinAlgError:
+        pass
     F = len(rotations)
-    A, b = translation_system(m_hat, rotations, omega, domega, accel, t_s,
-                              lambda_tau, lambda_nu, reg_filter)
+    A, b = translation_system(*args)
     x, info = lstsq_checked(A, b, "recover_translations")
     info["residual"] = float(np.linalg.norm(A @ x - b))
     tau = x[:3 * F].reshape(F, 3)
@@ -392,11 +618,19 @@ def _omega_dot_for(measurements, options):
     return omega_dot_series(measurements.gyro, "zero", measurements.t_s)
 
 
+def _require_finite(**arrays):
+    for name, value in arrays.items():
+        if not np.isfinite(value).all():
+            raise NumericalFailure(f"non-finite {name}")
+
+
 def reconstruct(measurements, options=None):
     """Run the full five-stage closed-form recovery on a measurement set.
 
     Any stage failure is re-raised as the same error type with the stage
-    name prefixed to the message.
+    name prefixed to the message. A LAPACK failure, or a non-finite
+    rotation, structure, translation, velocity or gravity estimate, raises
+    NumericalFailure, prefixed the same way.
     """
     options = options if options is not None else SolverOptions()
     options.validate()
@@ -429,16 +663,20 @@ def reconstruct(measurements, options=None):
         rotations, structure = extract_rotations_structure(
             M2, K_upg, St[:3], reflection=options.reflection_resolution,
             W=W, C=C, m_hat=m_hat)
+        _require_finite(rotations=rotations, structure=structure)
         stage = "recover_translations"
         reg = savgol_filter(options.reg_filter[0], options.reg_filter[1], 1)
         tau, nu, gravity, tr_info = recover_translations(
             m_hat, rotations, omega, domega, measurements.accel,
             measurements.t_s, options.lambda_tau, options.lambda_nu, reg)
+        _require_finite(tau=tau, nu=nu, gravity=gravity)
         residuals["translation_lsq"] = tr_info["residual"]
         residuals["translation_cond"] = tr_info["cond"]
         residuals["translation_normal_ratio"] = tr_info["normal_ratio"]
     except DynSfmError as err:
         raise type(err)(f"[{stage}] {err}") from err
+    except np.linalg.LinAlgError as err:
+        raise NumericalFailure(f"[{stage}] {err}") from err
     return Reconstruction(rotations=rotations, tau=tau, nu=nu,
                           gravity=gravity, structure=structure,
                           residuals=residuals, options=options)

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +151,52 @@ def test_solve_exit_code_on_solver_failure(small_cfg_path, tmp_path, capsys):
     code = run_cli("solve", "--dataset", broken, "--out", tmp_path / "r.json")
     assert code == 4
     assert "factor_rank4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("series, index, value, stage", [
+    ("tracks", (3, 5, 0), float("nan"), "factor_rank4"),
+    ("accel", (7, 1), float("inf"), "recover_translations")])
+def test_solve_exit_code_on_non_finite_input(series, index, value, stage,
+                                              tmp_path, capsys):
+    # numerical breakdown is a solver error with its stage, not a traceback
+    cfg_path = tmp_path / "noise.json"
+    jsonio.write_json(cfg_path, config_to_dict(reference_noise_config(seed=0)))
+    ds_path = tmp_path / "dataset.json"
+    run_cli("simulate", "--config", cfg_path, "--out", ds_path, "--quiet")
+    doc = jsonio.read_json(ds_path)
+    target = doc["measurements"][series]
+    for i in index[:-1]:
+        target = target[i]
+    target[index[-1]] = value
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))  # jsonio refuses to write non-finite
+    out = tmp_path / "r.json"
+    code = run_cli("solve", "--dataset", broken, "--out", out, "--quiet")
+    err = capsys.readouterr().err
+    assert code == 4
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and f"[{stage}]" in errors[0]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_import_and_solve_leave_scipy_unloaded():
+    # scipy is a test-only extra; importing it alone costs ~0.4 s of start-up
+    import dynsfm
+    code = ("import sys\n"
+            "import dynsfm\n"
+            "ds = dynsfm.simulate_dataset(duration=1.0, t_s=1 / 30,"
+            " n_points=8, extent=2.0, amp_trans=0.35, amp_rot=0.5, seed=0)\n"
+            "dynsfm.reconstruct(ds.measurements)\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(dynsfm.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_eval_exit_code_on_mismatch(small_cfg_path, tmp_path):

@@ -1,22 +1,27 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import dynsfm
-from dynsfm import so3
-from dynsfm.errors import (IndefiniteQ, LengthMismatch, RankDeficient,
-                           SingularTransform, TooFewFramesOrPoints)
+from dynsfm import so3, solver
+from dynsfm.derivatives import savgol_filter
+from dynsfm.errors import (IllConditionedWarning, IndefiniteQ,
+                           LengthMismatch, RankDeficient, SingularTransform,
+                           TooFewFramesOrPoints)
 from dynsfm.simulate import (DEFAULT_GRAVITY, MeasurementSet, NoiseSpec,
                              PROJECTOR, add_noise, body_translation,
                              body_velocity, generate_scene,
                              generate_trajectory, simulate_dataset,
                              synthesize_images, synthesize_imu)
-from dynsfm.solver import (SolverOptions, assemble_C, assemble_W,
-                           center_structure, extract_rotations_structure,
-                           factor_rank4, fix_similarity, metric_upgrade,
+from dynsfm.solver import (COND_LIMIT, SolverOptions, assemble_C,
+                           assemble_W, center_structure,
+                           extract_rotations_structure, factor_rank4,
+                           fix_similarity, lstsq_checked, metric_upgrade,
                            reconstruct, recover_rotation_blocks,
-                           recover_translations, translation_vector)
+                           recover_translations, translation_blocks,
+                           translation_system, translation_vector)
 
 G = DEFAULT_GRAVITY
 
@@ -401,21 +406,151 @@ def test_recover_translations_noiseless_true_rotations(reference_dataset):
     assert info["normal_ratio"] < 1e-8
 
 
+def translation_problem(traj, gravity=G, frames=None):
+    """Exact inputs of the translation stage for the first `frames` frames
+    of a trajectory: (recover_translations arguments, true tau)."""
+    sl = slice(0, frames)
+    tau = body_translation(traj)[sl]
+    nu = body_velocity(traj)[sl]
+    _, accel = synthesize_imu(traj, gravity)
+    omega, domega, R = traj.omega[sl], traj.domega[sl], traj.rotations[sl]
+    m = translation_vector(omega, domega, tau, nu, accel[sl], R, gravity)
+    return (m, R, omega, domega, accel[sl], traj.t_s, 1.0, 1.0), tau
+
+
+def fine_trajectory():
+    """Gently excited 120 Hz trajectory."""
+    return generate_trajectory(2.5, 1 / 120, 0.2, np.radians(30), seed=3,
+                               trans_freq_band=(0.02, 0.06),
+                               rot_freq_band=(0.05, 0.15))
+
+
+def dense_translation_solution(args):
+    """(tau, nu, g) of the dense least-squares oracle."""
+    F = len(args[1])
+    x, _ = lstsq_checked(*translation_system(*args))
+    return x[:3 * F].reshape(F, 3), x[3 * F:6 * F].reshape(F, 3), x[6 * F:]
+
+
 def test_recover_translations_fine_sampling_hits_micro_accuracy():
     # the filter-consistency bias scales as t_s^2: a gently excited
     # 120 Hz instance recovers translations and gravity below 1e-6
-    traj = generate_trajectory(2.5, 1 / 120, 0.2, np.radians(30), seed=3,
-                               trans_freq_band=(0.02, 0.06),
-                               rot_freq_band=(0.05, 0.15))
-    tau = body_translation(traj)
-    nu = body_velocity(traj)
-    _, accel = synthesize_imu(traj, G)
-    m = translation_vector(traj.omega, traj.domega, tau, nu, accel,
-                           traj.rotations, G)
-    tau_h, nu_h, g_h, _ = recover_translations(
-        m, traj.rotations, traj.omega, traj.domega, accel, traj.t_s, 1.0, 1.0)
+    args, tau = translation_problem(fine_trajectory())
+    tau_h, nu_h, g_h, _ = recover_translations(*args)
     assert np.linalg.norm(tau_h - tau, axis=1).max() < 1e-6
     assert np.linalg.norm(g_h - G) < 1e-6
+
+
+@pytest.mark.parametrize("instance", ["reference", "fine_120hz"])
+def test_recover_translations_matches_dense_oracle(instance,
+                                                   reference_dataset):
+    if instance == "reference":
+        args, _ = translation_problem(reference_dataset.trajectory,
+                                      reference_dataset.gravity)
+    else:
+        args, _ = translation_problem(fine_trajectory())
+    *estimate, info = recover_translations(*args)
+    assert info["cond"] <= COND_LIMIT  # the banded path ran
+    for est, ref in zip(estimate, dense_translation_solution(args)):
+        assert np.linalg.norm(est - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("frames", [3, 2])
+def test_recover_translations_few_frames(frames, reference_dataset):
+    # F=3 leaves one filter center; F=2 none, so the system is
+    # underdetermined, the normal matrix singular and the dense
+    # minimum-norm solution is returned
+    args, _ = translation_problem(reference_dataset.trajectory,
+                                  reference_dataset.gravity, frames)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        *estimate, info = recover_translations(*args)
+        dense = dense_translation_solution(args)
+    assert estimate[0].shape == (frames, 3)
+    # the normal equations square the condition number of the system
+    tol = 10 * np.finfo(float).eps * info["cond"]
+    for est, ref in zip(estimate, dense):
+        assert np.linalg.norm(est - ref) <= tol * np.linalg.norm(ref)
+
+
+def test_recover_translations_memory_is_linear(monkeypatch):
+    # 5 s at 240 Hz: the dense system alone would be 14388 x 7203 (830 MB)
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense fallback taken")
+    traj = generate_trajectory(5.0, 1 / 240, 0.35, np.radians(30), seed=0)
+    args, tau = translation_problem(traj)
+    monkeypatch.setattr(solver, "translation_system", no_dense)
+    tracemalloc.start()
+    try:
+        tau_h, _, _, _ = recover_translations(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tau_h.shape == (1200, 3)
+    assert peak < 20e6
+    assert np.linalg.norm(tau_h - tau, axis=1).max() < 1e-6
+
+
+def dense_translation_oracle(m_hat, R, omega, domega, accel, t_s,
+                             lambda_tau, lambda_nu, filt, include_order0):
+    """Row-by-row reference for translation_system, written from the
+    block description: two rows per (order, frame), then six rows per
+    filter center."""
+    F = len(R)
+    W1, W2 = so3.rate_blocks(omega, domega)
+    Pi = PROJECTOR
+    rows, rhs = [], []
+    for o in (0, 1, 2) if include_order0 else (1, 2):
+        for f in range(F):
+            row = np.zeros((2, 6 * F + 3))
+            tau_f, nu_f = slice(3 * f, 3 * f + 3), slice(3 * (F + f),
+                                                        3 * (F + f) + 3)
+            if o == 0:
+                row[:, tau_f] = -Pi
+            elif o == 1:
+                row[:, tau_f] = Pi @ W1[f]
+                row[:, nu_f] = -Pi
+            else:
+                row[:, tau_f] = -Pi @ W2[f]
+                row[:, nu_f] = 2.0 * Pi @ W1[f]
+                row[:, 6 * F:] = Pi @ R[f].T
+            rows.append(row)
+            b = m_hat[2 * (o * F + f):2 * (o * F + f) + 2]
+            rhs.append(b + Pi @ accel[f] if o == 2 else b)
+    taps = filt.taps / t_s
+    st, sn = np.sqrt(lambda_tau), np.sqrt(lambda_nu)
+    for c in range(max(F - filt.window + 1, 0)):
+        row = np.zeros((6, 6 * F + 3))
+        for k in range(filt.window):
+            f = c + k
+            row[:3, 3 * f:3 * f + 3] = st * taps[k] * R[f]
+            row[3:, 3 * (F + f):3 * (F + f) + 3] = sn * taps[k] * R[f]
+        f = c + filt.window // 2
+        row[:3, 3 * (F + f):3 * (F + f) + 3] = -st * R[f]
+        row[3:, 6 * F:] = sn * np.eye(3)
+        rows.append(row)
+        rhs.append(np.concatenate([np.zeros(3), sn * R[f] @ accel[f]]))
+    return np.vstack(rows), np.concatenate(rhs)
+
+
+@pytest.mark.parametrize("include_order0", [True, False])
+@pytest.mark.parametrize("window", [3, 5])
+def test_translation_system_matches_row_oracle(include_order0, window,
+                                               reference_dataset):
+    args, _ = translation_problem(reference_dataset.trajectory,
+                                  reference_dataset.gravity, 9)
+    noise = np.random.default_rng(0).normal(scale=1e-3, size=len(args[0]))
+    args = (args[0] + noise,) + args[1:6] + (0.7, 1.3)
+    filt = savgol_filter(1, window, 1)
+    A, b = translation_system(*args, reg_filter=filt,
+                              include_order0=include_order0)
+    A_ref, b_ref = dense_translation_oracle(*args, filt, include_order0)
+    assert np.array_equal(A, A_ref)
+    assert np.array_equal(b, b_ref)
+    data, _, reg, _ = translation_blocks(*args, reg_filter=filt,
+                                         include_order0=include_order0)
+    assert data.shape == (9, 6 if include_order0 else 4, 9)
+    assert reg.shape == (9 - window + 1, 6, 6 * window + 3)
 
 
 def test_recover_translations_static_hover():
@@ -441,6 +576,28 @@ def test_recover_translations_static_hover():
     A, b = translation_system(m, R, omega, domega, accel, 1 / 30, 1.0, 1.0)
     x = np.concatenate([tau_h.ravel(), nu_h.ravel(), g_h])
     assert np.linalg.norm(A @ x - b) < 1e-9
+
+
+def test_recover_translations_slow_rotation_falls_back_to_dense():
+    # at omega = 1e-6 rad/s the depth components are barely observable:
+    # the normal matrix still factors (condition number ~1e16), so only
+    # the condition estimate can route the solve to the dense path
+    F = 30
+    R = np.tile(np.eye(3), (F, 1, 1))
+    omega = np.tile([1e-6, 0.0, 0.0], (F, 1))
+    domega = np.zeros((F, 3))
+    tau = np.tile([0.3, -0.2, 1.5], (F, 1))
+    accel = np.tile(G, (F, 1))
+    m = translation_vector(omega, domega, tau, np.zeros((F, 3)), accel, R, G)
+    args = (m, R, omega, domega, accel, 1 / 30, 1.0, 1.0)
+    _, _, fast = solver._solve_blocks(*translation_blocks(*args))
+    assert fast["cond"] > COND_LIMIT
+    with pytest.warns(IllConditionedWarning):
+        *estimate, _ = recover_translations(*args)
+    with pytest.warns(IllConditionedWarning):
+        dense = dense_translation_solution(args)
+    for est, ref in zip(estimate, dense):
+        assert np.array_equal(est, ref)
 
 
 def test_translation_observability_needs_order0_rows(reference_dataset):
