@@ -73,6 +73,10 @@ class DimensionMismatch(DynSfmError):
     pass
 
 
+class NonFiniteInput(DynSfmError):
+    """A measurement series holds a NaN or an infinity."""
+
+
 class NumericalFailure(DynSfmError):
     """A solver stage broke down numerically: LAPACK failed, or the stage
     produced non-finite values."""

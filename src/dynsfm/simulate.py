@@ -18,7 +18,7 @@ import numpy as np
 
 from . import so3
 from .errors import (BadSampling, DegenerateScene, LengthMismatch,
-                     SingularInertia, TooFewPoints)
+                     NonFiniteInput, SingularInertia, TooFewPoints)
 
 DEFAULT_GRAVITY = np.array([0.0, 0.0, -9.8])
 DEFAULT_INERTIA = np.diag([0.01, 0.01, 0.02])
@@ -109,6 +109,39 @@ class MeasurementSet:
     @property
     def n_points(self):
         return self.tracks.shape[1]
+
+    def validate(self):
+        """Check the input contract before any arithmetic runs on it.
+
+        Raises BadSampling unless t_s is finite and positive,
+        LengthMismatch unless the image bands are (F, P, 2) and gyro,
+        accel and torque (when present) are (F, 3) with one F, and
+        NonFiniteInput when any series or the inertia holds a NaN or an
+        infinity. Inertia definiteness is checked where it is used
+        (euler_omega_dot).
+        """
+        try:
+            t_s = float(self.t_s)
+        except (TypeError, ValueError):
+            raise BadSampling(
+                f"t_s must be a number, got {self.t_s!r}") from None
+        if not (np.isfinite(t_s) and t_s > 0):
+            raise BadSampling(f"t_s must be finite and positive, got {t_s}")
+        shape = np.shape(self.tracks)
+        if len(shape) != 3 or shape[2] != 2:
+            raise LengthMismatch(f"tracks must be (F, P, 2), got {shape}")
+        expected = {"tracks": shape, "flows": shape, "double_flows": shape,
+                    "gyro": (shape[0], 3), "accel": (shape[0], 3)}
+        if self.torque is not None:
+            expected["torque"] = (shape[0], 3)
+        for name, want in expected.items():
+            got = np.shape(getattr(self, name))
+            if got != want:
+                raise LengthMismatch(f"{name} must be {want}, got {got}")
+        for name in (*expected, "inertia"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise NonFiniteInput(f"{name} holds a non-finite value")
 
 
 @dataclass

@@ -143,9 +143,8 @@ def deterministic_svd(A):
     factorizations are reproducible across LAPACK builds.
     """
     U, s, Vt = np.linalg.svd(np.asarray(A, dtype=float), full_matrices=False)
-    for i in range(U.shape[1]):
-        j = int(np.argmax(np.abs(U[:, i])))
-        if U[j, i] < 0:
-            U[:, i] = -U[:, i]
-            Vt[i, :] = -Vt[i, :]
+    cols = np.arange(U.shape[1])
+    signs = np.where(U[np.argmax(np.abs(U), axis=0), cols] < 0, -1.0, 1.0)
+    U *= signs
+    Vt *= signs[:, None]
     return U, s, Vt

@@ -145,18 +145,29 @@ def translation_vector(omega, domega, tau, nu, accel, rotations, gravity):
 def factor_rank4(W):
     """Rank-four factorization W ~ Mt @ St via truncated SVD.
 
-    Uses the deterministic sign convention from the so3 module. Returns
-    (Mt, St, sigma_ratio) where sigma_ratio = s5/s4 measures how well the
-    data fits the rank-4 model.
+    A wide W (more points than rows) is reduced first (R-SVD, Chan 1982):
+    the QR of W^T gives W = R^T Q^T with R square, so the SVD of R^T
+    yields the left singular vectors and singular values of W, and the
+    four right vectors follow by projection, St = U^T W / s. That costs
+    O(P F^2 + F^3) instead of an SVD of the 6F x P matrix, and Q is never
+    formed. A tall W goes straight to the thin SVD, which LAPACK already
+    reduces by QR. Both use the deterministic sign convention of the so3
+    module. Returns (Mt, St, sigma_ratio) where sigma_ratio = s5/s4
+    measures how well the data fits the rank-4 model.
     """
     if min(W.shape) < 4:
         raise TooFewFramesOrPoints("W must have at least 4 rows and columns")
-    U, s, Vt = so3.deterministic_svd(W)
+    wide = W.shape[1] > W.shape[0]
+    if wide:
+        U, s, _ = so3.deterministic_svd(np.linalg.qr(W.T, mode="r").T)
+    else:
+        U, s, Vt = so3.deterministic_svd(W)
     rank_ratio = s[3] / s[0] if s[0] > 0 else 0.0
     if rank_ratio < 1e-10:
         raise RankDeficient(f"sigma4/sigma1 = {rank_ratio:.2e} < 1e-10")
     sigma_ratio = float(s[4] / s[3]) if len(s) > 4 else 0.0
-    return U[:, :4] * s[:4], Vt[:4], sigma_ratio
+    St = (U[:, :4].T @ W) / s[:4, None] if wide else Vt[:4]
+    return U[:, :4] * s[:4], St, sigma_ratio
 
 
 def fix_similarity(Mt, St):
@@ -290,12 +301,24 @@ def extract_rotations_structure(M2, K_upg, St_rows, reflection="auto",
         structure = np.linalg.solve(K, St_rows).T
         if len(flips) == 1:
             return rotations, structure
-        M_proj = rotations.transpose(0, 2, 1).reshape(3 * F, 3)
-        resid = np.linalg.norm(
-            W - (C @ M_proj @ structure.T + np.outer(m_hat, np.ones(W.shape[1]))))
+        resid = _reflection_residual(W, C, rotations, structure, m_hat)
         if best is None or resid < best[0]:
             best = (resid, rotations, structure)
     return best[1], best[2]
+
+
+def _reflection_residual(W, C, rotations, structure, m_hat):
+    """|W - (C stack(R^T) S + m 1^T)|, formed in one 6F x P buffer.
+
+    The norm is taken of the direct difference: the expanded form
+    |W|^2 - 2<W, .> + |.|^2 cancels on noiseless data and can flip the
+    reflection choice.
+    """
+    M_proj = rotations.transpose(0, 2, 1).reshape(-1, 3)
+    E = (C @ M_proj) @ structure.T
+    E += m_hat[:, None]
+    E -= W
+    return np.linalg.norm(E)
 
 
 def translation_blocks(m_hat, rotations, omega, domega, accel, t_s,
@@ -627,16 +650,20 @@ def _require_finite(**arrays):
 def reconstruct(measurements, options=None):
     """Run the full five-stage closed-form recovery on a measurement set.
 
-    Any stage failure is re-raised as the same error type with the stage
-    name prefixed to the message. A LAPACK failure, or a non-finite
-    rotation, structure, translation, velocity or gravity estimate, raises
-    NumericalFailure, prefixed the same way.
+    The first stage, validate, checks the input contract of the
+    measurement set (MeasurementSet.validate). Any stage failure is
+    re-raised as the same error type with the stage name prefixed to the
+    message. A LAPACK failure, or a non-finite rotation, structure,
+    translation, velocity or gravity estimate, raises NumericalFailure,
+    prefixed the same way.
     """
     options = options if options is not None else SolverOptions()
     options.validate()
     residuals = {}
-    stage = "assemble_W"
+    stage = "validate"
     try:
+        measurements.validate()
+        stage = "assemble_W"
         W = assemble_W(measurements)
         stage = "omega_dot"
         omega = measurements.gyro

@@ -153,30 +153,34 @@ def test_solve_exit_code_on_solver_failure(small_cfg_path, tmp_path, capsys):
     assert "factor_rank4" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("series, index, value, stage", [
-    ("tracks", (3, 5, 0), float("nan"), "factor_rank4"),
-    ("accel", (7, 1), float("inf"), "recover_translations")])
-def test_solve_exit_code_on_non_finite_input(series, index, value, stage,
-                                              tmp_path, capsys):
-    # numerical breakdown is a solver error with its stage, not a traceback
+@pytest.mark.parametrize("path, value", [
+    (("measurements", "tracks", 3, 5, 0), float("nan")),
+    (("measurements", "accel", 7, 1), float("inf")),
+    (("t_s",), 0.0),
+    (("t_s",), -1 / 30)], ids=["nan-track", "inf-accel", "zero-t_s",
+                               "negative-t_s"])
+def test_solve_exit_code_on_invalid_input(path, value, tmp_path, capfd):
+    # invalid input is rejected at the solver boundary, before numpy can
+    # warn or LAPACK print to the process's stderr: one error line only
     cfg_path = tmp_path / "noise.json"
     jsonio.write_json(cfg_path, config_to_dict(reference_noise_config(seed=0)))
     ds_path = tmp_path / "dataset.json"
     run_cli("simulate", "--config", cfg_path, "--out", ds_path, "--quiet")
     doc = jsonio.read_json(ds_path)
-    target = doc["measurements"][series]
-    for i in index[:-1]:
-        target = target[i]
-    target[index[-1]] = value
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(doc))  # jsonio refuses to write non-finite
     out = tmp_path / "r.json"
     code = run_cli("solve", "--dataset", broken, "--out", out, "--quiet")
-    err = capsys.readouterr().err
+    err = capfd.readouterr().err
     assert code == 4
     errors = [line for line in err.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and f"[{stage}]" in errors[0]
+    assert len(errors) == 1 and "[validate]" in errors[0]
     assert "Traceback" not in err
+    assert "Warning" not in err
     assert not out.exists()
 
 

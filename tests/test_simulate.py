@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dynsfm import so3
-from dynsfm.errors import (BadSampling, LengthMismatch, SingularInertia,
-                           TooFewPoints)
+from dynsfm.errors import (BadSampling, LengthMismatch, NonFiniteInput,
+                           SingularInertia, TooFewPoints)
 from dynsfm.simulate import (DEFAULT_GRAVITY, DEFAULT_INERTIA, MeasurementSet,
                              NoiseSpec, Scene, Trajectory, add_noise,
                              euler_omega_dot, generate_scene,
@@ -340,3 +342,28 @@ def test_dataset_determinism():
     assert np.array_equal(a.measurements.tracks, b.measurements.tracks)
     assert np.array_equal(a.measurements.gyro, b.measurements.gyro)
     assert np.array_equal(a.scene.points, b.scene.points)
+
+
+def _with_value(array, index, value):
+    out = np.array(array, dtype=float)
+    out[index] = value
+    return out
+
+
+@pytest.mark.parametrize("change, error", [
+    (lambda m: {"t_s": float("nan")}, BadSampling),
+    (lambda m: {"t_s": "fast"}, BadSampling),
+    (lambda m: {"tracks": m.tracks[..., 0]}, LengthMismatch),
+    (lambda m: {"flows": m.flows[:, :-1]}, LengthMismatch),
+    (lambda m: {"gyro": m.gyro[:-1]}, LengthMismatch),
+    (lambda m: {"torque": m.torque[:, :2]}, LengthMismatch),
+    (lambda m: {"double_flows": _with_value(m.double_flows, (0, 1, 1),
+                                            -np.inf)}, NonFiniteInput),
+    (lambda m: {"inertia": _with_value(m.inertia, (2, 2), np.nan)},
+     NonFiniteInput)])
+def test_measurement_set_validate_rejects(change, error):
+    meas = simulate_dataset(duration=0.3, t_s=1 / 30, n_points=5, extent=1.0,
+                            amp_trans=0.1, amp_rot=0.2, seed=0).measurements
+    meas.validate()
+    with pytest.raises(error):
+        replace(meas, **change(meas)).validate()

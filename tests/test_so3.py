@@ -193,6 +193,22 @@ def test_deterministic_svd_reconstructs():
         assert U[j, i] > 0
 
 
+def test_deterministic_svd_signs_match_per_column_loop():
+    # the stacked sign fix is bit-equal to flipping column by column
+    rng = np.random.default_rng(10)
+    for shape in [(12, 5), (5, 12), (60, 60)]:
+        A = rng.normal(size=shape)
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        for i in range(U.shape[1]):
+            j = int(np.argmax(np.abs(U[:, i])))
+            if U[j, i] < 0:
+                U[:, i] = -U[:, i]
+                Vt[i, :] = -Vt[i, :]
+        U2, s2, Vt2 = so3.deterministic_svd(A)
+        assert np.array_equal(U2, U) and np.array_equal(Vt2, Vt)
+        assert np.array_equal(s2, s)
+
+
 def test_right_jacobian_matches_finite_difference():
     # omega = J_r(theta) dtheta must satisfy dR/dt = R hat(omega)
     rng = np.random.default_rng(9)

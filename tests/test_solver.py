@@ -101,38 +101,77 @@ def test_factorization_identity(reference_dataset):
     assert resid / np.linalg.norm(W) < 1e-12
 
 
-def test_factor_rank4_exact(reference_dataset):
-    W = assemble_W(reference_dataset.measurements)
-    Mt, St, sigma_ratio = factor_rank4(W)
-    assert np.linalg.norm(W - Mt @ St) / np.linalg.norm(W) < 1e-12
-    assert sigma_ratio < 1e-12
+@pytest.fixture(scope="module")
+def wide_W():
+    """Noiseless wide input: 0.3 s at 30 Hz, 200 points, W 54 x 200."""
+    ds = simulate_dataset(duration=0.3, t_s=1 / 30, n_points=200, extent=2.0,
+                          amp_trans=0.35, amp_rot=np.radians(30), seed=0)
+    return assemble_W(ds.measurements)
 
 
-def test_factor_rank4_eckart_young(reference_dataset):
+@pytest.fixture(scope="module")
+def rank4_inputs(reference_dataset, wide_W):
+    """Noiseless W on both sides of factor_rank4's shape branch: the tall
+    reference (900 x 24, thin SVD) and the wide input (54 x 200, R-SVD)."""
+    return [assemble_W(reference_dataset.measurements), wide_W]
+
+
+def test_factor_rank4_exact(rank4_inputs):
+    for W in rank4_inputs:
+        Mt, St, sigma_ratio = factor_rank4(W)
+        assert np.linalg.norm(W - Mt @ St) / np.linalg.norm(W) < 1e-12, W.shape
+        assert sigma_ratio < 1e-12, W.shape
+
+
+def test_factor_rank4_eckart_young(rank4_inputs):
     rng = np.random.default_rng(0)
-    W = assemble_W(reference_dataset.measurements)
-    W = W + 0.01 * rng.normal(size=W.shape)
-    Mt, St, _ = factor_rank4(W)
-    s = np.linalg.svd(W, compute_uv=False)
-    expected = np.sqrt((s[4:] ** 2).sum())
-    assert abs(np.linalg.norm(W - Mt @ St) - expected) < 1e-10
+    for W in rank4_inputs:
+        W = W + 0.01 * rng.normal(size=W.shape)
+        Mt, St, _ = factor_rank4(W)
+        s = np.linalg.svd(W, compute_uv=False)
+        expected = np.sqrt((s[4:] ** 2).sum())
+        assert abs(np.linalg.norm(W - Mt @ St) - expected) < 1e-10, W.shape
 
 
-def test_factor_rank4_permutation_equivariance(reference_dataset):
-    W = assemble_W(reference_dataset.measurements)
+def test_factor_rank4_permutation_equivariance(rank4_inputs):
     rng = np.random.default_rng(1)
-    perm = rng.permutation(W.shape[1])
-    Mt1, St1, _ = factor_rank4(W)
-    Mt2, St2, _ = factor_rank4(W[:, perm])
-    assert np.allclose(St2, St1[:, perm], atol=1e-9)
-    assert np.allclose(Mt2, Mt1, atol=1e-9)
+    for W in rank4_inputs:
+        perm = rng.permutation(W.shape[1])
+        Mt1, St1, _ = factor_rank4(W)
+        Mt2, St2, _ = factor_rank4(W[:, perm])
+        assert np.allclose(St2, St1[:, perm], atol=1e-9), W.shape
+        assert np.allclose(Mt2, Mt1, atol=1e-9), W.shape
 
 
 def test_factor_rank4_rank_deficient():
     rng = np.random.default_rng(2)
-    W = rng.normal(size=(24, 3)) @ rng.normal(size=(3, 8))
-    with pytest.raises(RankDeficient):
-        factor_rank4(W)
+    for rows, cols in [(24, 8), (8, 24)]:
+        W = rng.normal(size=(rows, 3)) @ rng.normal(size=(3, cols))
+        with pytest.raises(RankDeficient):
+            factor_rank4(W)
+
+
+def test_factor_rank4_tall_is_the_thin_svd(reference_dataset):
+    W = assemble_W(reference_dataset.measurements)
+    Mt, St, sigma_ratio = factor_rank4(W)
+    U, s, Vt = so3.deterministic_svd(W)
+    assert np.array_equal(Mt, U[:, :4] * s[:4])
+    assert np.array_equal(St, Vt[:4])
+    assert sigma_ratio == s[4] / s[3]
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.01])
+def test_factor_rank4_wide_matches_direct_svd(wide_W, noise):
+    W = wide_W + noise * np.random.default_rng(4).normal(size=wide_W.shape)
+    Mt, St, sigma_ratio = factor_rank4(W)
+    U, s, Vt = so3.deterministic_svd(W)
+    # per column (row of St), so a flipped sign fails as well
+    Mt_ref, St_ref = U[:, :4] * s[:4], Vt[:4]
+    assert np.all(np.linalg.norm(Mt - Mt_ref, axis=0)
+                  <= 1e-12 * np.linalg.norm(Mt_ref, axis=0))
+    assert np.all(np.linalg.norm(St - St_ref, axis=1)
+                  <= 1e-12 * np.linalg.norm(St_ref, axis=1))
+    assert abs(sigma_ratio - s[4] / s[3]) <= 1e-12
 
 
 def test_fix_similarity_already_normalized():
