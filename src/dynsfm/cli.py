@@ -142,7 +142,8 @@ def _load_dataset(path):
         return jsonio.dataset_from_dict(jsonio.read_json(path))
     except OSError as err:
         raise _CliFailure(EXIT_IO, f"cannot read dataset: {err}")
-    except (json.JSONDecodeError, KeyError, DynSfmError) as err:
+    except (ValueError, TypeError, KeyError, DynSfmError) as err:
+        # ValueError covers invalid JSON and ragged or misshapen arrays
         raise _CliFailure(EXIT_IO, f"bad dataset file: {err}")
 
 

@@ -15,12 +15,34 @@ from .simulate import (Dataset, MeasurementSet, NoiseSpec, Scene, Trajectory)
 from .solver import Reconstruction, SolverOptions
 
 SCHEMA_VERSION = 1
+FLOAT = "%.17g"  # printf form of format(x, ".17g")
 
 
 def _fmt_float(x):
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x}")
     return format(x, ".17g")
+
+
+def _require_finite(values):
+    a = np.asarray(values, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(
+            f"cannot serialize non-finite float {a[~np.isfinite(a)][0]}")
+
+
+def _dumps_floats(a):
+    """A float ndarray (at least 1-d, not empty) as nested JSON lists,
+    each value as _fmt_float prints it: one finiteness check, one FLOAT
+    template per last-axis row, then joins over the leading axes."""
+    _require_finite(a)
+    n = a.shape[-1]
+    row = "[" + ",".join([FLOAT] * n) + "]"
+    text = [row % tuple(r) for r in a.reshape(-1, n).tolist()]
+    for size in reversed(a.shape[:-1]):
+        text = ["[" + ",".join(text[i:i + size]) + "]"
+                for i in range(0, len(text), size)]
+    return text[0]
 
 
 def dumps(obj):
@@ -31,6 +53,8 @@ def dumps(obj):
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(dumps(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim and obj.size:
+            return _dumps_floats(obj)
         return dumps(obj.tolist())
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -58,15 +82,18 @@ def read_json(path):
 
 def write_csv(path, header, rows):
     """CSV with a header row, 17-significant-digit floats, LF endings."""
-    def cell(v):
-        if isinstance(v, (float, np.floating)):
-            return _fmt_float(float(v))
-        return str(v)
-
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(cell(v) for v in row) + "\n")
+            fh.write(_csv_row(row) + "\n")
+
+
+def _csv_row(row):
+    """One CSV line: floats by the FLOAT template of dumps, other cells
+    by str."""
+    is_float = [isinstance(v, (float, np.floating)) for v in row]
+    _require_finite([v for v, f in zip(row, is_float) if f])
+    return ",".join(FLOAT if f else "%s" for f in is_float) % tuple(row)
 
 
 def noise_spec_to_dict(spec):
@@ -86,26 +113,26 @@ def dataset_to_dict(ds):
     frames = []
     for f in range(traj.n_frames):
         frames.append({
-            "R": traj.rotations[f].reshape(9).tolist(),
-            "T": traj.T[f].tolist(),
-            "dT": traj.dT[f].tolist(),
-            "ddT": traj.ddT[f].tolist(),
-            "omega": traj.omega[f].tolist(),
-            "domega": traj.domega[f].tolist()})
+            "R": traj.rotations[f].reshape(9),
+            "T": traj.T[f],
+            "dT": traj.dT[f],
+            "ddT": traj.ddT[f],
+            "omega": traj.omega[f],
+            "domega": traj.domega[f]})
     meas = ds.measurements
     mdict = {
-        "tracks": meas.tracks.tolist(),
-        "flows": meas.flows.tolist(),
-        "double_flows": meas.double_flows.tolist(),
-        "gyro": meas.gyro.tolist(),
-        "accel": meas.accel.tolist()}
+        "tracks": meas.tracks,
+        "flows": meas.flows,
+        "double_flows": meas.double_flows,
+        "gyro": meas.gyro,
+        "accel": meas.accel}
     if meas.torque is not None:
-        mdict["torque"] = meas.torque.tolist()
-        mdict["inertia"] = np.asarray(meas.inertia).reshape(9).tolist()
+        mdict["torque"] = meas.torque
+        mdict["inertia"] = np.asarray(meas.inertia).reshape(9)
     return {"schema_version": SCHEMA_VERSION,
             "t_s": float(ds.t_s),
-            "gravity": ds.gravity.tolist(),
-            "scene": ds.scene.points.tolist(),
+            "gravity": ds.gravity,
+            "scene": ds.scene.points,
             "trajectory": frames,
             "measurements": mdict,
             "noise_spec": noise_spec_to_dict(ds.noise_spec),
@@ -113,6 +140,8 @@ def dataset_to_dict(ds):
 
 
 def dataset_from_dict(d):
+    if not isinstance(d, dict):
+        raise TypeError(f"a dataset is a JSON object, not {type(d).__name__}")
     if d.get("schema_version") != SCHEMA_VERSION:
         raise DimensionMismatch(
             f"unsupported dataset schema_version {d.get('schema_version')!r}")
@@ -171,11 +200,11 @@ def options_from_dict(d):
 
 def reconstruction_to_dict(recon):
     return {
-        "rotations": [R.reshape(9).tolist() for R in recon.rotations],
-        "tau": recon.tau.tolist(),
-        "nu": recon.nu.tolist(),
-        "gravity": recon.gravity.tolist(),
-        "structure": recon.structure.tolist(),
+        "rotations": recon.rotations.reshape(-1, 9),
+        "tau": recon.tau,
+        "nu": recon.nu,
+        "gravity": recon.gravity,
+        "structure": recon.structure,
         "residuals": {k: float(v) for k, v in recon.residuals.items()},
         "options": options_to_dict(recon.options)}
 

@@ -109,22 +109,24 @@ def assemble_W(measurements):
 
 
 def assemble_C(omega, domega):
-    """Coefficient matrix C (6F x 3F), fully determined by the gyro series
-    and its rate: block row (order o, frame f) holds the order-o block
-    P, -P W1_f or P W2_f (the so3.rate_blocks) at block column f."""
+    """Per-order blocks (3, F, 2, 3) of the coefficient matrix C.
+
+    C (6F x 3F) is fully determined by the gyro series and its rate, and
+    block-diagonal per frame: block row (order o, frame f) holds
+    blocks[o, f] at block column f, with blocks[0, f] = P,
+    blocks[1, f] = -P W1_f and blocks[2, f] = P W2_f (the
+    so3.rate_blocks). The zero blocks are never stored.
+    """
     omega = np.asarray(omega, dtype=float)
     domega = np.asarray(domega, dtype=float)
     if omega.shape != domega.shape:
         raise LengthMismatch("omega and domega lengths differ")
-    F = omega.shape[0]
     W1, W2 = so3.rate_blocks(omega, domega)
-    C = np.zeros((6 * F, 3 * F))
-    blocks = C.reshape(3, F, 2, F, 3)  # (order, frame, row, frame, col) view
-    f = np.arange(F)
-    blocks[0, f, :, f] = PROJECTOR
-    blocks[1, f, :, f] = -PROJECTOR @ W1
-    blocks[2, f, :, f] = PROJECTOR @ W2
-    return C
+    blocks = np.empty((3, omega.shape[0], 2, 3))
+    blocks[0] = PROJECTOR
+    blocks[1] = -PROJECTOR @ W1
+    blocks[2] = PROJECTOR @ W2
+    return blocks
 
 
 def translation_vector(omega, domega, tau, nu, accel, rotations, gravity):
@@ -203,39 +205,51 @@ def center_structure(Mt, St):
 
 
 def rotation_regularizer(omega, t_s):
-    """Block-banded operator penalizing deviation from gyro propagation.
+    """Blocks (F - 1, 3, 3) of the operator penalizing deviation from gyro
+    propagation.
 
-    Block row f carries -exp_so3(t_s * w)^T at block column f and the
-    identity at block column f + 1, acting on the stacked R_f^T blocks.
-    The propagation rate w is the midpoint gyro average over the interval
-    [f, f+1], the second-order-accurate discretization of the underlying
-    continuous constraint (per-sample rates leave an O(t_s^2 * domega)
-    inconsistency that dominates the noiseless error budget).
+    Block row f of the operator carries blocks[f] = -exp_so3(t_s * w)^T at
+    block column f and the identity at block column f + 1, acting on the
+    stacked R_f^T blocks; the identity is implicit. The propagation rate w
+    is the midpoint gyro average over the interval [f, f+1], the
+    second-order-accurate discretization of the underlying continuous
+    constraint (per-sample rates leave an O(t_s^2 * domega) inconsistency
+    that dominates the noiseless error budget).
     """
     F = omega.shape[0]
-    CR = np.zeros((3 * max(F - 1, 0), 3 * F))
+    blocks = np.empty((max(F - 1, 0), 3, 3))
     for f in range(F - 1):
         w = 0.5 * (omega[f] + omega[f + 1])
-        CR[3 * f:3 * f + 3, 3 * f:3 * f + 3] = -so3.exp_so3(t_s * w).T
-        CR[3 * f:3 * f + 3, 3 * f + 3:3 * f + 6] = np.eye(3)
-    return CR
+        blocks[f] = -so3.exp_so3(t_s * w).T
+    return blocks
 
 
 def recover_rotation_blocks(Mt_cols, C, omega, t_s, lambda_R):
     """Solve for the 3F x 3 stacked rotation blocks (up to a 3x3 gauge).
 
     Minimizes |Mt_cols - C M''|^2 + lambda_R |C_R M''|^2 as one linear
-    least-squares problem over all blocks. Returns (M'', info).
+    least-squares problem over all blocks, with C the assemble_C blocks
+    and C_R the rotation_regularizer operator, both scattered into one
+    stacked system. Returns (M'', info).
     """
     F = omega.shape[0]
     if Mt_cols.shape != (6 * F, 3):
         raise LengthMismatch(
             f"expected {(6 * F, 3)} motion columns, got {Mt_cols.shape}")
+    if C.shape != (3, F, 2, 3):
+        raise LengthMismatch(f"expected {(3, F, 2, 3)} C blocks, got {C.shape}")
     CR = rotation_regularizer(omega, t_s)
-    A = np.vstack([C, np.sqrt(lambda_R) * CR])
-    B = np.vstack([Mt_cols, np.zeros((CR.shape[0], 3))])
+    n = len(CR)
+    A = np.zeros((6 * F + 3 * n, 3 * F))
+    f, r = np.arange(F), np.arange(n)
+    A[:6 * F].reshape(3, F, 2, F, 3)[:, f, :, f] = C.transpose(1, 0, 2, 3)
+    reg = A[6 * F:].reshape(n, 3, F, 3)
+    reg[r, :, r] = np.sqrt(lambda_R) * CR
+    reg[r, :, r + 1] = np.sqrt(lambda_R) * np.eye(3)
+    B = np.zeros((len(A), 3))
+    B[:6 * F] = Mt_cols
     M2, info = lstsq_checked(A, B, "recover_rotation_blocks")
-    info["residual"] = float(np.linalg.norm(Mt_cols - C @ M2))
+    info["residual"] = float(np.linalg.norm(Mt_cols - A[:6 * F] @ M2))
     return M2, info
 
 
@@ -310,12 +324,13 @@ def extract_rotations_structure(M2, K_upg, St_rows, reflection="auto",
 def _reflection_residual(W, C, rotations, structure, m_hat):
     """|W - (C stack(R^T) S + m 1^T)|, formed in one 6F x P buffer.
 
-    The norm is taken of the direct difference: the expanded form
-    |W|^2 - 2<W, .> + |.|^2 cancels on noiseless data and can flip the
-    reflection choice.
+    The per-frame products C_f R_f^T stack into 6F x 3 rows in the row
+    order of W, and one product with S fills the buffer. The norm is
+    taken of the direct difference: the expanded form |W|^2 - 2<W, .> +
+    |.|^2 cancels on noiseless data and can flip the reflection choice.
     """
-    M_proj = rotations.transpose(0, 2, 1).reshape(-1, 3)
-    E = (C @ M_proj) @ structure.T
+    CM = (C @ rotations.transpose(0, 2, 1)).reshape(-1, 3)
+    E = CM @ structure.T
     E += m_hat[:, None]
     E -= W
     return np.linalg.norm(E)

@@ -59,6 +59,16 @@ def noise_sweep():
     return [run_noisy_seed(seed) for seed in range(20)]
 
 
+def dense_C(blocks):
+    """The dense 6F x 3F coefficient matrix of the assemble_C blocks:
+    block row (order o, frame f) holds blocks[o, f] at block column f."""
+    F = blocks.shape[1]
+    C = np.zeros((6 * F, 3 * F))
+    f = np.arange(F)
+    C.reshape(3, F, 2, F, 3)[:, f, :, f] = blocks.transpose(1, 0, 2, 3)
+    return C
+
+
 def random_rotation(rng):
     v = rng.normal(size=3)
     v = v / np.linalg.norm(v) * rng.uniform(0.0, np.pi - 1e-3)

@@ -1,4 +1,7 @@
+import copy
+import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,10 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, note, settings
+from hypothesis import strategies as st
 
 from dynsfm import jsonio
 from dynsfm.cli import main
 from dynsfm.config import config_to_dict, reference_config, reference_noise_config
+
+from conftest import make_dataset
 
 
 def run_cli(*args):
@@ -182,6 +189,120 @@ def test_solve_exit_code_on_invalid_input(path, value, tmp_path, capfd):
     assert "Traceback" not in err
     assert "Warning" not in err
     assert not out.exists()
+
+
+@functools.cache
+def _one_second_dataset_doc():
+    """A valid 1 s, 8-point dataset document with plain JSON lists; callers
+    mutate a deep copy."""
+    cfg = reference_noise_config(seed=0)
+    cfg.duration = 1.0
+    cfg.points = 8
+    return json.loads(jsonio.dumps(jsonio.dataset_to_dict(make_dataset(cfg))))
+
+
+def _solve_doc(doc, tmp_path, capfd):
+    """Run `dynsfm solve` on a dataset document; return (exit code, the
+    stderr lines, whether an output was written)."""
+    ds_path, out = tmp_path / "dataset.json", tmp_path / "r.json"
+    ds_path.write_text(json.dumps(doc))  # json writes NaN and Infinity
+    out.unlink(missing_ok=True)
+    capfd.readouterr()
+    code = run_cli("solve", "--dataset", ds_path, "--out", out, "--quiet")
+    return code, capfd.readouterr().err.splitlines(), out.exists()
+
+
+def _ragged_tracks(doc):
+    doc["measurements"]["tracks"][4].pop()
+    return doc
+
+
+def _short_inertia(doc):
+    doc["measurements"]["inertia"] = doc["measurements"]["inertia"][:2]
+    return doc
+
+
+def _array_document(doc):
+    return [doc]
+
+
+@pytest.mark.parametrize("mutate", [_ragged_tracks, _short_inertia,
+                                    _array_document],
+                         ids=["ragged-tracks", "short-inertia", "array"])
+def test_solve_exit_code_on_malformed_dataset(mutate, tmp_path, capfd):
+    # a dataset file numpy cannot shape is an I/O error, not a traceback
+    doc = mutate(copy.deepcopy(_one_second_dataset_doc()))
+    code, err, written = _solve_doc(doc, tmp_path, capfd)
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("error: bad dataset file:")
+    assert not written
+
+
+MEASUREMENT_ARRAYS = ("tracks", "flows", "double_flows", "gyro", "accel",
+                      "torque", "inertia")
+REQUIRED_KEYS = ([("schema_version",), ("t_s",), ("trajectory",),
+                  ("measurements",), ("noise_spec",), ("seed",),
+                  ("gravity",), ("scene",), ("noise_spec", "seed")]
+                 + [("measurements", k) for k in MEASUREMENT_ARRAYS[:5]])
+
+
+def _leaf_path(draw, value):
+    """Indices from an array down to one number in it."""
+    path = []
+    while isinstance(value, list):
+        i = draw(st.integers(0, len(value) - 1))
+        path.append(i)
+        value = value[i]
+    return path
+
+
+def _mutate(draw, doc):
+    """Apply one drawn invalidating edit to the dataset document."""
+    meas = doc["measurements"]
+    kind = draw(st.sampled_from(["non_finite", "truncate", "ragged",
+                                 "drop_key", "t_s", "gyro_length"]))
+    name = draw(st.sampled_from(MEASUREMENT_ARRAYS))
+    if kind == "non_finite":
+        *head, last = _leaf_path(draw, meas[name])
+        target = meas[name]
+        for i in head:
+            target = target[i]
+        target[last] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "truncate":
+        meas[name] = meas[name][:draw(st.integers(0, len(meas[name]) - 1))]
+    elif kind == "ragged" and name != "inertia":
+        row = meas[name][draw(st.integers(0, len(meas[name]) - 1))]
+        del row[draw(st.integers(0, len(row) - 1)):]
+    elif kind == "ragged":
+        meas[name].append(meas[name][0])
+    elif kind == "drop_key":
+        *head, last = draw(st.sampled_from(REQUIRED_KEYS))
+        target = doc
+        for key in head:
+            target = target[key]
+        del target[last]
+    elif kind == "t_s":
+        doc["t_s"] = draw(st.one_of(st.floats(max_value=0.0),
+                                    st.sampled_from([math.nan, math.inf])))
+    else:
+        F = len(meas["gyro"])
+        n = draw(st.integers(0, 2 * F).filter(lambda n: n != F))
+        meas["gyro"] = (meas["gyro"] * 2)[:n]
+    return f"{kind} {name}"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_solve_rejects_every_invalid_dataset(data, tmp_path, capfd):
+    # the CLI contract: an invalid dataset exits 2, 3 or 4 with exactly
+    # one error line, never 1 with a traceback
+    doc = copy.deepcopy(_one_second_dataset_doc())
+    note(_mutate(data.draw, doc))
+    code, err, written = _solve_doc(doc, tmp_path, capfd)
+    assert code in (2, 3, 4)
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not written
 
 
 def test_import_and_solve_leave_scipy_unloaded():

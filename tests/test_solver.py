@@ -23,6 +23,8 @@ from dynsfm.solver import (COND_LIMIT, SolverOptions, assemble_C,
                            recover_translations, translation_blocks,
                            translation_system, translation_vector)
 
+from conftest import dense_C
+
 G = DEFAULT_GRAVITY
 
 
@@ -32,7 +34,7 @@ def ground_truth_factors(dataset):
     tau = body_translation(traj)
     nu = body_velocity(traj)
     _, accel = synthesize_imu(traj, dataset.gravity)
-    C = assemble_C(traj.omega, traj.domega)
+    C = dense_C(assemble_C(traj.omega, traj.domega))
     M = traj.rotations.transpose(0, 2, 1).reshape(3 * traj.n_frames, 3)
     S = scene.points.T
     m = translation_vector(traj.omega, traj.domega, tau, nu, accel,
@@ -71,7 +73,7 @@ def test_noiseless_W_is_rank_four(reference_dataset):
 
 def test_assemble_C_zero_rates():
     F = 3
-    C = assemble_C(np.zeros((F, 3)), np.zeros((F, 3)))
+    C = dense_C(assemble_C(np.zeros((F, 3)), np.zeros((F, 3))))
     for f in range(F):
         assert np.array_equal(C[2 * f:2 * f + 2, 3 * f:3 * f + 3], PROJECTOR)
     assert np.array_equal(C[2 * F:], np.zeros((4 * F, 3 * F)))
@@ -79,7 +81,7 @@ def test_assemble_C_zero_rates():
 
 def test_assemble_C_single_frame_hand_value():
     # hat([0,0,1])^2 = diag(-1,-1,0); projector keeps the top 2x3 block
-    C = assemble_C(np.array([[0.0, 0.0, 1.0]]), np.zeros((1, 3)))
+    C = dense_C(assemble_C(np.array([[0.0, 0.0, 1.0]]), np.zeros((1, 3))))
     order2 = C[4:6, 0:3]
     assert np.allclose(order2, [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]],
                        atol=1e-15)
@@ -279,7 +281,7 @@ def test_recover_rotation_blocks_single_frame_pseudoinverse():
     rng = np.random.default_rng(6)
     target = rng.normal(size=(6, 3))
     M2, _ = recover_rotation_blocks(target, C, omega, 1 / 30, 1.0)
-    assert np.allclose(M2, np.linalg.pinv(C) @ target, atol=1e-10)
+    assert np.allclose(M2, np.linalg.pinv(dense_C(C)) @ target, atol=1e-10)
 
 
 def test_recover_rotation_blocks_large_lambda_propagates():
@@ -296,12 +298,81 @@ def test_recover_rotation_blocks_large_lambda_propagates():
     M_true = np.concatenate([Rf.T for Rf in R], axis=0)
     C = assemble_C(omega, domega)
     rng = np.random.default_rng(7)
-    target = C @ M_true + 1e-3 * rng.normal(size=(6 * F, 3))
+    target = dense_C(C) @ M_true + 1e-3 * rng.normal(size=(6 * F, 3))
     M2, _ = recover_rotation_blocks(target, C, omega, t_s, 1e8)
     for f in range(F - 1):
         prop = E.T @ M2[3 * f:3 * f + 3]
         assert np.linalg.norm(M2[3 * (f + 1):3 * (f + 1) + 3] - prop) < 1e-6
 
+
+
+def test_assemble_C_blocks_match_per_frame_oracle():
+    # the blocks scatter into the dense C built frame by frame from hat
+    rng = np.random.default_rng(11)
+    F = 7
+    omega, domega = rng.normal(size=(F, 3)), rng.normal(size=(F, 3))
+    blocks = assemble_C(omega, domega)
+    assert blocks.shape == (3, F, 2, 3)
+    oracle = np.zeros((6 * F, 3 * F))
+    for f in range(F):
+        w, dw = so3.hat(omega[f]), so3.hat(domega[f])
+        for o, block in enumerate([PROJECTOR, -PROJECTOR @ w,
+                                   PROJECTOR @ (w @ w - dw)]):
+            row = 2 * (o * F + f)
+            oracle[row:row + 2, 3 * f:3 * f + 3] = block
+    assert np.array_equal(dense_C(blocks), oracle)
+
+
+def dense_rotation_oracle(Mt_cols, C, omega, t_s, lambda_R):
+    """lstsq on the dense stacked system [C; sqrt(lambda_R) C_R], with the
+    regularizer written out row block by row block."""
+    F = len(omega)
+    CR = np.zeros((3 * max(F - 1, 0), 3 * F))
+    for f in range(F - 1):
+        w = 0.5 * (omega[f] + omega[f + 1])
+        CR[3 * f:3 * f + 3, 3 * f:3 * f + 3] = -so3.exp_so3(t_s * w).T
+        CR[3 * f:3 * f + 3, 3 * f + 3:3 * f + 6] = np.eye(3)
+    A = np.vstack([dense_C(C), np.sqrt(lambda_R) * CR])
+    B = np.vstack([Mt_cols, np.zeros((CR.shape[0], 3))])
+    return np.linalg.lstsq(A, B, rcond=None)[0]
+
+
+@pytest.mark.parametrize("F,lambda_R", [(12, 1.0), (12, 1e8), (1, 1.0)])
+def test_recover_rotation_blocks_equals_dense_oracle(F, lambda_R):
+    # the scattered system is the dense one entry for entry, so the
+    # solution is bit-identical
+    rng = np.random.default_rng(12)
+    t_s = 1 / 30
+    omega, domega = rng.normal(size=(F, 3)), rng.normal(size=(F, 3))
+    C = assemble_C(omega, domega)
+    target = rng.normal(size=(6 * F, 3))
+    M2, info = recover_rotation_blocks(target, C, omega, t_s, lambda_R)
+    expected = dense_rotation_oracle(target, C, omega, t_s, lambda_R)
+    assert np.array_equal(M2, expected)
+    assert info["residual"] == np.linalg.norm(target - dense_C(C) @ M2)
+
+
+def test_recover_rotation_blocks_rejects_dense_C():
+    omega = np.zeros((4, 3))
+    with pytest.raises(LengthMismatch):
+        recover_rotation_blocks(np.zeros((24, 3)),
+                                dense_C(assemble_C(omega, omega)), omega,
+                                1 / 30, 1.0)
+
+
+def test_reconstruct_peak_memory_without_dense_C():
+    # 5 s at 60 Hz (F=300): the dense C, regularizer and its scaled copy
+    # were 26 MB of a 45.7 MB peak; the stacked rotation system (19.4 MB)
+    # is what remains
+    ds = simulate_dataset(duration=5.0, t_s=1 / 60, n_points=24, extent=2.0,
+                          amp_trans=0.35, amp_rot=np.radians(30), seed=0)
+    tracemalloc.start()
+    try:
+        reconstruct(ds.measurements)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
 
 def test_metric_upgrade_constructed_instance():
     # oracle: blocks R_f^T K satisfy M_f Q M_f^T = I exactly for
@@ -414,7 +485,7 @@ def test_extract_rotations_auto_resolves_reflection(reference_dataset):
     def resid(rot, struct):
         M_proj = rot.transpose(0, 2, 1).reshape(-1, 3)
         return np.linalg.norm(
-            W - (C @ M_proj @ struct.T + np.outer(m_hat, np.ones(W.shape[1]))))
+            W - (dense_C(C) @ M_proj @ struct.T + np.outer(m_hat, np.ones(W.shape[1]))))
 
     rot_a, struct_a = extract_rotations_structure(
         M2, K, St[:3], reflection="auto", W=W, C=C, m_hat=m_hat)
