@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 configuration, 3 I/O, 4 solver, 5 evaluation.
 """
 
 import argparse
-import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,17 +34,28 @@ class _CliFailure(Exception):
         self.code = code
 
 
-def _load_config(path, seed_override=None):
+def _load(path, what, parse, code=EXIT_IO):
+    """parse(the JSON object in the file at path).
+
+    An unreadable file exits EXIT_IO. A file that is not JSON, a document
+    that is not a JSON object, and one that parse rejects with ValueError,
+    TypeError, KeyError or a DynSfmError exit with code: EXIT_CONFIG for
+    the documents that configure a run, EXIT_IO for data files.
+    """
     try:
         doc = jsonio.read_json(path)
+        if not isinstance(doc, dict):
+            raise TypeError(f"a JSON object is needed, not {type(doc).__name__}")
+        return parse(doc)
     except OSError as err:
-        raise _CliFailure(EXIT_IO, f"cannot read config: {err}")
-    except json.JSONDecodeError as err:
-        raise _CliFailure(EXIT_CONFIG, f"config is not valid JSON: {err}")
-    try:
-        cfg = config_from_dict(doc)
-    except ConfigError as err:
-        raise _CliFailure(EXIT_CONFIG, str(err))
+        raise _CliFailure(EXIT_IO, f"cannot read {what}: {err}")
+    except (ValueError, TypeError, KeyError, DynSfmError) as err:
+        # ValueError covers invalid JSON and ragged or misshapen arrays
+        raise _CliFailure(code, f"bad {what}: {err}")
+
+
+def _load_config(path, seed_override=None):
+    cfg = _load(path, "config", config_from_dict, EXIT_CONFIG)
     if seed_override is not None:
         cfg.seed = seed_override
     return cfg
@@ -138,13 +149,7 @@ def cmd_simulate(args):
 
 
 def _load_dataset(path):
-    try:
-        return jsonio.dataset_from_dict(jsonio.read_json(path))
-    except OSError as err:
-        raise _CliFailure(EXIT_IO, f"cannot read dataset: {err}")
-    except (ValueError, TypeError, KeyError, DynSfmError) as err:
-        # ValueError covers invalid JSON and ragged or misshapen arrays
-        raise _CliFailure(EXIT_IO, f"bad dataset file: {err}")
+    return _load(path, "dataset file", jsonio.dataset_from_dict)
 
 
 def _solve(dataset, options):
@@ -158,12 +163,8 @@ def cmd_solve(args):
     dataset = _load_dataset(args.dataset)
     options = SolverOptions()
     if args.options:
-        try:
-            options = jsonio.options_from_dict(jsonio.read_json(args.options))
-        except OSError as err:
-            raise _CliFailure(EXIT_IO, f"cannot read options: {err}")
-        except (json.JSONDecodeError, ValueError) as err:
-            raise _CliFailure(EXIT_CONFIG, f"bad solver options: {err}")
+        options = _load(args.options, "solver options",
+                        jsonio.options_from_dict, EXIT_CONFIG)
     recon = _solve(dataset, options)
     _write(args.out, jsonio.reconstruction_to_dict(recon))
     if not args.quiet:
@@ -176,12 +177,8 @@ def cmd_solve(args):
 
 def cmd_eval(args):
     dataset = _load_dataset(args.dataset)
-    try:
-        recon = jsonio.reconstruction_from_dict(jsonio.read_json(args.recon))
-    except OSError as err:
-        raise _CliFailure(EXIT_IO, f"cannot read reconstruction: {err}")
-    except (json.JSONDecodeError, KeyError, ValueError) as err:
-        raise _CliFailure(EXIT_IO, f"bad reconstruction file: {err}")
+    recon = _load(args.recon, "reconstruction file",
+                  jsonio.reconstruction_from_dict)
     report, traj_csv, struct_csv = _eval_outputs(recon, dataset)
     _write_outputs(args.out, {"report.json": report},
                    {"trajectory.csv": traj_csv, "structure.csv": struct_csv})
@@ -216,19 +213,25 @@ SWEEP_HEADER = ["seed", "noise_scale", "status", "trans_rmse",
                 "struct_rmse", "sigma_ratio"]
 
 
+def _sweep_spec(doc, default_seed):
+    """(seeds, noise scales) of a sweep document."""
+    for key in doc:
+        if key not in ("seeds", "noise_scales"):
+            raise ConfigError(f"sweep: unknown field {key!r}")
+    seeds = [int(s) for s in doc.get("seeds", [default_seed])]
+    scales = [float(s) for s in doc.get("noise_scales", [1.0])]
+    if not seeds or min(seeds) < 0:
+        raise ConfigError("seeds: need a nonempty list of nonnegative integers")
+    if not scales or not all(math.isfinite(s) and s >= 0 for s in scales):
+        raise ConfigError("noise_scales: need a nonempty list of finite, "
+                          "nonnegative numbers")
+    return seeds, scales
+
+
 def cmd_sweep(args):
     cfg = _load_config(args.config)
-    try:
-        sweep = jsonio.read_json(args.sweep)
-    except OSError as err:
-        raise _CliFailure(EXIT_IO, f"cannot read sweep spec: {err}")
-    except json.JSONDecodeError as err:
-        raise _CliFailure(EXIT_CONFIG, f"sweep spec is not valid JSON: {err}")
-    for key in sweep:
-        if key not in ("seeds", "noise_scales"):
-            raise _CliFailure(EXIT_CONFIG, f"sweep: unknown field {key!r}")
-    seeds = [int(s) for s in sweep.get("seeds", [cfg.seed])]
-    scales = [float(s) for s in sweep.get("noise_scales", [1.0])]
+    seeds, scales = _load(args.sweep, "sweep spec",
+                          lambda doc: _sweep_spec(doc, cfg.seed), EXIT_CONFIG)
     rows = []
     failures = 0
     for scale in scales:

@@ -34,6 +34,14 @@ class RunConfig:
     seed: int = 0
 
     def validate(self):
+        n = self.noise
+        if not all(math.isfinite(v) for v in (
+                self.duration, self.t_s, self.extent, self.amp_trans,
+                self.amp_rot, n.gyro_std, n.accel_std, n.image_rel_std)):
+            raise ConfigError("duration, t_s, extent, amp_trans, amp_rot and "
+                              "noise: must be finite")
+        if self.seed < 0 or n.seed < 0:
+            raise ConfigError("seed: must be nonnegative")
         if self.duration < 3 * self.t_s:
             raise ConfigError("duration: must cover at least 3 samples")
         if self.t_s <= 0:

@@ -64,6 +64,21 @@ def procrustes_no_scale(est, gt):
     return Alignment(rotation=R, translation=cg - R @ ce)
 
 
+def vector_angle(a, b):
+    """Angle between two vectors, 0 if either is zero.
+
+    Kahan's 2 atan2(|a' - b'|, |a' + b'|) of the unit vectors a', b' is
+    accurate to rounding at every angle; the arccos of their dot product
+    resolves an angle near zero only to ~sqrt(eps).
+    """
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0 or nb == 0:
+        return 0.0
+    a, b = np.asarray(a) / na, np.asarray(b) / nb
+    return float(2.0 * np.arctan2(np.linalg.norm(a - b),
+                                  np.linalg.norm(a + b)))
+
+
 def evaluate(recon, trajectory, scene, gravity):
     """Error report for a reconstruction, aligned on the structure points.
 
@@ -78,9 +93,8 @@ def evaluate(recon, trajectory, scene, gravity):
     struct_err = align.apply(recon.structure) - scene.points
     struct_rmse = float(np.sqrt((struct_err ** 2).sum(axis=1).mean()))
 
-    rot_err = np.array([so3.rotation_angle(
-        align.rotation @ recon.rotations[f] @ trajectory.rotations[f].T)
-        for f in range(F)])
+    rot_err = so3.rotation_angle(align.rotation @ recon.rotations
+                                 @ trajectory.rotations.transpose(0, 2, 1))
 
     T_est = align.apply(recon.positions)
     t_err = T_est - trajectory.T
@@ -88,10 +102,7 @@ def evaluate(recon, trajectory, scene, gravity):
     err_cam = np.einsum("fij,fi->fj", trajectory.rotations, t_err)
     per_axis = np.sqrt((err_cam ** 2).mean(axis=0))
 
-    g_est = align.rotate(recon.gravity)
-    denom = np.linalg.norm(g_est) * np.linalg.norm(gravity)
-    cosang = g_est @ gravity / denom if denom > 0 else 1.0
-    g_angle = float(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    g_angle = vector_angle(align.rotate(recon.gravity), gravity)
     return ErrorReport(rot_err=rot_err, trans_rmse=trans_rmse,
                        struct_rmse=struct_rmse, gravity_angle_err=g_angle,
                        per_axis_err=per_axis, alignment=align)

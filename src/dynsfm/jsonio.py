@@ -186,6 +186,9 @@ def options_to_dict(opts):
 
 
 def options_from_dict(d):
+    if not isinstance(d, dict):
+        raise TypeError(f"solver options are a JSON object, not "
+                        f"{type(d).__name__}")
     opts = SolverOptions(
         lambda_R=d.get("lambda_R", 1.0),
         lambda_tau=d.get("lambda_tau", 1.0),
@@ -210,14 +213,27 @@ def reconstruction_to_dict(recon):
 
 
 def reconstruction_from_dict(d):
-    return Reconstruction(
-        rotations=np.array([np.reshape(r, (3, 3)) for r in d["rotations"]]),
+    """Reconstruction of a document; ValueError unless its arrays are
+    finite and of consistent shapes."""
+    recon = Reconstruction(
+        rotations=np.array([np.reshape(r, (3, 3)) for r in d["rotations"]],
+                           dtype=float),
         tau=np.asarray(d["tau"], dtype=float),
         nu=np.asarray(d["nu"], dtype=float),
         gravity=np.asarray(d["gravity"], dtype=float),
         structure=np.asarray(d["structure"], dtype=float),
         residuals=dict(d["residuals"]),
         options=options_from_dict(d["options"]))
+    F, P = len(recon.rotations), len(recon.structure)
+    shapes = {"rotations": (F, 3, 3), "tau": (F, 3), "nu": (F, 3),
+              "gravity": (3,), "structure": (P, 3)}
+    for name, shape in shapes.items():
+        value = getattr(recon, name)
+        if value.shape != shape:
+            raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} is not finite")
+    return recon
 
 
 def report_to_dict(report, extra=None):

@@ -69,7 +69,7 @@ class Trajectory:
 
     @property
     def peak_rotation(self):
-        return max(so3.rotation_angle(R) for R in self.rotations)
+        return float(so3.rotation_angle(self.rotations).max())
 
 
 @dataclass

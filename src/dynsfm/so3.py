@@ -58,17 +58,21 @@ def vee(A, tol=1e-9):
 def exp_so3(v):
     """Rodrigues formula for the matrix exponential of hat(v).
 
-    Accepts complex input so callers can differentiate through it with a
-    complex step; the angle is then sqrt(v.v), not the real norm.
+    Accepts a stack of vectors (..., 3) and returns (..., 3, 3); each
+    angle below SMALL_ANGLE takes the Taylor branch. Accepts complex input
+    so callers can differentiate through it with a complex step; the
+    angle is then sqrt(v.v), not the real norm.
     """
     v = np.asarray(v)
-    th2 = v @ v
+    th2 = (v[..., None, :] @ v[..., None])[..., 0, 0]
     th = np.sqrt(th2)
     V = hat(v)
-    I = np.eye(3, dtype=V.dtype)
-    if abs(th) < SMALL_ANGLE:
-        return I + V + 0.5 * (V @ V)
-    return I + (np.sin(th) / th) * V + ((1.0 - np.cos(th)) / th2) * (V @ V)
+    small = np.abs(th) < SMALL_ANGLE
+    th = np.where(small, 1.0, th)
+    a = np.where(small, 1.0, np.sin(th) / th)
+    b = np.where(small, 0.5, (1.0 - np.cos(th)) / np.where(small, 1.0, th2))
+    return (np.eye(3, dtype=V.dtype) + a[..., None, None] * V
+            + b[..., None, None] * (V @ V))
 
 
 def log_so3(R):
@@ -93,9 +97,17 @@ def log_so3(R):
 
 
 def rotation_angle(R):
-    """Geodesic angle of a rotation, valid on the whole group including pi."""
-    tr = np.trace(np.asarray(R, dtype=float))
-    return float(np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0)))
+    """Geodesic angle of a rotation, or of each in a stack (..., 3, 3).
+
+    atan2(|skew part|, trace - 1) = atan2(2 sin(theta), 2 cos(theta))
+    resolves the angle to rounding everywhere on [0, pi]; the arccos of
+    (trace - 1) / 2 resolves it only to ~sqrt(eps) near zero.
+    """
+    R = np.asarray(R, dtype=float)
+    w = np.stack([R[..., 2, 1] - R[..., 1, 2], R[..., 0, 2] - R[..., 2, 0],
+                  R[..., 1, 0] - R[..., 0, 1]], axis=-1)
+    tr = np.trace(R, axis1=-2, axis2=-1)
+    return np.arctan2(np.linalg.norm(w, axis=-1), tr - 1.0)
 
 
 def project_to_so3(A):

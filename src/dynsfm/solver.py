@@ -10,22 +10,24 @@ rotation recovery with metric upgrade, and a final linear solve for the
 body-frame translations, velocities and the gravity vector.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import so3
+from . import banded, so3
 from .derivatives import omega_dot_series, savgol_filter
 from .errors import (DynSfmError, IllConditionedWarning, IndefiniteQ,
                      LengthMismatch, NumericalFailure, RankDeficient,
                      SingularTransform, TooFewFramesOrPoints)
 from .simulate import PROJECTOR
 
-COND_LIMIT = 1e12  # normal-equation condition number that triggers a warning
-# Frames per diagonal block of the translation normal equations: fewer,
-# larger blocks mean fewer Python-level steps per banded solve.
-FRAMES_PER_GROUP = 6
+COND_LIMIT = 1e12  # normal-equation condition number a stage does not trust
+# Unknowns per diagonal block of the banded normal equations (6 per frame
+# for the translations, 3 for the rotations): fewer, larger blocks mean
+# fewer Python-level steps per banded solve.
+GROUP_UNKNOWNS = 36
 
 
 @dataclass
@@ -45,8 +47,16 @@ class SolverOptions:
     reflection_resolution: str = "auto"  # auto | positive | negative
 
     def validate(self):
-        if min(self.lambda_R, self.lambda_tau, self.lambda_nu) < 0:
-            raise ValueError("regularization weights must be nonnegative")
+        weights = (self.lambda_R, self.lambda_tau, self.lambda_nu)
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise ValueError("regularization weights must be finite and "
+                             "nonnegative")
+        for name in ("omega_dot_filter", "reg_filter"):
+            spec = tuple(getattr(self, name))
+            if (len(spec) != 2 or not all(isinstance(v, int) for v in spec)
+                    or spec[1] % 2 == 0 or not 1 <= spec[0] < spec[1]):
+                raise ValueError(f"{name}: need integers (order, window) "
+                                 "with an odd window and 1 <= order < window")
         if self.omega_dot_mode not in ("auto", "euler", "zero", "numeric"):
             raise ValueError(f"bad omega_dot_mode {self.omega_dot_mode!r}")
         if self.reflection_resolution not in ("auto", "positive", "negative"):
@@ -204,33 +214,44 @@ def center_structure(Mt, St):
     return Mt2, St2, Mt2[:, 3].copy()
 
 
-def rotation_regularizer(omega, t_s):
+def rotation_regularizer(omega, domega, t_s):
     """Blocks (F - 1, 3, 3) of the operator penalizing deviation from gyro
     propagation.
 
-    Block row f of the operator carries blocks[f] = -exp_so3(t_s * w)^T at
+    Block row f of the operator carries blocks[f] = -exp_so3(phi_f)^T at
     block column f and the identity at block column f + 1, acting on the
-    stacked R_f^T blocks; the identity is implicit. The propagation rate w
-    is the midpoint gyro average over the interval [f, f+1], the
-    second-order-accurate discretization of the underlying continuous
-    constraint (per-sample rates leave an O(t_s^2 * domega) inconsistency
-    that dominates the noiseless error budget).
+    stacked R_f^T blocks; the identity is implicit. The increment
+
+        phi_f = t_s/2 (w_f + w_f+1)
+                + t_s^2/12 ((dw_f - dw_f+1) + w_f x w_f+1)
+
+    is the Hermite quadrature of the rate plus the first Magnus term, so
+    exp_so3(phi_f) matches R_f^T R_f+1 to fourth order in t_s; dw is the
+    rate series that also builds C.
     """
-    F = omega.shape[0]
-    blocks = np.empty((max(F - 1, 0), 3, 3))
-    for f in range(F - 1):
-        w = 0.5 * (omega[f] + omega[f + 1])
-        blocks[f] = -so3.exp_so3(t_s * w).T
-    return blocks
+    w0, w1 = omega[:-1], omega[1:]
+    phi = (0.5 * t_s * (w0 + w1)
+           + t_s ** 2 / 12.0 * ((domega[:-1] - domega[1:]) + np.cross(w0, w1)))
+    return -so3.exp_so3(phi).transpose(0, 2, 1)
 
 
-def recover_rotation_blocks(Mt_cols, C, omega, t_s, lambda_R):
+def recover_rotation_blocks(Mt_cols, C, omega, domega, t_s, lambda_R):
     """Solve for the 3F x 3 stacked rotation blocks (up to a 3x3 gauge).
 
-    Minimizes |Mt_cols - C M''|^2 + lambda_R |C_R M''|^2 as one linear
-    least-squares problem over all blocks, with C the assemble_C blocks
-    and C_R the rotation_regularizer operator, both scattered into one
-    stacked system. Returns (M'', info).
+    Minimizes |Mt_cols - C M''|^2 + lambda_R |C_R M''|^2, with C the
+    assemble_C blocks and C_R the rotation_regularizer operator, through
+    its normal equations N M'' = C^T Mt_cols. N is block tridiagonal with
+    3 x 3 blocks: diagonal C_f^T C_f + lambda_R (B_f^T B_f + I), off
+    diagonal N_f,f+1 = lambda_R B_f^T, with B_f the regularizer blocks
+    (the B_f term is absent for the last frame, the identity for the
+    first). It is factored in frame groups in O(F) (the banded module).
+
+    Returns (M'', info): info["residual"] is |Mt_cols - C M''|,
+    info["cond"] a 1-norm estimate of N's condition number and
+    info["normal_ratio"] |N M'' - C^T Mt_cols| / |C^T Mt_cols|, formed as
+    A^T r of the stacked system. Raises RankDeficient when N is not
+    numerically positive definite and NumericalFailure when the
+    condition estimate exceeds COND_LIMIT.
     """
     F = omega.shape[0]
     if Mt_cols.shape != (6 * F, 3):
@@ -238,19 +259,48 @@ def recover_rotation_blocks(Mt_cols, C, omega, t_s, lambda_R):
             f"expected {(6 * F, 3)} motion columns, got {Mt_cols.shape}")
     if C.shape != (3, F, 2, 3):
         raise LengthMismatch(f"expected {(3, F, 2, 3)} C blocks, got {C.shape}")
-    CR = rotation_regularizer(omega, t_s)
-    n = len(CR)
-    A = np.zeros((6 * F + 3 * n, 3 * F))
-    f, r = np.arange(F), np.arange(n)
-    A[:6 * F].reshape(3, F, 2, F, 3)[:, f, :, f] = C.transpose(1, 0, 2, 3)
-    reg = A[6 * F:].reshape(n, 3, F, 3)
-    reg[r, :, r] = np.sqrt(lambda_R) * CR
-    reg[r, :, r + 1] = np.sqrt(lambda_R) * np.eye(3)
-    B = np.zeros((len(A), 3))
-    B[:6 * F] = Mt_cols
-    M2, info = lstsq_checked(A, B, "recover_rotation_blocks")
-    info["residual"] = float(np.linalg.norm(Mt_cols - A[:6 * F] @ M2))
-    return M2, info
+    if domega.shape != omega.shape:
+        raise LengthMismatch("omega and domega lengths differ")
+    B = rotation_regularizer(omega, domega, t_s)
+    Bt = B.transpose(0, 2, 1)
+    Ct = C.transpose(0, 1, 3, 2)
+    Y = Mt_cols.reshape(3, F, 2, 3)  # (order, frame, row, column)
+    diag = (Ct @ C).sum(axis=0)
+    diag[:-1] += lambda_R * (Bt @ B)
+    diag[1:] += lambda_R * np.eye(3)
+    rhs = (Ct @ Y).sum(axis=0)
+    s = GROUP_UNKNOWNS // 3
+    P = banded.pack(diag, lambda_R * Bt, s)
+    try:
+        Linv, V = banded.cholesky(P)
+    except np.linalg.LinAlgError:
+        raise RankDeficient("normal matrix is not positive definite") from None
+
+    def solve(v):
+        """N^{-1} v for v (3F, k) or (3F,)."""
+        x = np.zeros((len(P) * 3 * s,) + v.shape[1:])
+        x[:3 * F] = v
+        x = banded.solve(Linv, V, x.reshape(len(P), 3 * s, -1))
+        return x.reshape((-1,) + v.shape[1:])[:3 * F]
+
+    norm = float(banded.abs_row_sums(P).ravel()[:3 * F].max())
+    cond = norm * banded.inverse_norm1(solve, 3 * F)
+    if cond > COND_LIMIT:
+        raise NumericalFailure(
+            f"normal-equation condition number {cond:.2e} above {COND_LIMIT:.0e}")
+    M2 = solve(rhs.reshape(3 * F, 3))
+    X = M2.reshape(F, 3, 3)
+    r = C @ X - Y
+    r_reg = np.sqrt(lambda_R) * (B @ X[:-1] + X[1:])
+    At_r = (Ct @ r).sum(axis=0)
+    At_r[:-1] += np.sqrt(lambda_R) * (Bt @ r_reg)
+    At_r[1:] += np.sqrt(lambda_R) * r_reg
+    denom = np.linalg.norm(rhs)
+    return M2, {
+        "cond": cond,
+        "normal_ratio": (float(np.linalg.norm(At_r) / denom)
+                         if denom > 0 else 0.0),
+        "residual": float(np.linalg.norm(r))}
 
 
 def metric_upgrade(M2):
@@ -484,69 +534,13 @@ def _normal_matrix(F, s, blocks):
     return P, Nzg, Ngg
 
 
-def _block_cholesky(P):
-    """Cholesky N_zz = L L^T of the block-tridiagonal P of _normal_matrix.
-
-    Returns (Linv, V) with Linv[i] = L_ii^{-1} and V[i] = Linv[i] N_i,i+1,
-    which is L_i+1,i^T. Raises np.linalg.LinAlgError when N_zz is not
-    numerically positive definite.
-    """
-    m = P.shape[1]
-    Linv, V = np.empty((len(P), m, m)), np.empty((len(P), m, m))
-    D = P[0, :, :m]
-    for i in range(len(P)):
-        Linv[i] = np.linalg.inv(np.linalg.cholesky(D))
-        V[i] = Linv[i] @ P[i, :, m:]
-        if i + 1 < len(P):
-            D = P[i + 1, :, :m] - V[i].T @ V[i]
-    return Linv, V
-
-
-def _block_solve(Linv, V, rhs):
-    """Solve N_zz x = rhs, rhs (groups, 6s, k), with the factor of
-    _block_cholesky: forward through L, then back through L^T."""
-    x = rhs.copy()
-    for i in range(len(x)):
-        if i:
-            x[i] -= V[i - 1].T @ x[i - 1]
-        x[i] = Linv[i] @ x[i]
-    for i in reversed(range(len(x))):
-        if i + 1 < len(x):
-            x[i] -= V[i] @ x[i + 1]
-        x[i] = Linv[i].T @ x[i]
-    return x
-
-
 def _norm1(F, P, Nzg, Ngg):
     """Exact 1-norm (largest absolute row sum; N is symmetric) of the
     bordered normal matrix stored as in _normal_matrix."""
-    a = np.abs(P)
-    rows = a.sum(axis=2)
-    rows[1:] += a[:-1, :, a.shape[1]:].sum(axis=1)  # N_i,i-1 = N_i-1,i^T
-    rows = rows.reshape(-1, 6)[:F] + np.abs(Nzg[:F]).sum(axis=2)
+    rows = (banded.abs_row_sums(P).reshape(-1, 6)[:F]
+            + np.abs(Nzg[:F]).sum(axis=2))
     g_rows = np.abs(Nzg).sum(axis=(0, 1)) + np.abs(Ngg).sum(axis=1)
     return float(max(rows.max(), g_rows.max()))
-
-
-def _inverse_norm1(solve, n):
-    """Hager's estimate of |N^{-1}|_1 for symmetric N from a few solves,
-    with Higham's alternating-sign safeguard (the LAPACK xLACON scheme).
-    The estimate is a lower bound, in practice within a small factor."""
-    x = np.full(n, 1.0 / n)
-    est = 0.0
-    for it in range(5):
-        y = solve(x)
-        if it and np.abs(y).sum() <= est:
-            break
-        est = np.abs(y).sum()
-        z = solve(np.where(y >= 0, 1.0, -1.0))
-        j = np.argmax(np.abs(z))
-        if abs(z[j]) <= z @ x:
-            break
-        x = np.zeros(n)
-        x[j] = 1.0
-    alt = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / (n - 1))
-    return float(max(est, 2.0 * np.abs(solve(alt)).sum() / (3 * n)))
 
 
 def _solve_blocks(data, data_rhs, reg, reg_rhs):
@@ -562,14 +556,14 @@ def _solve_blocks(data, data_rhs, reg, reg_rhs):
     np.linalg.LinAlgError when N_zz or S is not positive definite.
     """
     F = len(data)
-    s = max(FRAMES_PER_GROUP, _width(reg) - 1)
+    s = max(GROUP_UNKNOWNS // 6, _width(reg) - 1)
     blocks, rhs = (data, reg), (data_rhs, reg_rhs)
     P, Nzg, Ngg = _normal_matrix(F, s, blocks)
     norm = _norm1(F, P, Nzg, Ngg)
     rz, rg = _apply_transpose(len(Nzg), blocks, rhs)
-    Linv, V = _block_cholesky(P)
+    Linv, V = banded.cholesky(P)
     m = 6 * s
-    X = _block_solve(Linv, V, np.concatenate(
+    X = banded.solve(Linv, V, np.concatenate(
         [Nzg.reshape(-1, m, 3), rz.reshape(-1, m, 1)], axis=2))
     Xg, Nzg_rows = X[..., :3].reshape(-1, 3), Nzg.reshape(-1, 3)
     S = Ngg - Nzg_rows.T @ Xg
@@ -586,11 +580,11 @@ def _solve_blocks(data, data_rhs, reg, reg_rhs):
     def solve_flat(v):
         vz = np.zeros((len(Nzg), 6))
         vz[:F] = v[:6 * F].reshape(F, 6)
-        u = _block_solve(Linv, V, vz.reshape(-1, m, 1)).ravel()
+        u = banded.solve(Linv, V, vz.reshape(-1, m, 1)).ravel()
         uz, ug = solve(u, v[6 * F:])
         return np.concatenate([uz[:6 * F], ug])
 
-    cond = norm * _inverse_norm1(solve_flat, 6 * F + 3)
+    cond = norm * banded.inverse_norm1(solve_flat, 6 * F + 3)
     res = [so3.matvec(block, _gather(z, g, len(block), _width(block))) - b
            for block, b in zip(blocks, rhs)]
     nz, ng = _apply_transpose(F, blocks, res)
@@ -694,7 +688,7 @@ def reconstruct(measurements, options=None):
         Mt, St, m_hat = center_structure(Mt, St)
         stage = "recover_rotation_blocks"
         M2, rot_info = recover_rotation_blocks(
-            Mt[:, :3], C, omega, measurements.t_s, options.lambda_R)
+            Mt[:, :3], C, omega, domega, measurements.t_s, options.lambda_R)
         residuals["rotation_lsq"] = rot_info["residual"]
         residuals["rotation_cond"] = rot_info["cond"]
         residuals["rotation_normal_ratio"] = rot_info["normal_ratio"]

@@ -69,6 +69,26 @@ def dense_C(blocks):
     return C
 
 
+def dense_rotation_system(Mt_cols, C, omega, domega, t_s, lambda_R):
+    """The dense stacked least-squares system [C; sqrt(lambda_R) C_R] of
+    the rotation stage, (9F - 3) x 3F, and its right-hand side, with the
+    regularizer written out row block by row block: -exp(phi_f)^T at
+    block column f and the identity at f + 1."""
+    F = len(omega)
+    CR = np.zeros((3 * max(F - 1, 0), 3 * F))
+    from dynsfm import so3
+    for f in range(F - 1):
+        w0, w1 = omega[f], omega[f + 1]
+        phi = (t_s / 2 * (w0 + w1)
+               + t_s ** 2 / 12 * (domega[f] - domega[f + 1]
+                                  + np.cross(w0, w1)))
+        CR[3 * f:3 * f + 3, 3 * f:3 * f + 3] = -so3.exp_so3(phi).T
+        CR[3 * f:3 * f + 3, 3 * f + 3:3 * f + 6] = np.eye(3)
+    A = np.vstack([dense_C(C), np.sqrt(lambda_R) * CR])
+    B = np.vstack([Mt_cols, np.zeros((CR.shape[0], 3))])
+    return A, B
+
+
 def random_rotation(rng):
     v = rng.normal(size=3)
     v = v / np.linalg.norm(v) * rng.uniform(0.0, np.pi - 1e-3)
@@ -80,9 +100,10 @@ def random_rotation(rng):
 def fine_noiseless_stages():
     """Gently excited 240 Hz noiseless instance, solved stage by stage.
 
-    The regularizer-consistency bias scales as t_s^3 (rotations) and t_s^2
-    (translations), so this instance exercises the near-exact regime of
-    the closed form that the 30 Hz reference instance cannot reach.
+    The regularizer-consistency bias scales as t_s^5 per step (rotations)
+    and t_s^2 (translations), so this instance exercises the near-exact
+    regime of the closed form that the 30 Hz reference instance cannot
+    reach.
     """
     from dynsfm.simulate import (MeasurementSet, generate_scene,
                                  generate_trajectory, synthesize_images,
@@ -105,7 +126,8 @@ def fine_noiseless_stages():
     Mt, St, sigma_ratio = factor_rank4(W)
     Mt, St = fix_similarity(Mt, St)
     Mt, St, m_hat = center_structure(Mt, St)
-    M2, rot_info = recover_rotation_blocks(Mt[:, :3], C, traj.omega, t_s, 1.0)
+    M2, rot_info = recover_rotation_blocks(Mt[:, :3], C, traj.omega,
+                                           traj.domega, t_s, 1.0)
     K_upg, q_fit = metric_upgrade(M2)
     rotations, structure = extract_rotations_structure(
         M2, K_upg, St[:3], reflection="auto", W=W, C=C, m_hat=m_hat)

@@ -40,12 +40,12 @@ def test_a1_noiseless_exact_recovery(reference_dataset):
     elapsed = time.monotonic() - start
     report = dynsfm.evaluate(recon, ds.trajectory, ds.scene, ds.gravity)
     sigma = recon.residuals["sigma_ratio"]
-    ok = (report.struct_rmse < 1e-6 and report.rot_err_mean < 1e-6
+    ok = (report.struct_rmse < 1e-11 and report.rot_err_mean < 1e-10
           and report.gravity_angle_err < 1e-6 and sigma < 1e-8
           and elapsed < 10.0)
     check("A1", ok,
-          f"struct_rmse={report.struct_rmse:.2e} (<1e-6), "
-          f"rot_err_mean={report.rot_err_mean:.2e} (<1e-6), "
+          f"struct_rmse={report.struct_rmse:.2e} (<1e-11), "
+          f"rot_err_mean={report.rot_err_mean:.2e} (<1e-10), "
           f"gravity_angle={report.gravity_angle_err:.2e} (<1e-6), "
           f"sigma5/sigma4={sigma:.2e} (<1e-8), runtime={elapsed:.1f}s (<10s)")
 

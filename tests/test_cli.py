@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from dynsfm import jsonio
 from dynsfm.cli import main
 from dynsfm.config import config_to_dict, reference_config, reference_noise_config
+from dynsfm.solver import reconstruct
 
 from conftest import make_dataset
 
@@ -303,6 +304,143 @@ def test_solve_rejects_every_invalid_dataset(data, tmp_path, capfd):
     assert code in (2, 3, 4)
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not written
+
+
+@functools.cache
+def _one_second_config_doc():
+    """The run config of _one_second_dataset_doc, as a JSON document."""
+    cfg = reference_noise_config(seed=0)
+    cfg.duration = 1.0
+    cfg.points = 8
+    return json.loads(jsonio.dumps(config_to_dict(cfg)))
+
+
+@functools.cache
+def _one_second_reconstruction_doc():
+    """A valid reconstruction document of _one_second_dataset_doc."""
+    ds = jsonio.dataset_from_dict(_one_second_dataset_doc())
+    recon = reconstruct(ds.measurements)
+    return json.loads(jsonio.dumps(jsonio.reconstruction_to_dict(recon)))
+
+
+NOT_OBJECTS = [[], [1], "x", 3, None]
+BAD_NUMBERS = ["abc", [1.0], None, {}, math.nan, math.inf, -math.inf, -1.0]
+BAD_MODES = ["bogus", 3, None, ["auto"]]
+BAD_FILTERS = [[2], [2, 5, 7], ["a", 5], [2, 4], [5, 5], [0, 3], 7, None,
+               [2.5, 5]]
+RECON_ARRAYS = ("rotations", "tau", "nu", "gravity", "structure")
+
+
+def _bad_options(draw):
+    """A solver-options document with one invalid entry."""
+    key = draw(st.sampled_from(["lambda_R", "lambda_tau", "lambda_nu",
+                                "omega_dot_mode", "reflection_resolution",
+                                "omega_dot_filter", "reg_filter"]))
+    pool = (BAD_NUMBERS if key.startswith("lambda") else
+            BAD_FILTERS if key.endswith("filter") else BAD_MODES)
+    return {key: draw(st.sampled_from(pool))}
+
+
+def _bad_config(draw):
+    doc = copy.deepcopy(_one_second_config_doc())
+    key, pool = draw(st.sampled_from([
+        ("duration", BAD_NUMBERS), ("t_s", BAD_NUMBERS),
+        ("extent", BAD_NUMBERS), ("amp_trans", BAD_NUMBERS),
+        ("amp_rot", BAD_NUMBERS), ("points", [2, "x", None, math.nan, [8]]),
+        ("seed", [-1, "x", None]), ("flow_mode", ["bogus", 3]),
+        ("noise", ["x", 5, {"gyro_std": -1.0}, {"seed": -3}, {"oops": 1},
+                   {"accel_std": math.nan}]),
+        ("flow_filter", [{"order": 2}, 7, {"order": 2, "window": 4},
+                         {"order": 2, "window": 5, "x": 1}]),
+        ("solver", [5, "solver"]), ("schema_version", [99]),
+        ("typo_field", [1])]))
+    doc[key] = draw(st.sampled_from(pool))
+    if key == "solver" and draw(st.booleans()):
+        doc[key] = _bad_options(draw)
+    return doc
+
+
+def _bad_reconstruction(draw):
+    doc = copy.deepcopy(_one_second_reconstruction_doc())
+    kind = draw(st.sampled_from(["non_finite", "truncate", "ragged",
+                                 "drop_key", "wrong_type", "options"]))
+    name = draw(st.sampled_from(RECON_ARRAYS))
+    if kind == "non_finite":
+        *head, last = _leaf_path(draw, doc[name])
+        target = doc[name]
+        for i in head:
+            target = target[i]
+        target[last] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "truncate":
+        doc[name] = doc[name][:draw(st.integers(0, len(doc[name]) - 1))]
+    elif kind == "ragged" and name != "gravity":
+        row = doc[name][draw(st.integers(0, len(doc[name]) - 1))]
+        del row[draw(st.integers(0, len(row) - 1)):]
+    elif kind == "ragged":
+        doc[name].append([1.0])
+    elif kind == "drop_key":
+        del doc[draw(st.sampled_from(RECON_ARRAYS + ("residuals", "options")))]
+    elif kind == "wrong_type":
+        key = draw(st.sampled_from(RECON_ARRAYS + ("residuals", "options")))
+        doc[key] = draw(st.sampled_from(["abc", 5, None]))
+    else:
+        doc["options"] = _bad_options(draw)
+    return doc
+
+
+def _bad_sweep(draw):
+    key = draw(st.sampled_from(["seeds", "noise_scales", "oops"]))
+    pool = {"seeds": ["ab", 5, None, [], [-1], ["x"], [[1]]],
+            "noise_scales": ["ab", 5, None, [], [-1.0], [math.nan],
+                             [math.inf], ["x"]],
+            "oops": [1]}[key]
+    return {key: draw(st.sampled_from(pool))}
+
+
+# document kind -> (draw an invalid document, CLI arguments given its
+# path, the exit codes allowed)
+INVALID_DOCUMENTS = {
+    "config": (_bad_config, lambda path: ["simulate", "--config", path],
+               (2,)),
+    "options": (_bad_options, lambda path: ["solve", "--options", path],
+                (2,)),
+    "reconstruction": (_bad_reconstruction,
+                       lambda path: ["eval", "--recon", path], (3, 5)),
+    "sweep": (_bad_sweep, lambda path: ["sweep", "--sweep", path], (2,)),
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_rejects_every_invalid_document(data, tmp_path, capfd):
+    # the CLI contract for the other input documents: an invalid config,
+    # solver options, reconstruction or sweep spec exits 2, 3 or 5 with
+    # exactly one error line, never 1 with a traceback
+    kind = data.draw(st.sampled_from(sorted(INVALID_DOCUMENTS)))
+    make, command, codes = INVALID_DOCUMENTS[kind]
+    if data.draw(st.integers(0, 4)) == 0:
+        doc = data.draw(st.sampled_from(NOT_OBJECTS))
+    else:
+        doc = make(data.draw)
+    note(f"{kind}: {doc!r}"[:300])
+    paths = {name: tmp_path / f"{name}.json"
+             for name in ("doc", "dataset", "config")}
+    paths["doc"].write_text(json.dumps(doc))
+    paths["dataset"].write_text(json.dumps(_one_second_dataset_doc()))
+    paths["config"].write_text(json.dumps(_one_second_config_doc()))
+    args = command(paths["doc"])
+    if kind in ("options", "reconstruction"):
+        args += ["--dataset", paths["dataset"]]
+    if kind == "sweep":
+        args += ["--config", paths["config"]]
+    out = tmp_path / "out"
+    capfd.readouterr()
+    code = run_cli(*args, "--out", out, "--quiet")
+    err = capfd.readouterr().err.splitlines()
+    assert code in codes
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
 
 
 def test_import_and_solve_leave_scipy_unloaded():

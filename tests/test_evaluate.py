@@ -4,7 +4,7 @@ import pytest
 import dynsfm
 from dynsfm import so3
 from dynsfm.errors import DegenerateConfiguration, DimensionMismatch
-from dynsfm.evaluate import evaluate, procrustes_no_scale
+from dynsfm.evaluate import evaluate, procrustes_no_scale, vector_angle
 from dynsfm.simulate import (DEFAULT_GRAVITY, body_translation,
                              body_velocity, generate_scene,
                              generate_trajectory)
@@ -90,9 +90,22 @@ def test_evaluate_truth_is_zero_error():
     report = evaluate(_truth_reconstruction(traj, scene), traj, scene, G)
     assert report.struct_rmse < 1e-12
     assert report.trans_rmse < 1e-12
-    assert report.rot_err.max() < 1e-7  # arccos conditioning near zero
-    assert report.gravity_angle_err < 1e-6
+    assert report.rot_err.max() < 1e-15  # atan2 resolves angles to rounding
+    assert report.gravity_angle_err < 1e-15
     assert report.per_axis_err.max() < 1e-12
+
+
+def test_vector_angle_exact_at_every_size():
+    # Kahan's form resolves tiny angles to full relative precision and
+    # stays accurate at 0 and pi; a zero vector reads 0
+    g = np.array([0.3, -0.2, -9.8])
+    for angle in (1e-12, 1e-9, 1e-6, 0.5, 3.0):
+        a = np.array([3.0, 0.0, 0.0])
+        b = 0.5 * np.array([np.cos(angle), np.sin(angle), 0.0])
+        assert np.isclose(vector_angle(a, b), angle, rtol=1e-12, atol=0)
+    assert vector_angle(g, 3.0 * g) < 1e-15
+    assert np.isclose(vector_angle(g, -g), np.pi, rtol=1e-15, atol=0)
+    assert vector_angle(g, np.zeros(3)) == 0.0
 
 
 def test_evaluate_gauge_invariance():

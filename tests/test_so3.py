@@ -92,6 +92,21 @@ def test_exp_small_angle_branch_is_continuous():
     assert np.allclose(taylor, rodrigues, atol=1e-16)
 
 
+def test_exp_batched_equals_per_vector():
+    # a stack takes the same arithmetic per element, the small-angle
+    # branch included, for real and complex-step input
+    rng = np.random.default_rng(13)
+    v = np.concatenate([rng.normal(size=(40, 3)),
+                        1e-9 * rng.normal(size=(5, 3)), np.zeros((1, 3))])
+    R = so3.exp_so3(v.reshape(2, 23, 3))
+    assert R.shape == (2, 23, 3, 3)
+    assert np.array_equal(R.reshape(-1, 3, 3),
+                          np.array([so3.exp_so3(x) for x in v]))
+    vc = v + 1e-20j * rng.normal(size=v.shape)
+    assert np.array_equal(so3.exp_so3(vc),
+                          np.array([so3.exp_so3(x) for x in vc]))
+
+
 def test_log_identity():
     assert np.array_equal(so3.log_so3(np.eye(3)), np.zeros(3))
 
@@ -181,6 +196,20 @@ def test_rotation_angle_matches_log():
 
 def test_rotation_angle_at_pi():
     assert np.isclose(so3.rotation_angle(np.diag([-1.0, -1.0, 1.0])), np.pi)
+
+
+def test_rotation_angle_resolves_tiny_angles_batched():
+    # atan2 keeps full relative precision where arccos of (tr - 1) / 2
+    # reads 0 or ~1.5e-8
+    rng = np.random.default_rng(14)
+    axes = rng.normal(size=(30, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = np.logspace(-12, 0, 30)
+    R = so3.exp_so3(angles[:, None] * axes)
+    got = so3.rotation_angle(R)
+    assert got.shape == (30,)
+    assert np.allclose(got, angles, rtol=1e-6, atol=0)
+    assert np.array_equal(got, [so3.rotation_angle(Rf) for Rf in R])
 
 
 def test_deterministic_svd_reconstructs():
