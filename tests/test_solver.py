@@ -11,11 +11,12 @@ from dynsfm.derivatives import savgol_filter
 from dynsfm.errors import (IllConditionedWarning, IndefiniteQ,
                            LengthMismatch, RankDeficient, SingularTransform,
                            TooFewFramesOrPoints)
-from dynsfm.simulate import (DEFAULT_GRAVITY, MeasurementSet, NoiseSpec,
-                             PROJECTOR, add_noise, body_translation,
-                             body_velocity, generate_scene,
-                             generate_trajectory, simulate_dataset,
-                             synthesize_images, synthesize_imu)
+from dynsfm.simulate import (DEFAULT_GRAVITY, DEFAULT_INERTIA,
+                             MeasurementSet, NoiseSpec, PROJECTOR, Scene,
+                             add_noise, body_translation, body_velocity,
+                             generate_scene, generate_trajectory,
+                             simulate_dataset, synthesize_images,
+                             synthesize_imu, torque_for_trajectory)
 from dynsfm.solver import (COND_LIMIT, SolverOptions, assemble_C,
                            assemble_W, center_structure,
                            extract_rotations_structure, factor_rank4,
@@ -116,7 +117,8 @@ def wide_W():
 @pytest.fixture(scope="module")
 def rank4_inputs(reference_dataset, wide_W):
     """Noiseless W on both sides of factor_rank4's shape branch: the tall
-    reference (900 x 24, thin SVD) and the wide input (54 x 200, R-SVD)."""
+    reference (900 x 24, thin SVD) and the wide input (54 x 200, Gram
+    eigenbasis and one power step)."""
     return [assemble_W(reference_dataset.measurements), wide_W]
 
 
@@ -147,12 +149,47 @@ def test_factor_rank4_permutation_equivariance(rank4_inputs):
         assert np.allclose(Mt2, Mt1, atol=1e-9), W.shape
 
 
+def _wide_W_with_sigma4(r, rng):
+    """54 x 400 W = U diag(1, .8, .6, r, 1e-3 r, 0.9e-3 r) V^T and the
+    exact left rank-4 subspace U[:, :4]."""
+    U, _ = np.linalg.qr(rng.normal(size=(54, 6)))
+    V, _ = np.linalg.qr(rng.normal(size=(400, 6)))
+    s = np.array([1.0, 0.8, 0.6, r, 1e-3 * r, 0.9e-3 * r])
+    return (U * s) @ V.T, U[:, :4]
+
+
 def test_factor_rank4_rank_deficient():
     rng = np.random.default_rng(2)
     for rows, cols in [(24, 8), (8, 24)]:
         W = rng.normal(size=(rows, 3)) @ rng.normal(size=(3, cols))
         with pytest.raises(RankDeficient):
             factor_rank4(W)
+    W, _ = _wide_W_with_sigma4(3e-11, rng)
+    with pytest.raises(RankDeficient):
+        factor_rank4(W)
+
+
+@pytest.mark.parametrize("r", [1e-2, 1e-4, 1e-6, 1e-8, 1e-9])
+def test_factor_rank4_wide_conditioning(r):
+    # rounding W moves its rank-4 subspace by ~eps / r, which an SVD of W
+    # resolves; eigenvectors of W W^T alone lose it like eps / r^2
+    W, U4 = _wide_W_with_sigma4(r, np.random.default_rng(5))
+    Q, _ = np.linalg.qr(factor_rank4(W)[0])
+    sin_angle = np.linalg.norm(Q - U4 @ (U4.T @ Q), 2)
+    assert sin_angle <= 1e-13 / r
+
+
+def test_factor_rank4_wide_peak_memory():
+    # F=60, P=4000 (the wide_scene benchmark shape): W itself is 11.5 MB
+    # and the factorization allocates ~2.1 MB above it
+    W = np.random.default_rng(6).normal(size=(360, 4000))
+    tracemalloc.start()
+    try:
+        factor_rank4(W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_factor_rank4_tall_is_the_thin_svd(reference_dataset):
@@ -415,6 +452,30 @@ def test_recover_rotation_blocks_zero_rate_without_regularizer(
         reconstruct(broken, options)
     options.lambda_R = 1.0
     reconstruct(broken, options)  # the regularizer restores full rank
+
+
+@pytest.mark.parametrize("frames, points", [(150, 24), (15, 400)])
+def test_reconstruct_planar_scene_is_rank_deficient(frames, points):
+    # coplanar points leave W of rank three (sigma4/sigma1 ~ 2e-16), on
+    # both sides of factor_rank4's shape branch; generate_scene rejects
+    # such draws, so the scene is built directly
+    rng = np.random.default_rng(7)
+    normal = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+    pts = rng.uniform(-1.0, 1.0, size=(points, 3))
+    pts -= np.outer(pts @ normal, normal)
+    scene = Scene(points=pts - pts.mean(axis=0))
+    traj = generate_trajectory(frames / 30, 1 / 30, 0.35, np.radians(30),
+                               seed=1)
+    gyro, accel = synthesize_imu(traj, G)
+    tracks, flows, dflows = synthesize_images(traj, scene, G)
+    meas = MeasurementSet(t_s=traj.t_s, tracks=tracks, flows=flows,
+                          double_flows=dflows, gyro=gyro, accel=accel,
+                          torque=torque_for_trajectory(traj),
+                          inertia=DEFAULT_INERTIA)
+    assert assemble_W(meas).shape == (6 * frames, points)
+    with pytest.raises(RankDeficient, match=r"\[factor_rank4\]"):
+        reconstruct(meas)
+
 
 def test_metric_upgrade_constructed_instance():
     # oracle: blocks R_f^T K satisfy M_f Q M_f^T = I exactly for
