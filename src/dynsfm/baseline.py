@@ -24,8 +24,10 @@ def imu_dead_reckon(gyro, accel, gravity=DEFAULT_GRAVITY, init=None,
     Per step: spatial acceleration a = R a_imu - g (inverting the
     accelerometer model), position advances with the pre-update velocity
     plus the half-step acceleration term (exact for piecewise-constant
-    acceleration), then velocity and attitude update. Returns one state per
-    input frame, the first being the initial state itself.
+    acceleration), then velocity and attitude update. The attitude
+    increments exp(t_s gyro_f) come from one batched exp_so3; their
+    product is sequential. Returns one state per input frame, the first
+    being the initial state itself.
     """
     gyro = np.asarray(gyro, dtype=float)
     accel = np.asarray(accel, dtype=float)
@@ -37,11 +39,12 @@ def imu_dead_reckon(gyro, accel, gravity=DEFAULT_GRAVITY, init=None,
     T = init.position.copy()
     v = init.velocity.copy()
     states = [DeadReckonState(R.copy(), T.copy(), v.copy())]
+    steps = so3.exp_so3(t_s * gyro[:-1])
     for f in range(len(gyro) - 1):
         a = R @ accel[f] - gravity
         T = T + t_s * v + 0.5 * t_s * t_s * a
         v = v + t_s * a
-        R = R @ so3.exp_so3(t_s * gyro[f])
+        R = R @ steps[f]
         states.append(DeadReckonState(R.copy(), T.copy(), v.copy()))
     return states
 

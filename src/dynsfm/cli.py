@@ -13,7 +13,8 @@ import numpy as np
 
 from . import jsonio, so3
 from .baseline import DeadReckonState, dead_reckon_positions
-from .config import config_from_dict, config_to_dict, reference_config
+from .config import (config_from_dict, config_to_dict, options_from_dict,
+                     reference_config)
 from .derivatives import savgol_filter
 from .errors import ConfigError, DynSfmError
 from .evaluate import evaluate
@@ -112,15 +113,13 @@ def _eval_outputs(recon, dataset):
 
     align = report.alignment
     est_T = align.apply(recon.positions)
-    rows = []
     try:
-        for f in range(F):
-            gt_log = so3.log_so3(traj.rotations[f])
-            est_log = so3.log_so3(align.rotation @ recon.rotations[f])
-            rows.append([f, f * dataset.t_s, *gt_log, *est_log,
-                         *traj.T[f], *est_T[f], *imu_T[f]])
+        gt_log = so3.log_so3(traj.rotations)
+        est_log = so3.log_so3(align.rotation @ recon.rotations)
     except DynSfmError as err:
         raise _CliFailure(EXIT_EVAL, f"evaluation failed: {err}")
+    table = np.hstack([gt_log, est_log, traj.T, est_T, imu_T])
+    rows = [[f, f * dataset.t_s, *table[f]] for f in range(F)]
     traj_header = ["frame", "t",
                    "gt_logR_x", "gt_logR_y", "gt_logR_z",
                    "est_logR_x", "est_logR_y", "est_logR_z",
@@ -163,8 +162,8 @@ def cmd_solve(args):
     dataset = _load_dataset(args.dataset)
     options = SolverOptions()
     if args.options:
-        options = _load(args.options, "solver options",
-                        jsonio.options_from_dict, EXIT_CONFIG)
+        options = _load(args.options, "solver options", options_from_dict,
+                        EXIT_CONFIG)
     recon = _solve(dataset, options)
     _write(args.out, jsonio.reconstruction_to_dict(recon))
     if not args.quiet:

@@ -69,59 +69,108 @@ class RunConfig:
 
 
 _NOISE_KEYS = {"gyro_std", "accel_std", "image_rel_std", "seed"}
-_SOLVER_KEYS = {"lambda_R", "lambda_tau", "lambda_nu", "omega_dot_mode",
-                "omega_dot_filter", "reg_filter", "reflection_resolution"}
+_SOLVER_NUMBERS = ("lambda_R", "lambda_tau", "lambda_nu")
+_SOLVER_FILTERS = ("omega_dot_filter", "reg_filter")
+_SOLVER_KEYS = {*_SOLVER_NUMBERS, *_SOLVER_FILTERS, "omega_dot_mode",
+                "reflection_resolution"}
 _TOP_KEYS = {"schema_version", "duration", "t_s", "points", "extent",
              "amp_trans", "amp_rot", "noise", "solver", "flow_mode",
              "flow_filter", "seed"}
 
 
-def _reject_unknown(d, allowed, where):
+def _object(d, allowed, where):
+    """d itself, once it is a JSON object with no key outside allowed."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: must be a JSON object, not "
+                          f"{type(d).__name__}")
     for key in d:
         if key not in allowed:
             raise ConfigError(f"{where}: unknown field {key!r}")
+    return d
+
+
+def _number(value, name):
+    """A JSON number as a float; not a string, a boolean or null."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{name}: must be a number, got {value!r}")
+
+
+def _integer(value, name):
+    """An integral JSON number (5 or 5.0) as an int; 5.5 is rejected, not
+    truncated."""
+    if (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ConfigError(f"{name}: must be an integer, got {value!r}")
+
+
+def options_from_dict(d, where="options"):
+    """SolverOptions of a JSON object: a solver-options file, or the
+    solver section of a config (where="solver"). Every error is a
+    ConfigError that names where."""
+    _object(d, _SOLVER_KEYS, where)
+    fields = {}
+    for key, value in d.items():
+        name = f"{where}.{key}"
+        if key in _SOLVER_NUMBERS:
+            fields[key] = _number(value, name)
+        elif key in _SOLVER_FILTERS:
+            if not isinstance(value, (list, tuple)) or len(value) != 2:
+                raise ConfigError(f"{name}: need [order, window], "
+                                  f"got {value!r}")
+            fields[key] = tuple(_integer(v, name) for v in value)
+        else:
+            fields[key] = value
+    opts = SolverOptions(**fields)
+    try:
+        opts.validate()
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from err
+    return opts
+
+
+def options_to_dict(opts):
+    return {"lambda_R": float(opts.lambda_R),
+            "lambda_tau": float(opts.lambda_tau),
+            "lambda_nu": float(opts.lambda_nu),
+            "omega_dot_mode": opts.omega_dot_mode,
+            "omega_dot_filter": [int(v) for v in opts.omega_dot_filter],
+            "reg_filter": [int(v) for v in opts.reg_filter],
+            "reflection_resolution": opts.reflection_resolution}
 
 
 def config_from_dict(d):
-    if not isinstance(d, dict):
-        raise ConfigError("config: document must be a JSON object")
-    _reject_unknown(d, _TOP_KEYS, "config")
+    _object(d, _TOP_KEYS, "config")
     if d.get("schema_version", CONFIG_SCHEMA_VERSION) != CONFIG_SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version: unsupported value {d.get('schema_version')!r}")
     cfg = RunConfig()
     for key in ("duration", "t_s", "extent", "amp_trans", "amp_rot"):
         if key in d:
-            setattr(cfg, key, float(d[key]))
-    if "points" in d:
-        cfg.points = int(d["points"])
-    if "seed" in d:
-        cfg.seed = int(d["seed"])
+            setattr(cfg, key, _number(d[key], key))
+    for key in ("points", "seed"):
+        if key in d:
+            setattr(cfg, key, _integer(d[key], key))
     if "flow_mode" in d:
         cfg.flow_mode = d["flow_mode"]
     if "flow_filter" in d:
-        ff = d["flow_filter"]
-        _reject_unknown(ff, {"order", "window"}, "flow_filter")
-        cfg.flow_filter = (int(ff["order"]), int(ff["window"]))
+        ff = _object(d["flow_filter"], {"order", "window"}, "flow_filter")
+        if len(ff) != 2:
+            raise ConfigError("flow_filter: need order and window")
+        cfg.flow_filter = (_integer(ff["order"], "flow_filter.order"),
+                           _integer(ff["window"], "flow_filter.window"))
     if "noise" in d:
-        _reject_unknown(d["noise"], _NOISE_KEYS, "noise")
-        n = d["noise"]
+        n = _object(d["noise"], _NOISE_KEYS, "noise")
         cfg.noise = NoiseSpec(
-            gyro_std=float(n.get("gyro_std", 0.0)),
-            accel_std=float(n.get("accel_std", 0.0)),
-            image_rel_std=float(n.get("image_rel_std", 0.0)),
-            seed=int(n.get("seed", 0)))
+            **{key: _number(n.get(key, 0.0), f"noise.{key}")
+               for key in ("gyro_std", "accel_std", "image_rel_std")},
+            seed=_integer(n.get("seed", 0), "noise.seed"))
     if "solver" in d:
-        _reject_unknown(d["solver"], _SOLVER_KEYS, "solver")
-        s = d["solver"]
-        cfg.solver = SolverOptions(
-            lambda_R=float(s.get("lambda_R", 1.0)),
-            lambda_tau=float(s.get("lambda_tau", 1.0)),
-            lambda_nu=float(s.get("lambda_nu", 1.0)),
-            omega_dot_mode=s.get("omega_dot_mode", "auto"),
-            omega_dot_filter=tuple(s.get("omega_dot_filter", (2, 5))),
-            reg_filter=tuple(s.get("reg_filter", (1, 3))),
-            reflection_resolution=s.get("reflection_resolution", "auto"))
+        cfg.solver = options_from_dict(d["solver"], "solver")
     return cfg.validate()
 
 
@@ -137,14 +186,7 @@ def config_to_dict(cfg):
                       "accel_std": cfg.noise.accel_std,
                       "image_rel_std": cfg.noise.image_rel_std,
                       "seed": cfg.noise.seed},
-            "solver": {"lambda_R": cfg.solver.lambda_R,
-                       "lambda_tau": cfg.solver.lambda_tau,
-                       "lambda_nu": cfg.solver.lambda_nu,
-                       "omega_dot_mode": cfg.solver.omega_dot_mode,
-                       "omega_dot_filter": list(cfg.solver.omega_dot_filter),
-                       "reg_filter": list(cfg.solver.reg_filter),
-                       "reflection_resolution":
-                           cfg.solver.reflection_resolution},
+            "solver": options_to_dict(cfg.solver),
             "flow_mode": cfg.flow_mode,
             "flow_filter": {"order": cfg.flow_filter[0],
                             "window": cfg.flow_filter[1]},

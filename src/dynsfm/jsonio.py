@@ -10,10 +10,10 @@ import math
 
 import numpy as np
 
-from .config import _SOLVER_KEYS, _reject_unknown
+from .config import options_from_dict, options_to_dict
 from .errors import DimensionMismatch
 from .simulate import (Dataset, MeasurementSet, NoiseSpec, Scene, Trajectory)
-from .solver import Reconstruction, SolverOptions
+from .solver import Reconstruction
 
 SCHEMA_VERSION = 1
 FLOAT = "%.17g"  # printf form of format(x, ".17g")
@@ -46,6 +46,24 @@ def _dumps_floats(a):
     return text[0]
 
 
+class _FrameRecords:
+    """A JSON list of one object per frame, {name: row f of fields[name]}
+    for (F, k) float arrays, which dumps formats with one finiteness check
+    (frame by frame, fields in order) and one FLOAT template per frame."""
+
+    def __init__(self, fields):
+        self.fields = fields
+
+    def dumps(self):
+        table = np.hstack([np.asarray(a, dtype=float)
+                           for a in self.fields.values()])
+        _require_finite(table)
+        record = "{" + ",".join(
+            f"{json.dumps(name)}:[" + ",".join([FLOAT] * a.shape[1]) + "]"
+            for name, a in self.fields.items()) + "}"
+        return "[" + ",".join(record % tuple(r) for r in table.tolist()) + "]"
+
+
 def dumps(obj):
     """Serialize nested dict/list/scalar structures deterministically."""
     if isinstance(obj, dict):
@@ -53,6 +71,8 @@ def dumps(obj):
         return "{" + ",".join(items) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(dumps(v) for v in obj) + "]"
+    if isinstance(obj, _FrameRecords):
+        return obj.dumps()
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and obj.ndim and obj.size:
             return _dumps_floats(obj)
@@ -110,16 +130,11 @@ def noise_spec_from_dict(d):
 
 
 def dataset_to_dict(ds):
+    """The dataset document; its "trajectory" entry is written by dumps."""
     traj = ds.trajectory
-    frames = []
-    for f in range(traj.n_frames):
-        frames.append({
-            "R": traj.rotations[f].reshape(9),
-            "T": traj.T[f],
-            "dT": traj.dT[f],
-            "ddT": traj.ddT[f],
-            "omega": traj.omega[f],
-            "domega": traj.domega[f]})
+    frames = _FrameRecords({"R": traj.rotations.reshape(-1, 9), "T": traj.T,
+                            "dT": traj.dT, "ddT": traj.ddT,
+                            "omega": traj.omega, "domega": traj.domega})
     meas = ds.measurements
     mdict = {
         "tracks": meas.tracks,
@@ -174,33 +189,6 @@ def dataset_from_dict(d):
                    measurements=meas,
                    noise_spec=noise_spec_from_dict(d["noise_spec"]),
                    seed=d["seed"])
-
-
-def options_to_dict(opts):
-    return {"lambda_R": float(opts.lambda_R),
-            "lambda_tau": float(opts.lambda_tau),
-            "lambda_nu": float(opts.lambda_nu),
-            "omega_dot_mode": opts.omega_dot_mode,
-            "omega_dot_filter": [int(v) for v in opts.omega_dot_filter],
-            "reg_filter": [int(v) for v in opts.reg_filter],
-            "reflection_resolution": opts.reflection_resolution}
-
-
-def options_from_dict(d):
-    if not isinstance(d, dict):
-        raise TypeError(f"solver options are a JSON object, not "
-                        f"{type(d).__name__}")
-    _reject_unknown(d, _SOLVER_KEYS, "options")
-    opts = SolverOptions(
-        lambda_R=d.get("lambda_R", 1.0),
-        lambda_tau=d.get("lambda_tau", 1.0),
-        lambda_nu=d.get("lambda_nu", 1.0),
-        omega_dot_mode=d.get("omega_dot_mode", "auto"),
-        omega_dot_filter=tuple(d.get("omega_dot_filter", (2, 5))),
-        reg_filter=tuple(d.get("reg_filter", (1, 3))),
-        reflection_resolution=d.get("reflection_resolution", "auto"))
-    opts.validate()
-    return opts
 
 
 def reconstruction_to_dict(recon):

@@ -230,22 +230,18 @@ def generate_trajectory(duration, t_s, amp_trans, amp_rot, seed,
     T = _eval_sinusoids(grid, aT, fT, pT, deriv=0)
     dT = _eval_sinusoids(grid, aT, fT, pT, deriv=1)
     ddT = _eval_sinusoids(grid, aT, fT, pT, deriv=2)
-    theta = _eval_sinusoids(grid, aR, fR, pR, deriv=0)
-    dtheta = _eval_sinusoids(grid, aR, fR, pR, deriv=1)
-    rotations = np.array([so3.exp_so3(theta[f]) for f in range(n_frames)])
-    omega = np.array([so3.right_jacobian(theta[f]) @ dtheta[f]
-                      for f in range(n_frames)])
+    rotations = so3.exp_so3(_eval_sinusoids(grid, aR, fR, pR, deriv=0))
 
     def omega_at(t):
         th = _eval_sinusoids(t, aR, fR, pR, deriv=0)
         dth = _eval_sinusoids(t, aR, fR, pR, deriv=1)
-        return so3.right_jacobian(th) @ dth
+        return so3.matvec(so3.right_jacobian(th), dth)
 
+    omega = omega_at(grid)
     # complex step: omega(t) is analytic in t, so Im(omega(t + ih))/h is the
     # derivative to machine precision
     h = 1e-30
-    domega = np.array([np.imag(omega_at(np.asarray(t + 1j * h))) / h
-                       for t in grid])
+    domega = np.imag(omega_at(grid + 1j * h)) / h
     return Trajectory(t_s=t_s, rotations=rotations, T=T, dT=dT, ddT=ddT,
                       omega=omega, domega=domega)
 

@@ -78,22 +78,26 @@ def exp_so3(v):
 def log_so3(R):
     """Principal-branch axis-angle of a rotation matrix.
 
-    The angle comes from atan2(|skew part|, trace - 1), which stays
-    well-conditioned up to the branch (the arccos form loses ~6 digits
-    near pi). Raises NearPiAmbiguity when trace(R) <= -1 + 1e-6 (angle
-    within ~1e-3 of pi), where the axis sign is numerically
-    ill-determined.
+    Accepts a stack (..., 3, 3) and returns (..., 3); each matrix whose
+    skew part is below SMALL_ANGLE takes the first-order branch. The angle
+    comes from atan2(|skew part|, trace - 1), which stays well-conditioned
+    up to the branch (the arccos form loses ~6 digits near pi). Raises
+    NearPiAmbiguity when any trace(R) <= -1 + 1e-6 (angle within ~1e-3 of
+    pi), where the axis sign is numerically ill-determined.
     """
     R = np.asarray(R, dtype=float)
-    tr = np.trace(R)
-    if tr <= -1.0 + 1e-6:
+    tr = np.trace(R, axis1=-2, axis2=-1)
+    if np.any(tr <= -1.0 + 1e-6):
         raise NearPiAmbiguity("rotation angle too close to pi")
-    w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    nw = np.linalg.norm(w)  # 2 sin(theta)
+    w = np.stack([R[..., 2, 1] - R[..., 1, 2], R[..., 0, 2] - R[..., 2, 0],
+                  R[..., 1, 0] - R[..., 0, 1]], axis=-1)
+    # |w|^2 as a 1x3 by 3x1 product rounds as the dot of one vector does;
+    # norm(w, axis=-1) sums in another order
+    nw = np.sqrt((w[..., None, :] @ w[..., None])[..., 0, 0])  # 2 sin(theta)
     th = np.arctan2(nw, tr - 1.0)
-    if nw < SMALL_ANGLE:
-        return 0.5 * w
-    return (th / nw) * w
+    small = nw < SMALL_ANGLE
+    scale = th / np.where(small, 1.0, nw)
+    return np.where(small[..., None], 0.5 * w, scale[..., None] * w)
 
 
 def rotation_angle(R):
@@ -134,17 +138,23 @@ def right_jacobian(v):
     """Right Jacobian of exp_so3: for R(t) = exp_so3(theta(t)) the body
     angular velocity is omega = right_jacobian(theta) @ dtheta/dt.
 
-    Complex-safe for complex-step differentiation.
+    Accepts a stack of vectors (..., 3) and returns (..., 3, 3); each
+    angle below SMALL_ANGLE takes the Taylor branch. Complex-safe for
+    complex-step differentiation, like exp_so3.
     """
     v = np.asarray(v)
-    th2 = v @ v
+    th2 = (v[..., None, :] @ v[..., None])[..., 0, 0]
     th = np.sqrt(th2)
     V = hat(v)
-    I = np.eye(3, dtype=V.dtype)
-    if abs(th) < SMALL_ANGLE:
-        return I - 0.5 * V + (V @ V) / 6.0
-    return (I - ((1.0 - np.cos(th)) / th2) * V
-            + ((th - np.sin(th)) / (th2 * th)) * (V @ V))
+    VV = V @ V
+    small = np.abs(th) < SMALL_ANGLE
+    th = np.where(small, 1.0, th)
+    th2 = np.where(small, 1.0, th2)
+    a = np.where(small, 0.5, (1.0 - np.cos(th)) / th2)
+    b = (th - np.sin(th)) / (th2 * th)
+    return (np.eye(3, dtype=V.dtype) - a[..., None, None] * V
+            + np.where(small[..., None, None], VV / 6.0,
+                       b[..., None, None] * VV))
 
 
 def deterministic_svd(A):

@@ -135,3 +135,34 @@ def fine_noiseless_stages():
             "W": W, "C": C, "m_hat": m_hat, "M2": M2, "K_upg": K_upg,
             "rotations": rotations, "structure": structure,
             "sigma_ratio": sigma_ratio, "rot_info": rot_info, "q_fit": q_fit}
+
+
+def right_jacobian_one(v):
+    """Per-vector right Jacobian, the oracle of the batched so3 version:
+    the Taylor branch below so3.SMALL_ANGLE, complex-safe."""
+    from dynsfm import so3
+    v = np.asarray(v)
+    th2 = v @ v
+    th = np.sqrt(th2)
+    V = so3.hat(v)
+    I = np.eye(3, dtype=V.dtype)
+    if abs(th) < so3.SMALL_ANGLE:
+        return I - 0.5 * V + (V @ V) / 6.0
+    return (I - ((1.0 - np.cos(th)) / th2) * V
+            + ((th - np.sin(th)) / (th2 * th)) * (V @ V))
+
+
+def log_so3_one(R):
+    """Per-matrix principal log, the oracle of the batched so3 version."""
+    from dynsfm import so3
+    from dynsfm.errors import NearPiAmbiguity
+    R = np.asarray(R, dtype=float)
+    tr = np.trace(R)
+    if tr <= -1.0 + 1e-6:
+        raise NearPiAmbiguity("rotation angle too close to pi")
+    w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    nw = np.linalg.norm(w)
+    th = np.arctan2(nw, tr - 1.0)
+    if nw < so3.SMALL_ANGLE:
+        return 0.5 * w
+    return (th / nw) * w

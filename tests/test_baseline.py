@@ -82,3 +82,35 @@ def test_noise_grows_error_over_time():
     err = np.linalg.norm(pos - traj.T, axis=1)
     q = len(err) // 4
     assert err[-q:].mean() > 3.0 * err[:q].mean()
+
+
+def _dead_reckon_oracle(gyro, accel, gravity, init, t_s):
+    """The integrator one step at a time, each increment its own
+    exp_so3 call."""
+    R, T, v = init.rotation.copy(), init.position.copy(), init.velocity.copy()
+    states = [(R, T, v)]
+    for f in range(len(gyro) - 1):
+        a = R @ accel[f] - gravity
+        T = T + t_s * v + 0.5 * t_s * t_s * a
+        v = v + t_s * a
+        R = R @ so3.exp_so3(t_s * gyro[f])
+        states.append((R, T, v))
+    return states
+
+
+def test_batched_increments_equal_per_step_oracle():
+    t_s = 1 / 30
+    traj = generate_trajectory(5.0, t_s, 0.35, np.radians(30), seed=9)
+    gyro, accel = synthesize_imu(traj, G)
+    gyro = gyro + np.random.default_rng(5).normal(0, np.radians(3.0),
+                                                  gyro.shape)
+    gyro[10] = 1e-10  # an increment on the small-angle branch
+    init = DeadReckonState(traj.rotations[0].copy(), traj.T[0].copy(),
+                           traj.dT[0].copy())
+    states = imu_dead_reckon(gyro, accel, G, init, t_s)
+    oracle = _dead_reckon_oracle(gyro, accel, G, init, t_s)
+    assert len(states) == len(oracle) == traj.n_frames
+    for s, (R, T, v) in zip(states, oracle):
+        assert np.array_equal(s.rotation, R)
+        assert np.array_equal(s.position, T)
+        assert np.array_equal(s.velocity, v)

@@ -324,7 +324,8 @@ def _one_second_reconstruction_doc():
 
 
 NOT_OBJECTS = [[], [1], "x", 3, None]
-BAD_NUMBERS = ["abc", [1.0], None, {}, math.nan, math.inf, -math.inf, -1.0]
+BAD_NUMBERS = ["abc", "1e8", True, [1.0], None, {}, math.nan, math.inf,
+               -math.inf, -1.0]
 BAD_MODES = ["bogus", 3, None, ["auto"]]
 BAD_FILTERS = [[2], [2, 5, 7], ["a", 5], [2, 4], [5, 5], [0, 3], 7, None,
                [2.5, 5]]
@@ -350,12 +351,15 @@ def _bad_config(draw):
     key, pool = draw(st.sampled_from([
         ("duration", BAD_NUMBERS), ("t_s", BAD_NUMBERS),
         ("extent", BAD_NUMBERS), ("amp_trans", BAD_NUMBERS),
-        ("amp_rot", BAD_NUMBERS), ("points", [2, "x", None, math.nan, [8]]),
-        ("seed", [-1, "x", None]), ("flow_mode", ["bogus", 3]),
+        ("amp_rot", BAD_NUMBERS),
+        ("points", [2, "x", "8", None, math.nan, [8], 8.7]),
+        ("seed", [-1, "x", None, 3.9]), ("flow_mode", ["bogus", 3]),
         ("noise", ["x", 5, {"gyro_std": -1.0}, {"seed": -3}, {"oops": 1},
-                   {"accel_std": math.nan}]),
+                   {"accel_std": math.nan}, {"seed": 3.9},
+                   {"gyro_std": "0.1"}]),
         ("flow_filter", [{"order": 2}, 7, {"order": 2, "window": 4},
-                         {"order": 2, "window": 5, "x": 1}]),
+                         {"order": 2, "window": 5, "x": 1},
+                         {"order": 2, "window": 5.5}]),
         ("solver", [5, "solver"]), ("schema_version", [99]),
         ("typo_field", [1])]))
     doc[key] = draw(st.sampled_from(pool))
@@ -447,6 +451,61 @@ def test_cli_rejects_every_invalid_document(data, tmp_path, capfd):
     if TYPO_OPTION in json.dumps(doc):
         assert repr(TYPO_OPTION) in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("points", 8.7), ("seed", 3.9), ("solver", {"lambda_R": "1e8"}),
+    ("noise", {"seed": 2.5}), ("flow_filter", {"order": 2, "window": 5.5}),
+    ("duration", "5")],
+    ids=["fractional-points", "fractional-seed", "string-lambda",
+         "fractional-noise-seed", "fractional-window", "string-duration"])
+def test_pipeline_rejects_value_it_would_coerce(key, value, tmp_path, capfd):
+    # truncating 8.7 points to 8 or parsing "1e8" would run a study other
+    # than the one the document describes
+    doc = dict(_one_second_config_doc(), **{key: value})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    capfd.readouterr()
+    code = run_cli("pipeline", "--config", path, "--out", out, "--quiet")
+    err = capfd.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+    assert not out.exists()
+
+
+def test_so3_calls_do_not_grow_with_frames(monkeypatch):
+    # generate_trajectory and the CLI's evaluation outputs take whole
+    # stacks: a per-frame loop over so3 would show as calls growing with F
+    from dynsfm import cli, so3
+    counts = {}
+
+    def counted(name):
+        fn = getattr(so3, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    calls = []
+    for frames in (30, 300):
+        cfg = reference_config(seed=2)
+        cfg.duration = frames * cfg.t_s
+        cfg.points = 8
+        with monkeypatch.context() as patch:
+            for name in ("exp_so3", "right_jacobian", "log_so3"):
+                patch.setattr(so3, name, counted(name))
+            counts.clear()
+            dataset = make_dataset(cfg)
+            simulated = dict(counts)
+            recon = reconstruct(dataset.measurements)
+            counts.clear()
+            cli._eval_outputs(recon, dataset)
+            calls.append((simulated, dict(counts)))
+        assert dataset.trajectory.n_frames == frames
+    assert calls[0] == calls[1]
+    assert calls[0][1]["log_so3"] == 2
 
 
 def test_import_and_solve_leave_scipy_unloaded():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dynsfm import jsonio
-from dynsfm.config import (config_from_dict, config_to_dict, reference_config,
-                           reference_noise_config)
+from dynsfm.config import (config_from_dict, config_to_dict, options_from_dict,
+                           reference_config, reference_noise_config)
 from dynsfm.errors import ConfigError
 from dynsfm.simulate import NoiseSpec, simulate_dataset
 from dynsfm.solver import SolverOptions, reconstruct
@@ -52,6 +52,28 @@ def test_dataset_roundtrip(tmp_path):
     assert np.array_equal(back.measurements.torque, ds.measurements.torque)
     assert np.array_equal(back.trajectory.rotations, ds.trajectory.rotations)
     assert back.noise_spec == ds.noise_spec
+
+
+def _per_frame_trajectory(traj):
+    """The trajectory entry as one dict of arrays per frame."""
+    return [{"R": traj.rotations[f].reshape(9), "T": traj.T[f],
+             "dT": traj.dT[f], "ddT": traj.ddT[f], "omega": traj.omega[f],
+             "domega": traj.domega[f]} for f in range(traj.n_frames)]
+
+
+def test_dataset_trajectory_written_as_per_frame_objects():
+    ds = _dataset()
+    doc = jsonio.dataset_to_dict(ds)
+    oracle = dict(doc, trajectory=_per_frame_trajectory(ds.trajectory))
+    assert jsonio.dumps(doc) == jsonio.dumps(oracle)
+    # the first non-finite value in frame order, fields in order, is named
+    ds.trajectory.domega[2, 1] = np.inf
+    ds.trajectory.T[3, 0] = np.nan
+    doc = jsonio.dataset_to_dict(ds)
+    oracle = dict(doc, trajectory=_per_frame_trajectory(ds.trajectory))
+    for written in (doc, oracle):
+        with pytest.raises(ValueError, match="non-finite float inf"):
+            jsonio.dumps(written)
 
 
 def test_reconstruction_roundtrip(tmp_path):
@@ -127,3 +149,30 @@ def test_solver_options_validation():
         SolverOptions(omega_dot_mode="nope").validate()
     with pytest.raises(ValueError):
         SolverOptions(reflection_resolution="maybe").validate()
+
+
+def test_solver_options_parsed_alike_in_config_and_options_file():
+    doc = {"lambda_R": 1e8, "lambda_tau": 2, "omega_dot_mode": "numeric",
+           "reg_filter": [1, 5], "omega_dot_filter": [2.0, 7]}
+    opts = options_from_dict(doc)
+    assert opts == SolverOptions(lambda_R=1e8, lambda_tau=2.0,
+                                 omega_dot_mode="numeric", reg_filter=(1, 5),
+                                 omega_dot_filter=(2, 7))
+    cfg_doc = config_to_dict(reference_config())
+    cfg_doc["solver"] = doc
+    assert config_from_dict(cfg_doc).solver == opts
+    for bad in ({"lambda_R": "1e8"}, {"lambda_nu": True},
+                {"reg_filter": [1, 3.5]}, {"reg_filter": 3}):
+        with pytest.raises(ConfigError, match="options"):
+            options_from_dict(bad)
+        cfg_doc["solver"] = bad
+        with pytest.raises(ConfigError, match="solver"):
+            config_from_dict(cfg_doc)
+
+
+def test_config_accepts_integral_numbers():
+    doc = dict(config_to_dict(reference_config()), points=8.0, seed=3.0,
+               duration=5)
+    cfg = config_from_dict(doc)
+    assert (cfg.points, cfg.seed, cfg.duration) == (8, 3, 5.0)
+    assert type(cfg.points) is int and type(cfg.duration) is float

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dynsfm import so3
+from dynsfm import simulate, so3
 from dynsfm.errors import (BadSampling, LengthMismatch, NonFiniteInput,
                            SingularInertia, TooFewPoints)
 from dynsfm.simulate import (DEFAULT_GRAVITY, DEFAULT_INERTIA, MeasurementSet,
@@ -12,6 +12,8 @@ from dynsfm.simulate import (DEFAULT_GRAVITY, DEFAULT_INERTIA, MeasurementSet,
                              generate_trajectory, simulate_dataset,
                              synthesize_images, synthesize_imu,
                              torque_for_trajectory)
+
+from conftest import right_jacobian_one
 
 G = DEFAULT_GRAVITY
 
@@ -103,6 +105,50 @@ def test_trajectory_determinism():
     b = generate_trajectory(2.0, 1 / 30, 0.3, 0.5, seed=9)
     for fld in ("rotations", "T", "dT", "ddT", "omega", "domega"):
         assert np.array_equal(getattr(a, fld), getattr(b, fld))
+
+
+def _trajectory_oracle(duration, t_s, amp_trans, amp_rot, seed):
+    """generate_trajectory with one exp_so3, right Jacobian and complex
+    step per frame."""
+    ev = simulate._eval_sinusoids
+    n_frames = int(round(duration / t_s))
+    rng = np.random.default_rng(seed)
+    nT = rng.integers(2, 5, size=3)
+    aT, fT, pT = simulate._sum_of_sinusoids(rng, nT, simulate.TRANS_FREQ_BAND)
+    aR, fR, pR = simulate._sum_of_sinusoids(rng, [2, 2, 2],
+                                            simulate.ROT_FREQ_BAND)
+    grid = np.arange(n_frames) * t_s
+    fine = np.linspace(0.0, (n_frames - 1) * t_s, 4096)
+    peak = np.abs(ev(fine, aT, fT, pT)).max(axis=0)
+    aT = [a * (amp_trans / peak[axis]) for axis, a in enumerate(aT)]
+    peak_rot = np.linalg.norm(ev(fine, aR, fR, pR), axis=-1).max()
+    aR = [a * (amp_rot / peak_rot) for a in aR]
+    theta = ev(grid, aR, fR, pR)
+    dtheta = ev(grid, aR, fR, pR, deriv=1)
+
+    def omega_at(t):
+        return (right_jacobian_one(ev(t, aR, fR, pR))
+                @ ev(t, aR, fR, pR, deriv=1))
+
+    return {"rotations": np.array([so3.exp_so3(th) for th in theta]),
+            "T": ev(grid, aT, fT, pT), "dT": ev(grid, aT, fT, pT, deriv=1),
+            "ddT": ev(grid, aT, fT, pT, deriv=2),
+            "omega": np.array([right_jacobian_one(theta[f]) @ dtheta[f]
+                               for f in range(n_frames)]),
+            "domega": np.array([np.imag(omega_at(np.asarray(t + 1e-30j)))
+                                / 1e-30 for t in grid])}
+
+
+@pytest.mark.parametrize("t_s", [1 / 30, 1 / 60])
+def test_trajectory_equals_per_frame_oracle(t_s):
+    # everything bit for bit but domega, whose complex products round
+    # differently as arrays than as scalars, within an ulp or two
+    traj = generate_trajectory(5.0, t_s, 0.35, np.radians(30), seed=1)
+    oracle = _trajectory_oracle(5.0, t_s, 0.35, np.radians(30), seed=1)
+    for name in ("rotations", "T", "dT", "ddT", "omega"):
+        assert np.array_equal(getattr(traj, name), oracle[name]), name
+    scale = np.abs(oracle["domega"]).max()
+    assert np.abs(traj.domega - oracle["domega"]).max() <= 1e-15 * scale
 
 
 def _static_trajectory(F, t_s=1 / 30, R=None, T=None):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from dynsfm import so3
 from dynsfm.errors import DegenerateMatrix, NearPiAmbiguity, NotSkewSymmetric
 
-from conftest import random_rotation
+from conftest import log_so3_one, random_rotation, right_jacobian_one
 
 finite_vec = st.lists(st.floats(-10, 10), min_size=3, max_size=3).map(np.array)
 
@@ -249,6 +249,66 @@ def test_right_jacobian_matches_finite_difference():
         R = so3.exp_so3(th)
         omega_fd = so3.vee((R.T @ Rdot - (R.T @ Rdot).T) / 2, tol=1e-3)
         assert np.allclose(so3.right_jacobian(th) @ dth, omega_fd, atol=1e-6)
+
+
+def _jacobian_inputs():
+    """Vectors up to angle 3, below SMALL_ANGLE, and zero, as (6, 9, 3)."""
+    rng = np.random.default_rng(43)
+    axes = rng.normal(size=(48, 3))
+    v = axes / np.linalg.norm(axes, axis=1, keepdims=True) * rng.uniform(
+        0.0, 3.0, size=(48, 1))
+    return np.concatenate([v, 1e-9 * rng.normal(size=(5, 3)),
+                           np.zeros((1, 3))]).reshape(6, 9, 3)
+
+
+def test_right_jacobian_batched_equals_per_vector():
+    v = _jacobian_inputs()
+    J = so3.right_jacobian(v)
+    assert J.shape == (6, 9, 3, 3)
+    flat = v.reshape(-1, 3)
+    assert np.array_equal(J.reshape(-1, 3, 3),
+                          np.array([right_jacobian_one(x) for x in flat]))
+    assert np.array_equal(J.reshape(-1, 3, 3),
+                          np.array([so3.right_jacobian(x) for x in flat]))
+
+
+def test_right_jacobian_small_angle_branch_exact():
+    v = np.array([[3e-9, -4e-9, 1e-9], [0.0, 0.0, 0.0]])
+    V = so3.hat(v)
+    assert np.array_equal(so3.right_jacobian(v),
+                          np.eye(3) - 0.5 * V + (V @ V) / 6.0)
+
+
+def test_right_jacobian_batched_complex_step():
+    # complex scalars and complex stacks round differently in the last
+    # place, so the imaginary (derivative) part may move by a few ulp
+    v = _jacobian_inputs().reshape(-1, 3)
+    vc = v + 1e-30j * np.random.default_rng(44).normal(size=v.shape)
+    J = so3.right_jacobian(vc)
+    oracle = np.array([right_jacobian_one(x) for x in vc])
+    assert np.array_equal(J.real, oracle.real)
+    ulp = np.spacing(np.abs(oracle.imag).max(axis=(1, 2)))[:, None, None]
+    assert np.all(np.abs(J.imag - oracle.imag) <= 8 * ulp)
+
+
+def test_log_batched_equals_per_matrix():
+    # both branches: angles up to 3 rad, skew parts below SMALL_ANGLE and
+    # the identity
+    R = so3.exp_so3(_jacobian_inputs())
+    L = so3.log_so3(R)
+    assert L.shape == (6, 9, 3)
+    assert np.array_equal(L.reshape(-1, 3),
+                          np.array([log_so3_one(x) for x in R.reshape(-1, 3, 3)]))
+    assert np.array_equal(L[-1, -1], np.zeros(3))
+
+
+def test_log_stack_raises_on_one_matrix_near_pi():
+    R = so3.exp_so3(_jacobian_inputs()).reshape(-1, 3, 3)
+    R[17] = so3.exp_so3([0.0, np.pi - 5e-4, 0.0])
+    with pytest.raises(NearPiAmbiguity):
+        so3.log_so3(R)
+    with pytest.raises(NearPiAmbiguity):
+        log_so3_one(R[17])
 
 
 def _stack_inputs():
