@@ -13,8 +13,8 @@ import numpy as np
 
 from . import jsonio, so3
 from .baseline import DeadReckonState, dead_reckon_positions
-from .config import (config_from_dict, config_to_dict, options_from_dict,
-                     reference_config)
+from .config import (_integer, _number, config_from_dict, config_to_dict,
+                     options_from_dict, reference_config)
 from .derivatives import savgol_filter
 from .errors import ConfigError, DynSfmError
 from .evaluate import evaluate
@@ -59,6 +59,10 @@ def _load_config(path, seed_override=None):
     cfg = _load(path, "config", config_from_dict, EXIT_CONFIG)
     if seed_override is not None:
         cfg.seed = seed_override
+        try:
+            cfg.validate()
+        except ConfigError as err:
+            raise _CliFailure(EXIT_CONFIG, f"bad --seed: {err}")
     return cfg
 
 
@@ -217,8 +221,9 @@ def _sweep_spec(doc, default_seed):
     for key in doc:
         if key not in ("seeds", "noise_scales"):
             raise ConfigError(f"sweep: unknown field {key!r}")
-    seeds = [int(s) for s in doc.get("seeds", [default_seed])]
-    scales = [float(s) for s in doc.get("noise_scales", [1.0])]
+    seeds = [_integer(s, "seeds") for s in doc.get("seeds", [default_seed])]
+    scales = [_number(s, "noise_scales")
+              for s in doc.get("noise_scales", [1.0])]
     if not seeds or min(seeds) < 0:
         raise ConfigError("seeds: need a nonempty list of nonnegative integers")
     if not scales or not all(math.isfinite(s) and s >= 0 for s in scales):
@@ -272,7 +277,7 @@ def cmd_sweep(args):
 
 
 def cmd_print_config(args):
-    jsonio.write_json(args.out, config_to_dict(reference_config()))
+    _write(args.out, config_to_dict(reference_config()))
     return 0
 
 

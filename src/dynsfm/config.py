@@ -61,6 +61,10 @@ class RunConfig:
         if window % 2 == 0 or not (2 <= order < window):
             raise ConfigError("flow_filter: need odd window and "
                               "2 <= order < window")
+        frames = int(round(self.duration / self.t_s))
+        if self.flow_mode == "numeric" and window > frames:
+            raise ConfigError(f"flow_filter: window {window} is longer than "
+                              f"the run's {frames} frames")
         try:
             self.solver.validate()
         except ValueError as err:

@@ -24,10 +24,6 @@ from .errors import (DynSfmError, IllConditionedWarning, IndefiniteQ,
 from .simulate import PROJECTOR
 
 COND_LIMIT = 1e12  # normal-equation condition number a stage does not trust
-# Unknowns per diagonal block of the banded normal equations (6 per frame
-# for the translations, 3 for the rotations): fewer, larger blocks mean
-# fewer Python-level steps per banded solve.
-GROUP_UNKNOWNS = 36
 
 
 @dataclass
@@ -252,19 +248,18 @@ def recover_rotation_blocks(Mt_cols, C, omega, domega, t_s, lambda_R):
     """Solve for the 3F x 3 stacked rotation blocks (up to a 3x3 gauge).
 
     Minimizes |Mt_cols - C M''|^2 + lambda_R |C_R M''|^2, with C the
-    assemble_C blocks and C_R the rotation_regularizer operator, through
-    its normal equations N M'' = C^T Mt_cols. N is block tridiagonal with
-    3 x 3 blocks: diagonal C_f^T C_f + lambda_R (B_f^T B_f + I), off
-    diagonal N_f,f+1 = lambda_R B_f^T, with B_f the regularizer blocks
-    (the B_f term is absent for the last frame, the identity for the
-    first). It is factored in frame groups in O(F) (the banded module).
+    assemble_C blocks and C_R the rotation_regularizer operator, as block
+    rows of banded.lstsq over the 3 x 3 blocks M''_f (R_f^T up to the
+    gauge): the three per-order C block lists against Mt_cols, and
+    sqrt(lambda_R) [B_f | I] over frames (f, f + 1) against zero, B_f the
+    regularizer blocks.
 
     Returns (M'', info): info["residual"] is |Mt_cols - C M''|,
-    info["cond"] a 1-norm estimate of N's condition number and
-    info["normal_ratio"] |N M'' - C^T Mt_cols| / |C^T Mt_cols|, formed as
-    A^T r of the stacked system. Raises RankDeficient when N is not
-    numerically positive definite and NumericalFailure when the
-    condition estimate exceeds COND_LIMIT.
+    info["cond"] a 1-norm estimate of the normal matrix's condition
+    number and info["normal_ratio"] the relative normal-equation residual.
+    Raises RankDeficient when the normal matrix is not numerically
+    positive definite and NumericalFailure when the condition estimate
+    exceeds COND_LIMIT.
     """
     F = omega.shape[0]
     if Mt_cols.shape != (6 * F, 3):
@@ -275,45 +270,20 @@ def recover_rotation_blocks(Mt_cols, C, omega, domega, t_s, lambda_R):
     if domega.shape != omega.shape:
         raise LengthMismatch("omega and domega lengths differ")
     B = rotation_regularizer(omega, domega, t_s)
-    Bt = B.transpose(0, 2, 1)
-    Ct = C.transpose(0, 1, 3, 2)
+    reg = np.sqrt(lambda_R) * np.concatenate(
+        [B, np.broadcast_to(np.eye(3), B.shape)], axis=2)
     Y = Mt_cols.reshape(3, F, 2, 3)  # (order, frame, row, column)
-    diag = (Ct @ C).sum(axis=0)
-    diag[:-1] += lambda_R * (Bt @ B)
-    diag[1:] += lambda_R * np.eye(3)
-    rhs = (Ct @ Y).sum(axis=0)
-    s = GROUP_UNKNOWNS // 3
-    P = banded.pack(diag, lambda_R * Bt, s)
     try:
-        Linv, V = banded.cholesky(P)
+        X, _, cond, normal_ratio, res = banded.lstsq(
+            [*C, reg], [*Y, np.zeros((F - 1, 3, 3))], 3)
     except np.linalg.LinAlgError:
         raise RankDeficient("normal matrix is not positive definite") from None
-
-    def solve(v):
-        """N^{-1} v for v (3F, k) or (3F,)."""
-        x = np.zeros((len(P) * 3 * s,) + v.shape[1:])
-        x[:3 * F] = v
-        x = banded.solve(Linv, V, x.reshape(len(P), 3 * s, -1))
-        return x.reshape((-1,) + v.shape[1:])[:3 * F]
-
-    norm = float(banded.abs_row_sums(P).ravel()[:3 * F].max())
-    cond = norm * banded.inverse_norm1(solve, 3 * F)
     if cond > COND_LIMIT:
         raise NumericalFailure(
             f"normal-equation condition number {cond:.2e} above {COND_LIMIT:.0e}")
-    M2 = solve(rhs.reshape(3 * F, 3))
-    X = M2.reshape(F, 3, 3)
-    r = C @ X - Y
-    r_reg = np.sqrt(lambda_R) * (B @ X[:-1] + X[1:])
-    At_r = (Ct @ r).sum(axis=0)
-    At_r[:-1] += np.sqrt(lambda_R) * (Bt @ r_reg)
-    At_r[1:] += np.sqrt(lambda_R) * r_reg
-    denom = np.linalg.norm(rhs)
-    return M2, {
-        "cond": cond,
-        "normal_ratio": (float(np.linalg.norm(At_r) / denom)
-                         if denom > 0 else 0.0),
-        "residual": float(np.linalg.norm(r))}
+    return X.reshape(3 * F, 3), {
+        "cond": cond, "normal_ratio": normal_ratio,
+        "residual": float(np.linalg.norm(res[:3]))}
 
 
 def metric_upgrade(M2):
@@ -400,18 +370,14 @@ def _reflection_residual(W, C, rotations, structure, m_hat):
 
 
 def translation_blocks(m_hat, rotations, omega, domega, accel, t_s,
-                       lambda_tau, lambda_nu, reg_filter=None,
-                       include_order0=True):
+                       lambda_tau, lambda_nu, reg_filter=None):
     """Block rows of the translation/velocity/gravity system.
 
     Returns (data, data_rhs, reg, reg_rhs). Frame f contributes the data
-    block data[f] (two rows per order, 6 x 9 with the order-0 rows, 4 x 9
-    without) over (tau_f, nu_f, g). Filter center c (at frame
-    c + window // 2) contributes the regularizer block reg[c], 6 x
-    (6 window + 3): the tau and the nu equation over (tau_{c+k}, nu_{c+k})
-    for each tap k, then g. The include_order0 switch exists for
-    observability probes: without the order-0 rows, gravity and a
-    constant translation offset become jointly near-unobservable.
+    block data[f] (two rows per order, 6 x 9) over (tau_f, nu_f, g).
+    Filter center c (at frame c + window // 2) contributes the regularizer
+    block reg[c], 6 x (6 window + 3): the tau and the nu equation over
+    (tau_{c+k}, nu_{c+k}) for each tap k, then g.
     """
     F = len(rotations)
     if not (len(omega) == len(domega) == len(accel) == F):
@@ -421,22 +387,19 @@ def translation_blocks(m_hat, rotations, omega, domega, accel, t_s,
     win, half = reg_filter.window, reg_filter.window // 2
     taps = reg_filter.taps / t_s
     n_centers = max(F - win + 1, 0)
-    n_orders = 3 if include_order0 else 2
     Pi = PROJECTOR
     rotations = np.asarray(rotations)
     W1, W2 = so3.rate_blocks(omega, domega)
     # data rows (frame, order, row) x (tau|nu|g, column)
-    data = np.zeros((F, n_orders, 2, 3, 3))
-    if include_order0:
-        data[:, 0, :, 0] = -Pi
-    data[:, -2, :, 0] = Pi @ W1
-    data[:, -2, :, 1] = -Pi
-    data[:, -1, :, 0] = -Pi @ W2
-    data[:, -1, :, 1] = 2.0 * Pi @ W1
-    data[:, -1, :, 2] = Pi @ rotations.transpose(0, 2, 1)
-    data_rhs = m_hat[6 * F - 2 * n_orders * F:].reshape(
-        n_orders, F, 2).transpose(1, 0, 2).copy()
-    data_rhs[:, -1] += so3.matvec(Pi, accel)
+    data = np.zeros((F, 3, 2, 3, 3))
+    data[:, 0, :, 0] = -Pi
+    data[:, 1, :, 0] = Pi @ W1
+    data[:, 1, :, 1] = -Pi
+    data[:, 2, :, 0] = -Pi @ W2
+    data[:, 2, :, 1] = 2.0 * Pi @ W1
+    data[:, 2, :, 2] = Pi @ rotations.transpose(0, 2, 1)
+    data_rhs = m_hat.reshape(3, F, 2).transpose(1, 0, 2).copy()
+    data_rhs[:, 2] += so3.matvec(Pi, accel)
     # regularizer rows (center, tau|nu equation, row) x (tap, tau|nu, column)
     st, sn = np.sqrt(lambda_tau), np.sqrt(lambda_nu)
     reg = np.zeros((n_centers, 2, 3, win, 2, 3))
@@ -450,15 +413,14 @@ def translation_blocks(m_hat, rotations, omega, domega, accel, t_s,
     reg_g[:, 1] = sn * np.eye(3)
     reg_rhs = np.zeros((n_centers, 2, 3))
     reg_rhs[:, 1] = so3.matvec(sn * R_c, accel[half:half + n_centers])
-    return (data.reshape(F, 2 * n_orders, 9), data_rhs.reshape(F, -1),
+    return (data.reshape(F, 6, 9), data_rhs.reshape(F, 6),
             np.concatenate([reg.reshape(n_centers, 6, 6 * win),
                             reg_g.reshape(n_centers, 6, 3)], axis=2),
             reg_rhs.reshape(n_centers, 6))
 
 
 def translation_system(m_hat, rotations, omega, domega, accel, t_s,
-                       lambda_tau, lambda_nu, reg_filter=None,
-                       include_order0=True):
+                       lambda_tau, lambda_nu, reg_filter=None):
     """Assemble the dense (A, b) of the translation/velocity/gravity solve
     by scattering the translation_blocks rows.
 
@@ -469,19 +431,18 @@ def translation_system(m_hat, rotations, omega, domega, accel, t_s,
     """
     data, data_rhs, reg, reg_rhs = translation_blocks(
         m_hat, rotations, omega, domega, accel, t_s, lambda_tau, lambda_nu,
-        reg_filter, include_order0)
-    F, n_orders = len(data), data.shape[1] // 2
-    n_centers, win = len(reg), _width(reg)
-    n_data = 2 * n_orders * F
+        reg_filter)
+    F, n_centers, win = len(data), len(reg), (reg.shape[2] - 3) // 6
+    n_data = 6 * F
     A = np.zeros((n_data + 6 * n_centers, 6 * F + 3))
     b = np.zeros(n_data + 6 * n_centers)
     f = np.arange(F)
-    blocks = data.reshape(F, n_orders, 2, 3, 3)
-    A[:n_data, :6 * F].reshape(n_orders, F, 2, 2, F, 3)[:, f, :, :, f] = (
+    blocks = data.reshape(F, 3, 2, 3, 3)
+    A[:n_data, :6 * F].reshape(3, F, 2, 2, F, 3)[:, f, :, :, f] = (
         blocks[:, :, :, :2])
-    A[:n_data, 6 * F:].reshape(n_orders, F, 2, 3)[:] = (
+    A[:n_data, 6 * F:].reshape(3, F, 2, 3)[:] = (
         blocks[:, :, :, 2].transpose(1, 0, 2, 3))
-    b[:n_data] = data_rhs.reshape(F, n_orders, 2).transpose(1, 0, 2).ravel()
+    b[:n_data] = data_rhs.reshape(F, 3, 2).transpose(1, 0, 2).ravel()
     c = np.arange(n_centers)
     rows = A[n_data:, :6 * F].reshape(n_centers, 2, 3, 2, F, 3)
     taps = reg[:, :, :6 * win].reshape(n_centers, 2, 3, win, 2, 3)
@@ -490,123 +451,6 @@ def translation_system(m_hat, rotations, omega, domega, accel, t_s,
     A[n_data:, 6 * F:] = reg[:, :, 6 * win:].reshape(6 * n_centers, 3)
     b[n_data:] = reg_rhs.ravel()
     return A, b
-
-
-def _width(block):
-    """Number of frames a (n, rows, 6 w + 3) block row spans."""
-    return (block.shape[2] - 3) // 6
-
-
-def _gather(z, g, n, w):
-    """Unknowns of n block rows spanning w frames: row i holds
-    (z_i, ..., z_{i+w-1}, g), shape (n, 6 w + 3)."""
-    return np.concatenate([z[k:k + n] for k in range(w)]
-                          + [np.broadcast_to(g, (n, 3))], axis=1)
-
-
-def _apply_transpose(F, blocks, vecs):
-    """Blockwise A^T v: the per-frame part (F, 6) and the gravity part."""
-    vz, vg = np.zeros((F, 6)), np.zeros(3)
-    for block, v in zip(blocks, vecs):
-        n, w = len(block), _width(block)
-        h = so3.matvec(block.transpose(0, 2, 1), v)
-        for k in range(w):
-            vz[k:k + n] += h[:, 6 * k:6 * k + 6]
-        vg += h[:, 6 * w:].sum(axis=0)
-    return vz, vg
-
-
-def _normal_matrix(F, s, blocks):
-    """Blockwise A^T A with the per-frame unknowns z_f = (tau_f, nu_f).
-
-    Frames are grouped s at a time, s at least the frame span of a block
-    row minus one, so N_zz is block tridiagonal in the groups. Returns
-    (P, Nzg, Ngg): P[i] = [N_ii | N_i,i+1], each 6s x 6s, and Nzg[f] =
-    N_{z_f,g}. The frames past F that fill the last group carry an
-    identity block and no coupling, so their unknowns solve to zero.
-    """
-    n_groups = -(-F // s)
-    P = np.zeros((n_groups, 6 * s, 12 * s))
-    rows = P.reshape(n_groups * s, 6, 2 * s, 6)  # (frame, row, frame, col)
-    Nzg, Ngg = np.zeros((n_groups * s, 6, 3)), np.zeros((3, 3))
-    for block in blocks:
-        n, w = len(block), _width(block)
-        for l in range(w):
-            # Gram columns of frame c + l, for each block row c
-            G = block.transpose(0, 2, 1) @ block[:, :, 6 * l:6 * l + 6]
-            for k in range(w):
-                f = np.arange(k, k + n)
-                col = f % s + l - k  # frame offset from f's group start
-                keep = col >= 0  # blocks left of f's group are not stored
-                rows[f[keep], :, col[keep]] += G[keep, 6 * k:6 * k + 6]
-            Nzg[l:l + n] += G[:, 6 * w:].transpose(0, 2, 1)
-        g = block[:, :, 6 * w:]
-        Ngg += (g.transpose(0, 2, 1) @ g).sum(axis=0)
-    pad = np.arange(F, n_groups * s)
-    rows[pad, :, pad % s] = np.eye(6)
-    return P, Nzg, Ngg
-
-
-def _norm1(F, P, Nzg, Ngg):
-    """Exact 1-norm (largest absolute row sum; N is symmetric) of the
-    bordered normal matrix stored as in _normal_matrix."""
-    rows = (banded.abs_row_sums(P).reshape(-1, 6)[:F]
-            + np.abs(Nzg[:F]).sum(axis=2))
-    g_rows = np.abs(Nzg).sum(axis=(0, 1)) + np.abs(Ngg).sum(axis=1)
-    return float(max(rows.max(), g_rows.max()))
-
-
-def _solve_blocks(data, data_rhs, reg, reg_rhs):
-    """Normal-equation solve of the translation system in O(F).
-
-    Factors the block-tridiagonal N_zz, eliminates gravity through the
-    3 x 3 Schur complement S = N_gg - N_zg^T N_zz^{-1} N_zg (the
-    arrowhead elimination of bundle adjustment) and back-substitutes.
-    Returns (z, g, info): info["cond"] is a 1-norm estimate of the
-    bordered normal matrix's condition number, info["residual"] the norm
-    of the block residual rows r = A x - b, and info["normal_ratio"]
-    |N x - A^T b| / |A^T b|, with N x - A^T b formed as A^T r. Raises
-    np.linalg.LinAlgError when N_zz or S is not positive definite.
-    """
-    F = len(data)
-    s = max(GROUP_UNKNOWNS // 6, _width(reg) - 1)
-    blocks, rhs = (data, reg), (data_rhs, reg_rhs)
-    P, Nzg, Ngg = _normal_matrix(F, s, blocks)
-    norm = _norm1(F, P, Nzg, Ngg)
-    rz, rg = _apply_transpose(len(Nzg), blocks, rhs)
-    Linv, V = banded.cholesky(P)
-    m = 6 * s
-    X = banded.solve(Linv, V, np.concatenate(
-        [Nzg.reshape(-1, m, 3), rz.reshape(-1, m, 1)], axis=2))
-    Xg, Nzg_rows = X[..., :3].reshape(-1, 3), Nzg.reshape(-1, 3)
-    S = Ngg - Nzg_rows.T @ Xg
-    np.linalg.cholesky(S)  # raises unless S is positive definite
-
-    def solve(u, vg):
-        """Bordered solve from u = N_zz^{-1} v_z (rows of z)."""
-        g = np.linalg.solve(S, vg - Nzg_rows.T @ u)
-        return u - Xg @ g, g
-
-    z, g = solve(X[..., 3].ravel(), rg)
-    z = z.reshape(-1, 6)
-
-    def solve_flat(v):
-        vz = np.zeros((len(Nzg), 6))
-        vz[:F] = v[:6 * F].reshape(F, 6)
-        u = banded.solve(Linv, V, vz.reshape(-1, m, 1)).ravel()
-        uz, ug = solve(u, v[6 * F:])
-        return np.concatenate([uz[:6 * F], ug])
-
-    cond = norm * banded.inverse_norm1(solve_flat, 6 * F + 3)
-    res = [so3.matvec(block, _gather(z, g, len(block), _width(block))) - b
-           for block, b in zip(blocks, rhs)]
-    nz, ng = _apply_transpose(F, blocks, res)
-    denom = np.sqrt(np.sum(rz ** 2) + np.sum(rg ** 2))
-    normal = np.sqrt(np.sum(nz ** 2) + np.sum(ng ** 2))
-    return z[:F], g, {
-        "cond": cond,
-        "normal_ratio": float(normal / denom) if denom > 0 else 0.0,
-        "residual": float(np.sqrt(sum(np.sum(r ** 2) for r in res)))}
 
 
 def recover_translations(m_hat, rotations, omega, domega, accel, t_s,
@@ -622,19 +466,26 @@ def recover_translations(m_hat, rotations, omega, domega, accel, t_s,
         D(R tau)_f - R_f nu_f          = 0
         D(R nu)_f + g                  = R_f a_imu_f
 
-    with D the filter derivative. The normal equations are block-banded
-    in the per-frame unknowns (tau_f, nu_f) with a 3-column gravity
-    border, so they are solved in O(F) (_solve_blocks). When they are not
-    numerically positive definite, or their estimated condition number
-    exceeds COND_LIMIT, the dense least-squares solve of
-    translation_system runs instead. Returns (tau, nu, gravity, info).
+    with D the filter derivative. The block rows span one frame (data)
+    or one filter window (regularizer) of the per-frame unknowns
+    (tau_f, nu_f), with gravity as a 3-column border, so banded.lstsq
+    solves them in O(F). When its normal matrix is not numerically
+    positive definite, or its estimated condition number exceeds
+    COND_LIMIT, the dense least-squares solve of translation_system runs
+    instead: near-degenerate motion is resolved only there. Returns
+    (tau, nu, gravity, info).
     """
     args = (m_hat, rotations, omega, domega, accel, t_s, lambda_tau,
             lambda_nu, reg_filter)
+    data, data_rhs, reg, reg_rhs = translation_blocks(*args)
     try:
-        z, gravity, info = _solve_blocks(*translation_blocks(*args))
-        if info["cond"] <= COND_LIMIT:
-            return z[:, :3].copy(), z[:, 3:].copy(), gravity, info
+        z, g, cond, normal_ratio, res = banded.lstsq(
+            [data, reg], [data_rhs[..., None], reg_rhs[..., None]], 6, 3)
+        if cond <= COND_LIMIT:
+            return z[:, :3, 0].copy(), z[:, 3:, 0].copy(), g[:, 0], {
+                "cond": cond, "normal_ratio": normal_ratio,
+                "residual": float(np.linalg.norm(
+                    np.concatenate([r.ravel() for r in res])))}
     except np.linalg.LinAlgError:
         pass
     F = len(rotations)

@@ -398,9 +398,9 @@ def _bad_reconstruction(draw):
 
 def _bad_sweep(draw):
     key = draw(st.sampled_from(["seeds", "noise_scales", "oops"]))
-    pool = {"seeds": ["ab", 5, None, [], [-1], ["x"], [[1]]],
+    pool = {"seeds": ["ab", 5, None, [], [-1], ["x"], [[1]], [3.9], [True]],
             "noise_scales": ["ab", 5, None, [], [-1.0], [math.nan],
-                             [math.inf], ["x"]],
+                             [math.inf], ["x"], ["0.5"]],
             "oops": [1]}[key]
     return {key: draw(st.sampled_from(pool))}
 
@@ -471,6 +471,72 @@ def test_pipeline_rejects_value_it_would_coerce(key, value, tmp_path, capfd):
     err = capfd.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+    assert not out.exists()
+
+
+def _error_run(*args, capfd):
+    """Exit code and stderr lines of one in-process CLI run."""
+    capfd.readouterr()
+    code = run_cli(*args)
+    return code, capfd.readouterr().err.splitlines()
+
+
+def test_example_config_unwritable_out_is_io_error(tmp_path, capfd):
+    # the parent of --out is a regular file
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    code, err = _error_run("example-config", "--out", blocker / "cfg.json",
+                           capfd=capfd)
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_negative_seed_override_is_config_error(command, small_cfg_path,
+                                                tmp_path, capfd):
+    out = tmp_path / "out"
+    code, err = _error_run(command, "--config", small_cfg_path, "--out", out,
+                           "--seed", -1, "--quiet", capfd=capfd)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline", "sweep"])
+def test_flow_window_longer_than_run_is_config_error(command, tmp_path,
+                                                     capfd):
+    # 5 s at 30 Hz is 150 frames, too few for a 301-tap numeric flow filter
+    doc = dict(_one_second_config_doc(), duration=5.0,
+               flow_filter={"order": 2, "window": 301})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"seeds": [0, 1]}))
+    extra = ["--sweep", spec] if command == "sweep" else []
+    out = tmp_path / "out"
+    code, err = _error_run(command, "--config", path, *extra, "--out", out,
+                           "--quiet", capfd=capfd)
+    assert code == 2
+    assert (len(err) == 1 and err[0].startswith("error: ")
+            and "flow_filter" in err[0])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {"seeds": [3.9, True], "noise_scales": ["0.5"]}, {"seeds": [True]},
+    {"noise_scales": ["0.5"]}],
+    ids=["all", "boolean-seed", "string-scale"])
+def test_sweep_rejects_value_it_would_coerce(spec, small_cfg_path, tmp_path,
+                                             capfd):
+    # int(3.9), int(True) and float("0.5") would sweep seeds 3 and 1 and
+    # scale 0.5, a study other than the one the document describes
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    code, err = _error_run("sweep", "--config", small_cfg_path, "--sweep",
+                           path, "--out", out, "--quiet", capfd=capfd)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
 
 
