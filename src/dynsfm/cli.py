@@ -263,12 +263,7 @@ def cmd_sweep(args):
                 if not args.quiet:
                     print(f"run seed={seed} scale={scale} failed: {err}",
                           file=sys.stderr)
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        jsonio.write_csv(out / "aggregate.csv", SWEEP_HEADER, rows)
-    except OSError as err:
-        raise _CliFailure(EXIT_IO, f"cannot write aggregate: {err}")
+    _write_outputs(args.out, {}, {"aggregate.csv": (SWEEP_HEADER, rows)})
     if not args.quiet:
         print(f"{len(rows) - failures}/{len(rows)} runs succeeded")
     if failures == len(rows):

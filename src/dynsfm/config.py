@@ -1,11 +1,18 @@
 """Run configuration: a single JSON document with strict validation.
 
-Unknown keys are rejected by name so typos in sweep studies fail loudly
-instead of silently falling back to defaults.
+The dataclasses are the schema. The fields of RunConfig, and of the
+NoiseSpec and SolverOptions in its noise and solver sections, are the
+allowed keys; each field's declared type picks its parser (float, int,
+an [order, window] tuple, or a str that validate() checks), and a key
+the document leaves out keeps its default. Unknown keys are rejected by
+name so typos in sweep studies fail loudly instead of silently falling
+back to defaults. The writer is dataclasses.asdict, except that a
+config file holds flow_filter as {"order", "window"}.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 
 from .errors import ConfigError
 from .simulate import NoiseSpec
@@ -61,7 +68,11 @@ class RunConfig:
         if window % 2 == 0 or not (2 <= order < window):
             raise ConfigError("flow_filter: need odd window and "
                               "2 <= order < window")
-        frames = int(round(self.duration / self.t_s))
+        frames = self.duration / self.t_s
+        if not math.isfinite(frames):
+            raise ConfigError(f"t_s: {self.t_s!r} is too small for a "
+                              f"{self.duration!r} s run")
+        frames = int(round(frames))
         if self.flow_mode == "numeric" and window > frames:
             raise ConfigError(f"flow_filter: window {window} is longer than "
                               f"the run's {frames} frames")
@@ -69,17 +80,11 @@ class RunConfig:
             self.solver.validate()
         except ValueError as err:
             raise ConfigError(f"solver: {err}") from err
+        if self.solver.reg_filter[1] > frames:
+            raise ConfigError(f"solver.reg_filter: window "
+                              f"{self.solver.reg_filter[1]} is longer than "
+                              f"the run's {frames} frames")
         return self
-
-
-_NOISE_KEYS = {"gyro_std", "accel_std", "image_rel_std", "seed"}
-_SOLVER_NUMBERS = ("lambda_R", "lambda_tau", "lambda_nu")
-_SOLVER_FILTERS = ("omega_dot_filter", "reg_filter")
-_SOLVER_KEYS = {*_SOLVER_NUMBERS, *_SOLVER_FILTERS, "omega_dot_mode",
-                "reflection_resolution"}
-_TOP_KEYS = {"schema_version", "duration", "t_s", "points", "extent",
-             "amp_trans", "amp_rot", "noise", "solver", "flow_mode",
-             "flow_filter", "seed"}
 
 
 def _object(d, allowed, where):
@@ -112,89 +117,63 @@ def _integer(value, name):
     raise ConfigError(f"{name}: must be an integer, got {value!r}")
 
 
-def options_from_dict(d, where="options"):
-    """SolverOptions of a JSON object: a solver-options file, or the
-    solver section of a config (where="solver"). Every error is a
-    ConfigError that names where."""
-    _object(d, _SOLVER_KEYS, where)
-    fields = {}
-    for key, value in d.items():
-        name = f"{where}.{key}"
-        if key in _SOLVER_NUMBERS:
-            fields[key] = _number(value, name)
-        elif key in _SOLVER_FILTERS:
-            if not isinstance(value, (list, tuple)) or len(value) != 2:
-                raise ConfigError(f"{name}: need [order, window], "
-                                  f"got {value!r}")
-            fields[key] = tuple(_integer(v, name) for v in value)
-        else:
-            fields[key] = value
-    opts = SolverOptions(**fields)
+def _pair(value, name):
+    """An [order, window] filter spec as a tuple of two ints."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{name}: need [order, window], got {value!r}")
+    return tuple(_integer(v, name) for v in value)
+
+
+_PARSERS = {float: _number, int: _integer, tuple: _pair,
+            str: lambda value, name: value}  # validate() checks a str
+
+
+def _parse(cls, d, path=None):
+    """The dataclass cls of the JSON object d, whose keys are field names
+    of cls. Each value is parsed by its field's declared type; a nested
+    dataclass recurses with its field path (path.name) as the prefix of
+    its error messages, and a field d leaves out keeps its default. path
+    None is the top level of a config: bare field names."""
+    _object(d, {f.name for f in fields(cls)}, path or "config")
+    values = {}
+    for f in fields(cls):
+        if f.name in d:
+            parse = _PARSERS.get(f.type) or partial(_parse, f.type)
+            values[f.name] = parse(d[f.name],
+                                   f"{path}.{f.name}" if path else f.name)
+    return cls(**values)
+
+
+def options_from_dict(d):
+    """SolverOptions of a solver-options JSON object; every error is a
+    ConfigError that names options.<field>."""
+    opts = _parse(SolverOptions, d, "options")
     try:
         opts.validate()
     except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from err
+        raise ConfigError(f"options: {err}") from err
     return opts
 
 
-def options_to_dict(opts):
-    return {"lambda_R": float(opts.lambda_R),
-            "lambda_tau": float(opts.lambda_tau),
-            "lambda_nu": float(opts.lambda_nu),
-            "omega_dot_mode": opts.omega_dot_mode,
-            "omega_dot_filter": [int(v) for v in opts.omega_dot_filter],
-            "reg_filter": [int(v) for v in opts.reg_filter],
-            "reflection_resolution": opts.reflection_resolution}
-
-
 def config_from_dict(d):
-    _object(d, _TOP_KEYS, "config")
-    if d.get("schema_version", CONFIG_SCHEMA_VERSION) != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version: unsupported value {d.get('schema_version')!r}")
-    cfg = RunConfig()
-    for key in ("duration", "t_s", "extent", "amp_trans", "amp_rot"):
-        if key in d:
-            setattr(cfg, key, _number(d[key], key))
-    for key in ("points", "seed"):
-        if key in d:
-            setattr(cfg, key, _integer(d[key], key))
-    if "flow_mode" in d:
-        cfg.flow_mode = d["flow_mode"]
-    if "flow_filter" in d:
-        ff = _object(d["flow_filter"], {"order", "window"}, "flow_filter")
+    doc = dict(_object(d, {"schema_version", *(f.name for f in
+                                               fields(RunConfig))}, "config"))
+    version = doc.pop("schema_version", CONFIG_SCHEMA_VERSION)
+    if _integer(version, "schema_version") != CONFIG_SCHEMA_VERSION:
+        raise ConfigError(f"schema_version: unsupported value {version!r}")
+    if "flow_filter" in doc:
+        ff = _object(doc["flow_filter"], {"order", "window"}, "flow_filter")
         if len(ff) != 2:
             raise ConfigError("flow_filter: need order and window")
-        cfg.flow_filter = (_integer(ff["order"], "flow_filter.order"),
-                           _integer(ff["window"], "flow_filter.window"))
-    if "noise" in d:
-        n = _object(d["noise"], _NOISE_KEYS, "noise")
-        cfg.noise = NoiseSpec(
-            **{key: _number(n.get(key, 0.0), f"noise.{key}")
-               for key in ("gyro_std", "accel_std", "image_rel_std")},
-            seed=_integer(n.get("seed", 0), "noise.seed"))
-    if "solver" in d:
-        cfg.solver = options_from_dict(d["solver"], "solver")
-    return cfg.validate()
+        doc["flow_filter"] = [_integer(ff[key], f"flow_filter.{key}")
+                              for key in ("order", "window")]
+    return _parse(RunConfig, doc).validate()
 
 
 def config_to_dict(cfg):
-    return {"schema_version": CONFIG_SCHEMA_VERSION,
-            "duration": cfg.duration,
-            "t_s": cfg.t_s,
-            "points": cfg.points,
-            "extent": cfg.extent,
-            "amp_trans": cfg.amp_trans,
-            "amp_rot": cfg.amp_rot,
-            "noise": {"gyro_std": cfg.noise.gyro_std,
-                      "accel_std": cfg.noise.accel_std,
-                      "image_rel_std": cfg.noise.image_rel_std,
-                      "seed": cfg.noise.seed},
-            "solver": options_to_dict(cfg.solver),
-            "flow_mode": cfg.flow_mode,
-            "flow_filter": {"order": cfg.flow_filter[0],
-                            "window": cfg.flow_filter[1]},
-            "seed": cfg.seed}
+    order, window = cfg.flow_filter
+    return {"schema_version": CONFIG_SCHEMA_VERSION, **asdict(cfg),
+            "flow_filter": {"order": order, "window": window}}
 
 
 def reference_config(seed=0):

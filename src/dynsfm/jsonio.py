@@ -7,10 +7,11 @@ are LF everywhere.
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
-from .config import options_from_dict, options_to_dict
+from .config import options_from_dict
 from .errors import DimensionMismatch
 from .simulate import (Dataset, MeasurementSet, NoiseSpec, Scene, Trajectory)
 from .solver import Reconstruction
@@ -117,13 +118,6 @@ def _csv_row(row):
     return ",".join(FLOAT if f else "%s" for f in is_float) % tuple(row)
 
 
-def noise_spec_to_dict(spec):
-    return {"gyro_std": float(spec.gyro_std),
-            "accel_std": float(spec.accel_std),
-            "image_rel_std": float(spec.image_rel_std),
-            "seed": int(spec.seed)}
-
-
 def noise_spec_from_dict(d):
     return NoiseSpec(gyro_std=d["gyro_std"], accel_std=d["accel_std"],
                      image_rel_std=d["image_rel_std"], seed=d["seed"])
@@ -151,7 +145,7 @@ def dataset_to_dict(ds):
             "scene": ds.scene.points,
             "trajectory": frames,
             "measurements": mdict,
-            "noise_spec": noise_spec_to_dict(ds.noise_spec),
+            "noise_spec": asdict(ds.noise_spec),
             "seed": int(ds.seed)}
 
 
@@ -199,7 +193,7 @@ def reconstruction_to_dict(recon):
         "gravity": recon.gravity,
         "structure": recon.structure,
         "residuals": {k: float(v) for k, v in recon.residuals.items()},
-        "options": options_to_dict(recon.options)}
+        "options": asdict(recon.options)}
 
 
 def reconstruction_from_dict(d):

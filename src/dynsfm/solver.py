@@ -20,7 +20,7 @@ from . import banded, so3
 from .derivatives import omega_dot_series, savgol_filter
 from .errors import (DynSfmError, IllConditionedWarning, IndefiniteQ,
                      LengthMismatch, NumericalFailure, RankDeficient,
-                     SingularTransform, TooFewFramesOrPoints)
+                     SeriesTooShort, SingularTransform, TooFewFramesOrPoints)
 from .simulate import PROJECTOR
 
 COND_LIMIT = 1e12  # normal-equation condition number a stage does not trust
@@ -502,16 +502,10 @@ def _omega_dot_for(measurements, options):
     mode = options.omega_dot_mode
     if mode == "auto":
         mode = "euler" if measurements.torque is not None else "numeric"
-    if mode == "euler":
-        return omega_dot_series(measurements.gyro, "euler", measurements.t_s,
-                                inertia=measurements.inertia,
-                                torque=measurements.torque)
-    if mode == "numeric":
-        filt = savgol_filter(options.omega_dot_filter[0],
-                             options.omega_dot_filter[1], 1)
-        return omega_dot_series(measurements.gyro, "numeric",
-                                measurements.t_s, filt=filt)
-    return omega_dot_series(measurements.gyro, "zero", measurements.t_s)
+    return omega_dot_series(measurements.gyro, mode, measurements.t_s,
+                            inertia=measurements.inertia,
+                            torque=measurements.torque,
+                            filt=savgol_filter(*options.omega_dot_filter, 1))
 
 
 def _require_finite(**arrays):
@@ -565,7 +559,11 @@ def reconstruct(measurements, options=None):
             W=W, C=C, m_hat=m_hat)
         _require_finite(rotations=rotations, structure=structure)
         stage = "recover_translations"
-        reg = savgol_filter(options.reg_filter[0], options.reg_filter[1], 1)
+        if options.reg_filter[1] > len(omega):
+            # no window center exists, so no regularizer row would be built
+            raise SeriesTooShort(f"reg_filter window {options.reg_filter[1]}"
+                                 f" is longer than the {len(omega)} frames")
+        reg = savgol_filter(*options.reg_filter, 1)
         tau, nu, gravity, tr_info = recover_translations(
             m_hat, rotations, omega, domega, measurements.accel,
             measurements.t_s, options.lambda_tau, options.lambda_nu, reg)

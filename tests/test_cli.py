@@ -522,6 +522,56 @@ def test_flow_window_longer_than_run_is_config_error(command, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("t_s", 5e-324), ("solver", {"reg_filter": [1, 31]}),
+    ("schema_version", True), ("schema_version", "1")],
+    ids=["t_s-overflows-frame-count", "reg-window-longer-than-run",
+         "boolean-schema-version", "string-schema-version"])
+def test_pipeline_rejects_config_out_of_range(key, value, tmp_path, capfd):
+    # duration / t_s overflows to inf; a 31-tap regularizer filter has no
+    # center in 30 frames, so no regularizer row would be built; True and
+    # "1" are not the schema version 1
+    doc = dict(_one_second_config_doc(), **{key: value})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, err = _error_run("pipeline", "--config", path, "--out", out,
+                           "--quiet", capfd=capfd)
+    assert code == 2
+    name = "reg_filter" if key == "solver" else key
+    assert len(err) == 1 and err[0].startswith("error: ") and name in err[0]
+    assert not out.exists()
+
+
+def test_solve_reg_window_longer_than_run_is_solver_error(tmp_path, capfd):
+    # the 1 s dataset has 30 frames, too few for a 31-tap regularizer filter
+    paths = {name: tmp_path / f"{name}.json"
+             for name in ("dataset", "options")}
+    paths["dataset"].write_text(json.dumps(_one_second_dataset_doc()))
+    paths["options"].write_text(json.dumps({"reg_filter": [1, 31]}))
+    out = tmp_path / "r.json"
+    code, err = _error_run("solve", "--dataset", paths["dataset"],
+                           "--options", paths["options"], "--out", out,
+                           "--quiet", capfd=capfd)
+    assert code == 4
+    assert (len(err) == 1 and err[0].startswith("error: ")
+            and "[recover_translations]" in err[0])
+    assert not out.exists()
+
+
+def test_sweep_unwritable_out_is_io_error(small_cfg_path, tmp_path, capfd):
+    # the parent of --out is a regular file
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"seeds": [0]}))
+    code, err = _error_run("sweep", "--config", small_cfg_path, "--sweep",
+                           spec, "--out", blocker / "out", "--quiet",
+                           capfd=capfd)
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 @pytest.mark.parametrize("spec", [
     {"seeds": [3.9, True], "noise_scales": ["0.5"]}, {"seeds": [True]},
     {"noise_scales": ["0.5"]}],

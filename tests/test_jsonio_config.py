@@ -1,11 +1,13 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from dynsfm import jsonio
-from dynsfm.config import (config_from_dict, config_to_dict, options_from_dict,
-                           reference_config, reference_noise_config)
+from dynsfm.config import (RunConfig, config_from_dict, config_to_dict,
+                           options_from_dict, reference_config,
+                           reference_noise_config)
 from dynsfm.errors import ConfigError
 from dynsfm.simulate import NoiseSpec, simulate_dataset
 from dynsfm.solver import SolverOptions, reconstruct
@@ -176,3 +178,46 @@ def test_config_accepts_integral_numbers():
     cfg = config_from_dict(doc)
     assert (cfg.points, cfg.seed, cfg.duration) == (8, 3, 5.0)
     assert type(cfg.points) is int and type(cfg.duration) is float
+
+
+# every field of a config document as (its section, its name); read from
+# the dataclasses, so a field declared later is covered too
+CONFIG_FIELDS = [(section, f.name) for section, cls in (
+    (None, RunConfig), ("noise", NoiseSpec), ("solver", SolverOptions))
+    for f in fields(cls)]
+
+
+@pytest.mark.parametrize("section, name", CONFIG_FIELDS,
+                         ids=[".".join(filter(None, key))
+                              for key in CONFIG_FIELDS])
+def test_config_rejects_wrong_type_in_every_field(section, name):
+    for value in (True, "x", None, [1]):
+        doc = json.loads(jsonio.dumps(config_to_dict(reference_config())))
+        (doc[section] if section else doc)[name] = value
+        with pytest.raises(ConfigError, match=name):
+            config_from_dict(doc)
+
+
+def test_config_roundtrip_with_every_field_changed():
+    cfg = RunConfig(duration=4.0, t_s=0.025, points=10, extent=3.0,
+                    amp_trans=0.2, amp_rot=0.4,
+                    noise=NoiseSpec(0.01, 0.02, 0.003, seed=5),
+                    solver=SolverOptions(2.0, 3.0, 4.0, "numeric", (3, 7),
+                                         (2, 5), "positive"),
+                    flow_mode="numeric", flow_filter=(3, 9), seed=7)
+    for value, default in ((cfg, RunConfig()), (cfg.noise, NoiseSpec()),
+                           (cfg.solver, SolverOptions())):
+        for f in fields(value):
+            assert getattr(value, f.name) != getattr(default, f.name), f.name
+    doc = json.loads(jsonio.dumps(config_to_dict(cfg)))
+    assert config_from_dict(doc) == cfg.validate()
+
+
+def test_config_schema_version_is_an_integer():
+    doc = config_to_dict(reference_config())
+    for version in (1, 1.0):
+        assert (config_from_dict(dict(doc, schema_version=version))
+                == reference_config())
+    for version in (True, "1", 2):
+        with pytest.raises(ConfigError, match="schema_version"):
+            config_from_dict(dict(doc, schema_version=version))
