@@ -80,10 +80,14 @@ class RunConfig:
             self.solver.validate()
         except ValueError as err:
             raise ConfigError(f"solver: {err}") from err
-        if self.solver.reg_filter[1] > frames:
-            raise ConfigError(f"solver.reg_filter: window "
-                              f"{self.solver.reg_filter[1]} is longer than "
-                              f"the run's {frames} frames")
+        # a simulated run carries torque: only "numeric" mode filters the gyro
+        windows = {"reg_filter": self.solver.reg_filter[1]}
+        if self.solver.omega_dot_mode == "numeric":
+            windows["omega_dot_filter"] = self.solver.omega_dot_filter[1]
+        for name, window in windows.items():
+            if window > frames:
+                raise ConfigError(f"solver.{name}: window {window} is longer "
+                                  f"than the run's {frames} frames")
         return self
 
 

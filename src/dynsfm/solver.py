@@ -78,21 +78,16 @@ class Reconstruction:
 
 
 def lstsq_checked(A, b, label="lstsq"):
-    """Least squares with conditioning and normal-equation diagnostics.
-
-    Returns (x, info) where info holds the normal-equation condition
-    number and the relative normal-equation residual. A condition number
-    above COND_LIMIT raises an IllConditionedWarning (reported, not fatal).
+    """Least squares with a conditioning check: returns x. A
+    normal-equation condition number above COND_LIMIT raises an
+    IllConditionedWarning (reported, not fatal).
     """
     x, _, _, sv = np.linalg.lstsq(A, b, rcond=None)
     cond = float((sv[0] / sv[-1]) ** 2) if sv[-1] > 0 else np.inf
     if cond > COND_LIMIT:
         warnings.warn(f"{label}: normal-equation condition number {cond:.2e}",
                       IllConditionedWarning)
-    At_res = A.T @ (A @ x - b)
-    denom = np.linalg.norm(A.T @ b)
-    normal_ratio = float(np.linalg.norm(At_res) / denom) if denom > 0 else 0.0
-    return x, {"cond": cond, "normal_ratio": normal_ratio}
+    return x
 
 
 def assemble_W(measurements):
@@ -198,7 +193,7 @@ def fix_similarity(Mt, St):
     transform K = [[I, 0], [k^T]] (and its inverse) to the factors.
     """
     P = St.shape[1]
-    k, _ = lstsq_checked(St.T, np.ones(P), "fix_similarity")
+    k = lstsq_checked(St.T, np.ones(P), "fix_similarity")
     if abs(k[3]) < 1e-12:
         raise SingularTransform("similarity transform is singular")
     K = np.eye(4)
@@ -305,7 +300,7 @@ def metric_upgrade(M2):
                   else mi[..., a] * mj[..., c] + mi[..., c] * mj[..., a]
                   for a, c in zip(I, J)], axis=-1).reshape(6 * F, 6)
     b = np.tile((I == J).astype(float), F)
-    q, _ = lstsq_checked(A, b, "metric_upgrade")
+    q = lstsq_checked(A, b, "metric_upgrade")
     Q = np.array([[q[0], q[1], q[2]],
                   [q[1], q[3], q[4]],
                   [q[2], q[4], q[5]]])
@@ -419,40 +414,6 @@ def translation_blocks(m_hat, rotations, omega, domega, accel, t_s,
             reg_rhs.reshape(n_centers, 6))
 
 
-def translation_system(m_hat, rotations, omega, domega, accel, t_s,
-                       lambda_tau, lambda_nu, reg_filter=None):
-    """Assemble the dense (A, b) of the translation/velocity/gravity solve
-    by scattering the translation_blocks rows.
-
-    Unknown ordering: x = stack(tau_1..tau_F, nu_1..nu_F, g). Rows: the
-    data rows order-major (order, frame, row), then six regularizer rows
-    per filter center. Used by the ill-conditioning fallback of
-    recover_translations and as the test oracle.
-    """
-    data, data_rhs, reg, reg_rhs = translation_blocks(
-        m_hat, rotations, omega, domega, accel, t_s, lambda_tau, lambda_nu,
-        reg_filter)
-    F, n_centers, win = len(data), len(reg), (reg.shape[2] - 3) // 6
-    n_data = 6 * F
-    A = np.zeros((n_data + 6 * n_centers, 6 * F + 3))
-    b = np.zeros(n_data + 6 * n_centers)
-    f = np.arange(F)
-    blocks = data.reshape(F, 3, 2, 3, 3)
-    A[:n_data, :6 * F].reshape(3, F, 2, 2, F, 3)[:, f, :, :, f] = (
-        blocks[:, :, :, :2])
-    A[:n_data, 6 * F:].reshape(3, F, 2, 3)[:] = (
-        blocks[:, :, :, 2].transpose(1, 0, 2, 3))
-    b[:n_data] = data_rhs.reshape(F, 3, 2).transpose(1, 0, 2).ravel()
-    c = np.arange(n_centers)
-    rows = A[n_data:, :6 * F].reshape(n_centers, 2, 3, 2, F, 3)
-    taps = reg[:, :, :6 * win].reshape(n_centers, 2, 3, win, 2, 3)
-    for k in range(win):
-        rows[c, :, :, :, c + k] = taps[:, :, :, k]
-    A[n_data:, 6 * F:] = reg[:, :, 6 * win:].reshape(6 * n_centers, 3)
-    b[n_data:] = reg_rhs.ravel()
-    return A, b
-
-
 def recover_translations(m_hat, rotations, omega, domega, accel, t_s,
                          lambda_tau, lambda_nu, reg_filter=None):
     """Linear solve for body translations, velocities and gravity.
@@ -469,33 +430,35 @@ def recover_translations(m_hat, rotations, omega, domega, accel, t_s,
     with D the filter derivative. The block rows span one frame (data)
     or one filter window (regularizer) of the per-frame unknowns
     (tau_f, nu_f), with gravity as a 3-column border, so banded.lstsq
-    solves them in O(F). When its normal matrix is not numerically
-    positive definite, or its estimated condition number exceeds
-    COND_LIMIT, the dense least-squares solve of translation_system runs
-    instead: near-degenerate motion is resolved only there. Returns
-    (tau, nu, gravity, info).
+    solves them in O(F).
+
+    Returns (tau, nu, gravity, info): info["residual"] is the norm of the
+    stacked residual, data and regularizer rows; "cond" and
+    "normal_ratio" are as in recover_rotation_blocks. Raises
+    RankDeficient when the normal matrix is not numerically positive
+    definite (no filter window fits, or an exact null family such as
+    static hover). A condition estimate above COND_LIMIT raises an
+    IllConditionedWarning and the banded solution is returned: its
+    weakly observable components (depth at near-zero rotation rate) are
+    not recovered.
     """
-    args = (m_hat, rotations, omega, domega, accel, t_s, lambda_tau,
-            lambda_nu, reg_filter)
-    data, data_rhs, reg, reg_rhs = translation_blocks(*args)
+    data, data_rhs, reg, reg_rhs = translation_blocks(
+        m_hat, rotations, omega, domega, accel, t_s, lambda_tau, lambda_nu,
+        reg_filter)
     try:
         z, g, cond, normal_ratio, res = banded.lstsq(
             [data, reg], [data_rhs[..., None], reg_rhs[..., None]], 6, 3)
-        if cond <= COND_LIMIT:
-            return z[:, :3, 0].copy(), z[:, 3:, 0].copy(), g[:, 0], {
-                "cond": cond, "normal_ratio": normal_ratio,
-                "residual": float(np.linalg.norm(
-                    np.concatenate([r.ravel() for r in res])))}
     except np.linalg.LinAlgError:
-        pass
-    F = len(rotations)
-    A, b = translation_system(*args)
-    x, info = lstsq_checked(A, b, "recover_translations")
-    info["residual"] = float(np.linalg.norm(A @ x - b))
-    tau = x[:3 * F].reshape(F, 3)
-    nu = x[3 * F:6 * F].reshape(F, 3)
-    gravity = x[6 * F:]
-    return tau, nu, gravity, info
+        raise RankDeficient("normal matrix is not positive definite") from None
+    if cond > COND_LIMIT:
+        warnings.warn(
+            f"recover_translations: normal-equation condition number "
+            f"{cond:.2e} above {COND_LIMIT:.0e}; the weakly observable "
+            f"components are not recovered", IllConditionedWarning)
+    return z[:, :3, 0].copy(), z[:, 3:, 0].copy(), g[:, 0], {
+        "cond": cond, "normal_ratio": normal_ratio,
+        "residual": float(np.linalg.norm(
+            np.concatenate([r.ravel() for r in res])))}
 
 
 def _omega_dot_for(measurements, options):

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import dynsfm
 from dynsfm.config import reference_config, reference_noise_config
 from dynsfm.derivatives import savgol_filter
+from dynsfm.solver import translation_blocks
+
+# one profile for every property test: the same examples on every run, and
+# no example database written to disk
+settings.register_profile("dynsfm", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("dynsfm")
 
 
 def make_dataset(cfg):
@@ -87,6 +95,40 @@ def dense_rotation_system(Mt_cols, C, omega, domega, t_s, lambda_R):
     A = np.vstack([dense_C(C), np.sqrt(lambda_R) * CR])
     B = np.vstack([Mt_cols, np.zeros((CR.shape[0], 3))])
     return A, B
+
+
+def translation_system(m_hat, rotations, omega, domega, accel, t_s,
+                       lambda_tau, lambda_nu, reg_filter=None):
+    """The dense (A, b) of the translation/velocity/gravity solve, the
+    translation_blocks rows scattered into one matrix: the oracle of
+    recover_translations.
+
+    Unknown ordering: x = stack(tau_1..tau_F, nu_1..nu_F, g). Rows: the
+    data rows order-major (order, frame, row), then six regularizer rows
+    per filter center.
+    """
+    data, data_rhs, reg, reg_rhs = translation_blocks(
+        m_hat, rotations, omega, domega, accel, t_s, lambda_tau, lambda_nu,
+        reg_filter)
+    F, n_centers, win = len(data), len(reg), (reg.shape[2] - 3) // 6
+    n_data = 6 * F
+    A = np.zeros((n_data + 6 * n_centers, 6 * F + 3))
+    b = np.zeros(n_data + 6 * n_centers)
+    f = np.arange(F)
+    blocks = data.reshape(F, 3, 2, 3, 3)
+    A[:n_data, :6 * F].reshape(3, F, 2, 2, F, 3)[:, f, :, :, f] = (
+        blocks[:, :, :, :2])
+    A[:n_data, 6 * F:].reshape(3, F, 2, 3)[:] = (
+        blocks[:, :, :, 2].transpose(1, 0, 2, 3))
+    b[:n_data] = data_rhs.reshape(F, 3, 2).transpose(1, 0, 2).ravel()
+    c = np.arange(n_centers)
+    rows = A[n_data:, :6 * F].reshape(n_centers, 2, 3, 2, F, 3)
+    taps = reg[:, :, :6 * win].reshape(n_centers, 2, 3, win, 2, 3)
+    for k in range(win):
+        rows[c, :, :, :, c + k] = taps[:, :, :, k]
+    A[n_data:, 6 * F:] = reg[:, :, 6 * win:].reshape(6 * n_centers, 3)
+    b[n_data:] = reg_rhs.ravel()
+    return A, b
 
 
 def random_rotation(rng):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynsfm import banded
 
@@ -47,6 +49,37 @@ def test_lstsq_matches_dense_lstsq(F, d, border, k, spans):
     exact = np.linalg.cond(A.T @ A, 1)
     assert exact / 3 <= cond <= exact * (1 + 1e-9)
     assert normal_ratio < 1e-12
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_lstsq_matches_dense_lstsq_around_group_boundaries(data):
+    # F on and around the group size s and the second group boundary:
+    # the padded frames of the last group, a lone frame in it, and
+    # exactly full groups; one span-1 list of d + 1 rows keeps the
+    # normal matrix positive definite, the others span up to 4 frames
+    d = data.draw(st.sampled_from([3, 6]), "d")
+    border = data.draw(st.sampled_from([0, 3]), "border")
+    k = data.draw(st.sampled_from([1, 3]), "k")
+    spans = [(d + 1, 1)] + data.draw(st.lists(st.tuples(
+        st.integers(1, d), st.integers(1, 4)), max_size=3), "spans")
+    s = max(banded.GROUP_UNKNOWNS // d, max(w for _, w in spans) - 1)
+    F = data.draw(st.sampled_from([s - 1, s, s + 1, 2 * s + 1]), "F")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    blocks, rhs = random_lists(rng, F, d, border, k, spans)
+    # a weak first list raises the condition number by up to 1e6
+    blocks[0] *= data.draw(st.sampled_from([1.0, 1e-3]), "scale")
+    z, g, cond, normal_ratio, res = banded.lstsq(blocks, rhs, d, border)
+    A, b = dense(blocks, rhs, d, border, F)
+    x = np.linalg.lstsq(A, b, rcond=None)[0]
+    exact = np.linalg.cond(A.T @ A, 1)
+    assert exact / 3 <= cond <= exact * (1 + 1e-9)
+    # the normal equations bound the forward error by ~eps cond(N)
+    tol = 10 * np.finfo(float).eps * exact * np.linalg.norm(x)
+    assert np.linalg.norm(z.reshape(d * F, k) - x[:d * F]) <= tol
+    assert np.linalg.norm(g - x[d * F:]) <= tol
+    r = np.vstack([part.reshape(-1, k) for part in res])
+    assert np.linalg.norm(r - (A @ x - b)) <= tol * np.linalg.norm(A, 2)
 
 
 def test_lstsq_singular_frame_raises():

@@ -292,7 +292,7 @@ def _mutate(draw, doc):
     return f"{kind} {name}"
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+@settings(max_examples=60,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_solve_rejects_every_invalid_dataset(data, tmp_path, capfd):
@@ -418,7 +418,7 @@ INVALID_DOCUMENTS = {
 }
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+@settings(max_examples=80,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_cli_rejects_every_invalid_document(data, tmp_path, capfd):
@@ -541,6 +541,26 @@ def test_pipeline_rejects_config_out_of_range(key, value, tmp_path, capfd):
     name = "reg_filter" if key == "solver" else key
     assert len(err) == 1 and err[0].startswith("error: ") and name in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, expected", [("numeric", 2), ("auto", 0)])
+def test_pipeline_omega_dot_window_longer_than_run(mode, expected, tmp_path,
+                                                   capfd):
+    # 1 s at 30 Hz is 30 frames, too few for a 31-tap numeric omega-dot
+    # filter; in auto mode the simulated dataset carries torque, so the
+    # Euler equation gives omega-dot and the filter is never applied
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "duration": 1.0,
+        "solver": {"omega_dot_mode": mode, "omega_dot_filter": [2, 31]}}))
+    out = tmp_path / "out"
+    code, err = _error_run("pipeline", "--config", path, "--out", out,
+                           "--quiet", capfd=capfd)
+    assert code == expected
+    if expected:
+        assert (len(err) == 1 and err[0].startswith("error: ")
+                and "solver.omega_dot_filter" in err[0])
+        assert not out.exists()
 
 
 def test_solve_reg_window_longer_than_run_is_solver_error(tmp_path, capfd):

@@ -86,7 +86,7 @@ def test_polynomial_exactness_up_to_order():
         assert np.abs(out - expected).max() / scale < 1e-10
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.floats(-3, 3), st.floats(-3, 3), st.integers(0, 2 ** 31))
 def test_linearity(a, b, seed):
     rng = np.random.default_rng(seed)
