@@ -8,16 +8,22 @@ solves them: the per-frame part N_zz is banded, so frames are cut into
 groups of s, s at least the largest span minus one, and N_zz is block
 tridiagonal in the groups. It is stored as P of shape (groups, m, 2 m),
 m = d s: P[i] = [N_ii | N_i,i+1], the last group's right half unused.
-The border is eliminated through its Schur complement, the arrowhead
-elimination of bundle adjustment.
+N_zz is factored by block cyclic reduction, ~log2(groups) batched numpy
+steps with no per-group Python loop. The border is eliminated through
+its Schur complement, the arrowhead elimination of bundle adjustment.
 """
 
 import numpy as np
 
 # Unknowns per diagonal block of the group storage (6 per frame for the
-# translations, 3 for the rotations): fewer, larger blocks mean fewer
-# Python-level steps per banded solve.
-GROUP_UNKNOWNS = 36
+# translations, 3 for the rotations). With cyclic reduction the Python
+# steps grow only with log2(groups), and smaller blocks cost fewer flops
+# and less memory: a 5 s, 60 Hz reconstruct (F=300) took a median ~22 ms
+# and peaked at 3.1 MB with 24, ~24 ms and 3.6 MB with 30, ~26 ms and
+# 4.1 MB with 36 (2 vCPUs). The tests need s >= 4 frames for the
+# translations (their block rows span up to 4 frames), so 24 is the
+# smallest value they allow.
+GROUP_UNKNOWNS = 24
 
 
 def lstsq(blocks, rhs, d, border=0):
@@ -34,43 +40,58 @@ def lstsq(blocks, rhs, d, border=0):
     cond is a 1-norm estimate of the normal matrix's condition number,
     normal_ratio |N x - A^T b| / |A^T b| with N x - A^T b formed as A^T r,
     and residuals the block residuals r = block @ x - rhs of each list.
-    Raises np.linalg.LinAlgError when the normal matrix is not numerically
-    positive definite. The frames that fill the last group carry an
-    identity block and no coupling, so their unknowns solve to zero.
+    Raises np.linalg.LinAlgError when the lists hold fewer rows than
+    unknowns (d F + border), whatever the rounding, or when the normal
+    matrix is not numerically positive definite. The frames that fill
+    the last group carry an identity block and no coupling, so their
+    unknowns solve to zero.
     """
     widths = [(block.shape[2] - border) // d for block in blocks]
     F = max(len(block) + w - 1 for block, w in zip(blocks, widths))
+    n = d * F + border
+    if sum(block.shape[0] * block.shape[1] for block in blocks) < n:
+        raise np.linalg.LinAlgError("fewer rows than unknowns")
     s = max(GROUP_UNKNOWNS // d, max(widths) - 1)
     m = d * s
     P, Nzg, Ngg = _normal_matrix(F, s, d, border, blocks, widths)
     norm = _norm1(F, d, P, Nzg, Ngg)
     rz, rg = _apply_transpose(len(Nzg), d, border, blocks, widths, rhs)
-    Linv, V = cholesky(P)
-    X = solve(Linv, V, np.concatenate(
-        [Nzg.reshape(len(P), m, border), rz.reshape(len(P), m, -1)], axis=2))
-    Xg = X[..., :border].reshape(len(P) * m, border)
-    Nzg_rows = Nzg.reshape(len(P) * m, border)
-    S = Ngg - Nzg_rows.T @ Xg
-    np.linalg.cholesky(S)  # raises unless S is positive definite
+    k = rg.shape[1]
+    # the estimator's two fixed probes ride along as extra columns
+    probe = probes(n)
+    pz = np.zeros((len(Nzg) * d, 2))
+    pz[:d * F] = probe[:d * F]
+    levels = cholesky(P)
+    X = solve(levels, np.concatenate(
+        [Nzg.reshape(len(P), m, border), rz.reshape(len(P), m, k),
+         pz.reshape(len(P), m, 2)], axis=2)).reshape(len(P) * m, -1)
+    if border:
+        Xg = X[:, :border]
+        Nzg_rows = Nzg.reshape(len(P) * m, border)
+        S = Ngg - Nzg_rows.T @ Xg
+        np.linalg.cholesky(S)  # raises unless S is positive definite
 
     def bordered(u, vg):
         """Bordered solve from u = N_zz^{-1} v_z (rows of z)."""
+        if not border:
+            return u, vg
         g = np.linalg.solve(S, vg - Nzg_rows.T @ u)
         return u - Xg @ g, g
 
     # a contiguous u: the strided column view takes another BLAS path
-    z, g = bordered(np.ascontiguousarray(X[..., border:]).reshape(
-        len(P) * m, -1), rg)
-    z = z.reshape(-1, d, rg.shape[1])[:F]
+    zs, gs = bordered(np.ascontiguousarray(X[:, border:]),
+                      np.concatenate([rg, probe[d * F:]], axis=1))
+    z, g = zs[:d * F, :k].reshape(F, d, k).copy(), gs[:, :k]
 
     def solve_flat(v):
         vz = np.zeros((len(Nzg), d))
         vz[:F] = v[:d * F].reshape(F, d)
-        u = solve(Linv, V, vz.reshape(-1, m, 1)).ravel()
+        u = solve(levels, vz.reshape(-1, m, 1)).ravel()
         uz, ug = bordered(u, v[d * F:])
         return np.concatenate([uz[:d * F], ug])
 
-    cond = norm * inverse_norm1(solve_flat, d * F + border)
+    cond = norm * inverse_norm1(
+        solve_flat, np.concatenate([zs[:d * F, k:], gs[:, k:]]))
     res = [block @ _gather(z, g, len(block), w) - b
            for block, w, b in zip(blocks, widths, rhs)]
     nz, ng = _apply_transpose(F, d, border, blocks, widths, res)
@@ -115,11 +136,16 @@ def _normal_matrix(F, s, d, border, blocks, widths):
             for k in range(w):
                 f = np.arange(k, k + n)
                 col = f % s + l - k  # frame offset from f's group start
-                keep = col >= 0  # blocks left of f's group are not stored
-                rows[f[keep], :, col[keep]] += G[keep, d * k:d * k + d]
-            Nzg[l:l + n] += G[:, d * w:].transpose(0, 2, 1)
-        g = block[:, :, d * w:]
-        Ngg += (g.transpose(0, 2, 1) @ g).sum(axis=0)
+                Gk = G[:, d * k:d * k + d]
+                if k > l:  # blocks left of f's group are not stored
+                    keep = col >= 0
+                    f, col, Gk = f[keep], col[keep], Gk[keep]
+                rows[f, :, col] += Gk
+            if border:
+                Nzg[l:l + n] += G[:, d * w:].transpose(0, 2, 1)
+        if border:
+            g = block[:, :, d * w:]
+            Ngg += (g.transpose(0, 2, 1) @ g).sum(axis=0)
     pad = np.arange(F, n_groups * s)
     rows[pad, :, pad % s] = np.eye(d)
     return P, Nzg, Ngg
@@ -134,35 +160,59 @@ def _norm1(F, d, P, Nzg, Ngg):
 
 
 def cholesky(P):
-    """Cholesky N = L L^T of the group storage P.
+    """Block cyclic reduction (odd-even elimination) of the group storage P.
 
-    Returns (Linv, V) with Linv[i] = L_ii^{-1} and V[i] = Linv[i] N_i,i+1,
-    which is L_i+1,i^T. Raises np.linalg.LinAlgError when N is not
-    numerically positive definite.
+    Each level eliminates the even-indexed groups e of the current block
+    tridiagonal matrix, in one batched step: with L_e L_e^T = N_ee, it
+    keeps Linv_e = L_e^{-1}, Xl_e = Linv_e N_e,e-1 and Xr_e = Linv_e N_e,e+1.
+    The Schur complement on the odd groups o is again block tridiagonal,
+    N_oo - Xr_o-1^T Xr_o-1 - Xl_o+1^T Xl_o+1 on the diagonal and
+    -Xl_o+1^T Xr_o+1 coupling o to o + 2, and is reduced in turn; about
+    log2(groups) levels. For N symmetric positive definite this is the
+    Cholesky factorization of N with its groups reordered, so it is as
+    stable (D. Heller, SIAM J. Numer. Anal. 13(4), 1976).
+
+    Returns the levels [(Linv, Xl, Xr)]: Xl has one block per even group
+    but the first, Xr one per even group that has a right neighbour.
+    Raises np.linalg.LinAlgError when N is not numerically positive
+    definite.
     """
     m = P.shape[1]
-    Linv, V = np.empty((len(P), m, m)), np.empty((len(P), m, m))
-    D = P[0, :, :m]
-    for i in range(len(P)):
-        Linv[i] = np.linalg.inv(np.linalg.cholesky(D))
-        V[i] = Linv[i] @ P[i, :, m:]
-        if i + 1 < len(P):
-            D = P[i + 1, :, :m] - V[i].T @ V[i]
-    return Linv, V
+    D, E = P[:, :, :m], P[:, :, m:]  # N_ii and N_i,i+1
+    levels = []
+    while len(D):
+        n_odd = len(D) // 2
+        Linv = np.linalg.inv(np.linalg.cholesky(D[0::2]))
+        Xr = Linv[:n_odd] @ E[0:2 * n_odd:2]
+        Xl = Linv[1:] @ E[1::2][:len(Linv) - 1].transpose(0, 2, 1)
+        levels.append((Linv, Xl, Xr))
+        D = D[1::2] - Xr.transpose(0, 2, 1) @ Xr
+        D[:len(Xl)] -= Xl.transpose(0, 2, 1) @ Xl
+        E = np.zeros_like(D)
+        E[:n_odd - 1] = -Xl[:n_odd - 1].transpose(0, 2, 1) @ Xr[1:]
+    return levels
 
 
-def solve(Linv, V, rhs):
-    """Solve N x = rhs, rhs (groups, m, k), with the factor of cholesky:
-    forward through L, then back through L^T."""
-    x = rhs.copy()
-    for i in range(len(x)):
-        if i:
-            x[i] -= V[i - 1].T @ x[i - 1]
-        x[i] = Linv[i] @ x[i]
-    for i in reversed(range(len(x))):
-        if i + 1 < len(x):
-            x[i] -= V[i] @ x[i + 1]
-        x[i] = Linv[i].T @ x[i]
+def solve(levels, rhs):
+    """Solve N x = rhs, rhs (groups, m, k), with the levels of cholesky:
+    down through the levels (y_e = Linv_e b_e, the odd right-hand sides
+    reduced with it), then back up (x_e = Linv_e^T (y_e - Xl_e x_e-1 -
+    Xr_e x_e+1))."""
+    ys = []
+    b = rhs
+    for Linv, Xl, Xr in levels:
+        y = Linv @ b[0::2]
+        b = b[1::2] - Xr.transpose(0, 2, 1) @ y[:len(Xr)]
+        b[:len(Xl)] -= Xl.transpose(0, 2, 1) @ y[1:]
+        ys.append(y)
+    x = b  # no unknowns are left
+    for (Linv, Xl, Xr), y in zip(reversed(levels), reversed(ys)):
+        y[:len(Xr)] -= Xr @ x
+        y[1:] -= Xl @ x[:len(Xl)]
+        full = np.empty((len(y) + len(x),) + y.shape[1:])
+        full[0::2] = Linv.transpose(0, 2, 1) @ y
+        full[1::2] = x
+        x = full
     return x
 
 
@@ -176,16 +226,29 @@ def abs_row_sums(P):
     return rows
 
 
-def inverse_norm1(solve, n):
+def probes(n):
+    """The two fixed probes of inverse_norm1 as columns (n, 2): Hager's
+    start x = 1/n and Higham's alternating-sign vector."""
+    i = np.arange(n)
+    return np.stack([np.full(n, 1.0 / n), (-1.0) ** i * (1.0 + i / (n - 1))],
+                    axis=1)
+
+
+def inverse_norm1(solve, Y):
     """Hager's estimate of |N^{-1}|_1 for symmetric N from a few solves,
     with Higham's alternating-sign safeguard (the LAPACK xLACON scheme).
-    The estimate is a lower bound, in practice within a small factor."""
+    Y = N^{-1} probes(n) is solved by the caller, together with its own
+    right-hand sides; solve(v) solves N for the other probes. The
+    estimate is a lower bound, in practice within a small factor."""
+    n = len(Y)
     x = np.full(n, 1.0 / n)
+    y = Y[:, 0]
     est = 0.0
     for it in range(5):
-        y = solve(x)
-        if it and np.abs(y).sum() <= est:
-            break
+        if it:
+            y = solve(x)
+            if np.abs(y).sum() <= est:
+                break
         est = np.abs(y).sum()
         z = solve(np.where(y >= 0, 1.0, -1.0))
         j = np.argmax(np.abs(z))
@@ -193,5 +256,4 @@ def inverse_norm1(solve, n):
             break
         x = np.zeros(n)
         x[j] = 1.0
-    alt = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / (n - 1))
-    return float(max(est, 2.0 * np.abs(solve(alt)).sum() / (3 * n)))
+    return float(max(est, 2.0 * np.abs(Y[:, 1]).sum() / (3 * n)))

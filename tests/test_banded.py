@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dynsfm
 from dynsfm import banded
 
 
@@ -99,3 +100,142 @@ def test_lstsq_singular_border_raises():
         block[:, :, -3] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
         banded.lstsq(blocks, rhs, 6, 3)
+
+
+def zero_unknown(blocks, d, border, f, j):
+    """Remove unknown j of frame f from every block row that reaches it."""
+    for block in blocks:
+        w = (block.shape[2] - border) // d
+        for i in range(max(0, f - w + 1), min(f, len(block) - 1) + 1):
+            block[i, :, d * (f - i) + j] = 0.0
+
+
+def group_frames(groups, s):
+    """A frame count that needs `groups` groups of s, the last one part
+    full when `groups` is odd."""
+    return groups * s - (groups % 2) * (s // 2)
+
+
+@pytest.mark.parametrize("d", [3, 6])
+@pytest.mark.parametrize("border", [0, 3])
+def test_norm1_matches_dense_normal_matrix(d, border):
+    # three groups, the last one part full; the span-3 list couples
+    # frames across each group boundary, so the row sums need the
+    # off-diagonal group blocks
+    rng = np.random.default_rng(d + border)
+    s = banded.GROUP_UNKNOWNS // d
+    F = group_frames(3, s)
+    blocks, rhs = random_lists(rng, F, d, border, 1, [(d + 1, 1), (2, 3)])
+    P, Nzg, Ngg = banded._normal_matrix(F, s, d, border, blocks, [1, 3])
+    A, _ = dense(blocks, rhs, d, border, F)
+    N = A.T @ A
+    rows = np.abs(N[:d * F, :d * F]).sum(axis=1)
+    assert np.allclose(banded.abs_row_sums(P).ravel()[:d * F], rows,
+                       rtol=1e-14, atol=0)
+    assert np.isclose(banded._norm1(F, d, P, Nzg, Ngg), np.linalg.norm(N, 1),
+                      rtol=1e-14, atol=0)
+
+
+def dense_normal(blocks, rhs, d, border, F):
+    """The dense normal equations (A^T A, A^T b) of block-row lists,
+    summed block row by block row."""
+    n = d * F + border
+    N, h = np.zeros((n, n)), np.zeros((n, rhs[0].shape[2]))
+    for block, b in zip(blocks, rhs):
+        w = (block.shape[2] - border) // d
+        for i in range(len(block)):
+            cols = np.r_[d * i:d * (i + w), d * F:n]
+            N[np.ix_(cols, cols)] += block[i].T @ block[i]
+            h[cols] += block[i].T @ b[i]
+    return N, h
+
+
+@pytest.mark.parametrize("groups", [1, 2, 3, 7, 8, 9, 31, 33, 70])
+@pytest.mark.parametrize("d", [3, 6])
+@pytest.mark.parametrize("border", [0, 3])
+def test_lstsq_matches_dense_solve_over_group_counts(groups, d, border):
+    # every level count of the cyclic reduction from 1 to 7, with even and
+    # odd group counts at each level
+    rng = np.random.default_rng([groups, d, border])
+    s = banded.GROUP_UNKNOWNS // d
+    F = group_frames(groups, s)
+    blocks, rhs = random_lists(rng, F, d, border, 2,
+                               [(d + 1, 1), (2, 2), (3, 3)])
+    z, g, cond, normal_ratio, _ = banded.lstsq(blocks, rhs, d, border)
+    assert -(-F // s) == groups
+    N, h = dense_normal(blocks, rhs, d, border, F)
+    N_inv = np.linalg.inv(N)
+    x = N_inv @ h
+    exact = np.linalg.norm(N, 1) * np.linalg.norm(N_inv, 1)
+    assert exact / 3 <= cond <= exact * (1 + 1e-9)
+    tol = 10 * np.finfo(float).eps * exact * np.linalg.norm(x)
+    assert np.linalg.norm(z.reshape(d * F, 2) - x[:d * F]) <= tol
+    assert np.linalg.norm(g - x[d * F:]) <= tol
+    assert normal_ratio < 1e-12
+
+
+@pytest.mark.parametrize("group", [3, 7])
+def test_lstsq_singular_unknown_in_late_level_raises(group):
+    # with 9 groups, level 0 eliminates groups 0, 2, .., 8, level 1 groups
+    # 1, 5, level 2 group 3 and level 3 group 7; the span-2 list couples
+    # the group to its neighbours, so its diagonal block reaches that
+    # level through their Schur complements
+    d = 6
+    s = banded.GROUP_UNKNOWNS // d
+    rng = np.random.default_rng(group)
+    F = 9 * s
+    blocks, rhs = random_lists(rng, F, d, 3, 1, [(d + 1, 1), (2, 2)])
+    zero_unknown(blocks, d, 3, group * s + 1, 4)
+    with pytest.raises(np.linalg.LinAlgError):
+        banded.lstsq(blocks, rhs, d, 3)
+
+
+@pytest.mark.parametrize("groups", [1, 2, 3, 7, 8, 9, 31, 33, 70])
+def test_cholesky_takes_one_batched_step_per_level(groups, monkeypatch):
+    # a per-group loop would call np.linalg.cholesky once per group
+    d = 3
+    s = banded.GROUP_UNKNOWNS // d
+    F = group_frames(groups, s)
+    blocks, _ = random_lists(np.random.default_rng(groups), F, d, 0, 1,
+                             [(d + 1, 1), (2, 2)])
+    P, _, _ = banded._normal_matrix(F, s, d, 0, blocks, [1, 2])
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda a: calls.append(a.shape) or cholesky(a))
+    levels = banded.cholesky(P)
+    assert len(calls) == len(levels) <= int(np.ceil(np.log2(groups))) + 1
+    assert sum(shape[0] for shape in calls) == groups
+
+
+def test_lstsq_fewer_rows_than_unknowns_raises():
+    # 2 frames of 6 unknowns plus a border of 3, from 12 rows: singular
+    # whatever the rounding of the factorization
+    rng = np.random.default_rng(1)
+    blocks, rhs = random_lists(rng, 2, 6, 3, 1, [(6, 1)])
+    with pytest.raises(np.linalg.LinAlgError, match="fewer rows"):
+        banded.lstsq(blocks, rhs, 6, 3)
+
+
+def test_lstsq_solve_count_on_60hz_reconstruct(monkeypatch):
+    # 5 s at 60 Hz (F=300), noiseless: the estimator's two fixed probes
+    # ride along with the main right-hand sides, so the translation stage
+    # takes 4 solves and the rotation stage 6, where solving the probes
+    # apart took 6 and 8
+    ds = dynsfm.simulate_dataset(duration=5.0, t_s=1 / 60, n_points=24,
+                                 extent=2.0, amp_trans=0.35,
+                                 amp_rot=np.radians(30), seed=0)
+    counts, solve, lstsq = [], banded.solve, banded.lstsq
+
+    def counting_lstsq(*args):
+        counts.append(0)
+        return lstsq(*args)
+
+    def counting_solve(*args):
+        counts[-1] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(banded, "lstsq", counting_lstsq)
+    monkeypatch.setattr(banded, "solve", counting_solve)
+    dynsfm.reconstruct(ds.measurements)
+    assert len(counts) == 2 and counts[0] <= 6 and counts[1] <= 4

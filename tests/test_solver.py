@@ -689,6 +689,18 @@ def test_recover_translations_few_frames(frames, reference_dataset):
         assert np.linalg.norm(est - ref) <= tol * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("group_unknowns", [24, 30, 36, 48])
+def test_recover_translations_two_frames_rank_deficient_at_any_group_size(
+        group_unknowns, reference_dataset, monkeypatch):
+    # F=2 gives 12 rows for 15 unknowns: singular in exact arithmetic,
+    # whatever the rounding of the factorization at this group size
+    monkeypatch.setattr(banded, "GROUP_UNKNOWNS", group_unknowns)
+    args, _ = translation_problem(reference_dataset.trajectory,
+                                  reference_dataset.gravity, 2)
+    with pytest.raises(RankDeficient, match="not positive definite"):
+        recover_translations(*args)
+
+
 def test_recover_translations_memory_is_linear():
     # 5 s at 240 Hz: the dense system alone would be 14388 x 7203 (830 MB)
     traj = generate_trajectory(5.0, 1 / 240, 0.35, np.radians(30), seed=0)
