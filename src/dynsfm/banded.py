@@ -122,30 +122,35 @@ def _apply_transpose(n_frames, d, border, blocks, widths, vecs):
 
 def _normal_matrix(F, s, d, border, blocks, widths):
     """Blockwise A^T A: (P, Nzg, Ngg) with P the group storage of N_zz,
-    Nzg[f] = N_z_f,g and Ngg = N_gg."""
+    Nzg[f] = N_z_f,g and Ngg = N_gg.
+
+    The blocks N_f,f+j of each offset j are summed over all lists with
+    plain slices, in list order, and then moved into P with one fancy
+    write per offset."""
     n_groups = -(-F // s)
     P = np.zeros((n_groups, d * s, 2 * d * s))
     rows = P.reshape(n_groups * s, d, 2 * s, d)  # (frame, row, frame, col)
     Nzg = np.zeros((n_groups * s, d, border))
     Ngg = np.zeros((border, border))
+    w_max = max(widths)
+    band = np.zeros((2 * w_max - 1, F, d, d))  # [w_max - 1 + j, f]: N_f,f+j
     for block, w in zip(blocks, widths):
         n = len(block)
         for l in range(w):
             # Gram columns of frame c + l, for each block row c
             G = block.transpose(0, 2, 1) @ block[:, :, d * l:d * l + d]
             for k in range(w):
-                f = np.arange(k, k + n)
-                col = f % s + l - k  # frame offset from f's group start
-                Gk = G[:, d * k:d * k + d]
-                if k > l:  # blocks left of f's group are not stored
-                    keep = col >= 0
-                    f, col, Gk = f[keep], col[keep], Gk[keep]
-                rows[f, :, col] += Gk
+                band[w_max - 1 + l - k, k:k + n] += G[:, d * k:d * k + d]
             if border:
                 Nzg[l:l + n] += G[:, d * w:].transpose(0, 2, 1)
         if border:
             g = block[:, :, d * w:]
             Ngg += (g.transpose(0, 2, 1) @ g).sum(axis=0)
+    f = np.arange(F)
+    for j in range(1 - w_max, w_max):
+        col = f % s + j  # frame offset from f's group start
+        keep = col >= 0  # blocks left of f's group are not stored
+        rows[f[keep], :, col[keep]] = band[w_max - 1 + j, keep]
     pad = np.arange(F, n_groups * s)
     rows[pad, :, pad % s] = np.eye(d)
     return P, Nzg, Ngg

@@ -20,6 +20,14 @@ from .solver import SolverOptions
 
 CONFIG_SCHEMA_VERSION = 1
 
+# Size budget of a run: 10x the 60 s, 200 Hz, 24-point regime (12000
+# frames, a 13.8 MB W). Under tracemalloc a pipeline run peaks at ~12 kB
+# per frame with 24 points and at ~7.7x W with 4000, so a run at either
+# limit peaks near 1.4 GB, and one above it is rejected before anything
+# is allocated.
+MAX_FRAMES = 120_000
+MAX_W_BYTES = 10 * 6 * 12_000 * 24 * 8  # 6F x P doubles
+
 REFERENCE_NOISE = {"gyro_std": math.radians(3.0),  # 3 deg/s
                "accel_std": 0.2,               # m/s^2
                "image_rel_std": 0.005}         # 0.5 % of peak coordinate
@@ -73,6 +81,13 @@ class RunConfig:
             raise ConfigError(f"t_s: {self.t_s!r} is too small for a "
                               f"{self.duration!r} s run")
         frames = int(round(frames))
+        if frames > MAX_FRAMES:
+            raise ConfigError(f"duration/t_s: {self.duration / self.t_s:.6g}"
+                              f" frames, above the budget of {MAX_FRAMES}")
+        if 6 * frames * self.points * 8 > MAX_W_BYTES:
+            raise ConfigError(f"duration/t_s/points: W of {frames} frames x "
+                              f"{self.points} points is above the budget of "
+                              f"{MAX_W_BYTES} bytes")
         if self.flow_mode == "numeric" and window > frames:
             raise ConfigError(f"flow_filter: window {window} is longer than "
                               f"the run's {frames} frames")

@@ -122,14 +122,17 @@ def project_to_so3(A):
     DegenerateMatrix when any smallest singular value is <= 1e-12 (nearest
     rotation not unique).
     """
-    A = np.asarray(A, dtype=float)
-    U, s, Vt = np.linalg.svd(A)
+    return _rotation_from_svd(*np.linalg.svd(np.asarray(A, dtype=float)))
+
+
+def _rotation_from_svd(U, s, Vt):
+    """project_to_so3 of the matrices whose SVD stack is (U, s, Vt)."""
     if np.any(s[..., -1] <= 1e-12):
         raise DegenerateMatrix("smallest singular value below 1e-12")
     R = U @ Vt
     flip = np.linalg.det(R) < 0
     if np.any(flip):
-        U[..., -1] = np.where(flip[..., None], -U[..., -1], U[..., -1])
+        U = np.where(flip[..., None, None], U * [1.0, 1.0, -1.0], U)
         R = U @ Vt
     return R
 

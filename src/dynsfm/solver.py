@@ -101,11 +101,10 @@ def assemble_W(measurements):
         raise TooFewFramesOrPoints(f"need F >= 3 and P >= 4, got F={F} P={P}")
     bands = (measurements.tracks, measurements.flows,
              measurements.double_flows)
-    W = np.zeros((6 * F, P))
+    W = np.empty((6 * F, P))
+    rows = W.reshape(3, F, 2, P)  # (band, frame, coordinate, point)
     for band, data in enumerate(bands):
-        # (F, P, 2) -> rows (2F, P) with the two image coordinates adjacent
-        W[2 * F * band:2 * F * (band + 1)] = (
-            data.transpose(0, 2, 1).reshape(2 * F, P))
+        rows[band] = data.transpose(0, 2, 1)  # written in place, no copy
     return W
 
 
@@ -321,46 +320,61 @@ def extract_rotations_structure(M2, K_upg, St_rows, reflection="auto",
     """Project the upgraded motion blocks to rotations and undo the
     upgrade on the structure.
 
-    The metric upgrade leaves a reflection ambiguity (K and K diag(1,1,-1)
-    produce the same Q). Mode "auto" keeps the candidate whose projected
-    rotations reproduce the data better, measured by
-    |W - (C stack(R^T) S + m 1^T)|; "positive"/"negative" select the
-    unflipped/flipped candidate directly.
+    The metric upgrade leaves a reflection ambiguity (K and K D, with
+    D = diag(1, 1, -1), produce the same Q). The mirror candidate needs
+    no second SVD: M_hat_f D has the SVD (U, s, Vt D), and
+    solve(K D, S) = D solve(K, S) negates the structure's z, both
+    exactly. Mode "auto" keeps the candidate whose projected rotations
+    reproduce the data better, by _reflection_residual: the residual
+    W - (C stack(R^T) S^T + m 1^T) within the span of the structure's
+    columns and the ones vector, where both candidates' model rows lie.
+    The part of W outside that span is common to both candidates and
+    dropped. "positive"/"negative" select the unflipped/flipped
+    candidate directly.
     """
     F = M2.shape[0] // 3
     if reflection == "auto" and (W is None or C is None or m_hat is None):
         raise ValueError("reflection='auto' needs W, C and m_hat to score "
                          "the two candidates")
-    flips = {"positive": [np.eye(3)],
-             "negative": [np.diag([1.0, 1.0, -1.0])],
-             "auto": [np.eye(3), np.diag([1.0, 1.0, -1.0])]}[reflection]
-    best = None
-    for flip in flips:
-        K = K_upg @ flip
-        M_hat = M2 @ K
-        rotations = np.ascontiguousarray(
-            so3.project_to_so3(M_hat.reshape(F, 3, 3)).transpose(0, 2, 1))
-        structure = np.linalg.solve(K, St_rows).T
-        if len(flips) == 1:
-            return rotations, structure
-        resid = _reflection_residual(W, C, rotations, structure, m_hat)
-        if best is None or resid < best[0]:
-            best = (resid, rotations, structure)
-    return best[1], best[2]
+    U, s, Vt = np.linalg.svd((M2 @ K_upg).reshape(F, 3, 3))
+    structure = np.linalg.solve(K_upg, St_rows).T
+    mirror = np.array([1.0, 1.0, -1.0])
+    candidates = []
+    for flip in {"positive": [False], "negative": [True],
+                 "auto": [False, True]}[reflection]:
+        if flip:
+            Vt, structure = Vt * mirror, structure * mirror
+        rotations = so3._rotation_from_svd(U, s, Vt).transpose(0, 2, 1)
+        candidates.append((np.ascontiguousarray(rotations), structure))
+    if len(candidates) == 1:
+        return candidates[0]
+    # the two structures differ in the sign of z, so they span one space
+    Q, _ = np.linalg.qr(np.column_stack([structure, np.ones(len(structure))]))
+    WQ = W @ Q
+    pos, neg = (_reflection_residual(WQ, Q, C, *candidate, m_hat)
+                for candidate in candidates)
+    return candidates[int(neg < pos)]
 
 
-def _reflection_residual(W, C, rotations, structure, m_hat):
-    """|W - (C stack(R^T) S + m 1^T)|, formed in one 6F x P buffer.
+def _reflection_residual(WQ, Q, C, rotations, structure, m_hat):
+    """|(W - (C stack(R^T) S^T + m 1^T)) Q|, the in-span residual.
 
-    The per-frame products C_f R_f^T stack into 6F x 3 rows in the row
-    order of W, and one product with S fills the buffer. The norm is
-    taken of the direct difference: the expanded form |W|^2 - 2<W, .> +
-    |.|^2 cancels on noiseless data and can flip the reflection choice.
+    Q (P x 4) is an orthonormal basis of the span of the structure's
+    columns and the ones vector, and WQ = W Q. The model rows lie in that
+    span, so |W - A|^2 = |W (I - Q Q^T)|^2 + |W Q - A Q|^2; the first
+    term is the same for both reflection candidates and is dropped, and
+    this is the square root of the second, formed in 6F x 4 instead of
+    6F x P. It is not the full residual |W - A|: what carries over is
+    the difference of the candidates' squared values. The per-frame
+    products C_f R_f^T stack into 6F x 3 rows in the row order of W.
+    The norm is taken of the direct difference: the expanded form
+    |W Q|^2 - 2<W Q, .> + |.|^2 cancels on noiseless data and can flip
+    the reflection choice.
     """
     CM = (C @ rotations.transpose(0, 2, 1)).reshape(-1, 3)
-    E = CM @ structure.T
-    E += m_hat[:, None]
-    E -= W
+    E = CM @ (structure.T @ Q)
+    E += m_hat[:, None] * Q.sum(axis=0)
+    E -= WQ
     return np.linalg.norm(E)
 
 

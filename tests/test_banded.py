@@ -136,6 +136,44 @@ def test_norm1_matches_dense_normal_matrix(d, border):
                       rtol=1e-14, atol=0)
 
 
+def scattered_P(F, s, d, blocks, widths):
+    """P as one fancy-index add per (list, column frame l, row frame k)
+    pair: the reference that _normal_matrix's band sums must equal bit
+    for bit, since both add the same blocks to each entry in the same
+    order."""
+    n_groups = -(-F // s)
+    P = np.zeros((n_groups, d * s, 2 * d * s))
+    rows = P.reshape(n_groups * s, d, 2 * s, d)
+    for block, w in zip(blocks, widths):
+        for l in range(w):
+            G = block.transpose(0, 2, 1) @ block[:, :, d * l:d * l + d]
+            for k in range(w):
+                f = np.arange(k, k + len(block))
+                col = f % s + l - k
+                keep = col >= 0
+                rows[f[keep], :, col[keep]] += G[keep, d * k:d * k + d]
+    pad = np.arange(F, n_groups * s)
+    rows[pad, :, pad % s] = np.eye(d)
+    return P
+
+
+@pytest.mark.parametrize("d, border, spans", [
+    (3, 0, [(2, 1), (2, 1), (2, 1), (3, 2)]),   # the rotation stage's lists
+    (6, 3, [(6, 1), (6, 3)]),                   # the translation stage's
+    (6, 3, [(7, 1), (2, 4), (6, 3)]),
+    (3, 3, [(4, 2), (3, 1)])])
+@pytest.mark.parametrize("groups", [2, 3, 5])
+def test_normal_matrix_equals_blockwise_scatter(d, border, spans, groups):
+    # several lists add to the same diagonal and off-diagonal blocks
+    rng = np.random.default_rng([d, border, len(spans), groups])
+    s = max(banded.GROUP_UNKNOWNS // d, max(w for _, w in spans) - 1)
+    F = group_frames(groups, s)
+    blocks, _ = random_lists(rng, F, d, border, 1, spans)
+    widths = [w for _, w in spans]
+    P, _, _ = banded._normal_matrix(F, s, d, border, blocks, widths)
+    assert np.array_equal(P, scattered_P(F, s, d, blocks, widths))
+
+
 def dense_normal(blocks, rhs, d, border, F):
     """The dense normal equations (A^T A, A^T b) of block-row lists,
     summed block row by block row."""

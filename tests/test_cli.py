@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from dynsfm import jsonio
 from dynsfm.cli import main
-from dynsfm.config import config_to_dict, reference_config, reference_noise_config
+from dynsfm.config import (MAX_FRAMES, MAX_W_BYTES, config_to_dict,
+                           reference_config, reference_noise_config)
 from dynsfm.solver import reconstruct
 
 from conftest import make_dataset
@@ -787,3 +789,41 @@ def test_module_entry_point(small_cfg_path, tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+@settings(max_examples=30,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_rejects_run_above_size_budget(data, tmp_path, capfd):
+    # a finite but huge duration or point count exits 2 naming the fields,
+    # before the simulation allocates anything to match
+    t_s = data.draw(st.sampled_from([1 / 30, 1 / 200, 1e-3, 1e-6]))
+    if data.draw(st.booleans()):
+        frames = data.draw(st.integers(MAX_FRAMES + 2, 10 ** 15))
+        points = data.draw(st.integers(4, 10 ** 6))
+    else:
+        frames = data.draw(st.integers(3, MAX_FRAMES))
+        points = data.draw(st.integers(MAX_W_BYTES // (48 * (frames - 1)) + 1,
+                                       10 ** 15))
+    command = data.draw(st.sampled_from(["simulate", "pipeline", "sweep"]))
+    doc = dict(_one_second_config_doc(), duration=frames * t_s, t_s=t_s,
+               points=points)
+    note(f"{command}: {frames} frames, {points} points")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"seeds": [0, 1]}))
+    extra = ["--sweep", spec] if command == "sweep" else []
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code, err = _error_run(command, "--config", path, *extra, "--out",
+                               out, "--quiet", capfd=capfd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert (len(err) == 1 and err[0].startswith("error: ")
+            and "duration/t_s" in err[0])
+    assert peak < 1e6
+    assert not out.exists()

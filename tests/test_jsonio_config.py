@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from dynsfm import jsonio
-from dynsfm.config import (RunConfig, config_from_dict, config_to_dict,
+from dynsfm.config import (MAX_FRAMES, MAX_W_BYTES, RunConfig,
+                           config_from_dict, config_to_dict,
                            options_from_dict, reference_config,
                            reference_noise_config)
 from dynsfm.errors import ConfigError
@@ -221,3 +222,27 @@ def test_config_schema_version_is_an_integer():
     for version in (True, "1", 2):
         with pytest.raises(ConfigError, match="schema_version"):
             config_from_dict(dict(doc, schema_version=version))
+
+
+@pytest.mark.parametrize("duration, t_s, points, field", [
+    (MAX_FRAMES / 200 + 1.0, 1 / 200, 4, "duration/t_s:"),
+    (1e300, 1 / 30, 24, "duration/t_s:"),
+    (MAX_FRAMES / 200, 1 / 200, 25, "duration/t_s/points:"),
+    (2.0, 1 / 30, MAX_W_BYTES // (48 * 60) + 1, "duration/t_s/points:"),
+    (1.0, 1 / 30, 10 ** 40, "duration/t_s/points:")])
+def test_config_rejects_run_above_size_budget(duration, t_s, points, field):
+    # the budget is checked before anything is allocated: frames, and the
+    # 6 F P doubles of W
+    cfg = RunConfig(duration=duration, t_s=t_s, points=points)
+    with pytest.raises(ConfigError, match=field):
+        cfg.validate()
+
+
+def test_config_size_budget_is_ten_times_the_200hz_regime():
+    # 60 s at 200 Hz with 24 points (F = 12000) is the largest run the
+    # README measures; ten times its frames, and ten times its W, pass
+    assert MAX_FRAMES >= 10 * 12_000
+    assert MAX_W_BYTES >= 10 * 6 * 12_000 * 24 * 8
+    RunConfig(duration=MAX_FRAMES / 200, t_s=1 / 200, points=24).validate()
+    RunConfig(duration=2.0, t_s=1 / 30,
+              points=MAX_W_BYTES // (48 * 60)).validate()
