@@ -67,8 +67,8 @@ def _load_config(path, seed_override=None):
 
 
 def _simulate(cfg):
-    order, window = cfg.flow_filter
-    filters = (savgol_filter(order, window, 1), savgol_filter(order, window, 2))
+    filters = (tuple(savgol_filter(*cfg.flow_filter, d) for d in (1, 2))
+               if cfg.flow_mode == "numeric" else None)
     return simulate_dataset(
         duration=cfg.duration, t_s=cfg.t_s, n_points=cfg.points,
         extent=cfg.extent, amp_trans=cfg.amp_trans, amp_rot=cfg.amp_rot,

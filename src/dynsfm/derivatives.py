@@ -1,9 +1,10 @@
 """Savitzky-Golay derivative filters and series differentiation.
 
-Filter taps are kept in "dot" orientation: the derivative estimate at the
-window centre is taps @ window_samples / t_s**deriv. Interior samples use
-the centred window; the first and last half-window samples fall back to a
-one-sided polynomial fit of the same order, so outputs keep full length.
+A filter is one polynomial least-squares fit, kept as the weights of the
+fit's derivative at every window position: table[i] @ window_samples /
+t_s**deriv is the estimate at sample i of the window. Interior samples
+use the centre row, the taps; the first and last half-window samples use
+the other rows on the first and last window, so outputs keep full length.
 """
 
 import math
@@ -17,33 +18,20 @@ from .simulate import euler_omega_dot
 
 @dataclass(frozen=True)
 class DerivFilter:
-    """Polynomial least-squares derivative filter."""
-    taps: np.ndarray
+    """Polynomial least-squares derivative filter: table (window, window)
+    and its centre row, the classic centred taps."""
+    table: np.ndarray
     order: int
     window: int
     deriv: int
 
-
-def _poly_fit_weights(order, window):
-    """Least-squares weights mapping window samples to polynomial
-    coefficients of the fit y(k) = sum_j c_j k^j, k = 0..window-1."""
-    V = np.vander(np.arange(window, dtype=float), order + 1, increasing=True)
-    return np.linalg.pinv(V)
-
-
-def _taps_at(order, window, deriv, pos):
-    """Derivative-of-fit weights evaluated at sample index `pos` within
-    the window (pos = window//2 gives the classic centred taps)."""
-    coeff_w = _poly_fit_weights(order, window)
-    taps = np.zeros(window)
-    for j in range(deriv, order + 1):
-        scale = math.factorial(j) / math.factorial(j - deriv)
-        taps += scale * pos ** (j - deriv) * coeff_w[j]
-    return taps
+    @property
+    def taps(self):
+        return self.table[self.window // 2]
 
 
 def savgol_filter(order, window, deriv):
-    """Centred Savitzky-Golay derivative filter.
+    """Savitzky-Golay derivative filter from one least-squares fit.
 
     Requires deriv <= order < window and an odd window.
     """
@@ -53,37 +41,43 @@ def savgol_filter(order, window, deriv):
         raise BadFilterSpec(
             f"need deriv <= order < window, got deriv={deriv} order={order} "
             f"window={window}")
-    taps = _taps_at(order, window, deriv, window // 2)
-    return DerivFilter(taps=taps, order=order, window=window, deriv=deriv)
+    # weights of the fit y(k) = sum_j c_j k^j, k = 0..window-1
+    k = np.arange(window, dtype=float)
+    coeff_w = np.linalg.pinv(np.vander(k, order + 1, increasing=True))
+    table = np.zeros((window, window))
+    for j in range(deriv, order + 1):
+        scale = math.factorial(j) / math.factorial(j - deriv)
+        table += (scale * k ** (j - deriv))[:, None] * coeff_w[j]
+    return DerivFilter(table=table, order=order, window=window, deriv=deriv)
 
 
 def differentiate_series(series, t_s, filt):
     """Apply a DerivFilter along axis 0 of an (F, d) or (F,) series.
 
     Interior samples are the centred taps divided by t_s**deriv; the
-    half-window boundary samples re-use the one-sided polynomial fit of
-    the same order anchored at the series ends, so the output has the
-    same length F as the input.
+    half-window boundary samples take the other rows of the filter's
+    table on the first and last window, so the output has the same
+    length F as the input.
     """
-    y = np.asarray(series, dtype=float)
-    squeeze = y.ndim == 1
-    if squeeze:
-        y = y[:, None]
+    shape = np.shape(series)
+    y = np.asarray(series, dtype=float).reshape(shape[0], -1)
     F = y.shape[0]
     w, half = filt.window, filt.window // 2
     if F < w:
         raise SeriesTooShort(f"series length {F} < window {w}")
     scale = 1.0 / t_s ** filt.deriv
     out = np.empty_like(y)
-    # interior: correlation with the centred taps
-    stacked = np.stack([y[i:F - w + 1 + i] for i in range(w)])
-    out[half:F - half] = np.einsum("k,kfd->fd", filt.taps, stacked) * scale
-    # boundaries: same-order fit on the first/last window, evaluated off-centre
-    for i in range(half):
-        out[i] = _taps_at(filt.order, w, filt.deriv, i) @ y[:w] * scale
-        pos = w - half + i
-        out[F - half + i] = _taps_at(filt.order, w, filt.deriv, pos) @ y[-w:] * scale
-    return out[:, 0] if squeeze else out
+    # boundaries: one row product per sample (a single matrix product
+    # would round differently)
+    out[:half] = (filt.table[:half, None] @ y[:w])[:, 0] * scale
+    out[F - half:] = (filt.table[half + 1:, None] @ y[F - w:])[:, 0] * scale
+    # interior: correlation with the centred taps, accumulated in place
+    inner = out[half:F - half]
+    np.multiply(filt.taps[0], y[:len(inner)], out=inner)
+    for k in range(1, w):
+        inner += filt.taps[k] * y[k:k + len(inner)]
+    inner *= scale
+    return out.reshape(shape)
 
 
 def differentiate_tracks(tracks, t_s, filt1, filt2):

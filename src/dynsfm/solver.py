@@ -479,10 +479,12 @@ def _omega_dot_for(measurements, options):
     mode = options.omega_dot_mode
     if mode == "auto":
         mode = "euler" if measurements.torque is not None else "numeric"
+    filt = None
+    if mode == "numeric":
+        filt = savgol_filter(*options.omega_dot_filter, 1)
     return omega_dot_series(measurements.gyro, mode, measurements.t_s,
                             inertia=measurements.inertia,
-                            torque=measurements.torque,
-                            filt=savgol_filter(*options.omega_dot_filter, 1))
+                            torque=measurements.torque, filt=filt)
 
 
 def _require_finite(**arrays):

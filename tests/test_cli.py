@@ -646,6 +646,27 @@ def test_so3_calls_do_not_grow_with_frames(monkeypatch):
     assert calls[0][1]["log_so3"] == 2
 
 
+@pytest.mark.parametrize("noisy, fits", [(True, 3), (False, 1)])
+def test_pipeline_fits_only_the_filters_it_applies(noisy, fits, monkeypatch,
+                                                   tmp_path):
+    # numeric flows fit their two filters, analytic flows none; the
+    # simulated run carries torque, so auto omega-dot uses the Euler
+    # equation and fits nothing; the translation regularizer fits one
+    cfg = reference_noise_config(seed=0) if noisy else reference_config(seed=0)
+    path = tmp_path / "config.json"
+    jsonio.write_json(path, config_to_dict(cfg))
+    calls = []
+    pinv = np.linalg.pinv
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return pinv(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "pinv", counted)
+    assert run_cli("pipeline", "--config", path, "--out", tmp_path / "out",
+                   "--quiet") == 0
+    assert len(calls) == fits
+
+
 def test_import_and_solve_leave_scipy_unloaded():
     # scipy is a test-only extra; importing it alone costs ~0.4 s of start-up
     import dynsfm

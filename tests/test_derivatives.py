@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,3 +194,40 @@ def test_noise_amplification_model():
     out = differentiate_series(noise, t_s, filt)[2:-2]
     predicted = sigma * np.linalg.norm(filt.taps) / t_s
     assert abs(out.std() / predicted - 1.0) < 0.1
+
+
+def _counted_pinv(monkeypatch):
+    """Count np.linalg.pinv calls, the one fit of each filter."""
+    calls = []
+    pinv = np.linalg.pinv
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return pinv(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "pinv", counted)
+    return calls
+
+
+def test_filter_is_fitted_once_and_applied_without_refitting(monkeypatch):
+    calls = _counted_pinv(monkeypatch)
+    f1, f2 = savgol_filter(2, 11, 1), savgol_filter(2, 11, 2)
+    assert calls == [(11, 3), (11, 3)]
+    calls.clear()
+    # the half-window edge samples read the filter's table: no refit
+    tracks = np.random.default_rng(1).normal(size=(40, 6, 2))
+    differentiate_tracks(tracks, 0.1, f1, f2)
+    assert calls == []
+
+
+def test_differentiate_series_holds_no_window_sized_copy():
+    # the interior is summed from shifted slices of the series, not from a
+    # stack of window-many shifted copies (~11x the series at 11 taps)
+    filt = savgol_filter(2, 11, 1)
+    y = np.random.default_rng(2).normal(size=(60, 8000))
+    tracemalloc.start()
+    try:
+        differentiate_series(y, 1 / 30, filt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * y.nbytes
