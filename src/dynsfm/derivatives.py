@@ -1,10 +1,10 @@
 """Savitzky-Golay derivative filters and series differentiation.
 
-A filter is one polynomial least-squares fit, kept as the weights of the
-fit's derivative at every window position: table[i] @ window_samples /
-t_s**deriv is the estimate at sample i of the window. Interior samples
-use the centre row, the taps; the first and last half-window samples use
-the other rows on the first and last window, so outputs keep full length.
+A filter is one polynomial least-squares fit on a centred, scaled
+abscissa. Interior samples use its centred taps, in "dot" orientation:
+taps @ window_samples / t_s**deriv. The first and last half-window
+samples evaluate the fit of the first and last window off-centre, so
+outputs keep full length.
 """
 
 import math
@@ -18,16 +18,20 @@ from .simulate import euler_omega_dot
 
 @dataclass(frozen=True)
 class DerivFilter:
-    """Polynomial least-squares derivative filter: table (window, window)
-    and its centre row, the classic centred taps."""
-    table: np.ndarray
+    """Polynomial least-squares derivative filter.
+
+    fit (order + 1, window) maps the samples of a window to the
+    coefficients c_j of their least-squares polynomial sum_j c_j x^j,
+    x = (k - half) / h at sample k and h = max(half, 1); basis
+    (window, order + 1) holds the deriv-th derivative of each x^j per
+    sample step at each window position. basis @ fit is the filter at
+    every position; taps, its centre row, is the classic centred one."""
+    taps: np.ndarray
+    fit: np.ndarray
+    basis: np.ndarray
     order: int
     window: int
     deriv: int
-
-    @property
-    def taps(self):
-        return self.table[self.window // 2]
 
 
 def savgol_filter(order, window, deriv):
@@ -41,23 +45,25 @@ def savgol_filter(order, window, deriv):
         raise BadFilterSpec(
             f"need deriv <= order < window, got deriv={deriv} order={order} "
             f"window={window}")
-    # weights of the fit y(k) = sum_j c_j k^j, k = 0..window-1
-    k = np.arange(window, dtype=float)
-    coeff_w = np.linalg.pinv(np.vander(k, order + 1, increasing=True))
-    table = np.zeros((window, window))
-    for j in range(deriv, order + 1):
-        scale = math.factorial(j) / math.factorial(j - deriv)
-        table += (scale * k ** (j - deriv))[:, None] * coeff_w[j]
-    return DerivFilter(table=table, order=order, window=window, deriv=deriv)
+    # a centred, scaled abscissa: on k itself the Vandermonde matrix loses
+    # the polynomial at moderate orders (order 5 at window 1001)
+    half, h = window // 2, max(window // 2, 1)
+    x = (np.arange(window) - half) / h
+    fit = np.linalg.pinv(np.vander(x, order + 1, increasing=True))
+    j = np.arange(order + 1)
+    falling = np.array([math.perm(i, deriv) for i in j], dtype=float)
+    basis = falling * x[:, None] ** np.maximum(j - deriv, 0) / h ** deriv
+    return DerivFilter(taps=basis[half] @ fit, fit=fit, basis=basis,
+                       order=order, window=window, deriv=deriv)
 
 
 def differentiate_series(series, t_s, filt):
     """Apply a DerivFilter along axis 0 of an (F, d) or (F,) series.
 
     Interior samples are the centred taps divided by t_s**deriv; the
-    half-window boundary samples take the other rows of the filter's
-    table on the first and last window, so the output has the same
-    length F as the input.
+    half-window boundary samples evaluate the fit of the first and last
+    window at their positions, so the output has the same length F as
+    the input.
     """
     shape = np.shape(series)
     y = np.asarray(series, dtype=float).reshape(shape[0], -1)
@@ -67,10 +73,9 @@ def differentiate_series(series, t_s, filt):
         raise SeriesTooShort(f"series length {F} < window {w}")
     scale = 1.0 / t_s ** filt.deriv
     out = np.empty_like(y)
-    # boundaries: one row product per sample (a single matrix product
-    # would round differently)
-    out[:half] = (filt.table[:half, None] @ y[:w])[:, 0] * scale
-    out[F - half:] = (filt.table[half + 1:, None] @ y[F - w:])[:, 0] * scale
+    # boundaries: the fit of the first and last window, evaluated off-centre
+    out[:half] = filt.basis[:half] @ (filt.fit @ y[:w]) * scale
+    out[F - half:] = filt.basis[half + 1:] @ (filt.fit @ y[F - w:]) * scale
     # interior: correlation with the centred taps, accumulated in place
     inner = out[half:F - half]
     np.multiply(filt.taps[0], y[:len(inner)], out=inner)

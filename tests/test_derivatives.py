@@ -231,3 +231,21 @@ def test_differentiate_series_holds_no_window_sized_copy():
     finally:
         tracemalloc.stop()
     assert peak < 4 * y.nbytes
+
+
+@pytest.mark.parametrize("order, window", [(7, 101), (5, 1001), (4, 10001)])
+def test_wide_filters_stay_exact_on_polynomials(order, window):
+    # fitted on the raw abscissa k = 0..window-1, these filters missed the
+    # slope of a straight line by more than 1e-6; the series is barely
+    # longer than the window, so most samples are half-window edges
+    F = window + 20
+    t_s = 1.0 / (F - 1)
+    t = np.arange(F) * t_s
+    powers = np.arange(order + 1)
+    series = t[:, None] ** powers
+    for deriv in (1, 2):
+        expected = (np.array([math.perm(j, deriv) for j in powers])
+                    * t[:, None] ** np.maximum(powers - deriv, 0))
+        out = differentiate_series(series, t_s,
+                                   savgol_filter(order, window, deriv))
+        assert np.abs(out - expected).max() < 1e-9 * np.abs(expected).max()
