@@ -14,7 +14,8 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
-from .errors import ConfigError
+from .derivatives import check_filter_spec
+from .errors import BadFilterSpec, ConfigError
 from .simulate import NoiseSpec
 from .solver import SolverOptions
 
@@ -72,10 +73,10 @@ class RunConfig:
             raise ConfigError("noise: std values must be nonnegative")
         if self.flow_mode not in ("analytic", "numeric"):
             raise ConfigError(f"flow_mode: unknown mode {self.flow_mode!r}")
-        order, window = self.flow_filter
-        if window % 2 == 0 or not (2 <= order < window):
-            raise ConfigError("flow_filter: need odd window and "
-                              "2 <= order < window")
+        try:
+            check_filter_spec(*self.flow_filter, 2, "flow_filter")
+        except BadFilterSpec as err:
+            raise ConfigError(str(err)) from err
         frames = self.duration / self.t_s
         if not math.isfinite(frames):
             raise ConfigError(f"t_s: {self.t_s!r} is too small for a "
@@ -88,6 +89,7 @@ class RunConfig:
             raise ConfigError(f"duration/t_s/points: W of {frames} frames x "
                               f"{self.points} points is above the budget of "
                               f"{MAX_W_BYTES} bytes")
+        window = self.flow_filter[1]
         if self.flow_mode == "numeric" and window > frames:
             raise ConfigError(f"flow_filter: window {window} is longer than "
                               f"the run's {frames} frames")

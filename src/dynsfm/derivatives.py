@@ -15,17 +15,18 @@ import numpy as np
 from .errors import BadFilterSpec, SeriesTooShort
 from .simulate import euler_omega_dot
 
+# Largest filter order: windows up to 120001 differentiate monomials, edges
+# included, to 2e-10 relative at order 10 (6e-9 at 15, 2e-6 at 20).
+MAX_ORDER = 10
+
 
 @dataclass(frozen=True)
 class DerivFilter:
-    """Polynomial least-squares derivative filter.
-
-    fit (order + 1, window) maps the samples of a window to the
-    coefficients c_j of their least-squares polynomial sum_j c_j x^j,
-    x = (k - half) / h at sample k and h = max(half, 1); basis
-    (window, order + 1) holds the deriv-th derivative of each x^j per
-    sample step at each window position. basis @ fit is the filter at
-    every position; taps, its centre row, is the classic centred one."""
+    """Polynomial least-squares derivative filter. fit (order + 1, window)
+    maps a window's samples to the coefficients of their polynomial in
+    x = (k - half) / max(half, 1) at sample k; basis (window, order + 1)
+    holds the deriv-th derivative of each x^j per sample step at each
+    window position. taps = basis[half] @ fit is the centred filter."""
     taps: np.ndarray
     fit: np.ndarray
     basis: np.ndarray
@@ -34,17 +35,19 @@ class DerivFilter:
     deriv: int
 
 
-def savgol_filter(order, window, deriv):
-    """Savitzky-Golay derivative filter from one least-squares fit.
-
-    Requires deriv <= order < window and an odd window.
-    """
-    if window % 2 == 0 or window < 1:
-        raise BadFilterSpec(f"window must be odd and positive, got {window}")
-    if not (0 <= deriv <= order < window):
+def check_filter_spec(order, window, deriv, name="filter"):
+    """The rule for every filter spec: an odd window, deriv <= order <
+    window and order <= MAX_ORDER. Raises BadFilterSpec naming `name`."""
+    if (window % 2 == 0 or not 0 <= deriv <= order < window
+            or order > MAX_ORDER):
         raise BadFilterSpec(
-            f"need deriv <= order < window, got deriv={deriv} order={order} "
-            f"window={window}")
+            f"{name}: need an odd window and {deriv} <= order < window with "
+            f"order <= {MAX_ORDER}, got order={order} window={window}")
+
+
+def savgol_filter(order, window, deriv):
+    """Savitzky-Golay derivative filter from one least-squares fit."""
+    check_filter_spec(order, window, deriv)
     # a centred, scaled abscissa: on k itself the Vandermonde matrix loses
     # the polynomial at moderate orders (order 5 at window 1001)
     half, h = window // 2, max(window // 2, 1)

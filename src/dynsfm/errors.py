@@ -37,8 +37,8 @@ class SingularInertia(DynSfmError):
     pass
 
 
-class BadFilterSpec(DynSfmError):
-    pass
+class BadFilterSpec(DynSfmError, ValueError):
+    """A filter spec breaks derivatives.check_filter_spec."""
 
 
 class SeriesTooShort(DynSfmError):

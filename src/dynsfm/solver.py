@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import banded, so3
-from .derivatives import omega_dot_series, savgol_filter
+from .derivatives import check_filter_spec, omega_dot_series, savgol_filter
 from .errors import (DynSfmError, IllConditionedWarning, IndefiniteQ,
                      LengthMismatch, NumericalFailure, RankDeficient,
                      SeriesTooShort, SingularTransform, TooFewFramesOrPoints)
@@ -49,10 +49,9 @@ class SolverOptions:
                              "nonnegative")
         for name in ("omega_dot_filter", "reg_filter"):
             spec = tuple(getattr(self, name))
-            if (len(spec) != 2 or not all(isinstance(v, int) for v in spec)
-                    or spec[1] % 2 == 0 or not 1 <= spec[0] < spec[1]):
-                raise ValueError(f"{name}: need integers (order, window) "
-                                 "with an odd window and 1 <= order < window")
+            if len(spec) != 2 or not all(isinstance(v, int) for v in spec):
+                raise ValueError(f"{name}: need integers (order, window)")
+            check_filter_spec(*spec, 1, name)  # a BadFilterSpec is a ValueError
         if self.omega_dot_mode not in ("auto", "euler", "zero", "numeric"):
             raise ValueError(f"bad omega_dot_mode {self.omega_dot_mode!r}")
         if self.reflection_resolution not in ("auto", "positive", "negative"):
@@ -479,12 +478,20 @@ def _omega_dot_for(measurements, options):
     mode = options.omega_dot_mode
     if mode == "auto":
         mode = "euler" if measurements.torque is not None else "numeric"
-    filt = None
-    if mode == "numeric":
-        filt = savgol_filter(*options.omega_dot_filter, 1)
+    filt = (_filter("omega_dot_filter", options.omega_dot_filter,
+                    len(measurements.gyro)) if mode == "numeric" else None)
     return omega_dot_series(measurements.gyro, mode, measurements.t_s,
                             inertia=measurements.inertia,
                             torque=measurements.torque, filt=filt)
+
+
+def _filter(name, spec, n_frames):
+    """The first-derivative filter of an options spec, checked against the
+    frame count before it is built: a longer window has no centre."""
+    if spec[1] > n_frames:
+        raise SeriesTooShort(f"{name} window {spec[1]} is longer than the "
+                             f"{n_frames} frames")
+    return savgol_filter(*spec, 1)
 
 
 def _require_finite(**arrays):
@@ -538,11 +545,7 @@ def reconstruct(measurements, options=None):
             W=W, C=C, m_hat=m_hat)
         _require_finite(rotations=rotations, structure=structure)
         stage = "recover_translations"
-        if options.reg_filter[1] > len(omega):
-            # no window center exists, so no regularizer row would be built
-            raise SeriesTooShort(f"reg_filter window {options.reg_filter[1]}"
-                                 f" is longer than the {len(omega)} frames")
-        reg = savgol_filter(*options.reg_filter, 1)
+        reg = _filter("reg_filter", options.reg_filter, len(omega))
         tau, nu, gravity, tr_info = recover_translations(
             m_hat, rotations, omega, domega, measurements.accel,
             measurements.t_s, options.lambda_tau, options.lambda_nu, reg)

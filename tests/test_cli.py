@@ -565,6 +565,51 @@ def test_pipeline_omega_dot_window_longer_than_run(mode, expected, tmp_path,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flow_mode", ["analytic", "numeric"])
+def test_flow_filter_order_above_bound_is_config_error(flow_mode, tmp_path,
+                                                       capfd):
+    # order 150 once reached LAPACK, which failed with a traceback (and
+    # DLASCL noise on stderr); 40 s at 30 Hz is long enough for the window
+    doc = dict(_one_second_config_doc(), duration=40.0, flow_mode=flow_mode,
+               flow_filter={"order": 150, "window": 1001})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, err = _error_run("pipeline", "--config", path, "--out", out,
+                           "--quiet", capfd=capfd)
+    assert code == 2
+    assert (len(err) == 1 and err[0].startswith("error: ")
+            and "flow_filter" in err[0] and "order <= 10" in err[0])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, expected", [("numeric", 4), ("auto", 0)])
+def test_solve_builds_no_omega_dot_filter_it_cannot_apply(mode, expected,
+                                                          tmp_path, capfd):
+    # a 100001-tap window is checked against the 30 frames before any
+    # filter is built; auto mode uses the dataset's torque and builds none
+    paths = {name: tmp_path / f"{name}.json"
+             for name in ("dataset", "options")}
+    paths["dataset"].write_text(json.dumps(_one_second_dataset_doc()))
+    paths["options"].write_text(json.dumps(
+        {"omega_dot_mode": mode, "omega_dot_filter": [2, 100001]}))
+    out = tmp_path / "r.json"
+    tracemalloc.start()
+    try:
+        code, err = _error_run("solve", "--dataset", paths["dataset"],
+                               "--options", paths["options"], "--out", out,
+                               "--quiet", capfd=capfd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == expected
+    assert peak < 2e6
+    if expected:
+        assert (len(err) == 1 and err[0].startswith("error: ")
+                and "[omega_dot]" in err[0] and "omega_dot_filter" in err[0])
+        assert not out.exists()
+
+
 def test_solve_reg_window_longer_than_run_is_solver_error(tmp_path, capfd):
     # the 1 s dataset has 30 frames, too few for a 31-tap regularizer filter
     paths = {name: tmp_path / f"{name}.json"

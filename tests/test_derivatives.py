@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dynsfm
-from dynsfm.derivatives import (differentiate_series, differentiate_tracks,
-                                omega_dot_series, savgol_filter)
+from dynsfm.derivatives import (MAX_ORDER, differentiate_series,
+                                differentiate_tracks, omega_dot_series,
+                                savgol_filter)
 from dynsfm.errors import BadFilterSpec, SeriesTooShort
 from dynsfm.simulate import (generate_scene, generate_trajectory,
                              synthesize_images, torque_for_trajectory,
@@ -54,6 +55,15 @@ def test_bad_filter_specs():
         savgol_filter(3, 3, 1)  # order >= window
     with pytest.raises(BadFilterSpec):
         savgol_filter(1, 3, 2)  # deriv > order
+
+
+def test_filter_order_is_bounded():
+    # beyond MAX_ORDER the fit loses accuracy; order 150 made LAPACK fail
+    assert savgol_filter(MAX_ORDER, 11, 2).fit.shape == (MAX_ORDER + 1, 11)
+    for order, window in [(MAX_ORDER + 1, 13), (150, 1001)]:
+        with pytest.raises(BadFilterSpec, match="order <= 10"):
+            savgol_filter(order, window, 1)
+    assert issubclass(BadFilterSpec, ValueError)
 
 
 def test_constant_series_derivative_is_zero():

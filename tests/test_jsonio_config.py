@@ -154,6 +154,23 @@ def test_solver_options_validation():
         SolverOptions(reflection_resolution="maybe").validate()
 
 
+@pytest.mark.parametrize("spec, rule", [
+    ((11, 13), "order <= 10"), ((0, 3), "<= order"), ((2, 4), "odd window"),
+    ((3, 3), "order < window")])
+def test_filter_specs_follow_one_rule(spec, rule):
+    # SolverOptions filters take the first derivative, the flow filter the
+    # second too; each message names its field and the rule it breaks
+    for name in ("omega_dot_filter", "reg_filter"):
+        with pytest.raises(ValueError, match=f"{name}: .*{rule}"):
+            SolverOptions(**{name: spec}).validate()
+    with pytest.raises(ConfigError, match=f"flow_filter: .*{rule}"):
+        RunConfig(flow_filter=spec).validate()
+    with pytest.raises(ConfigError, match="flow_filter: .*2 <= order"):
+        RunConfig(flow_filter=(1, 3)).validate()
+    RunConfig(flow_filter=(10, 11), solver=SolverOptions(
+        omega_dot_filter=(10, 11), reg_filter=(1, 11))).validate()
+
+
 def test_solver_options_parsed_alike_in_config_and_options_file():
     doc = {"lambda_R": 1e8, "lambda_tau": 2, "omega_dot_mode": "numeric",
            "reg_filter": [1, 5], "omega_dot_filter": [2.0, 7]}
