@@ -89,10 +89,9 @@ class RunConfig:
             raise ConfigError(f"duration/t_s/points: W of {frames} frames x "
                               f"{self.points} points is above the budget of "
                               f"{MAX_W_BYTES} bytes")
-        window = self.flow_filter[1]
-        if self.flow_mode == "numeric" and window > frames:
-            raise ConfigError(f"flow_filter: window {window} is longer than "
-                              f"the run's {frames} frames")
+        if self.flow_mode == "numeric" and self.flow_filter[1] > frames:
+            raise ConfigError(f"flow_filter: window {self.flow_filter[1]} is "
+                              f"longer than the run's {frames} frames")
         try:
             self.solver.validate()
         except ValueError as err:

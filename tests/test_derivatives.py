@@ -2,6 +2,7 @@ import math
 import tracemalloc
 
 import numpy as np
+from numpy.polynomial import chebyshev
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +47,32 @@ def test_taps_match_scipy():
         ours = savgol_filter(order, window, deriv).taps
         ref = savgol_coeffs(window, order, deriv=deriv, delta=1.0, use="dot")
         assert np.allclose(ours, ref, atol=1e-12), (order, window, deriv)
+
+
+def chebyshev_reference(y, t_s, order, window, deriv):
+    """Independent oracle: each sample's window (the centred one, or the
+    first or last for the half-window edges) fitted by numpy's Chebyshev
+    least squares on [-1, 1], differentiated and evaluated at the sample."""
+    F, half = len(y), window // 2
+    x = np.linspace(-1.0, 1.0, window)
+    out = np.empty_like(y)
+    for i in range(F):
+        start = min(max(i - half, 0), F - window)
+        coef = chebyshev.chebfit(x, y[start:start + window], order)
+        coef = chebyshev.chebder(coef, deriv, scl=2.0 / (window - 1))
+        out[i] = chebyshev.chebval(x[i - start], coef) / t_s ** deriv
+    return out
+
+
+def test_series_match_chebyshev_oracle():
+    y = np.random.default_rng(3).normal(size=(60, 4))
+    for order, window, deriv in [(1, 3, 1), (2, 5, 2), (3, 9, 1), (2, 11, 2),
+                                 (7, 31, 1), (10, 59, 2)]:
+        ours = differentiate_series(y, 0.05, savgol_filter(order, window,
+                                                           deriv))
+        ref = chebyshev_reference(y, 0.05, order, window, deriv)
+        assert np.abs(ours - ref).max() < 1e-9 * np.abs(ref).max(), (
+            order, window, deriv)
 
 
 def test_bad_filter_specs():
