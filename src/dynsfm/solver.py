@@ -494,69 +494,67 @@ def _filter(name, spec, n_frames):
     return savgol_filter(*spec, 1)
 
 
-def _require_finite(**arrays):
-    for name, value in arrays.items():
-        if not np.isfinite(value).all():
-            raise NumericalFailure(f"non-finite {name}")
+def _stage(name, fn, *args, **kwargs):
+    """fn(*args, **kwargs), run as the solver stage name.
+
+    A DynSfmError is re-raised as the same type and a LAPACK failure as a
+    NumericalFailure, with "[name] " before the message. A float array in
+    the result, bare or a member of a tuple, that holds a NaN or an
+    infinity raises NumericalFailure at [name]. Dicts and scalars are not
+    checked, nor is W (assemble_W), a copy of the bands validate checked.
+    """
+    try:
+        out = fn(*args, **kwargs)
+        for arr in out if isinstance(out, tuple) else (out,):
+            if (isinstance(arr, np.ndarray) and arr.dtype.kind == "f"
+                    and name != "assemble_W" and not np.isfinite(arr).all()):
+                raise NumericalFailure("non-finite result")
+    except DynSfmError as err:
+        raise type(err)(f"[{name}] {err}") from err
+    except np.linalg.LinAlgError as err:
+        raise NumericalFailure(f"[{name}] {err}") from err
+    return out
 
 
 def reconstruct(measurements, options=None):
     """Run the full five-stage closed-form recovery on a measurement set.
 
-    The first stage, validate, checks the input contract of the
-    measurement set (MeasurementSet.validate). Any stage failure is
-    re-raised as the same error type with the stage name prefixed to the
-    message. A LAPACK failure, or a non-finite rotation, structure,
-    translation, velocity or gravity estimate, raises NumericalFailure,
-    prefixed the same way.
+    Its eleven stages, validate (MeasurementSet.validate, the input
+    contract) to recover_translations, each run through _stage, which
+    prefixes a failure with the stage name and raises NumericalFailure on a
+    LAPACK failure or a non-finite array in a stage's result.
     """
     options = options if options is not None else SolverOptions()
     options.validate()
-    residuals = {}
-    stage = "validate"
-    try:
-        measurements.validate()
-        stage = "assemble_W"
-        W = assemble_W(measurements)
-        stage = "omega_dot"
-        omega = measurements.gyro
-        domega = _omega_dot_for(measurements, options)
-        stage = "assemble_C"
-        C = assemble_C(omega, domega)
-        stage = "factor_rank4"
-        Mt, St, sigma_ratio = factor_rank4(W)
-        residuals["sigma_ratio"] = sigma_ratio
-        stage = "fix_similarity"
-        Mt, St = fix_similarity(Mt, St)
-        stage = "center_structure"
-        Mt, St, m_hat = center_structure(Mt, St)
-        stage = "recover_rotation_blocks"
-        M2, rot_info = recover_rotation_blocks(
-            Mt[:, :3], C, omega, domega, measurements.t_s, options.lambda_R)
-        residuals["rotation_lsq"] = rot_info["residual"]
-        residuals["rotation_cond"] = rot_info["cond"]
-        residuals["rotation_normal_ratio"] = rot_info["normal_ratio"]
-        stage = "metric_upgrade"
-        K_upg, q_fit = metric_upgrade(M2)
-        residuals["metric_upgrade_fit"] = q_fit
-        stage = "extract_rotations_structure"
-        rotations, structure = extract_rotations_structure(
-            M2, K_upg, St[:3], reflection=options.reflection_resolution,
-            W=W, C=C, m_hat=m_hat)
-        _require_finite(rotations=rotations, structure=structure)
-        stage = "recover_translations"
-        reg = _filter("reg_filter", options.reg_filter, len(omega))
-        tau, nu, gravity, tr_info = recover_translations(
-            m_hat, rotations, omega, domega, measurements.accel,
-            measurements.t_s, options.lambda_tau, options.lambda_nu, reg)
-        _require_finite(tau=tau, nu=nu, gravity=gravity)
-        residuals["translation_lsq"] = tr_info["residual"]
-        residuals["translation_cond"] = tr_info["cond"]
-        residuals["translation_normal_ratio"] = tr_info["normal_ratio"]
-    except DynSfmError as err:
-        raise type(err)(f"[{stage}] {err}") from err
-    except np.linalg.LinAlgError as err:
-        raise NumericalFailure(f"[{stage}] {err}") from err
+    _stage("validate", measurements.validate)
+    W = _stage("assemble_W", assemble_W, measurements)
+    omega = measurements.gyro
+    domega = _stage("omega_dot", _omega_dot_for, measurements, options)
+    C = _stage("assemble_C", assemble_C, omega, domega)
+    Mt, St, sigma_ratio = _stage("factor_rank4", factor_rank4, W)
+    Mt, St = _stage("fix_similarity", fix_similarity, Mt, St)
+    Mt, St, m_hat = _stage("center_structure", center_structure, Mt, St)
+    M2, rot_info = _stage(
+        "recover_rotation_blocks", recover_rotation_blocks, Mt[:, :3], C,
+        omega, domega, measurements.t_s, options.lambda_R)
+    K_upg, q_fit = _stage("metric_upgrade", metric_upgrade, M2)
+    rotations, structure = _stage(
+        "extract_rotations_structure", extract_rotations_structure, M2,
+        K_upg, St[:3], reflection=options.reflection_resolution, W=W, C=C,
+        m_hat=m_hat)
+    reg = _stage("recover_translations", _filter, "reg_filter",
+                 options.reg_filter, len(omega))
+    tau, nu, gravity, tr_info = _stage(
+        "recover_translations", recover_translations, m_hat, rotations,
+        omega, domega, measurements.accel, measurements.t_s,
+        options.lambda_tau, options.lambda_nu, reg)
+    residuals = {
+        "sigma_ratio": sigma_ratio, "rotation_lsq": rot_info["residual"],
+        "rotation_cond": rot_info["cond"],
+        "rotation_normal_ratio": rot_info["normal_ratio"],
+        "metric_upgrade_fit": q_fit, "translation_lsq": tr_info["residual"],
+        "translation_cond": tr_info["cond"],
+        "translation_normal_ratio": tr_info["normal_ratio"]}
     return Reconstruction(rotations=rotations, tau=tau, nu=nu,
                           gravity=gravity, structure=structure,
                           residuals=residuals, options=options)
