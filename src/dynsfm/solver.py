@@ -477,7 +477,8 @@ def recover_translations(m_hat, rotations, omega, domega, accel, t_s,
 def _omega_dot_for(measurements, options):
     mode = options.omega_dot_mode
     if mode == "auto":
-        mode = "euler" if measurements.torque is not None else "numeric"
+        mode = ("euler" if measurements.torque is not None
+                and measurements.inertia is not None else "numeric")
     filt = (_filter("omega_dot_filter", options.omega_dot_filter,
                     len(measurements.gyro)) if mode == "numeric" else None)
     return omega_dot_series(measurements.gyro, mode, measurements.t_s,

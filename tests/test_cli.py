@@ -18,7 +18,7 @@ from dynsfm import jsonio
 from dynsfm.cli import main
 from dynsfm.config import (MAX_FRAMES, MAX_W_BYTES, config_to_dict,
                            reference_config, reference_noise_config)
-from dynsfm.solver import reconstruct
+from dynsfm.solver import SolverOptions, reconstruct
 
 from conftest import make_dataset
 
@@ -213,6 +213,22 @@ def _solve_doc(doc, tmp_path, capfd):
     capfd.readouterr()
     code = run_cli("solve", "--dataset", ds_path, "--out", out, "--quiet")
     return code, capfd.readouterr().err.splitlines(), out.exists()
+
+
+def test_auto_omega_dot_without_inertia_falls_back_to_numeric(tmp_path,
+                                                              capfd):
+    # torque alone does not give the Euler equation: auto mode needs the
+    # inertia too, and without it differentiates the gyro
+    doc = copy.deepcopy(_one_second_dataset_doc())
+    del doc["measurements"]["inertia"]
+    code, err, written = _solve_doc(doc, tmp_path, capfd)
+    assert (code, err, written) == (0, [], True)
+    meas = jsonio.dataset_from_dict(doc).measurements
+    assert meas.torque is not None and meas.inertia is None
+    auto = reconstruct(meas, SolverOptions(omega_dot_mode="auto"))
+    numeric = reconstruct(meas, SolverOptions(omega_dot_mode="numeric"))
+    for name in ("rotations", "tau", "nu", "gravity", "structure"):
+        assert np.array_equal(getattr(auto, name), getattr(numeric, name))
 
 
 def _ragged_tracks(doc):
