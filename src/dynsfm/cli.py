@@ -13,8 +13,8 @@ import numpy as np
 
 from . import jsonio, so3
 from .baseline import DeadReckonState, dead_reckon_positions
-from .config import (_integer, _number, config_from_dict, config_to_dict,
-                     options_from_dict, reference_config)
+from .config import (NOISE_SEED_OFFSET, _integer, _number, config_from_dict,
+                     config_to_dict, options_from_dict, reference_config)
 from .derivatives import savgol_filter
 from .errors import ConfigError, DynSfmError
 from .evaluate import evaluate
@@ -25,8 +25,6 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_SOLVER = 4
 EXIT_EVAL = 5
-
-NOISE_SEED_OFFSET = 10_000_019  # sweep runs derive noise seeds from run seeds
 
 
 class _CliFailure(Exception):
@@ -77,25 +75,26 @@ def _simulate(cfg):
 
 
 def _write(path, obj):
-    try:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        jsonio.write_json(path, obj)
-    except OSError as err:
-        raise _CliFailure(EXIT_IO, f"cannot write {path}: {err}")
+    path = Path(path)
+    _write_outputs(path.parent, {path.name: obj}, {})
 
 
 def _write_outputs(out, docs, tables):
     """Write JSON documents and CSV (header, rows) tables, keyed by file
-    name, into the directory out."""
+    name, into the directory out. An OSError exits EXIT_IO naming the
+    file it could not write (the first one when out cannot be made)."""
     out = Path(out)
+    path = out.joinpath(*[*docs, *tables][:1])
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, doc in docs.items():
-            jsonio.write_json(out / name, doc)
+            path = out / name
+            jsonio.write_json(path, doc)
         for name, (header, rows) in tables.items():
-            jsonio.write_csv(out / name, header, rows)
+            path = out / name
+            jsonio.write_csv(path, header, rows)
     except OSError as err:
-        raise _CliFailure(EXIT_IO, f"cannot write outputs: {err}")
+        raise _CliFailure(EXIT_IO, f"cannot write {path}: {err}")
 
 
 def _eval_outputs(recon, dataset):
@@ -103,6 +102,9 @@ def _eval_outputs(recon, dataset):
     traj, scene = dataset.trajectory, dataset.scene
     try:
         report = evaluate(recon, traj, scene, dataset.gravity)
+        align = report.alignment
+        gt_log = so3.log_so3(traj.rotations)
+        est_log = so3.log_so3(align.rotation @ recon.rotations)
     except DynSfmError as err:
         raise _CliFailure(EXIT_EVAL, f"evaluation failed: {err}")
     meas = dataset.measurements
@@ -114,14 +116,7 @@ def _eval_outputs(recon, dataset):
     window = max(1, F // 4)
     dr_err = imu_T[F - window:] - traj.T[F - window:]
     dr_rmse = float(np.sqrt((dr_err ** 2).sum(axis=1).mean()))
-
-    align = report.alignment
     est_T = align.apply(recon.positions)
-    try:
-        gt_log = so3.log_so3(traj.rotations)
-        est_log = so3.log_so3(align.rotation @ recon.rotations)
-    except DynSfmError as err:
-        raise _CliFailure(EXIT_EVAL, f"evaluation failed: {err}")
     table = np.hstack([gt_log, est_log, traj.T, est_T, imu_T])
     rows = [[f, f * dataset.t_s, *table[f]] for f in range(F)]
     traj_header = ["frame", "t",
@@ -249,17 +244,14 @@ def cmd_sweep(args):
                 report, _, _ = _eval_outputs(recon, dataset)
                 rows.append([seed, scale, "ok", report["trans_rmse"],
                              report["dead_reckoning_terminal_rmse"],
-                             report["rot_err_mean"],
-                             report["per_axis_err"][0],
-                             report["per_axis_err"][1],
-                             report["per_axis_err"][2],
+                             report["rot_err_mean"], *report["per_axis_err"],
                              report["gravity_angle_err"],
                              report["struct_rmse"],
                              recon.residuals["sigma_ratio"]])
             except _CliFailure as err:
                 failures += 1
-                rows.append([seed, scale, "failed", "", "", "", "", "", "",
-                             "", "", ""])
+                rows.append([seed, scale, "failed"]
+                            + [""] * (len(SWEEP_HEADER) - 3))
                 if not args.quiet:
                     print(f"run seed={seed} scale={scale} failed: {err}",
                           file=sys.stderr)

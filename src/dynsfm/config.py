@@ -29,6 +29,8 @@ CONFIG_SCHEMA_VERSION = 1
 MAX_FRAMES = 120_000
 MAX_W_BYTES = 10 * 6 * 12_000 * 24 * 8  # 6F x P doubles
 
+NOISE_SEED_OFFSET = 10_000_019  # noise seed of a run = run seed + this
+
 REFERENCE_NOISE = {"gyro_std": math.radians(3.0),  # 3 deg/s
                "accel_std": 0.2,               # m/s^2
                "image_rel_std": 0.005}         # 0.5 % of peak coordinate
@@ -209,7 +211,8 @@ def reference_noise_config(seed=0):
     derivative noise amplification manageable at 30 Hz.
     """
     cfg = RunConfig(seed=seed,
-                    noise=NoiseSpec(seed=seed + 10_000_019, **REFERENCE_NOISE),
+                    noise=NoiseSpec(seed=seed + NOISE_SEED_OFFSET,
+                                    **REFERENCE_NOISE),
                     flow_mode="numeric",
                     flow_filter=(2, 11))
     return cfg.validate()
