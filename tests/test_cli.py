@@ -231,6 +231,26 @@ def test_auto_omega_dot_without_inertia_falls_back_to_numeric(tmp_path,
         assert np.array_equal(getattr(auto, name), getattr(numeric, name))
 
 
+def test_solve_stops_overflow_at_the_stage_that_made_it(tmp_path):
+    # gyro x 1e200 is finite and passes validate; the Euler omega-dot
+    # overflows and is stopped at [omega_dot], before LAPACK sees it and
+    # prints to stdout. A subprocess, because the suite turns numpy's
+    # overflow RuntimeWarning into an exception.
+    doc = copy.deepcopy(_one_second_dataset_doc())
+    doc["measurements"]["gyro"] = [[1e200 * v for v in row]
+                                   for row in doc["measurements"]["gyro"]]
+    ds_path, out = tmp_path / "dataset.json", tmp_path / "r.json"
+    ds_path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dynsfm", "solve", "--dataset", str(ds_path),
+         "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].startswith(
+        "error: solver failed: [omega_dot] ")
+    assert not out.exists()
+
+
 def _ragged_tracks(doc):
     doc["measurements"]["tracks"][4].pop()
     return doc

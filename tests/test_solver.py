@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import dynsfm
-from dynsfm import banded, so3
+from dynsfm import banded, so3, solver
 from dynsfm.derivatives import savgol_filter
 from dynsfm.errors import (IllConditionedWarning, IndefiniteQ,
-                           LengthMismatch, RankDeficient, SingularTransform,
-                           TooFewFramesOrPoints)
+                           LengthMismatch, NumericalFailure, RankDeficient,
+                           SingularTransform, TooFewFramesOrPoints)
 from dynsfm.simulate import (DEFAULT_GRAVITY, DEFAULT_INERTIA,
                              MeasurementSet, NoiseSpec, PROJECTOR, Scene,
                              add_noise, body_translation, body_velocity,
@@ -977,6 +977,58 @@ def test_reconstruct_annotates_stage():
                             gyro=meas.gyro[:2], accel=meas.accel[:2])
     with pytest.raises(TooFewFramesOrPoints, match=r"\[assemble_W\]"):
         reconstruct(broken)
+
+
+# (stage name, owner, attribute) of the eleven reconstruct stages, in order
+STAGES = [("validate", MeasurementSet, "validate"),
+          ("assemble_W", solver, "assemble_W"),
+          ("omega_dot", solver, "_omega_dot_for"),
+          ("assemble_C", solver, "assemble_C"),
+          ("factor_rank4", solver, "factor_rank4"),
+          ("fix_similarity", solver, "fix_similarity"),
+          ("center_structure", solver, "center_structure"),
+          ("recover_rotation_blocks", solver, "recover_rotation_blocks"),
+          ("metric_upgrade", solver, "metric_upgrade"),
+          ("extract_rotations_structure", solver,
+           "extract_rotations_structure"),
+          ("recover_translations", solver, "recover_translations")]
+
+
+@pytest.mark.parametrize("raised, expected", [
+    (SingularTransform("boom"), SingularTransform),
+    (np.linalg.LinAlgError("boom"), NumericalFailure)],
+    ids=["dynsfm-error", "lapack"])
+@pytest.mark.parametrize("stage, owner, attr", STAGES,
+                         ids=[stage for stage, _, _ in STAGES])
+def test_reconstruct_stage_failure_is_prefixed(stage, owner, attr, raised,
+                                               expected, reference_dataset,
+                                               monkeypatch):
+    # a DynSfmError keeps its type, a LAPACK failure becomes a
+    # NumericalFailure, and both name the stage that raised
+    def fail(*args, **kwargs):
+        raise raised
+    monkeypatch.setattr(owner, attr, fail)
+    with pytest.raises(expected, match=rf"^\[{stage}\] boom$") as info:
+        reconstruct(reference_dataset.measurements)
+    assert type(info.value) is expected
+
+
+@pytest.mark.parametrize("stage", ["fix_similarity", "metric_upgrade"])
+def test_reconstruct_stops_non_finite_result_at_its_stage(
+        stage, reference_dataset, monkeypatch):
+    # one NaN in a stage's first returned array is caught at that stage,
+    # before the next stage turns it into some other failure
+    real = getattr(solver, stage)
+
+    def poisoned(*args, **kwargs):
+        first, *rest = real(*args, **kwargs)
+        first = first.copy()
+        first.flat[first.size // 2] = np.nan
+        return (first, *rest)
+    monkeypatch.setattr(solver, stage, poisoned)
+    with pytest.raises(NumericalFailure,
+                       match=rf"^\[{stage}\] non-finite result$"):
+        reconstruct(reference_dataset.measurements)
 
 
 def test_reconstruct_normal_equation_invariant(reference_recon):
