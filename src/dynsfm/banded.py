@@ -6,11 +6,14 @@ a border of unknowns shared by all frames (the translations' gravity, the
 rotations have none). lstsq forms the normal equations blockwise and
 solves them: the per-frame part N_zz is banded, so frames are cut into
 groups of s, s at least the largest span minus one, and N_zz is block
-tridiagonal in the groups. It is stored as P of shape (groups, m, 2 m),
-m = d s: P[i] = [N_ii | N_i,i+1], the last group's right half unused.
-N_zz is factored by block cyclic reduction, ~log2(groups) batched numpy
-steps with no per-group Python loop. The border is eliminated through
-its Schur complement, the arrowhead elimination of bundle adjustment.
+tridiagonal in the groups. It is stored as P of shape (groups, 2, m, m),
+m = d s: P[i, 0] = N_ii and P[i, 1] = N_i,i+1, the last group's N_i,i+1
+unused. N_zz is factored by block cyclic reduction, ~log2(groups)
+batched numpy steps with no per-group Python loop, in the storage of P:
+each level writes its couplings over the blocks of P it has just read,
+so the factor costs P plus ~P/2 for the inverse Cholesky factors. The
+border is eliminated through its Schur complement, the arrowhead
+elimination of bundle adjustment.
 """
 
 import numpy as np
@@ -18,9 +21,9 @@ import numpy as np
 # Unknowns per diagonal block of the group storage (6 per frame for the
 # translations, 3 for the rotations). With cyclic reduction the Python
 # steps grow only with log2(groups), and smaller blocks cost fewer flops
-# and less memory: a 5 s, 60 Hz reconstruct (F=300) took a median ~22 ms
-# and peaked at 3.1 MB with 24, ~24 ms and 3.6 MB with 30, ~26 ms and
-# 4.1 MB with 36 (2 vCPUs). The tests need s >= 4 frames for the
+# and less memory: a 5 s, 60 Hz reconstruct (F=300) took a median ~27 ms
+# and peaked at 2.4 MB with 24, ~31 ms and 2.6 MB with 30, ~33 ms and
+# 2.8 MB with 36 (2 vCPUs). The tests need s >= 4 frames for the
 # translations (their block rows span up to 4 frames), so 24 is the
 # smallest value they allow.
 GROUP_UNKNOWNS = 24
@@ -54,7 +57,7 @@ def lstsq(blocks, rhs, d, border=0):
     s = max(GROUP_UNKNOWNS // d, max(widths) - 1)
     m = d * s
     P, Nzg, Ngg = _normal_matrix(F, s, d, border, blocks, widths)
-    norm = _norm1(F, d, P, Nzg, Ngg)
+    norm = _norm1(F, d, P, Nzg, Ngg)  # before cholesky overwrites P
     rz, rg = _apply_transpose(len(Nzg), d, border, blocks, widths, rhs)
     k = rg.shape[1]
     # the estimator's two fixed probes ride along as extra columns
@@ -128,8 +131,10 @@ def _normal_matrix(F, s, d, border, blocks, widths):
     plain slices, in list order, and then moved into P with one fancy
     write per offset."""
     n_groups = -(-F // s)
-    P = np.zeros((n_groups, d * s, 2 * d * s))
-    rows = P.reshape(n_groups * s, d, 2 * s, d)  # (frame, row, frame, col)
+    P = np.zeros((n_groups, 2, d * s, d * s))
+    # (group, 0 or 1 for the group or its right neighbour, frame in the
+    # group, row, frame in that group, col)
+    cells = P.reshape(n_groups, 2, s, d, s, d)
     Nzg = np.zeros((n_groups * s, d, border))
     Ngg = np.zeros((border, border))
     w_max = max(widths)
@@ -150,9 +155,10 @@ def _normal_matrix(F, s, d, border, blocks, widths):
     for j in range(1 - w_max, w_max):
         col = f % s + j  # frame offset from f's group start
         keep = col >= 0  # blocks left of f's group are not stored
-        rows[f[keep], :, col[keep]] = band[w_max - 1 + j, keep]
+        fk, ck = f[keep], col[keep]
+        cells[fk // s, ck // s, fk % s, :, ck % s] = band[w_max - 1 + j, keep]
     pad = np.arange(F, n_groups * s)
-    rows[pad, :, pad % s] = np.eye(d)
+    cells[pad // s, 0, pad % s, :, pad % s] = np.eye(d)
     return P, Nzg, Ngg
 
 
@@ -165,7 +171,8 @@ def _norm1(F, d, P, Nzg, Ngg):
 
 
 def cholesky(P):
-    """Block cyclic reduction (odd-even elimination) of the group storage P.
+    """Block cyclic reduction (odd-even elimination) of the group storage
+    P, in place.
 
     Each level eliminates the even-indexed groups e of the current block
     tridiagonal matrix, in one batched step: with L_e L_e^T = N_ee, it
@@ -177,24 +184,32 @@ def cholesky(P):
     Cholesky factorization of N with its groups reordered, so it is as
     stable (D. Heller, SIAM J. Numer. Anal. 13(4), 1976).
 
-    Returns the levels [(Linv, Xl, Xr)]: Xl has one block per even group
-    but the first, Xr one per even group that has a right neighbour.
-    Raises np.linalg.LinAlgError when N is not numerically positive
-    definite.
+    Only the Linv are new arrays. Xr_e goes over N_ee and Xl_e over
+    N_e,e+1, both read by then; the Schur complement goes over N_oo and
+    its coupling over N_o,o+1, which Xl_o+1 has read. The next level
+    works on the odd groups' blocks, so no level overwrites another's.
+
+    Returns the levels [(Linv, Xl, Xr)], Xl and Xr views of P: Xl has one
+    block per even group but the first, Xr one per even group that has a
+    right neighbour. Raises np.linalg.LinAlgError when N is not
+    numerically positive definite.
     """
-    m = P.shape[1]
-    D, E = P[:, :, :m], P[:, :, m:]  # N_ii and N_i,i+1
+    D, E = P[:, 0], P[:, 1]  # N_ii and N_i,i+1
     levels = []
     while len(D):
         n_odd = len(D) // 2
         Linv = np.linalg.inv(np.linalg.cholesky(D[0::2]))
-        Xr = Linv[:n_odd] @ E[0:2 * n_odd:2]
-        Xl = Linv[1:] @ E[1::2][:len(Linv) - 1].transpose(0, 2, 1)
+        Xr = np.matmul(Linv[:n_odd], E[0:2 * n_odd:2],
+                       out=D[0:2 * n_odd:2])
+        Xl = np.matmul(Linv[1:], E[1::2][:len(Linv) - 1].transpose(0, 2, 1),
+                       out=E[2::2])
         levels.append((Linv, Xl, Xr))
-        D = D[1::2] - Xr.transpose(0, 2, 1) @ Xr
+        D, E = D[1::2], E[1::2]
+        D -= Xr.transpose(0, 2, 1) @ Xr
         D[:len(Xl)] -= Xl.transpose(0, 2, 1) @ Xl
-        E = np.zeros_like(D)
-        E[:n_odd - 1] = -Xl[:n_odd - 1].transpose(0, 2, 1) @ Xr[1:]
+        coupling = np.matmul(Xl[:n_odd - 1].transpose(0, 2, 1), Xr[1:],
+                             out=E[:n_odd - 1])
+        np.negative(coupling, out=coupling)  # exact: -(A B) is (-A) B
     return levels
 
 
@@ -222,12 +237,15 @@ def solve(levels, rhs):
 
 
 def abs_row_sums(P):
-    """Absolute row sums (groups, m) of N, from P alone: the right half
-    holds N_i,i+1 and, N being symmetric, its column sums are the row
-    sums of N_i+1,i."""
-    a = np.abs(P)
-    rows = a.sum(axis=2)
-    rows[1:] += a[:-1, :, a.shape[1]:].sum(axis=1)
+    """Absolute row sums (groups, m) of N, from P alone: P[i, 1] holds
+    N_i,i+1 and, N being symmetric, its column sums are the row sums of
+    N_i+1,i. Each row [N_ii | N_i,i+1] is summed in one pass over its 2 m
+    contiguous values: summing the two halves apart rounds differently."""
+    n, _, m, _ = P.shape
+    a = np.empty((n, m, 2, m))
+    np.abs(P.transpose(0, 2, 1, 3), out=a)
+    rows = a.reshape(n, m, 2 * m).sum(axis=2)
+    rows[1:] += a[:-1, :, 1].sum(axis=1)
     return rows
 
 

@@ -22,9 +22,10 @@ from .solver import SolverOptions
 CONFIG_SCHEMA_VERSION = 1
 
 # Size budget of a run: 10x the 60 s, 200 Hz, 24-point regime (12000
-# frames, a 13.8 MB W). Under tracemalloc a pipeline run peaks at ~12 kB
-# per frame with 24 points and at ~7.7x W with 4000, so a run at either
-# limit peaks near 1.4 GB, and one above it is rejected before anything
+# frames, a 13.8 MB W). Under tracemalloc a noiseless pipeline run peaks
+# at ~10.4 kB per frame with 24 points (124.5 MB at 12000 frames) and at
+# ~7.8x W with 4000 (89.4 MB at 60 frames), so a run at either limit
+# peaks near 1.1-1.25 GB, and one above it is rejected before anything
 # is allocated.
 MAX_FRAMES = 120_000
 MAX_W_BYTES = 10 * 6 * 12_000 * 24 * 8  # 6F x P doubles

@@ -498,7 +498,8 @@ def _filter(name, spec, n_frames):
 def _stage(name, fn, *args, **kwargs):
     """fn(*args, **kwargs), run as the solver stage name.
 
-    A DynSfmError is re-raised as the same type and a LAPACK failure as a
+    A DynSfmError is re-raised as the same type, and a LAPACK failure or an
+    ArithmeticError (a Python float overflowing, say) as a
     NumericalFailure, with "[name] " before the message. A float array in
     the result, bare or a member of a tuple, that holds a NaN or an
     infinity raises NumericalFailure at [name]. Dicts and scalars are not
@@ -514,6 +515,9 @@ def _stage(name, fn, *args, **kwargs):
         raise type(err)(f"[{name}] {err}") from err
     except np.linalg.LinAlgError as err:
         raise NumericalFailure(f"[{name}] {err}") from err
+    except ArithmeticError as err:
+        raise NumericalFailure(
+            f"[{name}] {type(err).__name__}: {err}") from err
     return out
 
 
@@ -523,7 +527,8 @@ def reconstruct(measurements, options=None):
     Its eleven stages, validate (MeasurementSet.validate, the input
     contract) to recover_translations, each run through _stage, which
     prefixes a failure with the stage name and raises NumericalFailure on a
-    LAPACK failure or a non-finite array in a stage's result.
+    LAPACK failure, an ArithmeticError or a non-finite array in a stage's
+    result.
     """
     options = options if options is not None else SolverOptions()
     options.validate()
@@ -543,6 +548,7 @@ def reconstruct(measurements, options=None):
         "extract_rotations_structure", extract_rotations_structure, M2,
         K_upg, St[:3], reflection=options.reflection_resolution, W=W, C=C,
         m_hat=m_hat)
+    del W  # unread from here on, and the translation solve peaks above it
     reg = _stage("recover_translations", _filter, "reg_filter",
                  options.reg_filter, len(omega))
     tau, nu, gravity, tr_info = _stage(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,7 +142,8 @@ def scattered_P(F, s, d, blocks, widths):
     """P as one fancy-index add per (list, column frame l, row frame k)
     pair: the reference that _normal_matrix's band sums must equal bit
     for bit, since both add the same blocks to each entry in the same
-    order."""
+    order. It is scattered as [N_ii | N_i,i+1] rows and returned in
+    _normal_matrix's (groups, 2, m, m) layout."""
     n_groups = -(-F // s)
     P = np.zeros((n_groups, d * s, 2 * d * s))
     rows = P.reshape(n_groups * s, d, 2 * s, d)
@@ -154,7 +157,7 @@ def scattered_P(F, s, d, blocks, widths):
                 rows[f[keep], :, col[keep]] += G[keep, d * k:d * k + d]
     pad = np.arange(F, n_groups * s)
     rows[pad, :, pad % s] = np.eye(d)
-    return P
+    return P.reshape(n_groups, d * s, 2, d * s).transpose(0, 2, 1, 3)
 
 
 @pytest.mark.parametrize("d, border, spans", [
@@ -244,6 +247,30 @@ def test_cholesky_takes_one_batched_step_per_level(groups, monkeypatch):
     levels = banded.cholesky(P)
     assert len(calls) == len(levels) <= int(np.ceil(np.log2(groups))) + 1
     assert sum(shape[0] for shape in calls) == groups
+
+
+@pytest.mark.parametrize("groups", [75, 76])
+def test_cholesky_factors_in_the_storage_of_P(groups):
+    # each level writes its couplings over the blocks of P it has read, so
+    # only the inverse Cholesky factors (~P/2 over all levels) and one
+    # level's temporaries are new: ~0.69x P.nbytes here; levels built
+    # next to P take ~1.9x
+    d = 6
+    s = banded.GROUP_UNKNOWNS // d
+    F = group_frames(groups, s)
+    blocks, _ = random_lists(np.random.default_rng(groups), F, d, 0, 1,
+                             [(d + 1, 1), (2, 3)])
+    P, _, _ = banded._normal_matrix(F, s, d, 0, blocks, [1, 3])
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        levels = banded.cholesky(P)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.8 * P.nbytes
+    for _, Xl, Xr in levels:
+        assert all(np.shares_memory(X, P) for X in (Xl, Xr) if len(X))
 
 
 def test_lstsq_fewer_rows_than_unknowns_raises():

@@ -195,13 +195,17 @@ def test_solve_exit_code_on_invalid_input(path, value, tmp_path, capfd):
 
 
 @functools.cache
-def _one_second_dataset_doc():
-    """A valid 1 s, 8-point dataset document with plain JSON lists; callers
-    mutate a deep copy."""
+def _one_second_dataset_json():
     cfg = reference_noise_config(seed=0)
     cfg.duration = 1.0
     cfg.points = 8
-    return json.loads(jsonio.dumps(jsonio.dataset_to_dict(make_dataset(cfg))))
+    return jsonio.dumps(jsonio.dataset_to_dict(make_dataset(cfg)))
+
+
+def _one_second_dataset_doc():
+    """A valid 1 s, 8-point dataset document with plain JSON lists, a new
+    one on every call, so a caller may mutate it."""
+    return json.loads(_one_second_dataset_json())
 
 
 def _solve_doc(doc, tmp_path, capfd):
@@ -219,7 +223,7 @@ def test_auto_omega_dot_without_inertia_falls_back_to_numeric(tmp_path,
                                                               capfd):
     # torque alone does not give the Euler equation: auto mode needs the
     # inertia too, and without it differentiates the gyro
-    doc = copy.deepcopy(_one_second_dataset_doc())
+    doc = _one_second_dataset_doc()
     del doc["measurements"]["inertia"]
     code, err, written = _solve_doc(doc, tmp_path, capfd)
     assert (code, err, written) == (0, [], True)
@@ -236,7 +240,7 @@ def test_solve_stops_overflow_at_the_stage_that_made_it(tmp_path):
     # overflows and is stopped at [omega_dot], before LAPACK sees it and
     # prints to stdout. A subprocess, because the suite turns numpy's
     # overflow RuntimeWarning into an exception.
-    doc = copy.deepcopy(_one_second_dataset_doc())
+    doc = _one_second_dataset_doc()
     doc["measurements"]["gyro"] = [[1e200 * v for v in row]
                                    for row in doc["measurements"]["gyro"]]
     ds_path, out = tmp_path / "dataset.json", tmp_path / "r.json"
@@ -248,6 +252,26 @@ def test_solve_stops_overflow_at_the_stage_that_made_it(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.splitlines()[-1].startswith(
         "error: solver failed: [omega_dot] ")
+    assert not out.exists()
+
+
+def test_solve_names_the_stage_an_arithmetic_error_stops(tmp_path):
+    # t_s = 1e298 is finite and passes validate; the rotation regularizer
+    # squares it as a Python float, which raises OverflowError. _stage
+    # maps it to NumericalFailure at its stage: exit 4 and one error line,
+    # not exit 1 with a traceback.
+    doc = _one_second_dataset_doc()
+    doc["t_s"] = 1e298
+    ds_path, out = tmp_path / "dataset.json", tmp_path / "r.json"
+    ds_path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dynsfm", "solve", "--dataset", str(ds_path),
+         "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error: solver failed: [recover_rotation_blocks] OverflowError: ")
     assert not out.exists()
 
 
@@ -270,7 +294,7 @@ def _array_document(doc):
                          ids=["ragged-tracks", "short-inertia", "array"])
 def test_solve_exit_code_on_malformed_dataset(mutate, tmp_path, capfd):
     # a dataset file numpy cannot shape is an I/O error, not a traceback
-    doc = mutate(copy.deepcopy(_one_second_dataset_doc()))
+    doc = mutate(_one_second_dataset_doc())
     code, err, written = _solve_doc(doc, tmp_path, capfd)
     assert code == 3
     assert len(err) == 1 and err[0].startswith("error: bad dataset file:")
@@ -336,7 +360,7 @@ def _mutate(draw, doc):
 def test_solve_rejects_every_invalid_dataset(data, tmp_path, capfd):
     # the CLI contract: an invalid dataset exits 2, 3 or 4 with exactly
     # one error line, never 1 with a traceback
-    doc = copy.deepcopy(_one_second_dataset_doc())
+    doc = _one_second_dataset_doc()
     note(_mutate(data.draw, doc))
     code, err, written = _solve_doc(doc, tmp_path, capfd)
     assert code in (2, 3, 4)
