@@ -102,11 +102,11 @@ def _eval_outputs(recon, dataset):
     traj, scene = dataset.trajectory, dataset.scene
     try:
         report = evaluate(recon, traj, scene, dataset.gravity)
-        align = report.alignment
-        gt_log = so3.log_so3(traj.rotations)
-        est_log = so3.log_so3(align.rotation @ recon.rotations)
     except DynSfmError as err:
         raise _CliFailure(EXIT_EVAL, f"evaluation failed: {err}")
+    align = report.alignment
+    gt_log = so3.rotation_vector(traj.rotations)
+    est_log = so3.rotation_vector(align.rotation @ recon.rotations)
     meas = dataset.measurements
     init = DeadReckonState(traj.rotations[0].copy(), traj.T[0].copy(),
                            traj.dT[0].copy())

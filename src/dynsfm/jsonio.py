@@ -7,11 +7,11 @@ are LF everywhere.
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
-from .config import options_from_dict
+from .config import _object, options_from_dict
 from .errors import DimensionMismatch
 from .simulate import (Dataset, MeasurementSet, NoiseSpec, Scene, Trajectory)
 from .solver import Reconstruction
@@ -118,7 +118,17 @@ def _csv_row(row):
     return ",".join(FLOAT if f else "%s" for f in is_float) % tuple(row)
 
 
+_DATASET_KEYS = {"schema_version", "t_s", "gravity", "scene", "trajectory",
+                 "measurements", "noise_spec", "seed"}
+_MEASUREMENT_KEYS = {"tracks", "flows", "double_flows", "gyro", "accel",
+                     "torque", "inertia"}
+_FRAME_KEYS = {"R", "T", "dT", "ddT", "omega", "domega"}
+_RECONSTRUCTION_KEYS = {"rotations", "tau", "nu", "gravity", "structure",
+                        "residuals", "options"}
+
+
 def noise_spec_from_dict(d):
+    _object(d, {f.name for f in fields(NoiseSpec)}, "noise_spec")
     return NoiseSpec(gyro_std=d["gyro_std"], accel_std=d["accel_std"],
                      image_rel_std=d["image_rel_std"], seed=d["seed"])
 
@@ -155,7 +165,10 @@ def dataset_from_dict(d):
     if d.get("schema_version") != SCHEMA_VERSION:
         raise DimensionMismatch(
             f"unsupported dataset schema_version {d.get('schema_version')!r}")
+    _object(d, _DATASET_KEYS, "dataset")
     frames = d["trajectory"]
+    for f, fr in enumerate(frames):
+        _object(fr, _FRAME_KEYS, f"trajectory[{f}]")
     traj = Trajectory(
         t_s=d["t_s"],
         rotations=np.array([np.reshape(fr["R"], (3, 3)) for fr in frames]),
@@ -164,7 +177,7 @@ def dataset_from_dict(d):
         ddT=np.array([fr["ddT"] for fr in frames]),
         omega=np.array([fr["omega"] for fr in frames]),
         domega=np.array([fr["domega"] for fr in frames]))
-    m = d["measurements"]
+    m = _object(d["measurements"], _MEASUREMENT_KEYS, "measurements")
     meas = MeasurementSet(
         t_s=d["t_s"],
         tracks=np.asarray(m["tracks"], dtype=float),
@@ -198,7 +211,8 @@ def reconstruction_to_dict(recon):
 
 def reconstruction_from_dict(d):
     """Reconstruction of a document; ValueError unless its arrays are
-    finite and of consistent shapes."""
+    finite and of consistent shapes, ConfigError on an unknown key."""
+    _object(d, _RECONSTRUCTION_KEYS, "reconstruction")
     recon = Reconstruction(
         rotations=np.array([np.reshape(r, (3, 3)) for r in d["rotations"]],
                            dtype=float),

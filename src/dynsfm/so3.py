@@ -12,6 +12,9 @@ from .errors import DegenerateMatrix, NearPiAmbiguity, NotSkewSymmetric
 # Below this angle the Rodrigues sine/cosine ratios are replaced by their
 # second-order Taylor expansions to avoid 0/0.
 SMALL_ANGLE = 1e-8
+# At or below this trace (angle within ~1e-3 of pi) the skew part of a
+# rotation is too small to fix the sign of its axis to rounding.
+NEAR_PI_TRACE = -1.0 + 1e-6
 
 
 def hat(v):
@@ -76,19 +79,34 @@ def exp_so3(v):
 
 
 def log_so3(R):
-    """Principal-branch axis-angle of a rotation matrix.
+    """Principal-branch axis-angle of a rotation matrix: rotation_vector,
+    refused near pi.
+
+    Accepts a stack (..., 3, 3) and returns (..., 3). Raises
+    NearPiAmbiguity when any trace(R) <= NEAR_PI_TRACE (angle within
+    ~1e-3 of pi), where the skew part no longer fixes the axis sign.
+    """
+    R = np.asarray(R, dtype=float)
+    if np.any(np.trace(R, axis1=-2, axis2=-1) <= NEAR_PI_TRACE):
+        raise NearPiAmbiguity("rotation angle too close to pi")
+    return rotation_vector(R)
+
+
+def rotation_vector(R):
+    """Principal-branch axis-angle of a rotation matrix, defined for every
+    rotation.
 
     Accepts a stack (..., 3, 3) and returns (..., 3); each matrix whose
     skew part is below SMALL_ANGLE takes the first-order branch. The angle
     comes from atan2(|skew part|, trace - 1), which stays well-conditioned
-    up to the branch (the arccos form loses ~6 digits near pi). Raises
-    NearPiAmbiguity when any trace(R) <= -1 + 1e-6 (angle within ~1e-3 of
-    pi), where the axis sign is numerically ill-determined.
+    up to the branch (the arccos form loses ~6 digits near pi). Where
+    trace(R) <= NEAR_PI_TRACE the skew part 2 sin(theta) n fades, so the
+    axis n is the largest column of (R + R^T) / 2 - cos(theta) I =
+    (1 - cos(theta)) n n^T (at pi, of R + I), signed to agree with the
+    skew part. At pi itself both signs are logarithms of R.
     """
     R = np.asarray(R, dtype=float)
     tr = np.trace(R, axis1=-2, axis2=-1)
-    if np.any(tr <= -1.0 + 1e-6):
-        raise NearPiAmbiguity("rotation angle too close to pi")
     w = np.stack([R[..., 2, 1] - R[..., 1, 2], R[..., 0, 2] - R[..., 2, 0],
                   R[..., 1, 0] - R[..., 0, 1]], axis=-1)
     # |w|^2 as a 1x3 by 3x1 product rounds as the dot of one vector does;
@@ -97,7 +115,18 @@ def log_so3(R):
     th = np.arctan2(nw, tr - 1.0)
     small = nw < SMALL_ANGLE
     scale = th / np.where(small, 1.0, nw)
-    return np.where(small[..., None], 0.5 * w, scale[..., None] * w)
+    v = np.where(small[..., None], 0.5 * w, scale[..., None] * w)
+    near = np.ravel(tr <= NEAR_PI_TRACE)
+    if near.any():
+        Rn = R.reshape(-1, 3, 3)[near]
+        cos = 0.5 * (tr.reshape(-1)[near] - 1.0)
+        B = 0.5 * (Rn + np.swapaxes(Rn, 1, 2)) - cos[:, None, None] * np.eye(3)
+        col = np.argmax(np.diagonal(B, axis1=1, axis2=2), axis=1)
+        n = B[np.arange(len(col)), :, col]
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        n[(n * w.reshape(-1, 3)[near]).sum(axis=1) < 0] *= -1.0
+        v.reshape(-1, 3)[near] = th.reshape(-1)[near, None] * n
+    return v
 
 
 def rotation_angle(R):
@@ -160,16 +189,18 @@ def right_jacobian(v):
                        b[..., None, None] * VV))
 
 
-def deterministic_svd(A):
-    """Thin SVD with a fixed sign convention.
-
-    The largest-magnitude entry of each left singular vector is made
-    positive (the matching right vector is flipped with it), so
-    factorizations are reproducible across LAPACK builds.
-    """
-    U, s, Vt = np.linalg.svd(np.asarray(A, dtype=float), full_matrices=False)
+def fix_signs(U, Vt):
+    """Make the largest-magnitude entry of each left singular vector
+    (column of U) positive, flipping the matching row of Vt, in place, so
+    factorizations are reproducible across LAPACK builds."""
     cols = np.arange(U.shape[1])
     signs = np.where(U[np.argmax(np.abs(U), axis=0), cols] < 0, -1.0, 1.0)
     U *= signs
     Vt *= signs[:, None]
+
+
+def deterministic_svd(A):
+    """Thin SVD with the sign convention of fix_signs."""
+    U, s, Vt = np.linalg.svd(np.asarray(A, dtype=float), full_matrices=False)
+    fix_signs(U, Vt)
     return U, s, Vt

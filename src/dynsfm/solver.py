@@ -146,42 +146,40 @@ def translation_vector(omega, domega, tau, nu, accel, rotations, gravity):
 def factor_rank4(W):
     """Rank-four factorization W ~ Mt @ St via truncated SVD.
 
-    A tall W goes straight to the thin SVD, which LAPACK already reduces
-    by QR. A wide W (more points than rows) goes through a range finder
-    with one power step (Halko, Martinsson & Tropp 2011), started from a
-    deterministic basis instead of a random one: the top k = min(8, rows)
-    eigenvectors V of the Gram matrix W W^T, then Q = qr(W^T V) (P x k)
-    and the SVD of W Q (rows x k), whose Ritz values and left vectors
-    stand for those of W, with St = Vt[:4] Q^T. Only the Gram product
-    costs O(P rows^2); the rest is O(P k rows) plus one rows x rows
-    eigensolve, and no P x rows array is formed. Why the power step and
-    k = 8, measured on 54 x 400 matrices with singular values
-    (1, .8, .6, r, 1e-3 r, 0.9e-3 r):
+    One range finder with one power step (Halko, Martinsson & Tropp 2011)
+    on the short side of W, from a deterministic start: with A = W if W
+    is wide (more points than rows), else W^T, and n = len(A), the top
+    k = min(8, n) eigenvectors V of the Gram matrix A A^T, then
+    Q = qr((V^T A)^T) and the SVD U s Vt of A Q (n x k), whose Ritz
+    values and vectors stand for those of W: its left vectors are U
+    (wide) or Q Vt^T (tall). Only the Gram product costs O(n^2 N), with
+    N = max(W.shape); the rest is O(k n N) plus one n x n eigensolve. Why
+    the power step and k = 8, measured on 54 x 400 matrices with singular
+    values (1, .8, .6, r, 1e-3 r, 0.9e-3 r) and on their transposes:
     - the Gram eigenvectors alone square the conditioning: their rank-4
-      subspace error is 5e-9 at r = 1e-4 and ~1 at r = 1e-8, where an SVD
-      of W gives 2e-13 and 2e-9. After the power step the error stays
-      within 10x of the SVD's for every r from 1e-2 to 1e-9;
-    - with k = 5 instead of 8 it ends 2-3 digits above the SVD's at
-      r = 1e-8 and 1e-9.
-    Both branches use the deterministic sign convention of the so3
-    module. Returns (Mt, St, sigma_ratio) where sigma_ratio = s5/s4
-    measures how well the data fits the rank-4 model.
+      subspace error is 5e-9 at r = 1e-4 and ~1 at r = 1e-8 (wide), where
+      an SVD of W gives 2e-13 and 2e-9. After the power step the error
+      stays within 10x of the SVD's for every r from 1e-2 to 1e-9;
+    - with k = 5 instead of 8 it ends 1-2 (wide) and 4-5 (tall) digits
+      above the SVD's at r = 1e-8 and 1e-9.
+    W's left vectors take the sign convention of so3.fix_signs. Returns
+    (Mt, St, sigma_ratio) where sigma_ratio = s5/s4 measures how well
+    the data fits the rank-4 model.
     """
     if min(W.shape) < 4:
         raise TooFewFramesOrPoints("W must have at least 4 rows and columns")
     wide = W.shape[1] > W.shape[0]
-    if wide:
-        _, V = np.linalg.eigh(W @ W.T)
-        Q, _ = np.linalg.qr(W.T @ V[:, -min(8, W.shape[0]):])
-        U, s, Vt = so3.deterministic_svd(W @ Q)
-    else:
-        U, s, Vt = so3.deterministic_svd(W)
+    A = W if wide else W.T
+    _, V = np.linalg.eigh(A @ A.T)
+    Q, _ = np.linalg.qr((V[:, -min(8, len(A)):].T @ A).T)
+    U, s, Vt = np.linalg.svd(A @ Q, full_matrices=False)
     rank_ratio = s[3] / s[0] if s[0] > 0 else 0.0
     if rank_ratio < 1e-10:
         raise RankDeficient(f"sigma4/sigma1 = {rank_ratio:.2e} < 1e-10")
     sigma_ratio = float(s[4] / s[3]) if len(s) > 4 else 0.0
-    St = Vt[:4] @ Q.T if wide else Vt[:4]
-    return U[:, :4] * s[:4], St, sigma_ratio
+    left, right = (U[:, :4], Vt[:4] @ Q.T) if wide else (Q @ Vt[:4].T, U.T[:4])
+    so3.fix_signs(left, right)
+    return left * s[:4], right, sigma_ratio
 
 
 def fix_similarity(Mt, St):

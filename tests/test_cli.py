@@ -301,6 +301,42 @@ def test_solve_exit_code_on_malformed_dataset(mutate, tmp_path, capfd):
     assert not written
 
 
+@pytest.mark.parametrize("document, where, command", [
+    ("dataset", (), "solve"), ("dataset", (), "eval"),
+    ("dataset", ("measurements",), "solve"),
+    ("dataset", ("measurements",), "eval"),
+    ("dataset", ("noise_spec",), "solve"),
+    ("dataset", ("trajectory", 3), "solve"),
+    ("dataset", ("trajectory", 3), "eval"),
+    ("reconstruction", (), "eval")],
+    ids=["dataset-solve", "dataset-eval", "measurements-solve",
+         "measurements-eval", "noise_spec-solve", "trajectory-solve",
+         "trajectory-eval", "reconstruction-eval"])
+def test_readers_reject_unknown_key(document, where, command, tmp_path,
+                                    capfd):
+    # a stray key is more likely a typo or a foreign schema than data
+    # the reader may drop: it exits 3 and names the key
+    docs = {"dataset": _one_second_dataset_doc(),
+            "reconstruction": copy.deepcopy(_one_second_reconstruction_doc())}
+    target = docs[document]
+    for key in where:
+        target = target[key]
+    target["bogus"] = 1.0
+    paths = {name: tmp_path / f"{name}.json" for name in docs}
+    for name, doc in docs.items():
+        paths[name].write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    args = (["solve", "--dataset", paths["dataset"]] if command == "solve"
+            else ["eval", "--recon", paths["reconstruction"], "--dataset",
+                  paths["dataset"]])
+    capfd.readouterr()
+    assert run_cli(*args, "--out", out, "--quiet") == 3
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad ")
+    assert "unknown field 'bogus'" in err[0]
+    assert not out.exists()
+
+
 MEASUREMENT_ARRAYS = ("tracks", "flows", "double_flows", "gyro", "accel",
                       "torque", "inertia")
 REQUIRED_KEYS = ([("schema_version",), ("t_s",), ("trajectory",),
@@ -737,7 +773,7 @@ def test_so3_calls_do_not_grow_with_frames(monkeypatch):
         cfg.duration = frames * cfg.t_s
         cfg.points = 8
         with monkeypatch.context() as patch:
-            for name in ("exp_so3", "right_jacobian", "log_so3"):
+            for name in ("exp_so3", "right_jacobian", "rotation_vector"):
                 patch.setattr(so3, name, counted(name))
             counts.clear()
             dataset = make_dataset(cfg)
@@ -748,7 +784,7 @@ def test_so3_calls_do_not_grow_with_frames(monkeypatch):
             calls.append((simulated, dict(counts)))
         assert dataset.trajectory.n_frames == frames
     assert calls[0] == calls[1]
-    assert calls[0][1]["log_so3"] == 2
+    assert calls[0][1]["rotation_vector"] == 2
 
 
 @pytest.mark.parametrize("noisy, fits", [(True, 3), (False, 1)])
@@ -838,6 +874,36 @@ def test_eval_self_evaluation_of_truth(small_cfg_path, tmp_path):
         diff = (rows[:, cols[f"gt_T_{axis}"]]
                 - rows[:, cols[f"est_T_{axis}"]])
         assert np.abs(diff).max() < 1e-12
+
+
+def test_eval_writes_rotation_near_pi(small_cfg_path, tmp_path):
+    # evaluate succeeds, so the trajectory CSV must not refuse a frame whose
+    # aligned rotation lies within ~1e-3 of pi, where log_so3 would
+    from dynsfm import so3
+    from dynsfm.evaluate import evaluate
+    ds_path, rec_path = tmp_path / "dataset.json", tmp_path / "recon.json"
+    run_cli("simulate", "--config", small_cfg_path, "--out", ds_path,
+            "--quiet")
+    run_cli("solve", "--dataset", ds_path, "--out", rec_path, "--quiet")
+    ds = jsonio.dataset_from_dict(jsonio.read_json(ds_path))
+    recon = jsonio.reconstruction_from_dict(jsonio.read_json(rec_path))
+    align = evaluate(recon, ds.trajectory, ds.scene, ds.gravity).alignment
+    target = so3.exp_so3([np.pi - 1e-4, 0.0, 0.0])
+    recon.rotations[10] = align.rotation.T @ target
+    jsonio.write_json(rec_path, jsonio.reconstruction_to_dict(recon))
+    out = tmp_path / "e"
+    assert run_cli("eval", "--recon", rec_path, "--dataset", ds_path,
+                   "--out", out, "--quiet") == 0
+    assert (out / "report.json").exists()
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in lines[1:]])
+    est = rows[:, [header.index(f"est_logR_{a}") for a in "xyz"]]
+    aligned = align.rotation @ recon.rotations
+    assert np.abs(so3.exp_so3(est[10]) - aligned[10]).max() < 1e-9
+    assert np.array_equal(np.delete(est, 10, axis=0),
+                          so3.log_so3(np.delete(aligned, 10, axis=0)))
 
 
 def test_pipeline_under_time_budget(reference_cfg_path, tmp_path):

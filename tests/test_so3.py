@@ -311,6 +311,34 @@ def test_log_stack_raises_on_one_matrix_near_pi():
         log_so3_one(R[17])
 
 
+def test_rotation_vector_equals_log_away_from_pi():
+    R = so3.exp_so3(_jacobian_inputs())
+    assert np.array_equal(so3.rotation_vector(R), so3.log_so3(R))
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-8, 1e-6, 1e-4, 1e-3])
+def test_rotation_vector_near_pi_roundtrip(gap):
+    # within ~1e-3 of pi, where log_so3 refuses, in a stack with matrices
+    # away from it, which keep log_so3's value
+    rng = np.random.default_rng(45)
+    axes = rng.normal(size=(20, 3))
+    v = axes / np.linalg.norm(axes, axis=1, keepdims=True) * (np.pi - gap)
+    R = so3.exp_so3(v)
+    far = so3.exp_so3(_jacobian_inputs().reshape(-1, 3))
+    out = so3.rotation_vector(np.concatenate([R, far]))
+    assert np.all(np.linalg.norm(so3.exp_so3(out[:20]) - R, axis=(1, 2))
+                  < 1e-12)
+    if gap > 0:  # at pi itself both signs of the axis are logarithms
+        assert np.abs(out[:20] - v).max() < 1e-12
+    assert np.array_equal(out[20:], so3.log_so3(far))
+
+
+def test_rotation_vector_single_matrix_at_pi():
+    out = so3.rotation_vector(so3.exp_so3([0.0, np.pi, 0.0]))
+    assert out.shape == (3,)
+    assert np.allclose(np.abs(out), [0.0, np.pi, 0.0], atol=1e-15)
+
+
 def _stack_inputs():
     rng = np.random.default_rng(41)
     A = rng.normal(size=(6, 3, 3)) + 2 * np.eye(3)

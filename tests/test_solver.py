@@ -119,9 +119,9 @@ def wide_W():
 
 @pytest.fixture(scope="module")
 def rank4_inputs(reference_dataset, wide_W):
-    """Noiseless W on both sides of factor_rank4's shape branch: the tall
-    reference (900 x 24, thin SVD) and the wide input (54 x 200, Gram
-    eigenbasis and one power step)."""
+    """Noiseless W of both shapes: the tall reference (900 x 24, Gram
+    eigenbasis of its 24 columns) and the wide input (54 x 200, Gram
+    eigenbasis of its 54 rows)."""
     return [assemble_W(reference_dataset.measurements), wide_W]
 
 
@@ -152,13 +152,14 @@ def test_factor_rank4_permutation_equivariance(rank4_inputs):
         assert np.allclose(Mt2, Mt1, atol=1e-9), W.shape
 
 
-def _wide_W_with_sigma4(r, rng):
+def _wide_W_with_sigma4(r, rng, tall=False):
     """54 x 400 W = U diag(1, .8, .6, r, 1e-3 r, 0.9e-3 r) V^T and the
-    exact left rank-4 subspace U[:, :4]."""
+    exact left rank-4 subspace U[:, :4]; with tall, W^T and V[:, :4]."""
     U, _ = np.linalg.qr(rng.normal(size=(54, 6)))
     V, _ = np.linalg.qr(rng.normal(size=(400, 6)))
     s = np.array([1.0, 0.8, 0.6, r, 1e-3 * r, 0.9e-3 * r])
-    return (U * s) @ V.T, U[:, :4]
+    W = (U * s) @ V.T
+    return (W.T, V[:, :4]) if tall else (W, U[:, :4])
 
 
 def test_factor_rank4_rank_deficient():
@@ -182,6 +183,28 @@ def test_factor_rank4_wide_conditioning(r):
     assert sin_angle <= 1e-13 / r
 
 
+@pytest.mark.parametrize("r", [1e-2, 1e-4, 1e-6, 1e-8, 1e-9])
+def test_factor_rank4_tall_conditioning(r):
+    # the transposed matrix: the Gram eigenbasis is taken on its 54 columns
+    W, V4 = _wide_W_with_sigma4(r, np.random.default_rng(5), tall=True)
+    Q, _ = np.linalg.qr(factor_rank4(W)[0])
+    sin_angle = np.linalg.norm(Q - V4 @ (V4.T @ Q), 2)
+    assert sin_angle <= 1e-13 / r
+
+
+def test_factor_rank4_tall_peak_memory():
+    # F=12000, P=24 (60 s at 200 Hz): W is 13.8 MB, and the factorization
+    # holds k = 8 columns of its length at a time
+    W = np.random.default_rng(6).normal(size=(72000, 24))
+    tracemalloc.start()
+    try:
+        factor_rank4(W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * W.nbytes
+
+
 def test_factor_rank4_wide_peak_memory():
     # F=60, P=4000 (the wide_scene benchmark shape): W itself is 11.5 MB
     # and the factorization allocates ~2.1 MB above it
@@ -195,13 +218,19 @@ def test_factor_rank4_wide_peak_memory():
     assert peak < 4e6
 
 
-def test_factor_rank4_tall_is_the_thin_svd(reference_dataset):
+@pytest.mark.parametrize("noise", [0.0, 0.01])
+def test_factor_rank4_tall_matches_thin_svd(reference_dataset, noise):
     W = assemble_W(reference_dataset.measurements)
+    W = W + noise * np.random.default_rng(4).normal(size=W.shape)
     Mt, St, sigma_ratio = factor_rank4(W)
     U, s, Vt = so3.deterministic_svd(W)
-    assert np.array_equal(Mt, U[:, :4] * s[:4])
-    assert np.array_equal(St, Vt[:4])
-    assert sigma_ratio == s[4] / s[3]
+    # per column (row of St), so a flipped sign fails as well
+    Mt_ref, St_ref = U[:, :4] * s[:4], Vt[:4]
+    assert np.all(np.linalg.norm(Mt - Mt_ref, axis=0)
+                  <= 1e-12 * np.linalg.norm(Mt_ref, axis=0))
+    assert np.all(np.linalg.norm(St - St_ref, axis=1)
+                  <= 1e-12 * np.linalg.norm(St_ref, axis=1))
+    assert abs(sigma_ratio - s[4] / s[3]) <= 1e-12
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.01])
@@ -462,9 +491,9 @@ def test_recover_rotation_blocks_zero_rate_without_regularizer(
 
 @pytest.mark.parametrize("frames, points", [(150, 24), (15, 400)])
 def test_reconstruct_planar_scene_is_rank_deficient(frames, points):
-    # coplanar points leave W of rank three (sigma4/sigma1 ~ 2e-16), on
-    # both sides of factor_rank4's shape branch; generate_scene rejects
-    # such draws, so the scene is built directly
+    # coplanar points leave W of rank three (sigma4/sigma1 ~ 2e-16), for
+    # a tall and a wide W; generate_scene rejects such draws, so the scene
+    # is built directly
     rng = np.random.default_rng(7)
     normal = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
     pts = rng.uniform(-1.0, 1.0, size=(points, 3))
