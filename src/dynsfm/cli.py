@@ -13,8 +13,9 @@ import numpy as np
 
 from . import jsonio, so3
 from .baseline import DeadReckonState, dead_reckon_positions
-from .config import (NOISE_SEED_OFFSET, _integer, _number, config_from_dict,
-                     config_to_dict, options_from_dict, reference_config)
+from .config import (NOISE_SEED_OFFSET, _integer, _number, _object,
+                     config_from_dict, config_to_dict, options_from_dict,
+                     reference_config)
 from .derivatives import savgol_filter
 from .errors import ConfigError, DynSfmError
 from .evaluate import evaluate
@@ -36,20 +37,18 @@ class _CliFailure(Exception):
 def _load(path, what, parse, code=EXIT_IO):
     """parse(the JSON object in the file at path).
 
-    An unreadable file exits EXIT_IO. A file that is not JSON, a document
-    that is not a JSON object, and one that parse rejects with ValueError,
-    TypeError, KeyError or a DynSfmError exit with code: EXIT_CONFIG for
-    the documents that configure a run, EXIT_IO for data files.
+    An unreadable file exits EXIT_IO. A file that is not JSON, and a
+    document that parse rejects with TypeError or a DynSfmError (every
+    parser names a document that is not a JSON object), exit with code:
+    EXIT_CONFIG for the documents that configure a run, EXIT_IO for data
+    files.
     """
     try:
-        doc = jsonio.read_json(path)
-        if not isinstance(doc, dict):
-            raise TypeError(f"a JSON object is needed, not {type(doc).__name__}")
-        return parse(doc)
+        return parse(jsonio.read_json(path))
     except OSError as err:
         raise _CliFailure(EXIT_IO, f"cannot read {what}: {err}")
-    except (ValueError, TypeError, KeyError, DynSfmError) as err:
-        # ValueError covers invalid JSON and ragged or misshapen arrays
+    except (ValueError, TypeError, DynSfmError) as err:
+        # ValueError covers invalid JSON
         raise _CliFailure(code, f"bad {what}: {err}")
 
 
@@ -98,9 +97,11 @@ def _write_outputs(out, docs, tables):
 
 
 def _eval_outputs(recon, dataset):
-    """Error report plus the plot-ready trajectory/structure tables."""
+    """Error report plus the plot-ready trajectory/structure tables; the
+    measurements the dead reckoning reads are validated first."""
     traj, scene = dataset.trajectory, dataset.scene
     try:
+        dataset.measurements.validate()
         report = evaluate(recon, traj, scene, dataset.gravity)
     except DynSfmError as err:
         raise _CliFailure(EXIT_EVAL, f"evaluation failed: {err}")
@@ -213,9 +214,7 @@ SWEEP_HEADER = ["seed", "noise_scale", "status", "trans_rmse",
 
 def _sweep_spec(doc, default_seed):
     """(seeds, noise scales) of a sweep document."""
-    for key in doc:
-        if key not in ("seeds", "noise_scales"):
-            raise ConfigError(f"sweep: unknown field {key!r}")
+    _object(doc, {"seeds", "noise_scales"}, "sweep")
     seeds = [_integer(s, "seeds") for s in doc.get("seeds", [default_seed])]
     scales = [_number(s, "noise_scales")
               for s in doc.get("noise_scales", [1.0])]

@@ -110,14 +110,18 @@ class RunConfig:
         return self
 
 
-def _object(d, allowed, where):
-    """d itself, once it is a JSON object with no key outside allowed."""
+def _object(d, allowed, where, required=()):
+    """d itself, once it is a JSON object with no key outside allowed and
+    every key of required."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: must be a JSON object, not "
                           f"{type(d).__name__}")
     for key in d:
         if key not in allowed:
             raise ConfigError(f"{where}: unknown field {key!r}")
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"{where}: missing field {key!r}")
     return d
 
 

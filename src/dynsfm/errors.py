@@ -9,10 +9,6 @@ class DynSfmError(Exception):
     """Base class for all dynsfm errors."""
 
 
-class NotSkewSymmetric(DynSfmError):
-    pass
-
-
 class NearPiAmbiguity(DynSfmError):
     """Rotation angle too close to pi for a well-defined principal log."""
 
@@ -74,7 +70,7 @@ class DimensionMismatch(DynSfmError):
 
 
 class NonFiniteInput(DynSfmError):
-    """A measurement series holds a NaN or an infinity."""
+    """An input array holds a NaN or an infinity."""
 
 
 class NumericalFailure(DynSfmError):

@@ -8,13 +8,15 @@ are LF everywhere.
 import json
 import math
 from dataclasses import asdict, fields
+from itertools import chain
 
 import numpy as np
 
-from .config import _object, options_from_dict
-from .errors import DimensionMismatch
-from .simulate import (Dataset, MeasurementSet, NoiseSpec, Scene, Trajectory)
-from .solver import Reconstruction
+from .config import _PARSERS, _integer, _number, _object, options_from_dict
+from .errors import ConfigError, DimensionMismatch, NonFiniteInput
+from .simulate import (Dataset, MeasurementSet, NoiseSpec, Scene, Trajectory,
+                       check_shape)
+from .solver import Reconstruction, SolverOptions
 
 SCHEMA_VERSION = 1
 FLOAT = "%.17g"  # printf form of format(x, ".17g")
@@ -118,19 +120,69 @@ def _csv_row(row):
     return ",".join(FLOAT if f else "%s" for f in is_float) % tuple(row)
 
 
-_DATASET_KEYS = {"schema_version", "t_s", "gravity", "scene", "trajectory",
-                 "measurements", "noise_spec", "seed"}
-_MEASUREMENT_KEYS = {"tracks", "flows", "double_flows", "gyro", "accel",
-                     "torque", "inertia"}
-_FRAME_KEYS = {"R", "T", "dT", "ddT", "omega", "domega"}
-_RECONSTRUCTION_KEYS = {"rotations", "tau", "nu", "gravity", "structure",
-                        "residuals", "options"}
+def _array(value, dims, name, sizes, finite):
+    """value as a float array: nested lists of JSON numbers (no str, bool
+    or null) of shape dims by check_shape, a trailing (3, 3) written as 9."""
+    written = dims[:-2] + (9,) if dims[-2:] == (3, 3) else dims
+    try:  # a ragged list, or no list, raises here
+        a = np.array(value, dtype=float)
+        leaves = value
+        for _ in range(a.ndim - 1):
+            leaves = chain.from_iterable(leaves)
+        if not set(map(type, leaves)) <= {int, float}:
+            raise TypeError
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name}: must be an array of numbers") from None
+    check_shape(name, a.shape, written, sizes)
+    if finite and not np.isfinite(a).all():
+        raise NonFiniteInput(f"{name} holds a non-finite value")
+    return a if written == dims else a.reshape(*a.shape[:-1], 3, 3)
 
 
-def noise_spec_from_dict(d):
-    _object(d, {f.name for f in fields(NoiseSpec)}, "noise_spec")
-    return NoiseSpec(gyro_std=d["gyro_std"], accel_std=d["accel_std"],
-                     image_rel_std=d["image_rel_std"], seed=d["seed"])
+def _read(cls, d, path, sizes, **given):
+    """The cls of the JSON object d, keyed by the fields of cls but given;
+    only one defaulting to None may be missing. An array field goes
+    through _array, with one F and P per document in sizes, and must be
+    finite unless it is a measurement (validate() checks those). path
+    prefixes the names in messages; None is the top of a document."""
+    own = [f for f in fields(cls) if f.name not in given]
+    _object(d, {f.name for f in own}, path or cls.__name__.lower(),
+            [f.name for f in own if f.default is not None])
+    values = dict(given)
+    for f in (f for f in own if f.name in d):
+        value, name = d[f.name], f"{path}.{f.name}" if path else f.name
+        if "shape" in f.metadata:
+            value = _array(value, f.metadata["shape"], name, sizes,
+                           cls is not MeasurementSet)
+        elif f.type in _PARSERS:
+            value = _PARSERS[f.type](value, name)
+        elif f.type is dict:  # the residuals
+            value = {k: _number(v, f"{name}.{k}")
+                     for k, v in _object(value, value, name).items()}
+        elif f.type is SolverOptions:
+            value = options_from_dict(value)
+        else:  # a dataset writes its scene as the points, t_s at its top
+            if f.type is Scene:
+                value = {"points": value}
+            if f.type is Trajectory:
+                value = _frame_columns(value, name)
+            t_s = ({"t_s": values["t_s"]}
+                   if f.type in (Trajectory, MeasurementSet) else {})
+            value = _read(f.type, value, name, sizes, **t_s)
+        values[f.name] = value
+    return cls(**values)
+
+
+def _frame_columns(records, name):
+    """A trajectory's per-frame records, its rotations as "R", as one
+    list of rows per Trajectory field."""
+    keys = {("R" if f.name == "rotations" else f.name): f.name
+            for f in fields(Trajectory) if "shape" in f.metadata}
+    if not isinstance(records, list):
+        raise ConfigError(f"{name}: must be a JSON array of frames")
+    for i, record in enumerate(records):
+        _object(record, keys, f"{name}[{i}]", keys)
+    return {field: [r[key] for r in records] for key, field in keys.items()}
 
 
 def dataset_to_dict(ds):
@@ -140,14 +192,9 @@ def dataset_to_dict(ds):
                             "dT": traj.dT, "ddT": traj.ddT,
                             "omega": traj.omega, "domega": traj.domega})
     meas = ds.measurements
-    mdict = {
-        "tracks": meas.tracks,
-        "flows": meas.flows,
-        "double_flows": meas.double_flows,
-        "gyro": meas.gyro,
-        "accel": meas.accel}
-    if meas.torque is not None:
-        mdict["torque"] = meas.torque
+    mdict = {f.name: getattr(meas, f.name) for f in fields(meas)
+             if "shape" in f.metadata and getattr(meas, f.name) is not None}
+    if meas.inertia is not None:
         mdict["inertia"] = np.asarray(meas.inertia).reshape(9)
     return {"schema_version": SCHEMA_VERSION,
             "t_s": float(ds.t_s),
@@ -160,42 +207,11 @@ def dataset_to_dict(ds):
 
 
 def dataset_from_dict(d):
-    if not isinstance(d, dict):
-        raise TypeError(f"a dataset is a JSON object, not {type(d).__name__}")
-    if d.get("schema_version") != SCHEMA_VERSION:
-        raise DimensionMismatch(
-            f"unsupported dataset schema_version {d.get('schema_version')!r}")
-    _object(d, _DATASET_KEYS, "dataset")
-    frames = d["trajectory"]
-    for f, fr in enumerate(frames):
-        _object(fr, _FRAME_KEYS, f"trajectory[{f}]")
-    traj = Trajectory(
-        t_s=d["t_s"],
-        rotations=np.array([np.reshape(fr["R"], (3, 3)) for fr in frames]),
-        T=np.array([fr["T"] for fr in frames]),
-        dT=np.array([fr["dT"] for fr in frames]),
-        ddT=np.array([fr["ddT"] for fr in frames]),
-        omega=np.array([fr["omega"] for fr in frames]),
-        domega=np.array([fr["domega"] for fr in frames]))
-    m = _object(d["measurements"], _MEASUREMENT_KEYS, "measurements")
-    meas = MeasurementSet(
-        t_s=d["t_s"],
-        tracks=np.asarray(m["tracks"], dtype=float),
-        flows=np.asarray(m["flows"], dtype=float),
-        double_flows=np.asarray(m["double_flows"], dtype=float),
-        gyro=np.asarray(m["gyro"], dtype=float),
-        accel=np.asarray(m["accel"], dtype=float),
-        torque=(np.asarray(m["torque"], dtype=float)
-                if "torque" in m else None),
-        inertia=(np.reshape(np.asarray(m["inertia"], dtype=float), (3, 3))
-                 if "inertia" in m else None))
-    return Dataset(t_s=d["t_s"],
-                   gravity=np.asarray(d["gravity"], dtype=float),
-                   scene=Scene(points=np.asarray(d["scene"], dtype=float)),
-                   trajectory=traj,
-                   measurements=meas,
-                   noise_spec=noise_spec_from_dict(d["noise_spec"]),
-                   seed=d["seed"])
+    doc = dict(_object(d, d, "dataset", ["schema_version"]))
+    version = doc.pop("schema_version")
+    if _integer(version, "schema_version") != SCHEMA_VERSION:
+        raise DimensionMismatch(f"unsupported schema_version {version!r}")
+    return _read(Dataset, doc, None, {})
 
 
 def reconstruction_to_dict(recon):
@@ -210,28 +226,7 @@ def reconstruction_to_dict(recon):
 
 
 def reconstruction_from_dict(d):
-    """Reconstruction of a document; ValueError unless its arrays are
-    finite and of consistent shapes, ConfigError on an unknown key."""
-    _object(d, _RECONSTRUCTION_KEYS, "reconstruction")
-    recon = Reconstruction(
-        rotations=np.array([np.reshape(r, (3, 3)) for r in d["rotations"]],
-                           dtype=float),
-        tau=np.asarray(d["tau"], dtype=float),
-        nu=np.asarray(d["nu"], dtype=float),
-        gravity=np.asarray(d["gravity"], dtype=float),
-        structure=np.asarray(d["structure"], dtype=float),
-        residuals=dict(d["residuals"]),
-        options=options_from_dict(d["options"]))
-    F, P = len(recon.rotations), len(recon.structure)
-    shapes = {"rotations": (F, 3, 3), "tau": (F, 3), "nu": (F, 3),
-              "gravity": (3,), "structure": (P, 3)}
-    for name, shape in shapes.items():
-        value = getattr(recon, name)
-        if value.shape != shape:
-            raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} is not finite")
-    return recon
+    return _read(Reconstruction, d, None, {})
 
 
 def report_to_dict(report, extra=None):

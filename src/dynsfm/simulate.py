@@ -12,7 +12,8 @@ are emitted in closed form so that the stacked measurement matrix is
 exactly rank four in the noiseless case.
 """
 
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -34,10 +35,28 @@ TRANS_FREQ_BAND = (0.04, 0.10)
 ROT_FREQ_BAND = (0.08, 0.35)
 
 
+def shaped(*dims, **kwargs):
+    """A dataclass field holding an array of shape dims: sizes, or the
+    names "F" (frames) and "P" (points)."""
+    return field(metadata={"shape": dims}, **kwargs)
+
+
+def check_shape(name, shape, dims, sizes):
+    """Raise LengthMismatch unless shape is dims, one size per name across
+    the calls that share the dict sizes, which binds each new name."""
+    if len(shape) == len(dims) and all(
+            n == (sizes.setdefault(d, n) if isinstance(d, str) else d)
+            for n, d in zip(shape, dims)):
+        return
+    got, want = (", ".join(str(sizes.get(n, n)) for n in s)
+                 for s in (shape, dims))
+    raise LengthMismatch(f"{name} must be ({want}), got ({got})")
+
+
 @dataclass
 class Scene:
     """Static landmarks in the spatial frame, centroid exactly zero."""
-    points: np.ndarray  # (P, 3) meters
+    points: np.ndarray = shaped("P", 3)  # meters
 
     @property
     def n_points(self):
@@ -52,12 +71,12 @@ class Trajectory:
     angular velocity and its rate.
     """
     t_s: float
-    rotations: np.ndarray  # (F, 3, 3)
-    T: np.ndarray          # (F, 3) position, spatial frame (m)
-    dT: np.ndarray         # (F, 3) velocity (m/s)
-    ddT: np.ndarray        # (F, 3) acceleration (m/s^2)
-    omega: np.ndarray      # (F, 3) body angular velocity (rad/s)
-    domega: np.ndarray     # (F, 3) body angular acceleration (rad/s^2)
+    rotations: np.ndarray = shaped("F", 3, 3)
+    T: np.ndarray = shaped("F", 3)       # position, spatial frame (m)
+    dT: np.ndarray = shaped("F", 3)      # velocity (m/s)
+    ddT: np.ndarray = shaped("F", 3)     # acceleration (m/s^2)
+    omega: np.ndarray = shaped("F", 3)   # body angular velocity (rad/s)
+    domega: np.ndarray = shaped("F", 3)  # body angular acceleration (rad/s^2)
 
     @property
     def n_frames(self):
@@ -94,13 +113,13 @@ class MeasurementSet:
     known exactly, and are never corrupted by add_noise.
     """
     t_s: float
-    tracks: np.ndarray        # (F, P, 2)
-    flows: np.ndarray         # (F, P, 2) per second
-    double_flows: np.ndarray  # (F, P, 2) per second^2
-    gyro: np.ndarray          # (F, 3)
-    accel: np.ndarray         # (F, 3)
-    torque: np.ndarray = None   # (F, 3) optional
-    inertia: np.ndarray = None  # (3, 3) optional
+    tracks: np.ndarray = shaped("F", "P", 2)
+    flows: np.ndarray = shaped("F", "P", 2)         # per second
+    double_flows: np.ndarray = shaped("F", "P", 2)  # per second^2
+    gyro: np.ndarray = shaped("F", 3)
+    accel: np.ndarray = shaped("F", 3)
+    torque: np.ndarray = shaped("F", 3, default=None)   # optional
+    inertia: np.ndarray = shaped(3, 3, default=None)    # optional
 
     @property
     def n_frames(self):
@@ -111,44 +130,31 @@ class MeasurementSet:
         return self.tracks.shape[1]
 
     def validate(self):
-        """Check the input contract before any arithmetic runs on it.
-
-        Raises BadSampling unless t_s is finite and positive,
-        LengthMismatch unless the image bands are (F, P, 2) and gyro,
-        accel and torque (when present) are (F, 3) with one F, and
-        NonFiniteInput when any series or the inertia holds a NaN or an
-        infinity. Inertia definiteness is checked where it is used
-        (euler_omega_dot).
-        """
-        try:
-            t_s = float(self.t_s)
-        except (TypeError, ValueError):
-            raise BadSampling(
-                f"t_s must be a number, got {self.t_s!r}") from None
+        """Check the input contract before any arithmetic runs on it:
+        BadSampling unless t_s is a finite, positive real number (no str
+        or bool); for each array present, LengthMismatch unless it has
+        the shape its field declares (shaped), with one F and one P, and
+        NonFiniteInput if it holds a NaN or an infinity. Inertia
+        definiteness is checked where it is used (euler_omega_dot)."""
+        t_s = self.t_s
+        if not isinstance(t_s, numbers.Real) or isinstance(t_s, bool):
+            raise BadSampling(f"t_s must be a number, got {t_s!r}")
         if not (np.isfinite(t_s) and t_s > 0):
             raise BadSampling(f"t_s must be finite and positive, got {t_s}")
-        shape = np.shape(self.tracks)
-        if len(shape) != 3 or shape[2] != 2:
-            raise LengthMismatch(f"tracks must be (F, P, 2), got {shape}")
-        expected = {"tracks": shape, "flows": shape, "double_flows": shape,
-                    "gyro": (shape[0], 3), "accel": (shape[0], 3)}
-        if self.torque is not None:
-            expected["torque"] = (shape[0], 3)
-        for name, want in expected.items():
-            got = np.shape(getattr(self, name))
-            if got != want:
-                raise LengthMismatch(f"{name} must be {want}, got {got}")
-        for name in (*expected, "inertia"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(value).all():
-                raise NonFiniteInput(f"{name} holds a non-finite value")
+        sizes = {}
+        for f in fields(self):
+            value, dims = getattr(self, f.name), f.metadata.get("shape")
+            if dims and value is not None:
+                check_shape(f.name, np.shape(value), dims, sizes)
+                if not np.isfinite(value).all():
+                    raise NonFiniteInput(f"{f.name} holds a non-finite value")
 
 
 @dataclass
 class Dataset:
     """Full simulation artifact: ground truth plus measurements."""
     t_s: float
-    gravity: np.ndarray
+    gravity: np.ndarray = shaped(3)
     scene: Scene
     trajectory: Trajectory
     measurements: MeasurementSet

@@ -7,7 +7,7 @@ axis-angle form carry the rotation angle as their norm.
 
 import numpy as np
 
-from .errors import DegenerateMatrix, NearPiAmbiguity, NotSkewSymmetric
+from .errors import DegenerateMatrix, NearPiAmbiguity
 
 # Below this angle the Rodrigues sine/cosine ratios are replaced by their
 # second-order Taylor expansions to avoid 0/0.
@@ -48,14 +48,6 @@ def matvec(A, x):
     the result is bit-equal to a per-frame loop.
     """
     return (A @ np.asarray(x)[..., None])[..., 0]
-
-
-def vee(A, tol=1e-9):
-    """Inverse of hat. Raises NotSkewSymmetric if ||A + A^T|| >= tol."""
-    A = np.asarray(A, dtype=float)
-    if np.linalg.norm(A + A.T) >= tol:
-        raise NotSkewSymmetric("matrix is not skew-symmetric within tolerance")
-    return np.array([A[2, 1], A[0, 2], A[1, 0]])
 
 
 def exp_so3(v):

@@ -21,7 +21,7 @@ from .derivatives import check_filter_spec, omega_dot_series, savgol_filter
 from .errors import (DynSfmError, IllConditionedWarning, IndefiniteQ,
                      LengthMismatch, NumericalFailure, RankDeficient,
                      SeriesTooShort, SingularTransform, TooFewFramesOrPoints)
-from .simulate import PROJECTOR
+from .simulate import PROJECTOR, shaped
 
 COND_LIMIT = 1e12  # normal-equation condition number a stage does not trust
 
@@ -62,11 +62,11 @@ class SolverOptions:
 @dataclass
 class Reconstruction:
     """Solver output: motion, structure, gravity and diagnostics."""
-    rotations: np.ndarray   # (F, 3, 3) estimated R_f
-    tau: np.ndarray         # (F, 3) body-frame translations (m)
-    nu: np.ndarray          # (F, 3) body-frame velocities (m/s)
-    gravity: np.ndarray     # (3,) spatial-frame gravity estimate (m/s^2)
-    structure: np.ndarray   # (P, 3)
+    rotations: np.ndarray = shaped("F", 3, 3)  # estimated R_f
+    tau: np.ndarray = shaped("F", 3)      # body-frame translations (m)
+    nu: np.ndarray = shaped("F", 3)       # body-frame velocities (m/s)
+    gravity: np.ndarray = shaped(3)       # spatial-frame gravity (m/s^2)
+    structure: np.ndarray = shaped("P", 3)
     residuals: dict = field(default_factory=dict)
     options: SolverOptions = field(default_factory=SolverOptions)
 
@@ -126,21 +126,6 @@ def assemble_C(omega, domega):
     blocks[1] = -PROJECTOR @ W1
     blocks[2] = PROJECTOR @ W2
     return blocks
-
-
-def translation_vector(omega, domega, tau, nu, accel, rotations, gravity):
-    """Ground-truth translation vector m of the decomposition (6F,).
-
-    Used by tests and by the factorization-identity oracle; the solver
-    itself recovers m from the data.
-    """
-    W1, W2 = so3.rate_blocks(omega, domega)
-    m0 = so3.matvec(-PROJECTOR, tau)
-    m1 = so3.matvec(PROJECTOR, so3.matvec(W1, tau) - nu)
-    RTg = so3.matvec(np.swapaxes(rotations, 1, 2), gravity)
-    m2 = so3.matvec(PROJECTOR, so3.matvec(-W2, tau)
-                    + so3.matvec(2.0 * W1, nu) - accel + RTg)
-    return np.concatenate([m0.ravel(), m1.ravel(), m2.ravel()])
 
 
 def factor_rank4(W):

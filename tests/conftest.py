@@ -3,8 +3,10 @@ import pytest
 from hypothesis import settings
 
 import dynsfm
+from dynsfm import so3
 from dynsfm.config import reference_config, reference_noise_config
 from dynsfm.derivatives import savgol_filter
+from dynsfm.simulate import PROJECTOR
 from dynsfm.solver import translation_blocks
 
 # one profile for every property test: the same examples on every run, and
@@ -84,7 +86,6 @@ def dense_rotation_system(Mt_cols, C, omega, domega, t_s, lambda_R):
     block column f and the identity at f + 1."""
     F = len(omega)
     CR = np.zeros((3 * max(F - 1, 0), 3 * F))
-    from dynsfm import so3
     for f in range(F - 1):
         w0, w1 = omega[f], omega[f + 1]
         phi = (t_s / 2 * (w0 + w1)
@@ -95,6 +96,25 @@ def dense_rotation_system(Mt_cols, C, omega, domega, t_s, lambda_R):
     A = np.vstack([dense_C(C), np.sqrt(lambda_R) * CR])
     B = np.vstack([Mt_cols, np.zeros((CR.shape[0], 3))])
     return A, B
+
+
+def translation_vector(omega, domega, tau, nu, accel, rotations, gravity):
+    """Ground-truth translation vector m of the decomposition (6F,): the
+    factorization-identity oracle; the solver recovers m from the data."""
+    W1, W2 = so3.rate_blocks(omega, domega)
+    m0 = so3.matvec(-PROJECTOR, tau)
+    m1 = so3.matvec(PROJECTOR, so3.matvec(W1, tau) - nu)
+    RTg = so3.matvec(np.swapaxes(rotations, 1, 2), gravity)
+    m2 = so3.matvec(PROJECTOR, so3.matvec(-W2, tau)
+                    + so3.matvec(2.0 * W1, nu) - accel + RTg)
+    return np.concatenate([m0.ravel(), m1.ravel(), m2.ravel()])
+
+
+def vee(A, tol=1e-9):
+    """Inverse of so3.hat, for a matrix skew-symmetric within tol."""
+    A = np.asarray(A, dtype=float)
+    assert np.linalg.norm(A + A.T) < tol, "matrix is not skew-symmetric"
+    return np.array([A[2, 1], A[0, 2], A[1, 0]])
 
 
 def translation_system(m_hat, rotations, omega, domega, accel, t_s,
@@ -134,7 +154,6 @@ def translation_system(m_hat, rotations, omega, domega, accel, t_s,
 def random_rotation(rng):
     v = rng.normal(size=3)
     v = v / np.linalg.norm(v) * rng.uniform(0.0, np.pi - 1e-3)
-    from dynsfm import so3
     return so3.exp_so3(v)
 
 
@@ -182,7 +201,6 @@ def fine_noiseless_stages():
 def right_jacobian_one(v):
     """Per-vector right Jacobian, the oracle of the batched so3 version:
     the Taylor branch below so3.SMALL_ANGLE, complex-safe."""
-    from dynsfm import so3
     v = np.asarray(v)
     th2 = v @ v
     th = np.sqrt(th2)
@@ -196,7 +214,6 @@ def right_jacobian_one(v):
 
 def log_so3_one(R):
     """Per-matrix principal log, the oracle of the batched so3 version."""
-    from dynsfm import so3
     from dynsfm.errors import NearPiAmbiguity
     R = np.asarray(R, dtype=float)
     tr = np.trace(R)

@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -208,14 +209,20 @@ def _one_second_dataset_doc():
     return json.loads(_one_second_dataset_json())
 
 
-def _solve_doc(doc, tmp_path, capfd):
-    """Run `dynsfm solve` on a dataset document; return (exit code, the
+def _solve_doc(doc, tmp_path, capfd, command="solve"):
+    """Run `dynsfm solve` on a dataset document, or `dynsfm eval` of
+    _one_second_reconstruction_doc against it; return (exit code, the
     stderr lines, whether an output was written)."""
-    ds_path, out = tmp_path / "dataset.json", tmp_path / "r.json"
+    ds_path, recon = tmp_path / "dataset.json", tmp_path / "recon.json"
     ds_path.write_text(json.dumps(doc))  # json writes NaN and Infinity
-    out.unlink(missing_ok=True)
+    args = ["solve"]
+    if command == "eval":
+        recon.write_text(json.dumps(_one_second_reconstruction_doc()))
+        args = ["eval", "--recon", recon]
+    shutil.rmtree(tmp_path / "out", ignore_errors=True)
+    out = tmp_path / "out" / ("r.json" if command == "solve" else "eval")
     capfd.readouterr()
-    code = run_cli("solve", "--dataset", ds_path, "--out", out, "--quiet")
+    code = run_cli(*args, "--dataset", ds_path, "--out", out, "--quiet")
     return code, capfd.readouterr().err.splitlines(), out.exists()
 
 
@@ -339,10 +346,14 @@ def test_readers_reject_unknown_key(document, where, command, tmp_path,
 
 MEASUREMENT_ARRAYS = ("tracks", "flows", "double_flows", "gyro", "accel",
                       "torque", "inertia")
+FRAME_ARRAYS = ("R", "T", "dT", "ddT", "omega", "domega")
+NOISE_FIELDS = ("gyro_std", "accel_std", "image_rel_std", "seed")
 REQUIRED_KEYS = ([("schema_version",), ("t_s",), ("trajectory",),
                   ("measurements",), ("noise_spec",), ("seed",),
                   ("gravity",), ("scene",), ("noise_spec", "seed")]
                  + [("measurements", k) for k in MEASUREMENT_ARRAYS[:5]])
+BAD_LEAVES = [math.nan, math.inf, -math.inf, "0.5", True, None]
+BAD_SCALARS = ["0.03", True, False, None, [1.0], {}]
 
 
 def _leaf_path(draw, value):
@@ -355,25 +366,40 @@ def _leaf_path(draw, value):
     return path
 
 
+def _array_entry(draw, doc):
+    """(the object holding it, its key) of one array of the dataset
+    document: a measurement, the scene, gravity or a field of one
+    trajectory frame."""
+    where = draw(st.sampled_from(["measurements", "trajectory", "scene",
+                                  "gravity"]))
+    if where == "measurements":
+        return doc[where], draw(st.sampled_from(MEASUREMENT_ARRAYS))
+    if where == "trajectory":
+        return (draw(st.sampled_from(doc[where])),
+                draw(st.sampled_from(FRAME_ARRAYS)))
+    return doc, where
+
+
 def _mutate(draw, doc):
     """Apply one drawn invalidating edit to the dataset document."""
     meas = doc["measurements"]
-    kind = draw(st.sampled_from(["non_finite", "truncate", "ragged",
-                                 "drop_key", "t_s", "gyro_length"]))
-    name = draw(st.sampled_from(MEASUREMENT_ARRAYS))
-    if kind == "non_finite":
-        *head, last = _leaf_path(draw, meas[name])
-        target = meas[name]
+    kind = draw(st.sampled_from(["bad_leaf", "truncate", "ragged",
+                                 "drop_key", "t_s", "wrong_type",
+                                 "gyro_length"]))
+    holder, name = _array_entry(draw, doc)
+    array = holder[name]
+    if kind == "bad_leaf":
+        *head, last = _leaf_path(draw, array)
         for i in head:
-            target = target[i]
-        target[last] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            array = array[i]
+        array[last] = draw(st.sampled_from(BAD_LEAVES))
     elif kind == "truncate":
-        meas[name] = meas[name][:draw(st.integers(0, len(meas[name]) - 1))]
-    elif kind == "ragged" and name != "inertia":
-        row = meas[name][draw(st.integers(0, len(meas[name]) - 1))]
+        holder[name] = array[:draw(st.integers(0, len(array) - 1))]
+    elif kind == "ragged" and isinstance(array[0], list):
+        row = array[draw(st.integers(0, len(array) - 1))]
         del row[draw(st.integers(0, len(row) - 1)):]
     elif kind == "ragged":
-        meas[name].append(meas[name][0])
+        array.append(array[0])
     elif kind == "drop_key":
         *head, last = draw(st.sampled_from(REQUIRED_KEYS))
         target = doc
@@ -383,6 +409,10 @@ def _mutate(draw, doc):
     elif kind == "t_s":
         doc["t_s"] = draw(st.one_of(st.floats(max_value=0.0),
                                     st.sampled_from([math.nan, math.inf])))
+    elif kind == "wrong_type":
+        name = draw(st.sampled_from(["t_s", "seed", *NOISE_FIELDS]))
+        holder = doc["noise_spec"] if name in NOISE_FIELDS else doc
+        holder[name] = draw(st.sampled_from(BAD_SCALARS))
     else:
         F = len(meas["gyro"])
         n = draw(st.integers(0, 2 * F).filter(lambda n: n != F))
@@ -394,13 +424,34 @@ def _mutate(draw, doc):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_solve_rejects_every_invalid_dataset(data, tmp_path, capfd):
-    # the CLI contract: an invalid dataset exits 2, 3 or 4 with exactly
-    # one error line, never 1 with a traceback
+    # the CLI contract: an invalid dataset exits with exactly one error
+    # line, never 1 with a traceback; solve exits 2, 3 or 4, and eval 3
+    # for a bad document or 5 for invalid measurements
+    command = data.draw(st.sampled_from(["solve", "eval"]))
     doc = _one_second_dataset_doc()
-    note(_mutate(data.draw, doc))
-    code, err, written = _solve_doc(doc, tmp_path, capfd)
-    assert code in (2, 3, 4)
+    note(f"{command}: {_mutate(data.draw, doc)}")
+    code, err, written = _solve_doc(doc, tmp_path, capfd, command)
+    assert code in {"solve": (2, 3, 4), "eval": (3, 5)}[command]
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert not written
+
+
+@pytest.mark.parametrize("path, value", [
+    (("measurements", "gyro", 3, 1), math.nan),
+    (("measurements", "accel", 7, 1), math.inf),
+    (("t_s",), math.nan)], ids=["nan-gyro", "inf-accel", "nan-t_s"])
+def test_eval_exit_code_on_invalid_measurements(path, value, tmp_path,
+                                                capfd):
+    # eval dead-reckons the measurements it reads, so it validates them:
+    # exit 5 with one error line, not a traceback when the CSV is written
+    doc = _one_second_dataset_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    code, err, written = _solve_doc(doc, tmp_path, capfd, "eval")
+    assert code == 5
+    assert len(err) == 1 and err[0].startswith("error: evaluation failed: ")
     assert not written
 
 

@@ -1,5 +1,6 @@
+import functools
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from dynsfm.config import (MAX_FRAMES, MAX_W_BYTES, RunConfig,
                            config_from_dict, config_to_dict,
                            options_from_dict, reference_config,
                            reference_noise_config)
-from dynsfm.errors import ConfigError
+from dynsfm.errors import ConfigError, DynSfmError
 from dynsfm.simulate import NoiseSpec, simulate_dataset
 from dynsfm.solver import SolverOptions, reconstruct
 
@@ -91,6 +92,94 @@ def test_reconstruction_roundtrip(tmp_path):
     assert back.residuals == {k: float(v)
                               for k, v in recon.residuals.items()}
     assert back.options == recon.options
+
+
+@pytest.mark.parametrize("drop", ["torque", "inertia"])
+def test_dataset_roundtrip_with_one_optional_series(drop):
+    # torque and inertia are written each when present, not as a pair
+    ds = _dataset()
+    ds.measurements = replace(ds.measurements, **{drop: None})
+    doc = json.loads(jsonio.dumps(jsonio.dataset_to_dict(ds)))
+    assert drop not in doc["measurements"]
+    back = jsonio.dataset_from_dict(doc).measurements
+    assert getattr(back, drop) is None
+    for name in ({"torque", "inertia"} - {drop}):
+        assert np.array_equal(getattr(back, name),
+                              getattr(ds.measurements, name))
+
+
+@functools.cache
+def _documents_json():
+    ds = _dataset()
+    return jsonio.dumps({"dataset": jsonio.dataset_to_dict(ds),
+                         "reconstruction": jsonio.reconstruction_to_dict(
+                             reconstruct(ds.measurements))})
+
+
+def _documents():
+    """A dataset and a reconstruction document of _dataset, as plain JSON,
+    new on every call."""
+    return json.loads(_documents_json())
+
+
+READERS = {"dataset": jsonio.dataset_from_dict,
+           "reconstruction": jsonio.reconstruction_from_dict}
+
+
+def _entries(doc, path=()):
+    """The path of every number-holding entry of a document: the scalars
+    and arrays, one frame's trajectory fields standing for all."""
+    for key, value in doc.items():
+        if key == "options":
+            continue  # the config parser's, covered by the config tests
+        if isinstance(value, dict):
+            yield from _entries(value, path + (key,))
+        elif key == "trajectory":
+            yield from _entries(value[0], path + (key, 0))
+        elif key != "schema_version":
+            yield path + (key,)
+
+
+ENTRIES = [(kind, path) for kind, doc in _documents().items()
+           for path in _entries(doc)]
+
+
+@pytest.mark.parametrize("kind, path", ENTRIES,
+                         ids=[".".join(map(str, [kind[0], *path]))
+                              for kind, path in ENTRIES])
+def test_readers_reject_wrong_type_in_every_entry(kind, path):
+    # an entry that holds a str, a bool or a null, at the top or inside
+    # an array, is an error naming its key: no value is coerced
+    key = "rotations" if path[-1] == "R" else path[-1]
+    for bad in ("1.5", True, None):
+        doc = _documents()[kind]
+        *head, last = path
+        target = doc
+        for k in head:
+            target = target[k]
+        if isinstance(target[last], list):
+            target, last = target[last], 0
+            while isinstance(target[last], list):
+                target = target[last]
+        target[last] = bad
+        with pytest.raises(DynSfmError, match=key):
+            READERS[kind](doc)
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("dataset", "t_s"), ("dataset", "measurements"), ("dataset", "seed"),
+    ("dataset", "noise_spec.gyro_std"), ("dataset", "measurements.gyro"),
+    ("dataset", "trajectory.0.T"), ("reconstruction", "tau"),
+    ("reconstruction", "options")])
+def test_readers_name_a_missing_field(kind, key):
+    doc = _documents()[kind]
+    *head, last = key.split(".")
+    target = doc
+    for k in head:
+        target = target[int(k) if k.isdigit() else k]
+    del target[last]
+    with pytest.raises(ConfigError, match=f"missing field '{last}'"):
+        READERS[kind](doc)
 
 
 def test_dataset_schema_version_checked():

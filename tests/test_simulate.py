@@ -399,6 +399,8 @@ def _with_value(array, index, value):
 @pytest.mark.parametrize("change, error", [
     (lambda m: {"t_s": float("nan")}, BadSampling),
     (lambda m: {"t_s": "fast"}, BadSampling),
+    (lambda m: {"t_s": "0.03"}, BadSampling),
+    (lambda m: {"t_s": True}, BadSampling),
     (lambda m: {"tracks": m.tracks[..., 0]}, LengthMismatch),
     (lambda m: {"flows": m.flows[:, :-1]}, LengthMismatch),
     (lambda m: {"gyro": m.gyro[:-1]}, LengthMismatch),
@@ -406,10 +408,25 @@ def _with_value(array, index, value):
     (lambda m: {"double_flows": _with_value(m.double_flows, (0, 1, 1),
                                             -np.inf)}, NonFiniteInput),
     (lambda m: {"inertia": _with_value(m.inertia, (2, 2), np.nan)},
-     NonFiniteInput)])
+     NonFiniteInput),
+    (lambda m: {"inertia": m.inertia.ravel()}, LengthMismatch)])
 def test_measurement_set_validate_rejects(change, error):
     meas = simulate_dataset(duration=0.3, t_s=1 / 30, n_points=5, extent=1.0,
                             amp_trans=0.1, amp_rot=0.2, seed=0).measurements
     meas.validate()
     with pytest.raises(error):
         replace(meas, **change(meas)).validate()
+
+
+def test_check_shape_holds_one_size_per_name():
+    # the first shape that names F or P binds it for every later call
+    # sharing the same sizes; a wrong rank or size names the field
+    sizes = {}
+    simulate.check_shape("tracks", (30, 8, 2), ("F", "P", 2), sizes)
+    assert sizes == {"F": 30, "P": 8}
+    simulate.check_shape("gyro", (30, 3), ("F", 3), sizes)
+    for shape in ((29, 3), (30, 3, 1), (30, 2)):
+        with pytest.raises(LengthMismatch, match=r"^gyro must be \(30, 3\)"):
+            simulate.check_shape("gyro", shape, ("F", 3), sizes)
+    with pytest.raises(LengthMismatch, match=r"\(F, 3\), got \(5\)"):
+        simulate.check_shape("T", (5,), ("F", 3), {})

@@ -25,11 +25,10 @@ from dynsfm.solver import (COND_LIMIT, SolverOptions, _omega_dot_for,
                            fix_similarity, lstsq_checked, metric_upgrade,
                            reconstruct, recover_rotation_blocks,
                            rotation_regularizer,
-                           recover_translations, translation_blocks,
-                           translation_vector)
+                           recover_translations, translation_blocks)
 
 from conftest import (dense_C, dense_rotation_system, make_dataset,
-                      translation_system)
+                      translation_system, translation_vector)
 
 G = DEFAULT_GRAVITY
 
