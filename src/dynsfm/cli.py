@@ -215,6 +215,9 @@ SWEEP_HEADER = ["seed", "noise_scale", "status", "trans_rmse",
 def _sweep_spec(doc, default_seed):
     """(seeds, noise scales) of a sweep document."""
     _object(doc, {"seeds", "noise_scales"}, "sweep")
+    for name in ("seeds", "noise_scales"):
+        if not isinstance(doc.get(name, []), list):
+            raise ConfigError(f"{name}: must be a list, got {doc[name]!r}")
     seeds = [_integer(s, "seeds") for s in doc.get("seeds", [default_seed])]
     scales = [_number(s, "noise_scales")
               for s in doc.get("noise_scales", [1.0])]

@@ -33,6 +33,13 @@ PROJECTOR = np.array([[1.0, 0.0, 0.0],
 # below the noiseless recovery tolerances while still exciting all axes.
 TRANS_FREQ_BAND = (0.04, 0.10)
 ROT_FREQ_BAND = (0.08, 0.35)
+# Bound on one sample's rotation |gyro_f| t_s (rad), checked by
+# MeasurementSet.validate. Rotation angles are defined up to pi: a turn
+# of theta >= pi in one sample reads as one of 2 pi - theta the other way,
+# so a sampled gyro cannot resolve it, and the rotation regularizer's
+# increment exp_so3(phi_f) takes |phi_f| < pi. The shipped configs reach
+# 0.028 rad.
+MAX_SAMPLE_ROTATION = np.pi
 
 
 def shaped(*dims, **kwargs):
@@ -134,7 +141,8 @@ class MeasurementSet:
         BadSampling unless t_s is a finite, positive real number (no str
         or bool); for each array present, LengthMismatch unless it has
         the shape its field declares (shaped), with one F and one P, and
-        NonFiniteInput if it holds a NaN or an infinity. Inertia
+        NonFiniteInput if it holds a NaN or an infinity; BadSampling if
+        the gyro turns MAX_SAMPLE_ROTATION or more in one sample. Inertia
         definiteness is checked where it is used (euler_omega_dot)."""
         t_s = self.t_s
         if not isinstance(t_s, numbers.Real) or isinstance(t_s, bool):
@@ -148,6 +156,11 @@ class MeasurementSet:
                 check_shape(f.name, np.shape(value), dims, sizes)
                 if not np.isfinite(value).all():
                     raise NonFiniteInput(f"{f.name} holds a non-finite value")
+        with np.errstate(over="ignore"):  # an overflow is above the bound
+            turn = np.hypot.reduce(self.gyro, axis=1).max(initial=0.0) * t_s
+        if turn >= MAX_SAMPLE_ROTATION:
+            raise BadSampling(f"gyro turns {turn:.3g} rad in one sample; a "
+                              f"sampled rotation must stay below pi")
 
 
 @dataclass

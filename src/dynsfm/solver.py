@@ -24,6 +24,23 @@ from .errors import (DynSfmError, IllConditionedWarning, IndefiniteQ,
 from .simulate import PROJECTOR, shaped
 
 COND_LIMIT = 1e12  # normal-equation condition number a stage does not trust
+# Gram order above which factor_rank4 takes its eigenvectors by Lanczos.
+# Measured on 2 vCPUs (median of 15 calls on one Gram, Lanczos vs eigh):
+# simulated wide W (reference noise, numeric flows, P = 4000) stop after
+# 24-40 steps, 1.0 vs 1.3 ms at n = 120, 1.7 vs 4.5 at n = 210 and 2.4 vs
+# 12.1 at n = 360; a flat Gaussian n x 4000 W, the worst case, needs 80-120
+# steps, 6.9 vs 1.5 ms at n = 100, 12.7 vs 5.3 at n = 200 and 25.5 vs 18.7
+# at n = 360. Up to 200, where eigh takes ~5 ms, Lanczos gains little and
+# can lose 5x; the limit also keeps every tall W of the shipped configs
+# (n = P = 24) on eigh, bit for bit.
+DENSE_GRAM_LIMIT = 200
+# Ritz residual, relative to the top Ritz value (||G||), at which a Lanczos
+# pair counts as converged: ~4.5 eps, the rounding level of eigh's pairs.
+# For any value from 1e-13 to 1e-16 wide_scene's W stops at step 40 and
+# matches its SVD to 1.1e-14 per column, and a flat Gaussian 360 x 4000 W
+# stops at 112-128 steps.
+LANCZOS_TOL = 1e-15
+LANCZOS_CHECK = 8  # steps between convergence checks
 
 
 @dataclass
@@ -138,7 +155,7 @@ def factor_rank4(W):
     Q = qr((V^T A)^T) and the SVD U s Vt of A Q (n x k), whose Ritz
     values and vectors stand for those of W: its left vectors are U
     (wide) or Q Vt^T (tall). Only the Gram product costs O(n^2 N), with
-    N = max(W.shape); the rest is O(k n N) plus one n x n eigensolve. Why
+    N = max(W.shape); the rest is O(k n N) plus the eigenvectors. Why
     the power step and k = 8, measured on 54 x 400 matrices with singular
     values (1, .8, .6, r, 1e-3 r, 0.9e-3 r) and on their transposes:
     - the Gram eigenvectors alone square the conditioning: their rank-4
@@ -147,6 +164,16 @@ def factor_rank4(W):
       stays within 10x of the SVD's for every r from 1e-2 to 1e-9;
     - with k = 5 instead of 8 it ends 1-2 (wide) and 4-5 (tall) digits
       above the SVD's at r = 1e-8 and 1e-9.
+    Up to n = DENSE_GRAM_LIMIT (every tall W of the shipped configs, n =
+    P = 24) V comes from np.linalg.eigh, which computes all n eigenvectors.
+    Above it, from Lanczos on A A^T (_top_eigenvectors), which stops once
+    the top 5 Ritz pairs have residual estimates within LANCZOS_TOL of the
+    top Ritz value (the rounding level of |A A^T|, to which eigh's pairs
+    are accurate) or once the Krylov space is all of R^n. The top 5: the
+    factorization reads the top 4 and sigma_ratio the 5th; the other 3 of
+    the k = 8 only oversample the power step, so they need not converge.
+    On wide_scene's W (n = 360) this takes 40 steps and ~3 ms, where eigh
+    takes ~12 ms.
     W's left vectors take the sign convention of so3.fix_signs. Returns
     (Mt, St, sigma_ratio) where sigma_ratio = s5/s4 measures how well
     the data fits the rank-4 model.
@@ -155,8 +182,8 @@ def factor_rank4(W):
         raise TooFewFramesOrPoints("W must have at least 4 rows and columns")
     wide = W.shape[1] > W.shape[0]
     A = W if wide else W.T
-    _, V = np.linalg.eigh(A @ A.T)
-    Q, _ = np.linalg.qr((V[:, -min(8, len(A)):].T @ A).T)
+    V = _top_eigenvectors(A @ A.T, min(8, len(A)))
+    Q, _ = np.linalg.qr((V.T @ A).T)
     U, s, Vt = np.linalg.svd(A @ Q, full_matrices=False)
     rank_ratio = s[3] / s[0] if s[0] > 0 else 0.0
     if rank_ratio < 1e-10:
@@ -165,6 +192,59 @@ def factor_rank4(W):
     left, right = (U[:, :4], Vt[:4] @ Q.T) if wide else (Q @ Vt[:4].T, U.T[:4])
     so3.fix_signs(left, right)
     return left * s[:4], right, sigma_ratio
+
+
+def _top_eigenvectors(G, k):
+    """Eigenvectors (n x k) of the symmetric positive semidefinite G for
+    its k largest eigenvalues, in ascending order of eigenvalue.
+
+    Up to order DENSE_GRAM_LIMIT, from np.linalg.eigh. Above it, by
+    Lanczos with full reorthogonalization (Golub & Van Loan, Matrix
+    Computations, 10.1) from a fixed start, stopped by the rule in
+    factor_rank4's docstring. Where the Krylov space stops growing (the
+    new vector's norm beta within LANCZOS_TOL of the largest Rayleigh
+    quotient so far), the tridiagonal T splits there and the next vector
+    is a new direction from the same fixed stream, as in ARPACK. So an
+    exactly low-rank G, such as a noiseless W's, goes on into its null
+    space, and an eigenvalue of multiplicity above one, whose other
+    eigenvectors one Krylov space reaches only through rounding, is
+    picked up from that rounding or from such a restart.
+    """
+    n = len(G)
+    if n <= DENSE_GRAM_LIMIT:
+        return np.linalg.eigh(G)[1][:, -k:]
+    rng = np.random.default_rng(0)
+    Q = np.empty((min(n, 8 * LANCZOS_CHECK), n))  # row j: Lanczos vector j
+    alpha, beta = np.zeros(n), np.zeros(n)
+    q = rng.standard_normal(n)
+    Q[0] = q / np.linalg.norm(q)
+    for j in range(n):
+        m = j + 1
+        r = G @ Q[j]
+        alpha[j] = Q[j] @ r
+        beta[j] = np.linalg.norm(_deflate(r, Q[:m]))
+        if beta[j] <= LANCZOS_TOL * alpha[:m].max():
+            beta[j] = 0.0  # T splits here; start a new Krylov space
+            r = _deflate(rng.standard_normal(n), Q[:m])
+        if m % LANCZOS_CHECK == 0 or m == n:
+            T = np.diag(alpha[:m])
+            T.flat[1::m + 1] = T.flat[m::m + 1] = beta[:j]
+            theta, Y = np.linalg.eigh(T)
+            if (m == n or np.all(beta[j] * np.abs(Y[-1, -5:])
+                                 <= LANCZOS_TOL * theta[-1])):
+                return Q[:m].T @ Y[:, -k:]
+        if m == len(Q):  # double the storage, up to n vectors
+            Q = np.concatenate([Q, np.empty((min(m, n - m), n))])
+        Q[m] = r / np.linalg.norm(r)
+
+
+def _deflate(r, Q):
+    """r less its projection on the orthonormal rows of Q, in place: two
+    classical Gram-Schmidt passes, as twice is enough (Parlett, The
+    Symmetric Eigenvalue Problem, 6.9)."""
+    for _ in range(2):
+        r -= (Q @ r) @ Q
+    return r
 
 
 def fix_similarity(Mt, St):
@@ -478,22 +558,35 @@ def _filter(name, spec, n_frames):
     return savgol_filter(*spec, 1)
 
 
+def _finite(value):
+    """False if value, a float, a float array or a dict of them, holds a
+    NaN or an infinity."""
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind != "f" or bool(np.isfinite(value).all())
+    if isinstance(value, (float, np.floating)):
+        return math.isfinite(value)
+    return True
+
+
 def _stage(name, fn, *args, **kwargs):
     """fn(*args, **kwargs), run as the solver stage name.
 
     A DynSfmError is re-raised as the same type, and a LAPACK failure or an
     ArithmeticError (a Python float overflowing, say) as a
-    NumericalFailure, with "[name] " before the message. A float array in
-    the result, bare or a member of a tuple, that holds a NaN or an
-    infinity raises NumericalFailure at [name]. Dicts and scalars are not
-    checked, nor is W (assemble_W), a copy of the bands validate checked.
+    NumericalFailure, with "[name] " before the message. A result, or a
+    member of a tuple result, that is a float array, a float scalar or a
+    dict of them (a stage's residuals and condition numbers) and holds a
+    NaN or an infinity raises NumericalFailure at [name], so a non-finite
+    residual never reaches the Reconstruction or its file. W (assemble_W),
+    a copy of the bands validate checked, is not checked.
     """
     try:
         out = fn(*args, **kwargs)
-        for arr in out if isinstance(out, tuple) else (out,):
-            if (isinstance(arr, np.ndarray) and arr.dtype.kind == "f"
-                    and name != "assemble_W" and not np.isfinite(arr).all()):
-                raise NumericalFailure("non-finite result")
+        if name != "assemble_W" and not all(
+                map(_finite, out if isinstance(out, tuple) else (out,))):
+            raise NumericalFailure("non-finite result")
     except DynSfmError as err:
         raise type(err)(f"[{name}] {err}") from err
     except np.linalg.LinAlgError as err:
@@ -510,8 +603,8 @@ def reconstruct(measurements, options=None):
     Its eleven stages, validate (MeasurementSet.validate, the input
     contract) to recover_translations, each run through _stage, which
     prefixes a failure with the stage name and raises NumericalFailure on a
-    LAPACK failure, an ArithmeticError or a non-finite array in a stage's
-    result.
+    LAPACK failure, an ArithmeticError or a non-finite array, scalar or
+    dict value in a stage's result.
     """
     options = options if options is not None else SolverOptions()
     options.validate()

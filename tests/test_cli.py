@@ -243,13 +243,13 @@ def test_auto_omega_dot_without_inertia_falls_back_to_numeric(tmp_path,
 
 
 def test_solve_stops_overflow_at_the_stage_that_made_it(tmp_path):
-    # gyro x 1e200 is finite and passes validate; the Euler omega-dot
-    # overflows and is stopped at [omega_dot], before LAPACK sees it and
-    # prints to stdout. A subprocess, because the suite turns numpy's
-    # overflow RuntimeWarning into an exception.
+    # torque x 1e200 is finite and passes validate; the rotation solve's
+    # normal matrix overflows and is stopped at [recover_rotation_blocks],
+    # before LAPACK sees it and prints to stdout. A subprocess, because
+    # the suite turns numpy's overflow RuntimeWarning into an exception.
     doc = _one_second_dataset_doc()
-    doc["measurements"]["gyro"] = [[1e200 * v for v in row]
-                                   for row in doc["measurements"]["gyro"]]
+    doc["measurements"]["torque"] = [[1e200 * v for v in row]
+                                     for row in doc["measurements"]["torque"]]
     ds_path, out = tmp_path / "dataset.json", tmp_path / "r.json"
     ds_path.write_text(json.dumps(doc))
     proc = subprocess.run(
@@ -258,17 +258,39 @@ def test_solve_stops_overflow_at_the_stage_that_made_it(tmp_path):
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert proc.stderr.splitlines()[-1].startswith(
-        "error: solver failed: [omega_dot] ")
+        "error: solver failed: [recover_rotation_blocks] ")
+    assert not out.exists()
+
+
+def test_solve_stops_non_finite_residual(tmp_path):
+    # accel x 1e300 leaves the translation solve's arrays finite but its
+    # residual norm inf: exit 4 at the stage, not a traceback from the
+    # JSON writer, and no file
+    doc = _one_second_dataset_doc()
+    doc["measurements"]["accel"] = [[1e300 * v for v in row]
+                                    for row in doc["measurements"]["accel"]]
+    ds_path, out = tmp_path / "dataset.json", tmp_path / "r.json"
+    ds_path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dynsfm", "solve", "--dataset", str(ds_path),
+         "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == (
+        "error: solver failed: [recover_translations] non-finite result")
     assert not out.exists()
 
 
 def test_solve_names_the_stage_an_arithmetic_error_stops(tmp_path):
-    # t_s = 1e298 is finite and passes validate; the rotation regularizer
-    # squares it as a Python float, which raises OverflowError. _stage
+    # t_s = 1e298 is finite and passes validate, with the gyro scaled by
+    # 1e-300 so one sample turns ~0.01 rad; the rotation regularizer
+    # squares t_s as a Python float, which raises OverflowError. _stage
     # maps it to NumericalFailure at its stage: exit 4 and one error line,
     # not exit 1 with a traceback.
     doc = _one_second_dataset_doc()
     doc["t_s"] = 1e298
+    doc["measurements"]["gyro"] = [[1e-300 * v for v in row]
+                                   for row in doc["measurements"]["gyro"]]
     ds_path, out = tmp_path / "dataset.json", tmp_path / "r.json"
     ds_path.write_text(json.dumps(doc))
     proc = subprocess.run(
@@ -439,7 +461,8 @@ def test_solve_rejects_every_invalid_dataset(data, tmp_path, capfd):
 @pytest.mark.parametrize("path, value", [
     (("measurements", "gyro", 3, 1), math.nan),
     (("measurements", "accel", 7, 1), math.inf),
-    (("t_s",), math.nan)], ids=["nan-gyro", "inf-accel", "nan-t_s"])
+    (("t_s",), math.nan), (("measurements", "gyro", 3, 1), 1e300)],
+    ids=["nan-gyro", "inf-accel", "nan-t_s", "huge-gyro"])
 def test_eval_exit_code_on_invalid_measurements(path, value, tmp_path,
                                                 capfd):
     # eval dead-reckons the measurements it reads, so it validates them:
@@ -802,6 +825,19 @@ def test_sweep_rejects_value_it_would_coerce(spec, small_cfg_path, tmp_path,
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"seeds": 5}, "seeds"), ({"noise_scales": 0.5}, "noise_scales")])
+def test_sweep_names_field_of_wrong_type(spec, field, small_cfg_path,
+                                         tmp_path, capfd):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec))
+    code, err = _error_run("sweep", "--config", small_cfg_path, "--sweep",
+                           path, "--out", tmp_path / "out", "--quiet",
+                           capfd=capfd)
+    assert code == 2
+    assert len(err) == 1 and f"{field}: must be a list" in err[0]
 
 
 def test_so3_calls_do_not_grow_with_frames(monkeypatch):

@@ -409,7 +409,12 @@ def _with_value(array, index, value):
                                             -np.inf)}, NonFiniteInput),
     (lambda m: {"inertia": _with_value(m.inertia, (2, 2), np.nan)},
      NonFiniteInput),
-    (lambda m: {"inertia": m.inertia.ravel()}, LengthMismatch)])
+    (lambda m: {"inertia": m.inertia.ravel()}, LengthMismatch),
+    # one sample may turn less than pi; a norm that overflows is above it
+    (lambda m: {"gyro": _with_value(m.gyro, (4, 2), 3.15 / m.t_s)},
+     BadSampling),
+    (lambda m: {"gyro": _with_value(m.gyro, (4, slice(2)), 1.5e308)},
+     BadSampling)])
 def test_measurement_set_validate_rejects(change, error):
     meas = simulate_dataset(duration=0.3, t_s=1 / 30, n_points=5, extent=1.0,
                             amp_trans=0.1, amp_rot=0.2, seed=0).measurements

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -17,7 +18,8 @@ from dynsfm.simulate import (DEFAULT_GRAVITY, DEFAULT_INERTIA,
                              generate_scene, generate_trajectory,
                              simulate_dataset, synthesize_images,
                              synthesize_imu, torque_for_trajectory)
-from dynsfm.config import REFERENCE_NOISE, reference_noise_config
+from dynsfm.config import (REFERENCE_NOISE, reference_config,
+                           reference_noise_config)
 from dynsfm.solver import (COND_LIMIT, SolverOptions, _omega_dot_for,
                            _reflection_residual, assemble_C,
                            assemble_W, center_structure,
@@ -116,12 +118,30 @@ def wide_W():
     return assemble_W(ds.measurements)
 
 
+def _wide_scene(cfg):
+    """W of cfg stretched to the wide_scene benchmark shape: 2 s at 30 Hz
+    and 4000 points, 360 x 4000, whose Gram order is above the dense
+    limit, so factor_rank4 takes its eigenvectors by Lanczos."""
+    cfg.duration, cfg.points = 2.0, 4000
+    W = assemble_W(make_dataset(cfg).measurements)
+    assert len(W) > solver.DENSE_GRAM_LIMIT
+    return W
+
+
+@pytest.fixture(scope="module")
+def wide_scene_W():
+    """The wide_scene input: reference noise, numeric 11-tap flows."""
+    return _wide_scene(reference_noise_config(seed=0))
+
+
 @pytest.fixture(scope="module")
 def rank4_inputs(reference_dataset, wide_W):
     """Noiseless W of both shapes: the tall reference (900 x 24, Gram
-    eigenbasis of its 24 columns) and the wide input (54 x 200, Gram
-    eigenbasis of its 54 rows)."""
-    return [assemble_W(reference_dataset.measurements), wide_W]
+    eigenbasis of its 24 columns), the wide input (54 x 200, Gram
+    eigenbasis of its 54 rows) and the wide_scene shape (360 x 4000,
+    Lanczos on its 360 rows)."""
+    return [assemble_W(reference_dataset.measurements), wide_W,
+            _wide_scene(reference_config(seed=0))]
 
 
 def test_factor_rank4_exact(rank4_inputs):
@@ -133,7 +153,9 @@ def test_factor_rank4_exact(rank4_inputs):
 
 def test_factor_rank4_eckart_young(rank4_inputs):
     rng = np.random.default_rng(0)
-    for W in rank4_inputs:
+    # with a flat Gaussian 360 x 4000 W, whose Lanczos run is the longest
+    flat = np.random.default_rng(6).normal(size=(360, 4000))
+    for W in [*rank4_inputs, flat]:
         W = W + 0.01 * rng.normal(size=W.shape)
         Mt, St, _ = factor_rank4(W)
         s = np.linalg.svd(W, compute_uv=False)
@@ -151,12 +173,12 @@ def test_factor_rank4_permutation_equivariance(rank4_inputs):
         assert np.allclose(Mt2, Mt1, atol=1e-9), W.shape
 
 
-def _wide_W_with_sigma4(r, rng, tall=False):
-    """54 x 400 W = U diag(1, .8, .6, r, 1e-3 r, 0.9e-3 r) V^T and the
+def _wide_W_with_sigma4(r, rng, tall=False, rows=54, s3=0.6):
+    """rows x 400 W = U diag(1, .8, s3, r, 1e-3 r, 0.9e-3 r) V^T and the
     exact left rank-4 subspace U[:, :4]; with tall, W^T and V[:, :4]."""
-    U, _ = np.linalg.qr(rng.normal(size=(54, 6)))
+    U, _ = np.linalg.qr(rng.normal(size=(rows, 6)))
     V, _ = np.linalg.qr(rng.normal(size=(400, 6)))
-    s = np.array([1.0, 0.8, 0.6, r, 1e-3 * r, 0.9e-3 * r])
+    s = np.array([1.0, 0.8, s3, r, 1e-3 * r, 0.9e-3 * r])
     W = (U * s) @ V.T
     return (W.T, V[:, :4]) if tall else (W, U[:, :4])
 
@@ -175,11 +197,15 @@ def test_factor_rank4_rank_deficient():
 @pytest.mark.parametrize("r", [1e-2, 1e-4, 1e-6, 1e-8, 1e-9])
 def test_factor_rank4_wide_conditioning(r):
     # rounding W moves its rank-4 subspace by ~eps / r, which an SVD of W
-    # resolves; eigenvectors of W W^T alone lose it like eps / r^2
-    W, U4 = _wide_W_with_sigma4(r, np.random.default_rng(5))
-    Q, _ = np.linalg.qr(factor_rank4(W)[0])
-    sin_angle = np.linalg.norm(Q - U4 @ (U4.T @ Q), 2)
-    assert sin_angle <= 1e-13 / r
+    # resolves; eigenvectors of W W^T alone lose it like eps / r^2. 360
+    # rows take the Lanczos path, also with sigma2 = sigma3 exactly, whose
+    # plane one Krylov space cannot span
+    for rows, s3 in [(54, 0.6), (360, 0.6), (360, 0.8)]:
+        W, U4 = _wide_W_with_sigma4(r, np.random.default_rng(5), rows=rows,
+                                    s3=s3)
+        Q, _ = np.linalg.qr(factor_rank4(W)[0])
+        sin_angle = np.linalg.norm(Q - U4 @ (U4.T @ Q), 2)
+        assert sin_angle <= 1e-13 / r, (rows, s3)
 
 
 @pytest.mark.parametrize("r", [1e-2, 1e-4, 1e-6, 1e-8, 1e-9])
@@ -206,7 +232,7 @@ def test_factor_rank4_tall_peak_memory():
 
 def test_factor_rank4_wide_peak_memory():
     # F=60, P=4000 (the wide_scene benchmark shape): W itself is 11.5 MB
-    # and the factorization allocates ~2.1 MB above it
+    # and the factorization allocates ~1.9 MB above it
     W = np.random.default_rng(6).normal(size=(360, 4000))
     tracemalloc.start()
     try:
@@ -233,17 +259,24 @@ def test_factor_rank4_tall_matches_thin_svd(reference_dataset, noise):
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.01])
-def test_factor_rank4_wide_matches_direct_svd(wide_W, noise):
-    W = wide_W + noise * np.random.default_rng(4).normal(size=wide_W.shape)
-    Mt, St, sigma_ratio = factor_rank4(W)
-    U, s, Vt = so3.deterministic_svd(W)
-    # per column (row of St), so a flipped sign fails as well
-    Mt_ref, St_ref = U[:, :4] * s[:4], Vt[:4]
-    assert np.all(np.linalg.norm(Mt - Mt_ref, axis=0)
-                  <= 1e-12 * np.linalg.norm(Mt_ref, axis=0))
-    assert np.all(np.linalg.norm(St - St_ref, axis=1)
-                  <= 1e-12 * np.linalg.norm(St_ref, axis=1))
-    assert abs(sigma_ratio - s[4] / s[3]) <= 1e-12
+def test_factor_rank4_wide_matches_direct_svd(wide_W, wide_scene_W, noise):
+    for W in (wide_W, wide_scene_W):  # eigh, then Lanczos
+        W = W + noise * np.random.default_rng(4).normal(size=W.shape)
+        Mt, St, sigma_ratio = factor_rank4(W)
+        U, s, Vt = so3.deterministic_svd(W)
+        # per column (row of St), so a flipped sign fails as well
+        Mt_ref, St_ref = U[:, :4] * s[:4], Vt[:4]
+        assert np.all(np.linalg.norm(Mt - Mt_ref, axis=0)
+                      <= 1e-12 * np.linalg.norm(Mt_ref, axis=0))
+        assert np.all(np.linalg.norm(St - St_ref, axis=1)
+                      <= 1e-12 * np.linalg.norm(St_ref, axis=1))
+        assert abs(sigma_ratio - s[4] / s[3]) <= 1e-12
+
+
+def test_factor_rank4_lanczos_is_repeatable(wide_scene_W):
+    # the Lanczos start is fixed, not drawn: two calls agree bit for bit
+    first, second = factor_rank4(wide_scene_W), factor_rank4(wide_scene_W)
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
 def test_fix_similarity_already_normalized():
@@ -1060,6 +1093,38 @@ def test_reconstruct_stops_non_finite_result_at_its_stage(
     with pytest.raises(NumericalFailure,
                        match=rf"^\[{stage}\] non-finite result$"):
         reconstruct(reference_dataset.measurements)
+
+
+@pytest.mark.parametrize("stage, poison", [
+    ("factor_rank4", lambda out: (*out[:2], math.inf)),
+    ("recover_rotation_blocks",
+     lambda out: (out[0], dict(out[1], cond=math.nan)))],
+    ids=["float", "dict-value"])
+def test_reconstruct_stops_non_finite_scalar_at_its_stage(
+        stage, poison, reference_dataset, monkeypatch):
+    # a float scalar (factor_rank4's sigma_ratio) or a dict value (the
+    # rotation solve's info) that is not finite stops at its stage too
+    real = getattr(solver, stage)
+    monkeypatch.setattr(solver, stage,
+                        lambda *args, **kwargs: poison(real(*args, **kwargs)))
+    with pytest.raises(NumericalFailure,
+                       match=rf"^\[{stage}\] non-finite result$"):
+        reconstruct(reference_dataset.measurements)
+
+
+def test_reconstruct_stops_overflowing_residual():
+    # accel x 1e300 on the 1 s reference dataset leaves every array of the
+    # translation solve finite, but its residual norm overflows to inf and
+    # the normal ratio to NaN; they stop at the stage, not in a file
+    cfg = reference_noise_config(seed=0)
+    cfg.duration, cfg.points = 1.0, 8
+    meas = make_dataset(cfg).measurements
+    meas = dataclasses.replace(meas, accel=meas.accel * 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow
+        with pytest.raises(NumericalFailure, match=r"^\[recover_translations\] "
+                           r"non-finite result$"):
+            reconstruct(meas)
 
 
 def test_reconstruct_normal_equation_invariant(reference_recon):
