@@ -98,7 +98,8 @@ def _write_outputs(out, docs, tables):
 
 def _eval_outputs(recon, dataset):
     """Error report plus the plot-ready trajectory/structure tables; the
-    measurements the dead reckoning reads are validated first."""
+    measurements the dead reckoning reads are validated first, and a
+    non-finite report value or table exits EXIT_EVAL naming it."""
     traj, scene = dataset.trajectory, dataset.scene
     try:
         dataset.measurements.validate()
@@ -119,19 +120,23 @@ def _eval_outputs(recon, dataset):
     dr_rmse = float(np.sqrt((dr_err ** 2).sum(axis=1).mean()))
     est_T = align.apply(recon.positions)
     table = np.hstack([gt_log, est_log, traj.T, est_T, imu_T])
-    rows = [[f, f * dataset.t_s, *table[f]] for f in range(F)]
+    rows = [[f, f * dataset.t_s, *r] for f, r in enumerate(table.tolist())]
     traj_header = ["frame", "t",
                    "gt_logR_x", "gt_logR_y", "gt_logR_z",
                    "est_logR_x", "est_logR_y", "est_logR_z",
                    "gt_T_x", "gt_T_y", "gt_T_z",
                    "est_T_x", "est_T_y", "est_T_z",
                    "imu_T_x", "imu_T_y", "imu_T_z"]
-    est_S = align.apply(recon.structure)
+    struct_table = np.hstack([scene.points, align.apply(recon.structure)])
     struct_header = ["point", "gt_x", "gt_y", "gt_z", "est_x", "est_y", "est_z"]
-    struct_rows = [[p, *scene.points[p], *est_S[p]]
-                   for p in range(scene.n_points)]
+    struct_rows = [[p, *r] for p, r in enumerate(struct_table.tolist())]
     report_dict = jsonio.report_to_dict(
         report, extra={"dead_reckoning_terminal_rmse": dr_rmse})
+    for name, value in [*report_dict.items(), ("trajectory table", table),
+                        ("structure table", struct_table)]:
+        if not np.isfinite(value).all():
+            raise _CliFailure(EXIT_EVAL,
+                              f"evaluation failed: non-finite {name}")
     return report_dict, (traj_header, rows), (struct_header, struct_rows)
 
 

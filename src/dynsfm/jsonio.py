@@ -2,13 +2,15 @@
 
 Floats are printed with 17 significant digits (lossless for IEEE-754
 doubles), so identical inputs produce byte-identical files. Line endings
-are LF everywhere.
+are LF everywhere. Each array, frame table and CSV table is printed by
+one printf template with one % over a flat tuple of its values, in full
+before its file is opened.
 """
 
 import json
-import math
 from dataclasses import asdict, fields
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -20,39 +22,35 @@ from .solver import Reconstruction, SolverOptions
 
 SCHEMA_VERSION = 1
 FLOAT = "%.17g"  # printf form of format(x, ".17g")
-
-
-def _fmt_float(x):
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite float {x}")
-    return format(x, ".17g")
+FLOATS = (float, np.floating)  # the types FLOAT prints
 
 
 def _require_finite(values):
+    """Name the first non-finite value, in C order, of values."""
     a = np.asarray(values, dtype=float)
     if not np.isfinite(a).all():
         raise ValueError(
             f"cannot serialize non-finite float {a[~np.isfinite(a)][0]}")
 
 
-def _dumps_floats(a):
-    """A float ndarray (at least 1-d, not empty) as nested JSON lists,
-    each value as _fmt_float prints it: one finiteness check, one FLOAT
-    template per last-axis row, then joins over the leading axes."""
+def _template(shape, leaf=FLOAT):
+    """The printf template of nested JSON lists of shape, leaf per value."""
+    for size in reversed(shape):
+        leaf = "[" + ",".join([leaf] * size) + "]"
+    return leaf
+
+
+def _dumps_floats(a, template=None):
+    """A float ndarray as nested JSON lists (a 0-d one as a number), each
+    value printed by FLOAT; or by a template of a's size, in C order."""
     _require_finite(a)
-    n = a.shape[-1]
-    row = "[" + ",".join([FLOAT] * n) + "]"
-    text = [row % tuple(r) for r in a.reshape(-1, n).tolist()]
-    for size in reversed(a.shape[:-1]):
-        text = ["[" + ",".join(text[i:i + size]) + "]"
-                for i in range(0, len(text), size)]
-    return text[0]
+    return (template or _template(a.shape)) % tuple(a.ravel().tolist())
 
 
 class _FrameRecords:
     """A JSON list of one object per frame, {name: row f of fields[name]}
-    for (F, k) float arrays, which dumps formats with one finiteness check
-    (frame by frame, fields in order) and one FLOAT template per frame."""
+    for (F, k) float arrays; the first non-finite value named is the first
+    in frame order, fields in order."""
 
     def __init__(self, fields):
         self.fields = fields
@@ -60,11 +58,10 @@ class _FrameRecords:
     def dumps(self):
         table = np.hstack([np.asarray(a, dtype=float)
                            for a in self.fields.values()])
-        _require_finite(table)
         record = "{" + ",".join(
-            f"{json.dumps(name)}:[" + ",".join([FLOAT] * a.shape[1]) + "]"
+            json.dumps(name).replace("%", "%%") + ":" + _template(a.shape[1:])
             for name, a in self.fields.items()) + "}"
-        return "[" + ",".join(record % tuple(r) for r in table.tolist()) + "]"
+        return _dumps_floats(table, _template(table.shape[:1], record))
 
 
 def dumps(obj):
@@ -76,16 +73,16 @@ def dumps(obj):
         return "[" + ",".join(dumps(v) for v in obj) + "]"
     if isinstance(obj, _FrameRecords):
         return obj.dumps()
+    if isinstance(obj, FLOATS):
+        obj = np.asarray(obj, dtype=float)
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.ndim and obj.size:
+        if obj.dtype.kind == "f":
             return _dumps_floats(obj)
         return dumps(obj.tolist())
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
     if obj is None:
         return "null"
     if isinstance(obj, str):
@@ -94,8 +91,9 @@ def dumps(obj):
 
 
 def write_json(path, obj):
+    text = dumps(obj)
     with open(path, "w", newline="") as fh:
-        fh.write(dumps(obj))
+        fh.write(text)
         fh.write("\n")
 
 
@@ -104,20 +102,22 @@ def read_json(path):
         return json.load(fh)
 
 
+@lru_cache
+def _csv_cell(cell_type):
+    """A CSV cell's template: FLOAT for a float, %s (as str) for any other."""
+    return FLOAT if issubclass(cell_type, FLOATS) else "%s"
+
+
 def write_csv(path, header, rows):
-    """CSV with a header row, 17-significant-digit floats, LF endings."""
+    """CSV with a header row, 17-significant-digit floats, LF endings; one
+    template for the table from its cells' types (rows is read twice)."""
+    cells = tuple(chain.from_iterable(rows))
+    _require_finite([*compress(cells, map(isinstance, cells, repeat(FLOATS)))])
+    text = "".join([",".join(map(_csv_cell, map(type, r))) + "\n"
+                    for r in rows]) % cells
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(_csv_row(row) + "\n")
-
-
-def _csv_row(row):
-    """One CSV line: floats by the FLOAT template of dumps, other cells
-    by str."""
-    is_float = [isinstance(v, (float, np.floating)) for v in row]
-    _require_finite([v for v, f in zip(row, is_float) if f])
-    return ",".join(FLOAT if f else "%s" for f in is_float) % tuple(row)
+        fh.write(text)
 
 
 def _array(value, dims, name, sizes, finite):
@@ -230,12 +230,9 @@ def reconstruction_from_dict(d):
 
 
 def report_to_dict(report, extra=None):
-    d = {"rot_err": report.rot_err.tolist(),
-         "rot_err_mean": report.rot_err_mean,
-         "trans_rmse": float(report.trans_rmse),
-         "struct_rmse": float(report.struct_rmse),
-         "gravity_angle_err": float(report.gravity_angle_err),
-         "per_axis_err": report.per_axis_err.tolist()}
-    if extra:
-        d.update(extra)
-    return d
+    return {"rot_err": report.rot_err,
+            "rot_err_mean": report.rot_err_mean,
+            "trans_rmse": float(report.trans_rmse),
+            "struct_rmse": float(report.struct_rmse),
+            "gravity_angle_err": float(report.gravity_angle_err),
+            "per_axis_err": report.per_axis_err, **(extra or {})}

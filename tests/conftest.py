@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -225,3 +227,52 @@ def log_so3_one(R):
     if nw < so3.SMALL_ANGLE:
         return 0.5 * w
     return (th / nw) * w
+
+
+# The JSON/CSV float writers as they were before jsonio printed each array
+# and table with one template: the byte-for-byte oracles of jsonio's.
+ORACLE_FLOAT = "%.17g"
+
+
+def _oracle_require_finite(values):
+    a = np.asarray(values, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(
+            f"cannot serialize non-finite float {a[~np.isfinite(a)][0]}")
+
+
+def row_template_dumps_floats(a):
+    """A float ndarray (at least 1-d, not empty) as nested JSON lists: one
+    template per last-axis row, then joins over the leading axes."""
+    _oracle_require_finite(a)
+    n = a.shape[-1]
+    row = "[" + ",".join([ORACLE_FLOAT] * n) + "]"
+    text = [row % tuple(r) for r in a.reshape(-1, n).tolist()]
+    for size in reversed(a.shape[:-1]):
+        text = ["[" + ",".join(text[i:i + size]) + "]"
+                for i in range(0, len(text), size)]
+    return text[0]
+
+
+def per_frame_records_dumps(fields):
+    """The JSON list of one {name: row f} object per frame of the (F, k)
+    arrays in fields, with one template per frame."""
+    table = np.hstack([np.asarray(a, dtype=float) for a in fields.values()])
+    _oracle_require_finite(table)
+    record = "{" + ",".join(
+        f"{json.dumps(name)}:[" + ",".join([ORACLE_FLOAT] * a.shape[1]) + "]"
+        for name, a in fields.items()) + "}"
+    return "[" + ",".join(record % tuple(r) for r in table.tolist()) + "]"
+
+
+def csv_row(row):
+    """One CSV line: float cells by the float template, others by str."""
+    is_float = [isinstance(v, (float, np.floating)) for v in row]
+    _oracle_require_finite([v for v, f in zip(row, is_float) if f])
+    return ",".join(ORACLE_FLOAT if f else "%s" for f in is_float) % tuple(row)
+
+
+def csv_text(header, rows):
+    """The CSV file of header and rows, a line at a time."""
+    return "".join(line + "\n" for line in
+                   [",".join(header), *map(csv_row, rows)])

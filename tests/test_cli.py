@@ -15,13 +15,14 @@ import pytest
 from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
-from dynsfm import jsonio
-from dynsfm.cli import main
+from dynsfm import cli, jsonio
+from dynsfm.cli import SWEEP_HEADER, main
 from dynsfm.config import (MAX_FRAMES, MAX_W_BYTES, config_to_dict,
                            reference_config, reference_noise_config)
+from dynsfm.errors import NumericalFailure
 from dynsfm.solver import SolverOptions, reconstruct
 
-from conftest import make_dataset
+from conftest import csv_text, make_dataset
 
 
 def run_cli(*args):
@@ -278,6 +279,29 @@ def test_solve_stops_non_finite_residual(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.splitlines()[-1] == (
         "error: solver failed: [recover_translations] non-finite result")
+    assert not out.exists()
+
+
+def test_eval_stops_non_finite_dead_reckoning(tmp_path):
+    # accel x 1e200 is finite and passes validate, but the dead reckoning
+    # overflows to inf: exit 5 naming the report value, not a traceback
+    # from the writer, and no report or table written. A subprocess, as
+    # the suite turns numpy's overflow RuntimeWarning into an exception.
+    doc = _one_second_dataset_doc()
+    doc["measurements"]["accel"] = [[1e200 * v for v in row]
+                                    for row in doc["measurements"]["accel"]]
+    ds_path, recon = tmp_path / "dataset.json", tmp_path / "recon.json"
+    ds_path.write_text(json.dumps(doc))
+    recon.write_text(json.dumps(_one_second_reconstruction_doc()))
+    out = tmp_path / "eval"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dynsfm", "eval", "--recon", str(recon),
+         "--dataset", str(ds_path), "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 5
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        "error: evaluation failed: non-finite dead_reckoning_terminal_rmse")
     assert not out.exists()
 
 
@@ -1023,6 +1047,37 @@ def test_sweep_zero_noise(small_cfg_path, tmp_path):
         assert (float(vals[cols["trans_rmse"]])
                 < 0.01 * max(float(vals[cols["dr_terminal_rmse"]]), 1e-12)
                 or float(vals[cols["dr_terminal_rmse"]]) < 1e-6)
+
+
+def test_sweep_writes_mixed_ok_and_failed_rows(small_cfg_path, tmp_path,
+                                               monkeypatch):
+    # the second run fails: its row keeps seed, scale and status and
+    # leaves the rest empty; every row prints as the row-by-row writer
+    calls, tables = [], []
+
+    def flaky(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise NumericalFailure("[recover_translations] non-finite result")
+        return reconstruct(*args)
+
+    def spy(path, header, rows):
+        tables.append((header, rows))
+        return write_csv(path, header, rows)
+
+    write_csv = jsonio.write_csv
+    monkeypatch.setattr(cli, "reconstruct", flaky)
+    monkeypatch.setattr(jsonio, "write_csv", spy)
+    spec, out = tmp_path / "sweep.json", tmp_path / "sweep_out"
+    jsonio.write_json(spec, {"seeds": [0, 1, 2], "noise_scales": [0.5]})
+    assert run_cli("sweep", "--config", small_cfg_path, "--sweep", spec,
+                   "--out", out, "--quiet") == 0
+    text = (out / "aggregate.csv").read_text()
+    [(header, rows)] = tables
+    assert header == SWEEP_HEADER
+    assert [row[2] for row in rows] == ["ok", "failed", "ok"]
+    assert text.splitlines()[2] == "1,0.5,failed" + "," * 9
+    assert text == csv_text(header, rows)
 
 
 def test_sweep_rejects_unknown_field(small_cfg_path, tmp_path):

@@ -4,7 +4,12 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from conftest import (csv_text, per_frame_records_dumps,
+                      row_template_dumps_floats)
 from dynsfm import jsonio
 from dynsfm.config import (MAX_FRAMES, MAX_W_BYTES, RunConfig,
                            config_from_dict, config_to_dict,
@@ -36,6 +41,80 @@ def test_write_csv_format(tmp_path):
     raw = path.read_bytes().decode()
     assert raw == "a,b\n1,0.5\n2,0.33333333333333331\n"
     assert b"\r" not in path.read_bytes()
+
+
+# where %.17g switches notation, the extremes, and values that print
+# as integers
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1e16, 1e17, 1e-4, 1e-5, 1.0, -3.0,
+               2.0 ** 53, 123456789.0]
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    EDGE_FLOATS)
+
+
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=4, min_side=1,
+                                       max_side=4), elements=FLOATS))
+def test_dumps_prints_arrays_as_the_row_template_writer(a):
+    assert jsonio.dumps(a) == row_template_dumps_floats(a)
+    assert jsonio.dumps(a.T) == row_template_dumps_floats(a.T)
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (2, 0), (0, 3), (1, 0, 2)])
+def test_dumps_prints_empty_and_0d_arrays_as_their_lists(shape):
+    a = np.full(shape, 0.1)
+    assert jsonio.dumps(a) == jsonio.dumps(a.tolist())
+
+
+@given(st.integers(0, 5).flatmap(lambda frames: st.lists(
+    arrays(np.float64, st.tuples(st.just(frames), st.integers(1, 9)),
+           elements=FLOATS), min_size=1, max_size=4)))
+def test_frame_records_print_as_the_per_frame_writer(columns):
+    fields = {f"f{i}": a for i, a in enumerate(columns)}
+    written = jsonio.dumps(jsonio._FrameRecords(fields))
+    assert written == per_frame_records_dumps(fields)
+
+
+CELLS = st.one_of(st.integers(-10 ** 20, 10 ** 20),
+                  st.text("ab,%s\"", max_size=4), FLOATS,
+                  FLOATS.map(np.float64),
+                  st.floats(width=32, allow_nan=False,
+                            allow_infinity=False).map(np.float32))
+
+
+@given(st.lists(st.lists(CELLS, max_size=6), max_size=6))
+def test_write_csv_prints_as_the_row_writer(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    header = ["a", "b", "c"]
+    jsonio.write_csv(path, header, rows)
+    assert path.read_bytes() == csv_text(header, rows).encode()
+
+
+def test_percent_signs_in_text_are_written_verbatim(tmp_path):
+    path = tmp_path / "t.csv"
+    jsonio.write_csv(path, ["a%s", "%%b", "%"],
+                     [["x%s", 1.5, "%%"], [2, "%", 0.25]])
+    assert path.read_text() == "a%s,%%b,%\nx%s,1.5,%%\n2,%,0.25\n"
+    assert jsonio.dumps({"k%s": "v%%", "%": ["%s", 1.0]}) == (
+        '{"k%s":"v%%","%":["%s",1]}')
+    frames = jsonio._FrameRecords({"a%s": np.ones((2, 1)),
+                                   "%%": np.zeros((2, 1))})
+    assert jsonio.dumps(frames) == (
+        '[{"a%s":[1],"%%":[0]},{"a%s":[1],"%%":[0]}]')
+
+
+def test_non_finite_error_names_the_first_value_in_c_order(tmp_path):
+    a = np.zeros((2, 3, 4))
+    a[1, 0, 0] = np.nan   # first in Fortran order
+    a[0, 2, 1] = -np.inf  # first in C order
+    path = tmp_path / "a.json"
+    with pytest.raises(ValueError, match="non-finite float -inf$"):
+        jsonio.write_json(path, {"a": a})
+    assert not path.exists()  # formatted in full before the file is opened
+    path = tmp_path / "t.csv"
+    rows = [[0, 1.0, "x", np.float64(np.nan)], [1, -np.inf, "y", 2.0]]
+    with pytest.raises(ValueError, match="non-finite float nan$"):
+        jsonio.write_csv(path, ["f", "a", "s", "b"], rows)
+    assert not path.exists()
 
 
 def _dataset():
