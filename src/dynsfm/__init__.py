@@ -10,14 +10,13 @@ Procrustes-based evaluation harness.
 from .baseline import DeadReckonState, imu_dead_reckon
 from .config import RunConfig, reference_config, reference_noise_config
 from .derivatives import (DerivFilter, differentiate_series,
-                          differentiate_tracks, omega_dot_series,
-                          savgol_filter)
+                          differentiate_tracks, euler_omega_dot,
+                          omega_dot_series, savgol_filter)
 from .evaluate import Alignment, ErrorReport, evaluate, procrustes_no_scale
 from .simulate import (DEFAULT_GRAVITY, DEFAULT_INERTIA, Dataset,
                        MeasurementSet, NoiseSpec, Scene, Trajectory,
-                       add_noise, euler_omega_dot, generate_scene,
-                       generate_trajectory, simulate_dataset,
-                       synthesize_images, synthesize_imu,
+                       add_noise, generate_scene, generate_trajectory,
+                       simulate_dataset, synthesize_images, synthesize_imu,
                        torque_for_trajectory)
 from .solver import (Reconstruction, SolverOptions, assemble_C, assemble_W,
                      factor_rank4, reconstruct)

@@ -4,6 +4,7 @@ Exit codes: 0 success, 2 configuration, 3 I/O, 4 solver, 5 evaluation.
 """
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -275,7 +276,9 @@ def cmd_print_config(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="dynsfm",
         description="Affine structure-from-motion with inertial "
@@ -293,7 +296,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None,
                    help="override the config seed")
     common(p)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("solve", help="reconstruct motion and structure")
     p.add_argument("--dataset", required=True)
@@ -301,39 +303,39 @@ def build_parser():
     p.add_argument("--options", default=None,
                    help="JSON file with solver options")
     common(p)
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("eval", help="compare a reconstruction to ground truth")
     p.add_argument("--recon", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True, help="output directory")
     common(p)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="run a seed/noise sweep")
     p.add_argument("--config", required=True)
     p.add_argument("--sweep", required=True, help="sweep spec JSON")
     p.add_argument("--out", required=True, help="output directory")
     common(p)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("pipeline", help="simulate, solve and eval in one go")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None)
     common(p)
-    p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("example-config", help="write the default config")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_print_config, quiet=True)
+    p.set_defaults(quiet=True)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # looked up on each call, so a rebound cmd_* attribute takes effect
+    commands = {"simulate": cmd_simulate, "solve": cmd_solve,
+                "eval": cmd_eval, "sweep": cmd_sweep,
+                "pipeline": cmd_pipeline, "example-config": cmd_print_config}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except _CliFailure as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code

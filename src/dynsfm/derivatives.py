@@ -1,4 +1,5 @@
-"""Savitzky-Golay derivative filters and series differentiation.
+"""Savitzky-Golay derivative filters, series differentiation and the
+angular-acceleration series of a gyro.
 
 A filter is one polynomial least-squares fit on a centred, scaled
 abscissa. Interior samples use its centred taps, in "dot" orientation:
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadFilterSpec, SeriesTooShort
-from .simulate import euler_omega_dot
+from .errors import (BadFilterSpec, LengthMismatch, SeriesTooShort,
+                     SingularInertia)
 
 # Largest filter order: windows up to 120001 differentiate monomials, edges
 # included, to 2e-10 relative at order 10 (6e-9 at 15, 2e-6 at 20).
@@ -96,6 +97,22 @@ def differentiate_tracks(tracks, t_s, filt1, filt2):
     flows = differentiate_series(flat, t_s, filt1).reshape(F, P, 2)
     dflows = differentiate_series(flat, t_s, filt2).reshape(F, P, 2)
     return flows, dflows
+
+
+def euler_omega_dot(inertia, torque, omega):
+    """Angular acceleration from the rigid-body equation of motion:
+    domega = J^-1 (torque - omega x (J omega))."""
+    J = np.asarray(inertia, dtype=float)
+    if J.shape != (3, 3) or np.linalg.norm(J - J.T) > 1e-9 * np.linalg.norm(J):
+        raise SingularInertia("inertia must be a symmetric 3x3 matrix")
+    if np.linalg.eigvalsh(J).min() <= 0:
+        raise SingularInertia("inertia must be positive definite")
+    omega = np.atleast_2d(np.asarray(omega, dtype=float))
+    torque = np.atleast_2d(np.asarray(torque, dtype=float))
+    if torque.shape != omega.shape:
+        raise LengthMismatch("torque and omega series lengths differ")
+    rhs = torque - np.cross(omega, omega @ J.T)
+    return np.linalg.solve(J, rhs.T).T
 
 
 def omega_dot_series(omega, mode, t_s, inertia=None, torque=None, filt=None):

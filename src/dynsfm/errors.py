@@ -9,10 +9,6 @@ class DynSfmError(Exception):
     """Base class for all dynsfm errors."""
 
 
-class NearPiAmbiguity(DynSfmError):
-    """Rotation angle too close to pi for a well-defined principal log."""
-
-
 class DegenerateMatrix(DynSfmError):
     pass
 

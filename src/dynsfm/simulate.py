@@ -18,8 +18,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import so3
+from .derivatives import differentiate_tracks, savgol_filter
 from .errors import (BadSampling, DegenerateScene, LengthMismatch,
-                     NonFiniteInput, SingularInertia, TooFewPoints)
+                     NonFiniteInput, TooFewPoints)
 
 DEFAULT_GRAVITY = np.array([0.0, 0.0, -9.8])
 DEFAULT_INERTIA = np.diag([0.01, 0.01, 0.02])
@@ -312,22 +313,6 @@ def synthesize_images(trajectory, scene, gravity=DEFAULT_GRAVITY):
     return tracks, flows, dflows
 
 
-def euler_omega_dot(inertia, torque, omega):
-    """Angular acceleration from the rigid-body equation of motion:
-    domega = J^-1 (torque - omega x (J omega))."""
-    J = np.asarray(inertia, dtype=float)
-    if J.shape != (3, 3) or np.linalg.norm(J - J.T) > 1e-9 * np.linalg.norm(J):
-        raise SingularInertia("inertia must be a symmetric 3x3 matrix")
-    if np.linalg.eigvalsh(J).min() <= 0:
-        raise SingularInertia("inertia must be positive definite")
-    omega = np.atleast_2d(np.asarray(omega, dtype=float))
-    torque = np.atleast_2d(np.asarray(torque, dtype=float))
-    if torque.shape != omega.shape:
-        raise LengthMismatch("torque and omega series lengths differ")
-    rhs = torque - np.cross(omega, omega @ J.T)
-    return np.linalg.solve(J, rhs.T).T
-
-
 def torque_for_trajectory(trajectory, inertia=DEFAULT_INERTIA):
     """Torque series realizing the trajectory's angular acceleration, so
     the Euler-equation mode reproduces domega exactly."""
@@ -354,7 +339,6 @@ def add_noise(measurements, spec, flow_mode="analytic",
     img_std = spec.image_rel_std * np.abs(measurements.tracks).max(initial=0.0)
     tracks = measurements.tracks + rng.normal(0.0, 1.0, measurements.tracks.shape) * img_std
     if flow_mode == "numeric":
-        from .derivatives import differentiate_tracks, savgol_filter
         if flow_filters is None:
             flow_filters = (savgol_filter(2, 5, 1), savgol_filter(2, 5, 2))
         flows, dflows = differentiate_tracks(tracks, t_s, *flow_filters)

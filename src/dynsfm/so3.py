@@ -7,7 +7,7 @@ axis-angle form carry the rotation angle as their norm.
 
 import numpy as np
 
-from .errors import DegenerateMatrix, NearPiAmbiguity
+from .errors import DegenerateMatrix
 
 # Below this angle the Rodrigues sine/cosine ratios are replaced by their
 # second-order Taylor expansions to avoid 0/0.
@@ -50,6 +50,16 @@ def matvec(A, x):
     return (A @ np.asarray(x)[..., None])[..., 0]
 
 
+def _angle(v):
+    """hat(v), the mask of angles |v| below SMALL_ANGLE, and |v| and |v|^2
+    with 1 where masked. Complex-safe: |v| is then sqrt(v.v)."""
+    v = np.asarray(v)
+    th2 = (v[..., None, :] @ v[..., None])[..., 0, 0]
+    th = np.sqrt(th2)
+    small = np.abs(th) < SMALL_ANGLE
+    return hat(v), small, np.where(small, 1.0, th), np.where(small, 1.0, th2)
+
+
 def exp_so3(v):
     """Rodrigues formula for the matrix exponential of hat(v).
 
@@ -58,30 +68,20 @@ def exp_so3(v):
     so callers can differentiate through it with a complex step; the
     angle is then sqrt(v.v), not the real norm.
     """
-    v = np.asarray(v)
-    th2 = (v[..., None, :] @ v[..., None])[..., 0, 0]
-    th = np.sqrt(th2)
-    V = hat(v)
-    small = np.abs(th) < SMALL_ANGLE
-    th = np.where(small, 1.0, th)
+    V, small, th, th2 = _angle(v)
     a = np.where(small, 1.0, np.sin(th) / th)
-    b = np.where(small, 0.5, (1.0 - np.cos(th)) / np.where(small, 1.0, th2))
+    b = np.where(small, 0.5, (1.0 - np.cos(th)) / th2)
     return (np.eye(3, dtype=V.dtype) + a[..., None, None] * V
             + b[..., None, None] * (V @ V))
 
 
-def log_so3(R):
-    """Principal-branch axis-angle of a rotation matrix: rotation_vector,
-    refused near pi.
-
-    Accepts a stack (..., 3, 3) and returns (..., 3). Raises
-    NearPiAmbiguity when any trace(R) <= NEAR_PI_TRACE (angle within
-    ~1e-3 of pi), where the skew part no longer fixes the axis sign.
-    """
+def _skew(R):
+    """R as floats, the axial vector of R - R^T (2 sin(theta) n) and the
+    trace (1 + 2 cos(theta)), over the leading axes."""
     R = np.asarray(R, dtype=float)
-    if np.any(np.trace(R, axis1=-2, axis2=-1) <= NEAR_PI_TRACE):
-        raise NearPiAmbiguity("rotation angle too close to pi")
-    return rotation_vector(R)
+    w = np.stack([R[..., 2, 1] - R[..., 1, 2], R[..., 0, 2] - R[..., 2, 0],
+                  R[..., 1, 0] - R[..., 0, 1]], axis=-1)
+    return R, w, np.trace(R, axis1=-2, axis2=-1)
 
 
 def rotation_vector(R):
@@ -97,10 +97,7 @@ def rotation_vector(R):
     (1 - cos(theta)) n n^T (at pi, of R + I), signed to agree with the
     skew part. At pi itself both signs are logarithms of R.
     """
-    R = np.asarray(R, dtype=float)
-    tr = np.trace(R, axis1=-2, axis2=-1)
-    w = np.stack([R[..., 2, 1] - R[..., 1, 2], R[..., 0, 2] - R[..., 2, 0],
-                  R[..., 1, 0] - R[..., 0, 1]], axis=-1)
+    R, w, tr = _skew(R)
     # |w|^2 as a 1x3 by 3x1 product rounds as the dot of one vector does;
     # norm(w, axis=-1) sums in another order
     nw = np.sqrt((w[..., None, :] @ w[..., None])[..., 0, 0])  # 2 sin(theta)
@@ -128,10 +125,7 @@ def rotation_angle(R):
     resolves the angle to rounding everywhere on [0, pi]; the arccos of
     (trace - 1) / 2 resolves it only to ~sqrt(eps) near zero.
     """
-    R = np.asarray(R, dtype=float)
-    w = np.stack([R[..., 2, 1] - R[..., 1, 2], R[..., 0, 2] - R[..., 2, 0],
-                  R[..., 1, 0] - R[..., 0, 1]], axis=-1)
-    tr = np.trace(R, axis1=-2, axis2=-1)
+    _, w, tr = _skew(R)
     return np.arctan2(np.linalg.norm(w, axis=-1), tr - 1.0)
 
 
@@ -166,14 +160,8 @@ def right_jacobian(v):
     angle below SMALL_ANGLE takes the Taylor branch. Complex-safe for
     complex-step differentiation, like exp_so3.
     """
-    v = np.asarray(v)
-    th2 = (v[..., None, :] @ v[..., None])[..., 0, 0]
-    th = np.sqrt(th2)
-    V = hat(v)
+    V, small, th, th2 = _angle(v)
     VV = V @ V
-    small = np.abs(th) < SMALL_ANGLE
-    th = np.where(small, 1.0, th)
-    th2 = np.where(small, 1.0, th2)
     a = np.where(small, 0.5, (1.0 - np.cos(th)) / th2)
     b = (th - np.sin(th)) / (th2 * th)
     return (np.eye(3, dtype=V.dtype) - a[..., None, None] * V
@@ -189,10 +177,3 @@ def fix_signs(U, Vt):
     signs = np.where(U[np.argmax(np.abs(U), axis=0), cols] < 0, -1.0, 1.0)
     U *= signs
     Vt *= signs[:, None]
-
-
-def deterministic_svd(A):
-    """Thin SVD with the sign convention of fix_signs."""
-    U, s, Vt = np.linalg.svd(np.asarray(A, dtype=float), full_matrices=False)
-    fix_signs(U, Vt)
-    return U, s, Vt

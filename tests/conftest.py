@@ -215,18 +215,24 @@ def right_jacobian_one(v):
 
 
 def log_so3_one(R):
-    """Per-matrix principal log, the oracle of the batched so3 version."""
-    from dynsfm.errors import NearPiAmbiguity
+    """Per-matrix principal log, the oracle of so3.rotation_vector away
+    from pi (trace above so3.NEAR_PI_TRACE)."""
     R = np.asarray(R, dtype=float)
     tr = np.trace(R)
-    if tr <= -1.0 + 1e-6:
-        raise NearPiAmbiguity("rotation angle too close to pi")
     w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
     nw = np.linalg.norm(w)
     th = np.arctan2(nw, tr - 1.0)
     if nw < so3.SMALL_ANGLE:
         return 0.5 * w
     return (th / nw) * w
+
+
+def deterministic_svd(A):
+    """Thin SVD with the sign convention of so3.fix_signs: the oracle that
+    factor_rank4's top four singular triplets are checked against."""
+    U, s, Vt = np.linalg.svd(np.asarray(A, dtype=float), full_matrices=False)
+    so3.fix_signs(U, Vt)
+    return U, s, Vt
 
 
 # The JSON/CSV float writers as they were before jsonio printed each array

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import functools
 import json
@@ -989,7 +990,7 @@ def test_eval_self_evaluation_of_truth(small_cfg_path, tmp_path):
 
 def test_eval_writes_rotation_near_pi(small_cfg_path, tmp_path):
     # evaluate succeeds, so the trajectory CSV must not refuse a frame whose
-    # aligned rotation lies within ~1e-3 of pi, where log_so3 would
+    # aligned rotation lies within ~1e-3 of pi
     from dynsfm import so3
     from dynsfm.evaluate import evaluate
     ds_path, rec_path = tmp_path / "dataset.json", tmp_path / "recon.json"
@@ -1014,7 +1015,7 @@ def test_eval_writes_rotation_near_pi(small_cfg_path, tmp_path):
     aligned = align.rotation @ recon.rotations
     assert np.abs(so3.exp_so3(est[10]) - aligned[10]).max() < 1e-9
     assert np.array_equal(np.delete(est, 10, axis=0),
-                          so3.log_so3(np.delete(aligned, 10, axis=0)))
+                          so3.rotation_vector(np.delete(aligned, 10, axis=0)))
 
 
 def test_pipeline_under_time_budget(reference_cfg_path, tmp_path):
@@ -1124,6 +1125,34 @@ def test_module_entry_point(small_cfg_path, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
 
+
+
+def test_main_builds_one_parser_and_dispatches_by_name(small_cfg_path,
+                                                       tmp_path, monkeypatch):
+    # the parser is built once per process, and each call looks its command
+    # up by name, so a cmd_* rebound after the first call is the one run
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        ds = tmp_path / "d.json"
+        assert run_cli("simulate", "--config", small_cfg_path, "--out", ds,
+                       "--quiet") == 0
+        solved = []
+        monkeypatch.setattr(cli, "cmd_solve",
+                            lambda args: solved.append(args.dataset) or 7)
+        assert run_cli("solve", "--dataset", ds, "--out",
+                       tmp_path / "r.json") == 7
+    finally:
+        cli.build_parser.cache_clear()
+    assert solved == [str(ds)]
+    assert not (tmp_path / "r.json").exists()
+    assert built.count("dynsfm") == 1
 
 @settings(max_examples=30,
           suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from dynsfm import simulate, so3
+from dynsfm.derivatives import euler_omega_dot
 from dynsfm.errors import (BadSampling, LengthMismatch, NonFiniteInput,
                            SingularInertia, TooFewPoints)
 from dynsfm.simulate import (DEFAULT_GRAVITY, DEFAULT_INERTIA, MeasurementSet,
                              NoiseSpec, Scene, Trajectory, add_noise,
-                             euler_omega_dot, generate_scene,
-                             generate_trajectory, simulate_dataset,
-                             synthesize_images, synthesize_imu,
-                             torque_for_trajectory)
+                             generate_scene, generate_trajectory,
+                             simulate_dataset, synthesize_images,
+                             synthesize_imu, torque_for_trajectory)
 
 from conftest import right_jacobian_one
 

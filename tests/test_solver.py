@@ -29,8 +29,8 @@ from dynsfm.solver import (COND_LIMIT, SolverOptions, _omega_dot_for,
                            rotation_regularizer,
                            recover_translations, translation_blocks)
 
-from conftest import (dense_C, dense_rotation_system, make_dataset,
-                      translation_system, translation_vector)
+from conftest import (dense_C, dense_rotation_system, deterministic_svd,
+                      make_dataset, translation_system, translation_vector)
 
 G = DEFAULT_GRAVITY
 
@@ -248,7 +248,7 @@ def test_factor_rank4_tall_matches_thin_svd(reference_dataset, noise):
     W = assemble_W(reference_dataset.measurements)
     W = W + noise * np.random.default_rng(4).normal(size=W.shape)
     Mt, St, sigma_ratio = factor_rank4(W)
-    U, s, Vt = so3.deterministic_svd(W)
+    U, s, Vt = deterministic_svd(W)
     # per column (row of St), so a flipped sign fails as well
     Mt_ref, St_ref = U[:, :4] * s[:4], Vt[:4]
     assert np.all(np.linalg.norm(Mt - Mt_ref, axis=0)
@@ -263,7 +263,7 @@ def test_factor_rank4_wide_matches_direct_svd(wide_W, wide_scene_W, noise):
     for W in (wide_W, wide_scene_W):  # eigh, then Lanczos
         W = W + noise * np.random.default_rng(4).normal(size=W.shape)
         Mt, St, sigma_ratio = factor_rank4(W)
-        U, s, Vt = so3.deterministic_svd(W)
+        U, s, Vt = deterministic_svd(W)
         # per column (row of St), so a flipped sign fails as well
         Mt_ref, St_ref = U[:, :4] * s[:4], Vt[:4]
         assert np.all(np.linalg.norm(Mt - Mt_ref, axis=0)
