@@ -1,11 +1,11 @@
-"""Block-row least squares in O(F), for both linear stages of the solver.
+"""Banded least squares in O(F), for both linear stages of the solver.
 
-Each stage writes its problem as lists of block rows. Block row i of a
-list acts on the d unknowns of frames i .. i + w - 1, its span w, and on
-a border of unknowns shared by all frames (the translations' gravity, the
-rotations have none). lstsq forms the normal equations blockwise and
-solves them: the per-frame part N_zz is banded, so frames are cut into
-groups of s, s at least the largest span minus one, and N_zz is block
+Unknowns come in frames of d and a border shared by all frames (the
+translations' gravity, the rotations have none). solve_normal solves the
+normal equations; lstsq forms them blockwise from lists of block rows
+(the rotations), where block row i acts on frames i .. i + w - 1 and the
+border. The per-frame part N_zz is banded, so frames are cut into groups
+of s, s at least the largest span minus one, and N_zz is block
 tridiagonal in the groups. It is stored as P of shape (groups, 2, m, m),
 m = d s: P[i, 0] = N_ii and P[i, 1] = N_i,i+1, the last group's N_i,i+1
 unused. N_zz is factored by block cyclic reduction, ~log2(groups)
@@ -29,6 +29,38 @@ import numpy as np
 GROUP_UNKNOWNS = 24
 
 
+def group_size(d, span):
+    """Frames s per group for d unknowns a frame and a span of `span`."""
+    return max(GROUP_UNKNOWNS // d, span - 1)
+
+
+def group_storage(F, s, d):
+    """Zeroed P for F frames in groups of s, and its cells view: cells[i,
+    q, a, :, b] is the block of frame i s + a by frame (i + q) s + b. The
+    frames that fill the last group get an identity block, so their
+    unknowns solve to zero."""
+    n_groups = -(-F // s)
+    P = np.zeros((n_groups, 2, d * s, d * s))
+    cells = P.reshape(n_groups, 2, s, d, s, d)
+    for a in range(F - (n_groups - 1) * s, s):
+        cells[-1, 0, a, :, a] = np.eye(d)
+    return P, cells
+
+
+def place(cells, j, blocks, first=0):
+    """Write N_f,f+j, |j| <= s, for frames f = first + i from blocks[i]
+    into the cells of P, one strided slice per frame position in a group;
+    blocks left of f's group are not stored."""
+    s = cells.shape[2]
+    for a in range(s):
+        q, b = divmod(a + j, s)
+        if q >= 0:
+            i = (a - first) % s
+            rows = blocks[i::s]
+            g = (first + i) // s
+            cells[g:g + len(rows), q, a, :, b] = rows
+
+
 def lstsq(blocks, rhs, d, border=0):
     """Least-squares solution of the stacked block rows, in O(F).
 
@@ -38,39 +70,47 @@ def lstsq(blocks, rhs, d, border=0):
     right-hand sides (n, rows, k). A list may be empty (n = 0). The
     frame count F is the last frame any list reaches.
 
-    Returns (z, g, cond, normal_ratio, residuals): z (F, d, k) and
-    g (border, k) minimize the sum of |block @ x - rhs|^2 over all lists;
-    cond is a 1-norm estimate of the normal matrix's condition number,
-    normal_ratio |N x - A^T b| / |A^T b| with N x - A^T b formed as A^T r,
-    and residuals the block residuals r = block @ x - rhs of each list.
-    Raises np.linalg.LinAlgError when the lists hold fewer rows than
-    unknowns (d F + border), whatever the rounding, or when the normal
-    matrix is not numerically positive definite. The frames that fill
-    the last group carry an identity block and no coupling, so their
-    unknowns solve to zero.
+    Returns (z, g, cond, normal_ratio, residuals): z, g and cond of
+    solve_normal, and the block residuals r = block @ x - rhs of each
+    list. Raises np.linalg.LinAlgError when the lists hold fewer rows
+    than unknowns (d F + border), whatever the rounding, or as
+    solve_normal does.
     """
     widths = [(block.shape[2] - border) // d for block in blocks]
     F = max(len(block) + w - 1 for block, w in zip(blocks, widths))
-    n = d * F + border
-    if sum(block.shape[0] * block.shape[1] for block in blocks) < n:
+    if sum(b.shape[0] * b.shape[1] for b in blocks) < d * F + border:
         raise np.linalg.LinAlgError("fewer rows than unknowns")
-    s = max(GROUP_UNKNOWNS // d, max(widths) - 1)
-    m = d * s
-    P, Nzg, Ngg = _normal_matrix(F, s, d, border, blocks, widths)
+    P, Nzg, Ngg = _normal_matrix(F, group_size(d, max(widths)), d, border,
+                                 blocks, widths)
+    rz, rg = _apply_transpose(F, d, border, blocks, widths, rhs)
+    z, g, cond = solve_normal(P, Nzg, Ngg, rz, rg)
+    res = [block @ _gather(z, g, len(block), w) - b
+           for block, w, b in zip(blocks, widths, rhs)]
+    return z, g, cond, normal_ratio(
+        (rz, rg), _apply_transpose(F, d, border, blocks, widths, res)), res
+
+
+def solve_normal(P, Nzg, Ngg, rz, rg):
+    """Solve the normal equations N (z, g) = (rz, rg) in O(F): P holds
+    N_zz (group_storage) and is overwritten by its factor, Nzg[f] =
+    N_z_f,g (F, d, border), rz (F, d, k), rg (border, k). Returns (z, g,
+    cond), cond a 1-norm estimate of N's condition number whose two fixed
+    probes are solved with rz. Raises np.linalg.LinAlgError when N is not
+    numerically positive definite."""
+    F, d, border = Nzg.shape
+    n_groups, _, m, _ = P.shape
+    k = rz.shape[2]
+    dF = d * F
     norm = _norm1(F, d, P, Nzg, Ngg)  # before cholesky overwrites P
-    rz, rg = _apply_transpose(len(Nzg), d, border, blocks, widths, rhs)
-    k = rg.shape[1]
-    # the estimator's two fixed probes ride along as extra columns
-    probe = probes(n)
-    pz = np.zeros((len(Nzg) * d, 2))
-    pz[:d * F] = probe[:d * F]
     levels = cholesky(P)
-    X = solve(levels, np.concatenate(
-        [Nzg.reshape(len(P), m, border), rz.reshape(len(P), m, k),
-         pz.reshape(len(P), m, 2)], axis=2)).reshape(len(P) * m, -1)
+    probe = probes(dF + border)
+    B = np.zeros((n_groups * m // d, d, border + k + 2))
+    B[:F] = np.concatenate([Nzg, rz, probe[:dF].reshape(F, d, 2)], axis=2)
+    X = solve(levels, B.reshape(n_groups, m, -1)).reshape(-1, B.shape[2])[:dF]
+    del B  # the estimator's solves peak above it
     if border:
         Xg = X[:, :border]
-        Nzg_rows = Nzg.reshape(len(P) * m, border)
+        Nzg_rows = Nzg.reshape(dF, border)
         S = Ngg - Nzg_rows.T @ Xg
         np.linalg.cholesky(S)  # raises unless S is positive definite
 
@@ -83,24 +123,25 @@ def lstsq(blocks, rhs, d, border=0):
 
     # a contiguous u: the strided column view takes another BLAS path
     zs, gs = bordered(np.ascontiguousarray(X[:, border:]),
-                      np.concatenate([rg, probe[d * F:]], axis=1))
-    z, g = zs[:d * F, :k].reshape(F, d, k).copy(), gs[:, :k]
+                      np.concatenate([rg, probe[dF:]], axis=1))
 
     def solve_flat(v):
-        vz = np.zeros((len(Nzg), d))
-        vz[:F] = v[:d * F].reshape(F, d)
-        u = solve(levels, vz.reshape(-1, m, 1)).ravel()
-        uz, ug = bordered(u, v[d * F:])
-        return np.concatenate([uz[:d * F], ug])
+        vz = np.zeros(n_groups * m)
+        vz[:dF] = v[:dF]
+        u = solve(levels, vz.reshape(-1, m, 1)).ravel()[:dF]
+        return np.concatenate(bordered(u, v[dF:]))
 
     cond = norm * inverse_norm1(
-        solve_flat, np.concatenate([zs[:d * F, k:], gs[:, k:]]))
-    res = [block @ _gather(z, g, len(block), w) - b
-           for block, w, b in zip(blocks, widths, rhs)]
-    nz, ng = _apply_transpose(F, d, border, blocks, widths, res)
-    denom = np.linalg.norm(np.concatenate([rz[:F].ravel(), rg.ravel()]))
-    normal = np.linalg.norm(np.concatenate([nz.ravel(), ng.ravel()]))
-    return z, g, cond, float(normal / denom) if denom > 0 else 0.0, res
+        solve_flat, np.concatenate([zs[:, k:], gs[:, k:]]))
+    return zs[:, :k].reshape(F, d, k).copy(), gs[:, :k], cond
+
+
+def normal_ratio(atb, atr):
+    """|A^T r| / |A^T b| (0 if A^T b is), r the residual, from the parts
+    of A^T b and A^T r: N x - A^T b formed as A^T r."""
+    denom, normal = (np.linalg.norm(np.concatenate([p.ravel() for p in v]))
+                     for v in (atb, atr))
+    return float(normal / denom) if denom > 0 else 0.0
 
 
 def _gather(z, g, n, w):
@@ -125,17 +166,12 @@ def _apply_transpose(n_frames, d, border, blocks, widths, vecs):
 
 def _normal_matrix(F, s, d, border, blocks, widths):
     """Blockwise A^T A: (P, Nzg, Ngg) with P the group storage of N_zz,
-    Nzg[f] = N_z_f,g and Ngg = N_gg.
+    Nzg[f] = N_z_f,g (F, d, border) and Ngg = N_gg.
 
     The blocks N_f,f+j of each offset j are summed over all lists with
-    plain slices, in list order, and then moved into P with one fancy
-    write per offset."""
-    n_groups = -(-F // s)
-    P = np.zeros((n_groups, 2, d * s, d * s))
-    # (group, 0 or 1 for the group or its right neighbour, frame in the
-    # group, row, frame in that group, col)
-    cells = P.reshape(n_groups, 2, s, d, s, d)
-    Nzg = np.zeros((n_groups * s, d, border))
+    plain slices, in list order, and then placed into P."""
+    P, cells = group_storage(F, s, d)
+    Nzg = np.zeros((F, d, border))
     Ngg = np.zeros((border, border))
     w_max = max(widths)
     band = np.zeros((2 * w_max - 1, F, d, d))  # [w_max - 1 + j, f]: N_f,f+j
@@ -151,21 +187,15 @@ def _normal_matrix(F, s, d, border, blocks, widths):
         if border:
             g = block[:, :, d * w:]
             Ngg += (g.transpose(0, 2, 1) @ g).sum(axis=0)
-    f = np.arange(F)
     for j in range(1 - w_max, w_max):
-        col = f % s + j  # frame offset from f's group start
-        keep = col >= 0  # blocks left of f's group are not stored
-        fk, ck = f[keep], col[keep]
-        cells[fk // s, ck // s, fk % s, :, ck % s] = band[w_max - 1 + j, keep]
-    pad = np.arange(F, n_groups * s)
-    cells[pad // s, 0, pad % s, :, pad % s] = np.eye(d)
+        place(cells, j, band[w_max - 1 + j])
     return P, Nzg, Ngg
 
 
 def _norm1(F, d, P, Nzg, Ngg):
     """Exact 1-norm (largest absolute row sum; N is symmetric) of the
     bordered normal matrix, padding frames left out."""
-    rows = abs_row_sums(P).reshape(-1, d)[:F] + np.abs(Nzg[:F]).sum(axis=2)
+    rows = abs_row_sums(P).reshape(-1, d)[:F] + np.abs(Nzg).sum(axis=2)
     g_rows = np.abs(Nzg).sum(axis=(0, 1)) + np.abs(Ngg).sum(axis=1)
     return float(max(rows.max(), g_rows.max(initial=0.0)))
 
@@ -239,13 +269,11 @@ def solve(levels, rhs):
 def abs_row_sums(P):
     """Absolute row sums (groups, m) of N, from P alone: P[i, 1] holds
     N_i,i+1 and, N being symmetric, its column sums are the row sums of
-    N_i+1,i. Each row [N_ii | N_i,i+1] is summed in one pass over its 2 m
-    contiguous values: summing the two halves apart rounds differently."""
-    n, _, m, _ = P.shape
-    a = np.empty((n, m, 2, m))
-    np.abs(P.transpose(0, 2, 1, 3), out=a)
-    rows = a.reshape(n, m, 2 * m).sum(axis=2)
-    rows[1:] += a[:-1, :, 1].sum(axis=1)
+    N_i+1,i. One |P[:, 1]|-sized temporary serves both halves of P."""
+    a = np.abs(P[:, 1])
+    rows = a.sum(axis=2)
+    rows[1:] += a[:-1].sum(axis=1)
+    rows += np.abs(P[:, 0], out=a).sum(axis=2)
     return rows
 
 

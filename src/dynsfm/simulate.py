@@ -41,6 +41,12 @@ ROT_FREQ_BAND = (0.08, 0.35)
 # increment exp_so3(phi_f) takes |phi_f| < pi. The shipped configs reach
 # 0.028 rad.
 MAX_SAMPLE_ROTATION = np.pi
+# Smallest t_s (s), checked by MeasurementSet.validate. The translation
+# normal matrix holds sums of (tap / t_s)^2, which its norms square again:
+# t_s^-4 stays within the square root of the float range, the other root
+# left to the taps, weights and data. The rotation increment's t_s^2 / 12
+# term is bounded from above by solver.rotation_regularizer instead.
+MIN_SAMPLE_INTERVAL = float(np.finfo(float).max) ** -0.125  # ~2.9e-39 s
 
 
 def shaped(*dims, **kwargs):
@@ -139,17 +145,21 @@ class MeasurementSet:
 
     def validate(self):
         """Check the input contract before any arithmetic runs on it:
-        BadSampling unless t_s is a finite, positive real number (no str
-        or bool); for each array present, LengthMismatch unless it has
-        the shape its field declares (shaped), with one F and one P, and
-        NonFiniteInput if it holds a NaN or an infinity; BadSampling if
-        the gyro turns MAX_SAMPLE_ROTATION or more in one sample. Inertia
-        definiteness is checked where it is used (euler_omega_dot)."""
+        BadSampling unless t_s is a real number (no str or bool), finite
+        and at least MIN_SAMPLE_INTERVAL; for each array present,
+        LengthMismatch unless it has the shape its field declares
+        (shaped), with one F and one P, and NonFiniteInput if it holds a
+        NaN or an infinity; BadSampling if the gyro turns
+        MAX_SAMPLE_ROTATION or more in one sample. Inertia definiteness is
+        checked where it is used (euler_omega_dot)."""
         t_s = self.t_s
         if not isinstance(t_s, numbers.Real) or isinstance(t_s, bool):
             raise BadSampling(f"t_s must be a number, got {t_s!r}")
         if not (np.isfinite(t_s) and t_s > 0):
             raise BadSampling(f"t_s must be finite and positive, got {t_s}")
+        if t_s < MIN_SAMPLE_INTERVAL:
+            raise BadSampling(f"t_s {t_s:.3g} is below MIN_SAMPLE_INTERVAL "
+                              f"{MIN_SAMPLE_INTERVAL:.3g} s")
         sizes = {}
         for f in fields(self):
             value, dims = getattr(self, f.name), f.metadata.get("shape")

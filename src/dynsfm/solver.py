@@ -18,10 +18,11 @@ import numpy as np
 
 from . import banded, so3
 from .derivatives import check_filter_spec, omega_dot_series, savgol_filter
-from .errors import (DynSfmError, IllConditionedWarning, IndefiniteQ,
-                     LengthMismatch, NumericalFailure, RankDeficient,
-                     SeriesTooShort, SingularTransform, TooFewFramesOrPoints)
-from .simulate import PROJECTOR, shaped
+from .errors import (BadSampling, DynSfmError, IllConditionedWarning,
+                     IndefiniteQ, LengthMismatch, NumericalFailure,
+                     RankDeficient, SeriesTooShort, SingularTransform,
+                     TooFewFramesOrPoints)
+from .simulate import MAX_SAMPLE_ROTATION, PROJECTOR, shaped
 
 COND_LIMIT = 1e12  # normal-equation condition number a stage does not trust
 # Gram order above which factor_rank4 takes its eigenvectors by Lanczos.
@@ -292,11 +293,18 @@ def rotation_regularizer(omega, domega, t_s):
 
     is the Hermite quadrature of the rate plus the first Magnus term, so
     exp_so3(phi_f) matches R_f^T R_f+1 to fourth order in t_s; dw is the
-    rate series that also builds C.
+    rate series that also builds C. Raises BadSampling when an increment
+    turns MAX_SAMPLE_ROTATION or more (the gyro bound of validate bounds
+    its first term only).
     """
     w0, w1 = omega[:-1], omega[1:]
-    phi = (0.5 * t_s * (w0 + w1)
-           + t_s ** 2 / 12.0 * ((domega[:-1] - domega[1:]) + np.cross(w0, w1)))
+    with np.errstate(over="ignore"):  # an overflow is above the bound
+        phi = (0.5 * t_s * (w0 + w1) + t_s ** 2 / 12.0
+               * ((domega[:-1] - domega[1:]) + np.cross(w0, w1)))
+        turn = np.hypot.reduce(phi, axis=1).max(initial=0.0)
+    if turn >= MAX_SAMPLE_ROTATION:
+        raise BadSampling(f"rotation increment turns {turn:.3g} rad in one "
+                          f"sample; a sampled rotation must stay below pi")
     return -so3.exp_so3(phi).transpose(0, 2, 1)
 
 
@@ -440,54 +448,104 @@ def _reflection_residual(WQ, Q, C, rotations, structure, m_hat):
     return np.linalg.norm(E)
 
 
-def translation_blocks(m_hat, rotations, omega, domega, accel, t_s,
-                       lambda_tau, lambda_nu, reg_filter=None):
-    """Block rows of the translation/velocity/gravity system.
+def _correlate(taps, x):
+    """sum_k taps[k] x[c + k] over axis 0, for each filter centre c."""
+    return np.lib.stride_tricks.sliding_window_view(x, len(taps), 0) @ taps
 
-    Returns (data, data_rhs, reg, reg_rhs). Frame f contributes the data
-    block data[f] (two rows per order, 6 x 9) over (tau_f, nu_f, g).
-    Filter center c (at frame c + window // 2) contributes the regularizer
-    block reg[c], 6 x (6 window + 3): the tau and the nu equation over
-    (tau_{c+k}, nu_{c+k}) for each tap k, then g.
-    """
-    F = len(rotations)
-    if not (len(omega) == len(domega) == len(accel) == F):
-        raise LengthMismatch("series lengths differ")
-    if reg_filter is None:
-        reg_filter = savgol_filter(1, 3, 1)
-    win, half = reg_filter.window, reg_filter.window // 2
-    taps = reg_filter.taps / t_s
-    n_centers = max(F - win + 1, 0)
-    Pi = PROJECTOR
-    rotations = np.asarray(rotations)
-    W1, W2 = so3.rate_blocks(omega, domega)
-    # data rows (frame, order, row) x (tau|nu|g, column)
-    data = np.zeros((F, 3, 2, 3, 3))
-    data[:, 0, :, 0] = -Pi
-    data[:, 1, :, 0] = Pi @ W1
-    data[:, 1, :, 1] = -Pi
-    data[:, 2, :, 0] = -Pi @ W2
-    data[:, 2, :, 1] = 2.0 * Pi @ W1
-    data[:, 2, :, 2] = Pi @ rotations.transpose(0, 2, 1)
-    data_rhs = m_hat.reshape(3, F, 2).transpose(1, 0, 2).copy()
-    data_rhs[:, 2] += so3.matvec(Pi, accel)
-    # regularizer rows (center, tau|nu equation, row) x (tap, tau|nu, column)
-    st, sn = np.sqrt(lambda_tau), np.sqrt(lambda_nu)
-    reg = np.zeros((n_centers, 2, 3, win, 2, 3))
-    for k in range(win):
-        R_k = rotations[k:k + n_centers]
-        reg[:, 0, :, k, 0] = st * taps[k] * R_k
-        reg[:, 1, :, k, 1] = sn * taps[k] * R_k
-    R_c = rotations[half:half + n_centers]
-    reg[:, 0, :, half, 1] = -st * R_c
-    reg_g = np.zeros((n_centers, 2, 3, 3))
-    reg_g[:, 1] = sn * np.eye(3)
-    reg_rhs = np.zeros((n_centers, 2, 3))
-    reg_rhs[:, 1] = so3.matvec(sn * R_c, accel[half:half + n_centers])
-    return (data.reshape(F, 6, 9), data_rhs.reshape(F, 6),
-            np.concatenate([reg.reshape(n_centers, 6, 6 * win),
-                            reg_g.reshape(n_centers, 6, 3)], axis=2),
-            reg_rhs.reshape(n_centers, 6))
+
+def _convolve(taps, y):
+    """The transpose of _correlate: len(y) + len(taps) - 1 frames."""
+    pad = [(len(taps) - 1,) * 2] + [(0, 0)] * (y.ndim - 1)
+    return _correlate(taps[::-1], np.pad(y, pad))
+
+
+class _TranslationRows:
+    """The rows of the translation solve and their right-hand sides rhs.
+    Frame f has the data rows data[f] (6 x 9) over (tau_f, nu_f, g), two
+    per order of m. Filter centre c, at frame c + half, has the tau rows
+    st (sum_k taps_k R_c+k tau_c+k - R_c+half nu_c+half) = 0 and the nu
+    rows sn (sum_k taps_k R_c+k nu_c+k + g) = sn R_c+half a_c+half, st and
+    sn the square roots of the weights and the taps divided by t_s: a tap
+    correlation over the spatial series R tau and R nu. No rows are
+    stored; the data rows are built before and after the solve, which
+    does not hold them."""
+
+    def __init__(self, m_hat, R, omega, domega, accel, taps, st, sn):
+        self.R, self.omega, self.domega = R, omega, domega
+        self.taps, self.st, self.sn = taps, st, sn
+        half = len(taps) // 2
+        self.n = max(len(R) - 2 * half, 0)  # filter centres
+        self.mid = slice(half, half + self.n)  # their middle frames
+        d = m_hat.reshape(3, len(R), 2).transpose(1, 0, 2).copy()
+        d[:, 2] += so3.matvec(PROJECTOR, accel)
+        self.rhs = (d.reshape(-1, 6), np.zeros((self.n, 3)),
+                    sn * so3.matvec(R, accel)[self.mid])
+
+    def _data(self):
+        W1, W2 = so3.rate_blocks(self.omega, self.domega)
+        # (frame, order, row, unknown, column)
+        data = np.zeros((len(self.R), 3, 2, 3, 3))
+        data[:, 0, :, 0] = data[:, 1, :, 1] = -PROJECTOR
+        data[:, 1, :, 0] = PROJECTOR @ W1
+        data[:, 2, :, 0] = -PROJECTOR @ W2
+        data[:, 2, :, 1] = 2.0 * PROJECTOR @ W1
+        data[:, 2, :, 2] = PROJECTOR @ self.R.transpose(0, 2, 1)
+        return data.reshape(-1, 6, 9)
+
+    def _transpose(self, data, r_data, r_tau, r_nu):
+        """The transposed rows times row values: (F, 6) and (3,) parts."""
+        RT = self.R.transpose(0, 2, 1)
+        h = so3.matvec(data.transpose(0, 2, 1), r_data)
+        nu = self.sn * _convolve(self.taps, r_nu)
+        nu[self.mid] -= self.st * r_tau
+        h[:, :3] += so3.matvec(RT, self.st * _convolve(self.taps, r_tau))
+        h[:, 3:6] += so3.matvec(RT, nu)
+        return h[:, :6], h[:, 6:].sum(axis=0) + self.sn * r_nu.sum(axis=0)
+
+    def residual(self, z, g):
+        """The rows times (z, g) less rhs, z (F, 6) of (tau_f, nu_f), and
+        the transposed rows times that residual."""
+        data = self._data()
+        x = np.concatenate([z, np.broadcast_to(g, (len(z), 3))], axis=1)
+        u, v = so3.matvec(self.R, z[:, :3]), so3.matvec(self.R, z[:, 3:])
+        res = [r - b for r, b in zip((
+            so3.matvec(data, x),
+            self.st * (_correlate(self.taps, u) - v[self.mid]),
+            self.sn * (_correlate(self.taps, v) + g)), self.rhs)]
+        return res, self._transpose(data, *res)
+
+    def normal_equations(self):
+        """(P, Nzg, Ngg, rz, rg) of banded.solve_normal, in closed form:
+        the data rows' 9 x 9 Gram per frame, plus, on N_f,f+j (j < window),
+        2 x 2 tap-pair coefficients of (tau, nu) times R_f^T R_f+j, and on
+        N_nu_f,g sn^2 times the taps reaching frame f times R_f^T."""
+        R, taps, st2, sn2 = self.R, self.taps, self.st ** 2, self.sn ** 2
+        F, w, half = len(R), len(taps), len(taps) // 2
+        data = self._data()
+        G = data.transpose(0, 2, 1) @ data
+        rz, rg = self._transpose(data, *self.rhs)
+        del data
+        P, cells = banded.group_storage(F, banded.group_size(6, w), 6)
+        mid = np.r_[np.zeros(half), np.ones(self.n), np.zeros(half)]
+        tap = np.r_[taps, np.zeros(w)]  # 0 past either end of the window
+        for j in range(w):
+            S = _convolve(taps[:w - j] * taps[j:], mid[self.mid])
+            c = np.zeros((F - j, 2, 2))  # (tau_f, nu_f) by (tau_f+j, nu_f+j)
+            c[:, 0, 0], c[:, 1, 1] = st2 * S, sn2 * S
+            c[:, 1, 1] += st2 * mid[:F - j] * (j == 0)
+            c[:, 0, 1] = -st2 * tap[half - j] * mid[j:]
+            c[:, 1, 0] = -st2 * tap[half + j] * mid[:F - j]
+            Q = (R[:F - j].transpose(0, 2, 1) @ R[j:] if j
+                 else np.broadcast_to(np.eye(3), R.shape))  # R_f^T R_f = I
+            N = np.einsum("fab,fij->faibj", c, Q).reshape(F - j, 6, 6)
+            banded.place(cells, j, N + G[:, :6, :6] if j == 0 else N)
+            if j:
+                banded.place(cells, -j, N.transpose(0, 2, 1), first=j)
+        Nzg = G[:, :6, 6:].copy()
+        reach = _convolve(taps, mid[self.mid])[:, None, None]
+        Nzg[:, 3:] += sn2 * reach * R.transpose(0, 2, 1)
+        Ngg = G[:, 6:, 6:].sum(axis=0) + sn2 * self.n * np.eye(3)
+        return P, Nzg, Ngg, rz[..., None], rg[:, None]
 
 
 def recover_translations(m_hat, rotations, omega, domega, accel, t_s,
@@ -503,10 +561,11 @@ def recover_translations(m_hat, rotations, omega, domega, accel, t_s,
         D(R tau)_f - R_f nu_f          = 0
         D(R nu)_f + g                  = R_f a_imu_f
 
-    with D the filter derivative. The block rows span one frame (data)
-    or one filter window (regularizer) of the per-frame unknowns
-    (tau_f, nu_f), with gravity as a 3-column border, so banded.lstsq
-    solves them in O(F).
+    with D the filter derivative. The rows (_TranslationRows) span one
+    frame (data) or one filter window (regularizer) of the per-frame
+    unknowns (tau_f, nu_f), with gravity as a 3-column border. Their
+    normal equations are built in closed form from the rotations and the
+    taps, and banded.solve_normal solves them in O(F).
 
     Returns (tau, nu, gravity, info): info["residual"] is the norm of the
     stacked residual, data and regularizer rows; "cond" and
@@ -518,12 +577,19 @@ def recover_translations(m_hat, rotations, omega, domega, accel, t_s,
     weakly observable components (depth at near-zero rotation rate) are
     not recovered.
     """
-    data, data_rhs, reg, reg_rhs = translation_blocks(
-        m_hat, rotations, omega, domega, accel, t_s, lambda_tau, lambda_nu,
-        reg_filter)
+    F = len(rotations)
+    if not (len(omega) == len(domega) == len(accel) == F):
+        raise LengthMismatch("series lengths differ")
+    if reg_filter is None:
+        reg_filter = savgol_filter(1, 3, 1)
+    rows = _TranslationRows(m_hat, np.asarray(rotations), omega, domega,
+                            accel, reg_filter.taps / t_s, np.sqrt(lambda_tau),
+                            np.sqrt(lambda_nu))
+    if rows.n == 0:  # 6 F data rows for 6 F + 3 unknowns
+        raise RankDeficient("normal matrix is not positive definite")
     try:
-        z, g, cond, normal_ratio, res = banded.lstsq(
-            [data, reg], [data_rhs[..., None], reg_rhs[..., None]], 6, 3)
+        normal = rows.normal_equations()
+        z, g, cond = banded.solve_normal(*normal)
     except np.linalg.LinAlgError:
         raise RankDeficient("normal matrix is not positive definite") from None
     if cond > COND_LIMIT:
@@ -531,8 +597,10 @@ def recover_translations(m_hat, rotations, omega, domega, accel, t_s,
             f"recover_translations: normal-equation condition number "
             f"{cond:.2e} above {COND_LIMIT:.0e}; the weakly observable "
             f"components are not recovered", IllConditionedWarning)
-    return z[:, :3, 0].copy(), z[:, 3:, 0].copy(), g[:, 0], {
-        "cond": cond, "normal_ratio": normal_ratio,
+    z, g = z[..., 0], g[:, 0]
+    res, atr = rows.residual(z, g)
+    return z[:, :3].copy(), z[:, 3:].copy(), g, {
+        "cond": cond, "normal_ratio": banded.normal_ratio(normal[3:], atr),
         "residual": float(np.linalg.norm(
             np.concatenate([r.ravel() for r in res])))}
 

@@ -8,8 +8,8 @@ import dynsfm
 from dynsfm import so3
 from dynsfm.config import reference_config, reference_noise_config
 from dynsfm.derivatives import savgol_filter
+from dynsfm.errors import LengthMismatch
 from dynsfm.simulate import PROJECTOR
-from dynsfm.solver import translation_blocks
 
 # one profile for every property test: the same examples on every run, and
 # no example database written to disk
@@ -117,6 +117,58 @@ def vee(A, tol=1e-9):
     A = np.asarray(A, dtype=float)
     assert np.linalg.norm(A + A.T) < tol, "matrix is not skew-symmetric"
     return np.array([A[2, 1], A[0, 2], A[1, 0]])
+
+
+def translation_blocks(m_hat, rotations, omega, domega, accel, t_s,
+                       lambda_tau, lambda_nu, reg_filter=None):
+    """Block rows of the translation/velocity/gravity system, written out
+    in full: the oracle of the closed-form normal equations of
+    recover_translations.
+
+    Returns (data, data_rhs, reg, reg_rhs). Frame f contributes the data
+    block data[f] (two rows per order, 6 x 9) over (tau_f, nu_f, g).
+    Filter center c (at frame c + window // 2) contributes the regularizer
+    block reg[c], 6 x (6 window + 3): the tau and the nu equation over
+    (tau_{c+k}, nu_{c+k}) for each tap k, then g.
+    """
+    F = len(rotations)
+    if not (len(omega) == len(domega) == len(accel) == F):
+        raise LengthMismatch("series lengths differ")
+    if reg_filter is None:
+        reg_filter = savgol_filter(1, 3, 1)
+    win, half = reg_filter.window, reg_filter.window // 2
+    taps = reg_filter.taps / t_s
+    n_centers = max(F - win + 1, 0)
+    Pi = PROJECTOR
+    rotations = np.asarray(rotations)
+    W1, W2 = so3.rate_blocks(omega, domega)
+    # data rows (frame, order, row) x (tau|nu|g, column)
+    data = np.zeros((F, 3, 2, 3, 3))
+    data[:, 0, :, 0] = -Pi
+    data[:, 1, :, 0] = Pi @ W1
+    data[:, 1, :, 1] = -Pi
+    data[:, 2, :, 0] = -Pi @ W2
+    data[:, 2, :, 1] = 2.0 * Pi @ W1
+    data[:, 2, :, 2] = Pi @ rotations.transpose(0, 2, 1)
+    data_rhs = m_hat.reshape(3, F, 2).transpose(1, 0, 2).copy()
+    data_rhs[:, 2] += so3.matvec(Pi, accel)
+    # regularizer rows (center, tau|nu equation, row) x (tap, tau|nu, column)
+    st, sn = np.sqrt(lambda_tau), np.sqrt(lambda_nu)
+    reg = np.zeros((n_centers, 2, 3, win, 2, 3))
+    for k in range(win):
+        R_k = rotations[k:k + n_centers]
+        reg[:, 0, :, k, 0] = st * taps[k] * R_k
+        reg[:, 1, :, k, 1] = sn * taps[k] * R_k
+    R_c = rotations[half:half + n_centers]
+    reg[:, 0, :, half, 1] = -st * R_c
+    reg_g = np.zeros((n_centers, 2, 3, 3))
+    reg_g[:, 1] = sn * np.eye(3)
+    reg_rhs = np.zeros((n_centers, 2, 3))
+    reg_rhs[:, 1] = so3.matvec(sn * R_c, accel[half:half + n_centers])
+    return (data.reshape(F, 6, 9), data_rhs.reshape(F, 6),
+            np.concatenate([reg.reshape(n_centers, 6, 6 * win),
+                            reg_g.reshape(n_centers, 6, 3)], axis=2),
+            reg_rhs.reshape(n_centers, 6))
 
 
 def translation_system(m_hat, rotations, omega, domega, accel, t_s,

@@ -286,21 +286,22 @@ def test_lstsq_solve_count_on_60hz_reconstruct(monkeypatch):
     # 5 s at 60 Hz (F=300), noiseless: the estimator's two fixed probes
     # ride along with the main right-hand sides, so the translation stage
     # takes 4 solves and the rotation stage 6, where solving the probes
-    # apart took 6 and 8
+    # apart took 6 and 8; counted per normal-equation solve, which both
+    # stages call
     ds = dynsfm.simulate_dataset(duration=5.0, t_s=1 / 60, n_points=24,
                                  extent=2.0, amp_trans=0.35,
                                  amp_rot=np.radians(30), seed=0)
-    counts, solve, lstsq = [], banded.solve, banded.lstsq
+    counts, solve, solve_normal = [], banded.solve, banded.solve_normal
 
-    def counting_lstsq(*args):
+    def counting_solve_normal(*args):
         counts.append(0)
-        return lstsq(*args)
+        return solve_normal(*args)
 
     def counting_solve(*args):
         counts[-1] += 1
         return solve(*args)
 
-    monkeypatch.setattr(banded, "lstsq", counting_lstsq)
+    monkeypatch.setattr(banded, "solve_normal", counting_solve_normal)
     monkeypatch.setattr(banded, "solve", counting_solve)
     dynsfm.reconstruct(ds.measurements)
     assert len(counts) == 2 and counts[0] <= 6 and counts[1] <= 4

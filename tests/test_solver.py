@@ -5,11 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dynsfm
 from dynsfm import banded, so3, solver
 from dynsfm.derivatives import savgol_filter
-from dynsfm.errors import (IllConditionedWarning, IndefiniteQ,
+from dynsfm.errors import (BadSampling, DynSfmError, IllConditionedWarning,
+                           IndefiniteQ,
                            LengthMismatch, NumericalFailure, RankDeficient,
                            SingularTransform, TooFewFramesOrPoints)
 from dynsfm.simulate import (DEFAULT_GRAVITY, DEFAULT_INERTIA,
@@ -27,10 +30,11 @@ from dynsfm.solver import (COND_LIMIT, SolverOptions, _omega_dot_for,
                            fix_similarity, lstsq_checked, metric_upgrade,
                            reconstruct, recover_rotation_blocks,
                            rotation_regularizer,
-                           recover_translations, translation_blocks)
+                           recover_translations)
 
 from conftest import (dense_C, dense_rotation_system, deterministic_svd,
-                      make_dataset, translation_system, translation_vector)
+                      make_dataset, translation_blocks, translation_system,
+                      translation_vector)
 
 G = DEFAULT_GRAVITY
 
@@ -463,22 +467,22 @@ def _reconstruct_peak(ds):
 
 
 def test_reconstruct_peak_memory_without_dense_C():
-    # 5 s at 60 Hz (F=300): no dense C or rotation system is built, and
-    # the banded factor reuses the normal matrix's storage; the peak is
-    # ~2.40 MB, and the bound is under the 3.13 MB of a factor built next
-    # to that storage
+    # 5 s at 60 Hz (F=300): no dense C or rotation system is built, the
+    # banded factor reuses the normal matrix's storage, and the translation
+    # stage builds its normal equations without block rows; the peak is
+    # ~1.69 MB, and the bound is under the 2.40 MB of the block rows
     ds = simulate_dataset(duration=5.0, t_s=1 / 60, n_points=24, extent=2.0,
                           amp_trans=0.35, amp_rot=np.radians(30), seed=0)
-    assert _reconstruct_peak(ds) < 3.0e6
+    assert _reconstruct_peak(ds) < 2.0e6
 
 
 def test_reconstruct_peak_memory_linear_at_240hz():
     # 5 s at 240 Hz (F=1200): both banded solves are linear in F; the
-    # peak is ~9.59 MB, and the bound is under the 12.60 MB of a factor
-    # built next to the normal matrix's storage
+    # peak is ~6.70 MB, and the bound is under the 9.59 MB of the
+    # translation stage's block rows
     ds = simulate_dataset(duration=5.0, t_s=1 / 240, n_points=24, extent=2.0,
                           amp_trans=0.35, amp_rot=np.radians(30), seed=0)
-    assert _reconstruct_peak(ds) < 12.0e6
+    assert _reconstruct_peak(ds) < 8.0e6
 
 
 def test_rotation_regularizer_matches_relative_rotations():
@@ -926,6 +930,55 @@ def test_translation_system_matches_row_oracle(include_order0, window,
     assert reg.shape == (9 - window + 1, 6, 6 * window + 3)
 
 
+@settings(max_examples=60)
+@given(data=st.data())
+def test_translation_normal_equations_match_block_rows(data):
+    # the (P, Nzg, Ngg, rz, rg) recover_translations hands to
+    # banded.solve_normal, built from the rotations and taps, equal the
+    # block-row front end over the written-out rows to rounding, and so
+    # does the residual: windows 3, 5 and 7, weights other than 1, and F
+    # on and around the group boundaries, down to one filter centre
+    window = data.draw(st.sampled_from([3, 5, 7]), "window")
+    s = banded.group_size(6, window)
+    F = data.draw(st.sampled_from(sorted(
+        {window, s - 1, s, s + 1, 2 * s, 2 * s + 1} - set(range(window)))),
+        "F")
+    weights = data.draw(st.tuples(*[st.sampled_from([0.3, 1.0, 2.5])] * 2),
+                        "weights")
+    filt = savgol_filter(data.draw(st.sampled_from([1, 2]), "order"),
+                         window, 1)
+    t_s = data.draw(st.sampled_from([1 / 30, 1 / 240]), "t_s")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    R = so3.exp_so3(rng.normal(size=(F, 3)))
+    omega, domega, accel = rng.normal(size=(3, F, 3))
+    args = (rng.normal(size=6 * F), R, omega, domega, accel, t_s, *weights)
+    captured, solve_normal = [], banded.solve_normal
+
+    def capturing(*normal):
+        captured.append([a.copy() for a in normal])
+        return solve_normal(*normal)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(banded, "solve_normal", capturing)
+        tau, nu, g, info = recover_translations(*args, reg_filter=filt)
+    data_rows, data_rhs, reg, reg_rhs = translation_blocks(*args, filt)
+    blocks, rhs = [data_rows, reg], [data_rhs[..., None], reg_rhs[..., None]]
+    expected = [*banded._normal_matrix(F, s, 6, 3, blocks, [1, window]),
+                *banded._apply_transpose(F, 6, 3, blocks, [1, window], rhs)]
+    for got, ref in zip(captured[0], expected):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    x = np.concatenate([tau, nu, np.broadcast_to(g, (F, 3))], axis=1)
+    res = [data_rows @ x[..., None] - rhs[0],
+           reg @ np.concatenate([x[c:c + len(reg), :6] for c in range(window)]
+                                + [x[:len(reg), 6:]], axis=1)[..., None]
+           - rhs[1]]
+    residual = np.linalg.norm(np.concatenate([r.ravel() for r in res]))
+    assert np.isclose(info["residual"], residual, rtol=1e-10, atol=0)
+    # A^T r of the least-squares solution vanishes, by any correct transpose
+    assert info["normal_ratio"] < 1e-9
+
+
 def test_recover_translations_static_hover():
     # with zero angular velocity every depth quantity (tau_z, nu_z, g_z)
     # lies in an exact null family of the system, so the normal matrix is
@@ -1125,6 +1178,34 @@ def test_reconstruct_stops_overflowing_residual():
         with pytest.raises(NumericalFailure, match=r"^\[recover_translations\] "
                            r"non-finite result$"):
             reconstruct(meas)
+
+
+@pytest.mark.parametrize("zero_gyro", [False, True], ids=["gyro", "zero-gyro"])
+@pytest.mark.parametrize("exponent", [150, 160, 200, 300,
+                                      -150, -160, -200, -300])
+def test_reconstruct_extreme_sample_interval_fails_cleanly(exponent,
+                                                           zero_gyro):
+    # t_s x 10^k on the 1 s reference dataset, numpy's RuntimeWarnings
+    # being errors in this suite: a t_s below MIN_SAMPLE_INTERVAL stops at
+    # validate; above, validate's gyro bound, the rotation increment check
+    # or a Python float overflow of t_s^2 stops it, never numpy's overflow
+    cfg = reference_noise_config(seed=0)
+    cfg.duration, cfg.points = 1.0, 8
+    meas = make_dataset(cfg).measurements
+    meas = dataclasses.replace(
+        meas, t_s=meas.t_s * 10.0 ** exponent,
+        gyro=np.zeros_like(meas.gyro) if zero_gyro else meas.gyro)
+    if exponent < 0:
+        with pytest.raises(BadSampling, match=r"^\[validate\] t_s .* is "
+                           r"below MIN_SAMPLE_INTERVAL"):
+            reconstruct(meas)
+        return
+    try:
+        recon = reconstruct(meas)
+    except DynSfmError:
+        return
+    assert all(np.isfinite(a).all() for a in (recon.tau, recon.nu,
+                                               recon.gravity))
 
 
 def test_reconstruct_normal_equation_invariant(reference_recon):
