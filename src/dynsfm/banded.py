@@ -19,14 +19,20 @@ elimination of bundle adjustment.
 import numpy as np
 
 # Unknowns per diagonal block of the group storage (6 per frame for the
-# translations, 3 for the rotations). With cyclic reduction the Python
-# steps grow only with log2(groups), and smaller blocks cost fewer flops
-# and less memory: a 5 s, 60 Hz reconstruct (F=300) took a median ~27 ms
-# and peaked at 2.4 MB with 24, ~31 ms and 2.6 MB with 30, ~33 ms and
-# 2.8 MB with 36 (2 vCPUs). The tests need s >= 4 frames for the
-# translations (their block rows span up to 4 frames), so 24 is the
-# smallest value they allow.
-GROUP_UNKNOWNS = 24
+# translations, 3 for the rotations); group_size gives a group at least
+# the span of the block rows minus one frame. With cyclic reduction the
+# Python steps grow only with log2(groups), while a group of m unknowns
+# costs m^3 in the factor and m^2 in storage, so small groups win.
+# reconstruct on the default trajectory, best of interleaved runs and the
+# tracemalloc peak (2 vCPUs):
+#
+#   unknowns   F=300            F=1200           F=12000
+#   12         14 ms  1.14 MB   42 ms  4.5 MB    0.44 s  45 MB
+#   18         15 ms  1.40 MB   47 ms  5.5 MB    0.53 s  55 MB
+#   24         16 ms  1.66 MB   63 ms  6.6 MB    0.57 s  66 MB
+#
+# 6 differs from 12 only in the rotation stage and measured the same.
+GROUP_UNKNOWNS = 12
 
 
 def group_size(d, span):
@@ -94,9 +100,9 @@ def solve_normal(P, Nzg, Ngg, rz, rg):
     """Solve the normal equations N (z, g) = (rz, rg) in O(F): P holds
     N_zz (group_storage) and is overwritten by its factor, Nzg[f] =
     N_z_f,g (F, d, border), rz (F, d, k), rg (border, k). Returns (z, g,
-    cond), cond a 1-norm estimate of N's condition number whose two fixed
-    probes are solved with rz. Raises np.linalg.LinAlgError when N is not
-    numerically positive definite."""
+    cond), cond a 1-norm estimate of N's condition number whose two start
+    columns (probes) are solved with rz. Raises np.linalg.LinAlgError when
+    N is not numerically positive definite."""
     F, d, border = Nzg.shape
     n_groups, _, m, _ = P.shape
     k = rz.shape[2]
@@ -104,12 +110,16 @@ def solve_normal(P, Nzg, Ngg, rz, rg):
     norm = _norm1(F, d, P, Nzg, Ngg)  # before cholesky overwrites P
     levels = cholesky(P)
     probe = probes(dF + border)
+    vg = np.concatenate([rg, probe[dF:]], axis=1)
     B = np.zeros((n_groups * m // d, d, border + k + 2))
     B[:F] = np.concatenate([Nzg, rz, probe[:dF].reshape(F, d, 2)], axis=2)
+    del probe
     X = solve(levels, B.reshape(n_groups, m, -1)).reshape(-1, B.shape[2])[:dF]
-    del B  # the estimator's solves peak above it
+    del B  # the estimator's solves peak above B and X: hold neither
+    # contiguous copies: the strided column views take another BLAS path
+    Xg, Xz = X[:, :border].copy(), X[:, border:].copy()
+    del X
     if border:
-        Xg = X[:, :border]
         Nzg_rows = Nzg.reshape(dF, border)
         S = Ngg - Nzg_rows.T @ Xg
         np.linalg.cholesky(S)  # raises unless S is positive definite
@@ -119,16 +129,15 @@ def solve_normal(P, Nzg, Ngg, rz, rg):
         if not border:
             return u, vg
         g = np.linalg.solve(S, vg - Nzg_rows.T @ u)
-        return u - Xg @ g, g
+        u -= Xg @ g  # u is the caller's own array
+        return u, g
 
-    # a contiguous u: the strided column view takes another BLAS path
-    zs, gs = bordered(np.ascontiguousarray(X[:, border:]),
-                      np.concatenate([rg, probe[dF:]], axis=1))
+    zs, gs = bordered(Xz, vg)
 
     def solve_flat(v):
-        vz = np.zeros(n_groups * m)
+        vz = np.zeros((n_groups * m, v.shape[1]))
         vz[:dF] = v[:dF]
-        u = solve(levels, vz.reshape(-1, m, 1)).ravel()[:dF]
+        u = solve(levels, vz.reshape(n_groups, m, -1)).reshape(vz.shape)[:dF]
         return np.concatenate(bordered(u, v[dF:]))
 
     cond = norm * inverse_norm1(
@@ -226,20 +235,28 @@ def cholesky(P):
     """
     D, E = P[:, 0], P[:, 1]  # N_ii and N_i,i+1
     levels = []
-    while len(D):
-        n_odd = len(D) // 2
-        Linv = np.linalg.inv(np.linalg.cholesky(D[0::2]))
-        Xr = np.matmul(Linv[:n_odd], E[0:2 * n_odd:2],
-                       out=D[0:2 * n_odd:2])
-        Xl = np.matmul(Linv[1:], E[1::2][:len(Linv) - 1].transpose(0, 2, 1),
-                       out=E[2::2])
-        levels.append((Linv, Xl, Xr))
-        D, E = D[1::2], E[1::2]
-        D -= Xr.transpose(0, 2, 1) @ Xr
-        D[:len(Xl)] -= Xl.transpose(0, 2, 1) @ Xl
-        coupling = np.matmul(Xl[:n_odd - 1].transpose(0, 2, 1), Xr[1:],
-                             out=E[:n_odd - 1])
-        np.negative(coupling, out=coupling)  # exact: -(A B) is (-A) B
+    # a ufunc over a strided view of P allocates numpy's iteration buffer,
+    # ~128 KB whatever F, which its contiguous blocks never use; 16
+    # elements is the smallest size numpy 1.x accepts
+    bufsize = np.setbufsize(16)
+    try:
+        while len(D):
+            n_odd = len(D) // 2
+            Linv = np.linalg.inv(np.linalg.cholesky(D[0::2]))
+            Xr = np.matmul(Linv[:n_odd], E[0:2 * n_odd:2],
+                           out=D[0:2 * n_odd:2])
+            Xl = np.matmul(Linv[1:],
+                           E[1::2][:len(Linv) - 1].transpose(0, 2, 1),
+                           out=E[2::2])
+            levels.append((Linv, Xl, Xr))
+            D, E = D[1::2], E[1::2]
+            D -= Xr.transpose(0, 2, 1) @ Xr
+            D[:len(Xl)] -= Xl.transpose(0, 2, 1) @ Xl
+            coupling = np.matmul(Xl[:n_odd - 1].transpose(0, 2, 1), Xr[1:],
+                                 out=E[:n_odd - 1])
+            np.negative(coupling, out=coupling)  # exact: -(A B) is (-A) B
+    finally:
+        np.setbufsize(bufsize)
     return levels
 
 
@@ -278,33 +295,41 @@ def abs_row_sums(P):
 
 
 def probes(n):
-    """The two fixed probes of inverse_norm1 as columns (n, 2): Hager's
-    start x = 1/n and Higham's alternating-sign vector."""
+    """The two start columns (n, 2) of inverse_norm1: Hager's x = 1/n and
+    Higham's alternating-sign vector."""
     i = np.arange(n)
     return np.stack([np.full(n, 1.0 / n), (-1.0) ** i * (1.0 + i / (n - 1))],
                     axis=1)
 
 
 def inverse_norm1(solve, Y):
-    """Hager's estimate of |N^{-1}|_1 for symmetric N from a few solves,
-    with Higham's alternating-sign safeguard (the LAPACK xLACON scheme).
-    Y = N^{-1} probes(n) is solved by the caller, together with its own
-    right-hand sides; solve(v) solves N for the other probes. The
-    estimate is a lower bound, in practice within a small factor."""
+    """Estimate of |N^{-1}|_1 for symmetric N from a few solves: the block
+    algorithm of Higham and Tisseur (SIAM J. Matrix Anal. Appl. 21(4),
+    2000) with two columns, started from the probes. Y = N^{-1} probes(n)
+    is solved by the caller, together with its own right-hand sides;
+    solve(V) solves N for the columns of V. Each column x gives the lower
+    bound |N^{-1} x|_1 / |x|_1, and the estimate is the largest, in
+    practice within a small factor. One column alone (LAPACK's xLACON)
+    stops at a local maximum more often: on small block-diagonal N it
+    read 1/5 of the norm."""
     n = len(Y)
-    x = np.full(n, 1.0 / n)
-    y = Y[:, 0]
-    est = 0.0
-    for it in range(5):
-        if it:
-            y = solve(x)
-            if np.abs(y).sum() <= est:
-                break
-        est = np.abs(y).sum()
-        z = solve(np.where(y >= 0, 1.0, -1.0))
-        j = np.argmax(np.abs(z))
-        if abs(z[j]) <= z @ x:
+    est = (np.abs(Y).sum(axis=0) / [1.0, 1.5 * n]).max()  # probes' 1-norms
+    best = None
+    visited = np.zeros(n, dtype=bool)
+    for _ in range(5):
+        h = np.abs(solve(np.where(Y >= 0, 1.0, -1.0))).max(axis=1)
+        if best is not None and h.max() <= h[best]:
+            break  # no unit vector promises more than the best so far
+        order = np.argsort(-h, kind="stable")
+        new = order[~visited[order]][:2]
+        if not len(new):
             break
-        x = np.zeros(n)
-        x[j] = 1.0
-    return float(max(est, 2.0 * np.abs(Y[:, 1]).sum() / (3 * n)))
+        visited[new] = True
+        X = np.zeros((n, len(new)))
+        X[new, np.arange(len(new))] = 1.0
+        Y = solve(X)
+        col = np.abs(Y).sum(axis=0)
+        if col.max() <= est:
+            break
+        est, best = col.max(), new[np.argmax(col)]
+    return float(est)
