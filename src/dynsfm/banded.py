@@ -1,28 +1,29 @@
-"""Banded least squares in O(F), for both linear stages of the solver.
+"""The banded normal-equation solve in O(F), for both linear stages of
+the solver.
 
 Unknowns come in frames of d and a border shared by all frames (the
-translations' gravity, the rotations have none). solve_normal solves the
-normal equations; lstsq forms them blockwise from lists of block rows
-(the rotations), where block row i acts on frames i .. i + w - 1 and the
-border. The per-frame part N_zz is banded, so frames are cut into groups
-of s, s at least the largest span minus one, and N_zz is block
-tridiagonal in the groups. It is stored as P of shape (groups, 2, m, m),
-m = d s: P[i, 0] = N_ii and P[i, 1] = N_i,i+1, the last group's N_i,i+1
-unused. N_zz is factored by block cyclic reduction, ~log2(groups)
-batched numpy steps with no per-group Python loop, in the storage of P:
-each level writes its couplings over the blocks of P it has just read,
-so the factor costs P plus ~P/2 for the inverse Cholesky factors. The
-border is eliminated through its Schur complement, the arrowhead
-elimination of bundle adjustment.
+translations' gravity, the rotations have none). Each stage writes its
+normal equations in closed form, and solve_normal solves them. Their
+per-frame part N_zz couples frames at most span - 1 apart, so frames are
+cut into groups of s, s at least span - 1, and N_zz is block tridiagonal
+in the groups. It is stored as P of shape (groups, 2, m, m), m = d s:
+P[i, 0] = N_ii and P[i, 1] = N_i,i+1, the last group's N_i,i+1 unused.
+N_zz is factored by block cyclic reduction, ~log2(groups) batched numpy
+steps with no per-group Python loop, in the storage of P: each level
+writes its couplings over the blocks of P it has just read, so the
+factor costs P plus ~P/2 for the inverse Cholesky factors. The border is
+eliminated through its Schur complement, the arrowhead elimination of
+bundle adjustment.
 """
 
 import numpy as np
 
 # Unknowns per diagonal block of the group storage (6 per frame for the
 # translations, 3 for the rotations); group_size gives a group at least
-# the span of the block rows minus one frame. With cyclic reduction the
-# Python steps grow only with log2(groups), while a group of m unknowns
-# costs m^3 in the factor and m^2 in storage, so small groups win.
+# span - 1 frames, for frames coupled up to span - 1 apart. With cyclic
+# reduction the Python steps grow only with log2(groups), while a group of
+# m unknowns costs m^3 in the factor and m^2 in storage, so small groups
+# win.
 # reconstruct on the default trajectory, best of interleaved runs and the
 # tracemalloc peak (2 vCPUs):
 #
@@ -65,35 +66,6 @@ def place(cells, j, blocks, first=0):
             rows = blocks[i::s]
             g = (first + i) // s
             cells[g:g + len(rows), q, a, :, b] = rows
-
-
-def lstsq(blocks, rhs, d, border=0):
-    """Least-squares solution of the stacked block rows, in O(F).
-
-    blocks is a list of arrays (n, rows, d w + border): block row i of
-    one array acts on the unknowns (z_i, ..., z_i+w-1, g), z_f the d
-    unknowns of frame f and g the border. rhs holds the matching
-    right-hand sides (n, rows, k). A list may be empty (n = 0). The
-    frame count F is the last frame any list reaches.
-
-    Returns (z, g, cond, normal_ratio, residuals): z, g and cond of
-    solve_normal, and the block residuals r = block @ x - rhs of each
-    list. Raises np.linalg.LinAlgError when the lists hold fewer rows
-    than unknowns (d F + border), whatever the rounding, or as
-    solve_normal does.
-    """
-    widths = [(block.shape[2] - border) // d for block in blocks]
-    F = max(len(block) + w - 1 for block, w in zip(blocks, widths))
-    if sum(b.shape[0] * b.shape[1] for b in blocks) < d * F + border:
-        raise np.linalg.LinAlgError("fewer rows than unknowns")
-    P, Nzg, Ngg = _normal_matrix(F, group_size(d, max(widths)), d, border,
-                                 blocks, widths)
-    rz, rg = _apply_transpose(F, d, border, blocks, widths, rhs)
-    z, g, cond = solve_normal(P, Nzg, Ngg, rz, rg)
-    res = [block @ _gather(z, g, len(block), w) - b
-           for block, w, b in zip(blocks, widths, rhs)]
-    return z, g, cond, normal_ratio(
-        (rz, rg), _apply_transpose(F, d, border, blocks, widths, res)), res
 
 
 def solve_normal(P, Nzg, Ngg, rz, rg):
@@ -151,54 +123,6 @@ def normal_ratio(atb, atr):
     denom, normal = (np.linalg.norm(np.concatenate([p.ravel() for p in v]))
                      for v in (atb, atr))
     return float(normal / denom) if denom > 0 else 0.0
-
-
-def _gather(z, g, n, w):
-    """Unknowns of n block rows spanning w frames: row i holds
-    (z_i, ..., z_i+w-1, g), shape (n, d w + border, k)."""
-    return np.concatenate([z[j:j + n] for j in range(w)]
-                          + [np.broadcast_to(g, (n,) + g.shape)], axis=1)
-
-
-def _apply_transpose(n_frames, d, border, blocks, widths, vecs):
-    """Blockwise A^T v: the per-frame part (n_frames, d, k) and the
-    border part (border, k)."""
-    vz = np.zeros((n_frames, d, vecs[0].shape[2]))
-    vg = np.zeros((border, vecs[0].shape[2]))
-    for block, w, v in zip(blocks, widths, vecs):
-        h = block.transpose(0, 2, 1) @ v
-        for j in range(w):
-            vz[j:j + len(block)] += h[:, d * j:d * j + d]
-        vg += h[:, d * w:].sum(axis=0)
-    return vz, vg
-
-
-def _normal_matrix(F, s, d, border, blocks, widths):
-    """Blockwise A^T A: (P, Nzg, Ngg) with P the group storage of N_zz,
-    Nzg[f] = N_z_f,g (F, d, border) and Ngg = N_gg.
-
-    The blocks N_f,f+j of each offset j are summed over all lists with
-    plain slices, in list order, and then placed into P."""
-    P, cells = group_storage(F, s, d)
-    Nzg = np.zeros((F, d, border))
-    Ngg = np.zeros((border, border))
-    w_max = max(widths)
-    band = np.zeros((2 * w_max - 1, F, d, d))  # [w_max - 1 + j, f]: N_f,f+j
-    for block, w in zip(blocks, widths):
-        n = len(block)
-        for l in range(w):
-            # Gram columns of frame c + l, for each block row c
-            G = block.transpose(0, 2, 1) @ block[:, :, d * l:d * l + d]
-            for k in range(w):
-                band[w_max - 1 + l - k, k:k + n] += G[:, d * k:d * k + d]
-            if border:
-                Nzg[l:l + n] += G[:, d * w:].transpose(0, 2, 1)
-        if border:
-            g = block[:, :, d * w:]
-            Ngg += (g.transpose(0, 2, 1) @ g).sum(axis=0)
-    for j in range(1 - w_max, w_max):
-        place(cells, j, band[w_max - 1 + j])
-    return P, Nzg, Ngg
 
 
 def _norm1(F, d, P, Nzg, Ngg):

@@ -7,6 +7,7 @@ import argparse
 import functools
 import math
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -334,11 +335,16 @@ def main(argv=None):
     commands = {"simulate": cmd_simulate, "solve": cmd_solve,
                 "eval": cmd_eval, "sweep": cmd_sweep,
                 "pipeline": cmd_pipeline, "example-config": cmd_print_config}
-    try:
-        return commands[args.command](args)
-    except _CliFailure as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.code
+    # a warning is one "warning: <message>" line, without the source line
+    # Python prints; the library's and the caller's filters stay as they are
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr)
+        try:
+            return commands[args.command](args)
+        except _CliFailure as err:
+            print(f"error: {err}", file=sys.stderr)
+            return err.code
 
 
 if __name__ == "__main__":

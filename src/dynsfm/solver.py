@@ -312,11 +312,12 @@ def recover_rotation_blocks(Mt_cols, C, omega, domega, t_s, lambda_R):
     """Solve for the 3F x 3 stacked rotation blocks (up to a 3x3 gauge).
 
     Minimizes |Mt_cols - C M''|^2 + lambda_R |C_R M''|^2, with C the
-    assemble_C blocks and C_R the rotation_regularizer operator, as block
-    rows of banded.lstsq over the 3 x 3 blocks M''_f (R_f^T up to the
-    gauge): the three per-order C block lists against Mt_cols, and
-    sqrt(lambda_R) [B_f | I] over frames (f, f + 1) against zero, B_f the
-    regularizer blocks.
+    assemble_C blocks and C_R the rotation_regularizer operator, over the
+    3 x 3 blocks M''_f (R_f^T up to the gauge). Its normal equations are
+    built in closed form, with s = sqrt(lambda_R) and B_f the regularizer
+    blocks: N_ff = sum_o C_of^T C_of + (s B_f)^T (s B_f) (f < F - 1)
+    + s^2 I (f > 0), N_f,f+1 = (s B_f)^T s and rz_f = sum_o C_of^T Y_of,
+    and banded.solve_normal solves them in O(F) with no border.
 
     Returns (M'', info): info["residual"] is |Mt_cols - C M''|,
     info["cond"] a 1-norm estimate of the normal matrix's condition
@@ -333,21 +334,44 @@ def recover_rotation_blocks(Mt_cols, C, omega, domega, t_s, lambda_R):
         raise LengthMismatch(f"expected {(3, F, 2, 3)} C blocks, got {C.shape}")
     if domega.shape != omega.shape:
         raise LengthMismatch("omega and domega lengths differ")
+    s = np.sqrt(lambda_R)
     B = rotation_regularizer(omega, domega, t_s)
-    reg = np.sqrt(lambda_R) * np.concatenate(
-        [B, np.broadcast_to(np.eye(3), B.shape)], axis=2)
+    reg = s * np.concatenate([B, np.broadcast_to(np.eye(3), B.shape)],
+                             axis=2)
+    sB = reg[:, :, :3]
     Y = Mt_cols.reshape(3, F, 2, 3)  # (order, frame, row, column)
+    CT = C.transpose(0, 1, 3, 2)
+    # the Grams of the rows [s B_f | s I], which round differently from
+    # lambda_R and from B_f^T B_f = I
+    diag = sum(ct @ c for ct, c in zip(CT, C))
+    diag[:-1] += sB.transpose(0, 2, 1) @ sB
+    diag[1:] += s * s * np.eye(3)
+    coupling = sB.transpose(0, 2, 1) * s
+    P, cells = banded.group_storage(F, banded.group_size(3, 2), 3)
+    banded.place(cells, 0, diag)
+    banded.place(cells, 1, coupling)
+    banded.place(cells, -1, coupling.transpose(0, 2, 1), first=1)
+    del diag, coupling  # held in P: the solve peaks above them
+    rz = sum(ct @ y for ct, y in zip(CT, Y))
     try:
-        X, _, cond, normal_ratio, res = banded.lstsq(
-            [*C, reg], [*Y, np.zeros((F - 1, 3, 3))], 3)
+        X, _, cond = banded.solve_normal(P, np.zeros((F, 3, 0)),
+                                         np.zeros((0, 0)), rz, np.zeros((0, 3)))
     except np.linalg.LinAlgError:
         raise RankDeficient("normal matrix is not positive definite") from None
     if cond > COND_LIMIT:
         raise NumericalFailure(
             f"normal-equation condition number {cond:.2e} above {COND_LIMIT:.0e}")
+    res = C @ X - Y
+    # the regularizer rows' residual and A^T r, each as one [s B_f | s I]
+    # product; split into s B_f and s I parts they round differently
+    r_reg = reg @ np.concatenate([X[:-1], X[1:]], axis=1)
+    h = reg.transpose(0, 2, 1) @ r_reg
+    atr = sum(ct @ r for ct, r in zip(CT, res))
+    atr[:-1] += h[:, :3]
+    atr[1:] += h[:, 3:]
     return X.reshape(3 * F, 3), {
-        "cond": cond, "normal_ratio": normal_ratio,
-        "residual": float(np.linalg.norm(res[:3]))}
+        "cond": cond, "normal_ratio": banded.normal_ratio((rz,), (atr,)),
+        "residual": float(np.linalg.norm(res))}
 
 
 def metric_upgrade(M2):

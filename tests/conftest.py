@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 import dynsfm
-from dynsfm import so3
+from dynsfm import banded, so3
 from dynsfm.config import reference_config, reference_noise_config
 from dynsfm.derivatives import savgol_filter
 from dynsfm.errors import LengthMismatch
@@ -98,6 +98,85 @@ def dense_rotation_system(Mt_cols, C, omega, domega, t_s, lambda_R):
     A = np.vstack([dense_C(C), np.sqrt(lambda_R) * CR])
     B = np.vstack([Mt_cols, np.zeros((CR.shape[0], 3))])
     return A, B
+
+
+# The block-row front end the rotation stage once used to form its normal
+# equations: the oracle of both stages' closed-form normal equations.
+def block_lstsq(blocks, rhs, d, border=0):
+    """Least-squares solution of the stacked block rows, in O(F).
+
+    blocks is a list of arrays (n, rows, d w + border): block row i of
+    one array acts on the unknowns (z_i, ..., z_i+w-1, g), z_f the d
+    unknowns of frame f and g the border. rhs holds the matching
+    right-hand sides (n, rows, k). A list may be empty (n = 0). The
+    frame count F is the last frame any list reaches.
+
+    Returns (z, g, cond, normal_ratio, residuals): z, g and cond of
+    banded.solve_normal, and the block residuals r = block @ x - rhs of
+    each list. Raises np.linalg.LinAlgError when the lists hold fewer
+    rows than unknowns (d F + border), whatever the rounding, or as
+    banded.solve_normal does.
+    """
+    widths = [(block.shape[2] - border) // d for block in blocks]
+    F = max(len(block) + w - 1 for block, w in zip(blocks, widths))
+    if sum(b.shape[0] * b.shape[1] for b in blocks) < d * F + border:
+        raise np.linalg.LinAlgError("fewer rows than unknowns")
+    P, Nzg, Ngg = block_normal_matrix(
+        F, banded.group_size(d, max(widths)), d, border, blocks, widths)
+    rz, rg = block_transpose(F, d, border, blocks, widths, rhs)
+    z, g, cond = banded.solve_normal(P, Nzg, Ngg, rz, rg)
+    res = [block @ _gather(z, g, len(block), w) - b
+           for block, w, b in zip(blocks, widths, rhs)]
+    return z, g, cond, banded.normal_ratio(
+        (rz, rg), block_transpose(F, d, border, blocks, widths, res)), res
+
+
+def _gather(z, g, n, w):
+    """Unknowns of n block rows spanning w frames: row i holds
+    (z_i, ..., z_i+w-1, g), shape (n, d w + border, k)."""
+    return np.concatenate([z[j:j + n] for j in range(w)]
+                          + [np.broadcast_to(g, (n,) + g.shape)], axis=1)
+
+
+def block_transpose(n_frames, d, border, blocks, widths, vecs):
+    """Blockwise A^T v: the per-frame part (n_frames, d, k) and the
+    border part (border, k)."""
+    vz = np.zeros((n_frames, d, vecs[0].shape[2]))
+    vg = np.zeros((border, vecs[0].shape[2]))
+    for block, w, v in zip(blocks, widths, vecs):
+        h = block.transpose(0, 2, 1) @ v
+        for j in range(w):
+            vz[j:j + len(block)] += h[:, d * j:d * j + d]
+        vg += h[:, d * w:].sum(axis=0)
+    return vz, vg
+
+
+def block_normal_matrix(F, s, d, border, blocks, widths):
+    """Blockwise A^T A: (P, Nzg, Ngg) with P the group storage of N_zz,
+    Nzg[f] = N_z_f,g (F, d, border) and Ngg = N_gg.
+
+    The blocks N_f,f+j of each offset j are summed over all lists with
+    plain slices, in list order, and then placed into P."""
+    P, cells = banded.group_storage(F, s, d)
+    Nzg = np.zeros((F, d, border))
+    Ngg = np.zeros((border, border))
+    w_max = max(widths)
+    band = np.zeros((2 * w_max - 1, F, d, d))  # [w_max - 1 + j, f]: N_f,f+j
+    for block, w in zip(blocks, widths):
+        n = len(block)
+        for l in range(w):
+            # Gram columns of frame c + l, for each block row c
+            G = block.transpose(0, 2, 1) @ block[:, :, d * l:d * l + d]
+            for k in range(w):
+                band[w_max - 1 + l - k, k:k + n] += G[:, d * k:d * k + d]
+            if border:
+                Nzg[l:l + n] += G[:, d * w:].transpose(0, 2, 1)
+        if border:
+            g = block[:, :, d * w:]
+            Ngg += (g.transpose(0, 2, 1) @ g).sum(axis=0)
+    for j in range(1 - w_max, w_max):
+        banded.place(cells, j, band[w_max - 1 + j])
+    return P, Nzg, Ngg
 
 
 def translation_vector(omega, domega, tau, nu, accel, rotations, gravity):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import dynsfm
 from dynsfm import banded
 
+from conftest import block_lstsq, block_normal_matrix
+
 EPS = np.finfo(float).eps
 
 
@@ -43,7 +45,7 @@ def random_lists(rng, F, d, border, k, spans):
 def test_lstsq_matches_dense_lstsq(F, d, border, k, spans):
     rng = np.random.default_rng(F)
     blocks, rhs = random_lists(rng, F, d, border, k, spans)
-    z, g, cond, normal_ratio, res = banded.lstsq(blocks, rhs, d, border)
+    z, g, cond, normal_ratio, res = block_lstsq(blocks, rhs, d, border)
     A, b = dense(blocks, rhs, d, border, F)
     x = np.linalg.lstsq(A, b, rcond=None)[0]
     assert z.shape == (F, d, k) and g.shape == (border, k)
@@ -80,7 +82,7 @@ def test_lstsq_matches_dense_lstsq_around_group_boundaries(data):
     blocks, rhs = random_lists(rng, F, d, border, k, spans)
     # a weak first list raises the condition number by up to 1e6
     blocks[0] *= data.draw(st.sampled_from([1.0, 1e-3]), "scale")
-    z, g, cond, normal_ratio, res = banded.lstsq(blocks, rhs, d, border)
+    z, g, cond, normal_ratio, res = block_lstsq(blocks, rhs, d, border)
     A, b = dense(blocks, rhs, d, border, F)
     x = np.linalg.lstsq(A, b, rcond=None)[0]
     exact = np.linalg.cond(A.T @ A, 1)
@@ -100,7 +102,7 @@ def test_lstsq_singular_frame_raises():
     blocks, rhs = random_lists(rng, 9, 3, 0, 1, [(4, 1)])
     blocks[0][4, :, 2] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        banded.lstsq(blocks, rhs, 3)
+        block_lstsq(blocks, rhs, 3)
 
 
 def test_lstsq_singular_border_raises():
@@ -110,7 +112,7 @@ def test_lstsq_singular_border_raises():
     for block in blocks:
         block[:, :, -3] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        banded.lstsq(blocks, rhs, 6, 3)
+        block_lstsq(blocks, rhs, 6, 3)
 
 
 def zero_unknown(blocks, d, border, f, j):
@@ -137,7 +139,7 @@ def test_norm1_matches_dense_normal_matrix(d, border):
     s = banded.GROUP_UNKNOWNS // d
     F = group_frames(3, s)
     blocks, rhs = random_lists(rng, F, d, border, 1, [(d + 1, 1), (2, 3)])
-    P, Nzg, Ngg = banded._normal_matrix(F, s, d, border, blocks, [1, 3])
+    P, Nzg, Ngg = block_normal_matrix(F, s, d, border, blocks, [1, 3])
     A, _ = dense(blocks, rhs, d, border, F)
     N = A.T @ A
     rows = np.abs(N[:d * F, :d * F]).sum(axis=1)
@@ -149,10 +151,10 @@ def test_norm1_matches_dense_normal_matrix(d, border):
 
 def scattered_P(F, s, d, blocks, widths):
     """P as one fancy-index add per (list, column frame l, row frame k)
-    pair: the reference that _normal_matrix's band sums must equal bit
-    for bit, since both add the same blocks to each entry in the same
+    pair: the reference that block_normal_matrix's band sums must equal
+    bit for bit, since both add the same blocks to each entry in the same
     order. It is scattered as [N_ii | N_i,i+1] rows and returned in
-    _normal_matrix's (groups, 2, m, m) layout."""
+    block_normal_matrix's (groups, 2, m, m) layout."""
     n_groups = -(-F // s)
     P = np.zeros((n_groups, d * s, 2 * d * s))
     rows = P.reshape(n_groups * s, d, 2 * s, d)
@@ -182,7 +184,7 @@ def test_normal_matrix_equals_blockwise_scatter(d, border, spans, groups):
     F = group_frames(groups, s)
     blocks, _ = random_lists(rng, F, d, border, 1, spans)
     widths = [w for _, w in spans]
-    P, _, _ = banded._normal_matrix(F, s, d, border, blocks, widths)
+    P, _, _ = block_normal_matrix(F, s, d, border, blocks, widths)
     assert np.array_equal(P, scattered_P(F, s, d, blocks, widths))
 
 
@@ -213,7 +215,7 @@ def test_lstsq_matches_dense_solve_over_group_counts(groups, d, border):
     blocks, rhs = random_lists(rng, F, d, border, 2, [
         (rows, w) for rows, w in [(d + border + 1, 1), (2, 2), (3, 3)]
         if w <= F])
-    z, g, cond, normal_ratio, _ = banded.lstsq(blocks, rhs, d, border)
+    z, g, cond, normal_ratio, _ = block_lstsq(blocks, rhs, d, border)
     assert -(-F // s) == groups
     N, h = dense_normal(blocks, rhs, d, border, F)
     N_inv = np.linalg.inv(N)
@@ -239,7 +241,7 @@ def test_lstsq_singular_unknown_in_late_level_raises(group):
     blocks, rhs = random_lists(rng, F, d, 3, 1, [(d + 1, 1), (2, 2)])
     zero_unknown(blocks, d, 3, group * s + 1, 4)
     with pytest.raises(np.linalg.LinAlgError):
-        banded.lstsq(blocks, rhs, d, 3)
+        block_lstsq(blocks, rhs, d, 3)
 
 
 @pytest.mark.parametrize("groups", [1, 2, 3, 7, 8, 9, 31, 33, 70])
@@ -250,7 +252,7 @@ def test_cholesky_takes_one_batched_step_per_level(groups, monkeypatch):
     F = group_frames(groups, s)
     blocks, _ = random_lists(np.random.default_rng(groups), F, d, 0, 1,
                              [(d + 1, 1), (2, 2)])
-    P, _, _ = banded._normal_matrix(F, s, d, 0, blocks, [1, 2])
+    P, _, _ = block_normal_matrix(F, s, d, 0, blocks, [1, 2])
     calls = []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky",
@@ -271,7 +273,7 @@ def test_cholesky_factors_in_the_storage_of_P(groups):
     F = group_frames(groups, s)
     blocks, _ = random_lists(np.random.default_rng(groups), F, d, 0, 1,
                              [(d + 1, 1), (2, 3)])
-    P, _, _ = banded._normal_matrix(F, s, d, 0, blocks, [1, 3])
+    P, _, _ = block_normal_matrix(F, s, d, 0, blocks, [1, 3])
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
@@ -290,7 +292,7 @@ def test_lstsq_fewer_rows_than_unknowns_raises():
     rng = np.random.default_rng(1)
     blocks, rhs = random_lists(rng, 2, 6, 3, 1, [(6, 1)])
     with pytest.raises(np.linalg.LinAlgError, match="fewer rows"):
-        banded.lstsq(blocks, rhs, 6, 3)
+        block_lstsq(blocks, rhs, 6, 3)
 
 
 def test_lstsq_solve_count_on_60hz_reconstruct(monkeypatch):

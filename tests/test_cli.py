@@ -264,6 +264,26 @@ def test_solve_stops_overflow_at_the_stage_that_made_it(tmp_path):
     assert not out.exists()
 
 
+def test_pipeline_prints_a_warning_as_one_line(tmp_path):
+    # without translation regularizers the translation solve warns that it
+    # is ill-conditioned and the pipeline goes on: one "warning:" line,
+    # not Python's two-line warning with its source line. A subprocess,
+    # whose stderr no test harness's warning capture stands in front of.
+    config = Path(__file__).resolve().parents[1] / "configs"
+    doc = json.loads((config / "reference_noise.json").read_text())
+    doc["solver"].update(lambda_tau=0, lambda_nu=0)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dynsfm", "pipeline", "--config",
+         str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "warning: recover_translations: normal-equation condition number")
+
+
 def test_solve_stops_non_finite_residual(tmp_path):
     # accel x 1e300 leaves the translation solve's arrays finite but its
     # residual norm inf: exit 4 at the stage, not a traceback from the

@@ -32,7 +32,8 @@ from dynsfm.solver import (COND_LIMIT, SolverOptions, _omega_dot_for,
                            rotation_regularizer,
                            recover_translations)
 
-from conftest import (dense_C, dense_rotation_system, deterministic_svd,
+from conftest import (block_lstsq, block_normal_matrix, block_transpose,
+                      dense_C, dense_rotation_system, deterministic_svd,
                       make_dataset, translation_blocks, translation_system,
                       translation_vector)
 
@@ -447,6 +448,47 @@ def test_recover_rotation_blocks_equals_dense_oracle(F, lambda_R):
             <= 100 * eps * info["cond"])
     dense_residual = np.linalg.norm(target - dense_C(C) @ expected)
     assert np.isclose(info["residual"], dense_residual, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("lambda_R", [0.3, 1.0, 2.5, 1e8])
+@pytest.mark.parametrize("F", [1, 3, 4, 5, 8, 9])
+def test_rotation_normal_equations_match_block_rows(F, lambda_R):
+    # the (P, Nzg, Ngg, rz, rg) recover_rotation_blocks hands to
+    # banded.solve_normal, built in closed form, equal the block-row front
+    # end over [*C, s [B_f | I]] and Y bit for bit, F on and around the
+    # 4-frame group; so do the solution, the residual and the
+    # normal-equation ratio. (s B_f)^T (s B_f) is s^2 I only to rounding,
+    # so writing it as such fails here
+    rng = np.random.default_rng(F)
+    t_s = 1 / 30
+    omega, domega = rng.normal(size=(2, F, 3))
+    C = assemble_C(omega, domega)
+    target = rng.normal(size=(6 * F, 3))
+    captured, solve_normal = [], banded.solve_normal
+
+    def capturing(*normal):
+        captured.append([a.copy() for a in normal])
+        return solve_normal(*normal)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(banded, "solve_normal", capturing)
+        M2, info = recover_rotation_blocks(target, C, omega, domega, t_s,
+                                           lambda_R)
+    B = rotation_regularizer(omega, domega, t_s)
+    blocks = [*C, np.sqrt(lambda_R) * np.concatenate(
+        [B, np.broadcast_to(np.eye(3), B.shape)], axis=2)]
+    rhs = [*target.reshape(3, F, 2, 3), np.zeros((F - 1, 3, 3))]
+    widths = [1, 1, 1, 2]
+    expected = [*block_normal_matrix(F, banded.group_size(3, 2), 3, 0,
+                                     blocks, widths),
+                *block_transpose(F, 3, 0, blocks, widths, rhs)]
+    for got, ref in zip(captured[0], expected):
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+    z, _, cond, normal_ratio, res = block_lstsq(blocks, rhs, 3)
+    assert np.array_equal(M2, z.reshape(3 * F, 3))
+    assert info["cond"] == cond
+    assert info["residual"] == float(np.linalg.norm(res[:3]))
+    assert info["normal_ratio"] == normal_ratio
 
 
 def test_recover_rotation_blocks_rejects_dense_C():
@@ -978,8 +1020,8 @@ def test_translation_normal_equations_match_block_rows(data):
         tau, nu, g, info = recover_translations(*args, reg_filter=filt)
     data_rows, data_rhs, reg, reg_rhs = translation_blocks(*args, filt)
     blocks, rhs = [data_rows, reg], [data_rhs[..., None], reg_rhs[..., None]]
-    expected = [*banded._normal_matrix(F, s, 6, 3, blocks, [1, window]),
-                *banded._apply_transpose(F, 6, 3, blocks, [1, window], rhs)]
+    expected = [*block_normal_matrix(F, s, 6, 3, blocks, [1, window]),
+                *block_transpose(F, 6, 3, blocks, [1, window], rhs)]
     for got, ref in zip(captured[0], expected):
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -1024,7 +1066,7 @@ def test_recover_translations_slow_rotation_warns_and_keeps_lateral():
     m = translation_vector(omega, domega, tau, np.zeros((F, 3)), accel, R, G)
     args = (m, R, omega, domega, accel, 1 / 30, 1.0, 1.0)
     data, data_rhs, reg, reg_rhs = translation_blocks(*args)
-    _, _, cond, _, _ = banded.lstsq(
+    _, _, cond, _, _ = block_lstsq(
         [data, reg], [data_rhs[..., None], reg_rhs[..., None]], 6, 3)
     assert cond > COND_LIMIT
     with pytest.warns(IllConditionedWarning, match="not recovered"):
