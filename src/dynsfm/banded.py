@@ -11,10 +11,13 @@ P[i, 0] = N_ii and P[i, 1] = N_i,i+1, the last group's N_i,i+1 unused.
 N_zz is factored by block cyclic reduction, ~log2(groups) batched numpy
 steps with no per-group Python loop, in the storage of P: each level
 writes its couplings over the blocks of P it has just read, so the
-factor costs P plus ~P/2 for the inverse Cholesky factors. The border is
+factor costs P plus ~P/2 for the inverse Cholesky factors, and a solve,
+which overwrites its right-hand sides, about their size. The border is
 eliminated through its Schur complement, the arrowhead elimination of
 bundle adjustment.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -28,9 +31,9 @@ import numpy as np
 # tracemalloc peak (2 vCPUs):
 #
 #   unknowns   F=300            F=1200           F=12000
-#   12         14 ms  1.14 MB   42 ms  4.5 MB    0.44 s  45 MB
-#   18         15 ms  1.40 MB   47 ms  5.5 MB    0.53 s  55 MB
-#   24         16 ms  1.66 MB   63 ms  6.6 MB    0.57 s  66 MB
+#   12         14 ms  0.87 MB   42 ms  3.4 MB    0.44 s  34 MB
+#   18         15 ms  1.12 MB   47 ms  4.4 MB    0.53 s  44 MB
+#   24         16 ms  1.38 MB   63 ms  5.5 MB    0.57 s  55 MB
 #
 # 6 differs from 12 only in the rotation stage and measured the same.
 GROUP_UNKNOWNS = 12
@@ -84,13 +87,12 @@ def solve_normal(P, Nzg, Ngg, rz, rg):
     probe = probes(dF + border)
     vg = np.concatenate([rg, probe[dF:]], axis=1)
     B = np.zeros((n_groups * m // d, d, border + k + 2))
-    B[:F] = np.concatenate([Nzg, rz, probe[:dF].reshape(F, d, 2)], axis=2)
+    np.concatenate([Nzg, rz, probe[:dF].reshape(F, d, 2)], axis=2, out=B[:F])
     del probe
     X = solve(levels, B.reshape(n_groups, m, -1)).reshape(-1, B.shape[2])[:dF]
-    del B  # the estimator's solves peak above B and X: hold neither
     # contiguous copies: the strided column views take another BLAS path
     Xg, Xz = X[:, :border].copy(), X[:, border:].copy()
-    del X
+    del B, X  # the estimator's solves peak above them: hold neither
     if border:
         Nzg_rows = Nzg.reshape(dF, border)
         S = Ngg - Nzg_rows.T @ Xg
@@ -107,10 +109,12 @@ def solve_normal(P, Nzg, Ngg, rz, rg):
     zs, gs = bordered(Xz, vg)
 
     def solve_flat(v):
+        """N^{-1} v, v (dF + border, columns), written over v."""
         vz = np.zeros((n_groups * m, v.shape[1]))
         vz[:dF] = v[:dF]
-        u = solve(levels, vz.reshape(n_groups, m, -1)).reshape(vz.shape)[:dF]
-        return np.concatenate(bordered(u, v[dF:]))
+        solve(levels, vz.reshape(n_groups, m, -1))
+        v[:dF], v[dF:] = bordered(vz[:dF], v[dF:])
+        return v
 
     cond = norm * inverse_norm1(
         solve_flat, np.concatenate([zs[:, k:], gs[:, k:]]))
@@ -159,11 +163,7 @@ def cholesky(P):
     """
     D, E = P[:, 0], P[:, 1]  # N_ii and N_i,i+1
     levels = []
-    # a ufunc over a strided view of P allocates numpy's iteration buffer,
-    # ~128 KB whatever F, which its contiguous blocks never use; 16
-    # elements is the smallest size numpy 1.x accepts
-    bufsize = np.setbufsize(16)
-    try:
+    with small_ufunc_buffers():
         while len(D):
             n_odd = len(D) // 2
             Linv = np.linalg.inv(np.linalg.cholesky(D[0::2]))
@@ -179,32 +179,44 @@ def cholesky(P):
             coupling = np.matmul(Xl[:n_odd - 1].transpose(0, 2, 1), Xr[1:],
                                  out=E[:n_odd - 1])
             np.negative(coupling, out=coupling)  # exact: -(A B) is (-A) B
-    finally:
-        np.setbufsize(bufsize)
     return levels
 
 
+@contextmanager
+def small_ufunc_buffers():
+    """A ufunc over a strided view allocates numpy's iteration buffer,
+    ~128 KB whatever F, which contiguous blocks never use; within this
+    context it holds 16 elements, the smallest size numpy 1.x accepts."""
+    bufsize = np.setbufsize(16)
+    try:
+        yield
+    finally:
+        np.setbufsize(bufsize)
+
+
 def solve(levels, rhs):
-    """Solve N x = rhs, rhs (groups, m, k), with the levels of cholesky:
-    down through the levels (y_e = Linv_e b_e, the odd right-hand sides
-    reduced with it), then back up (x_e = Linv_e^T (y_e - Xl_e x_e-1 -
-    Xr_e x_e+1))."""
+    """Solve N x = rhs, rhs (groups, m, k), with the levels of cholesky,
+    in the storage of rhs, which is returned: down through the levels
+    (y_e = Linv_e b_e, the odd right-hand sides reduced with it in
+    place), then back up (x_e = Linv_e^T (y_e - Xl_e x_e-1 - Xr_e x_e+1),
+    written over b_e). Only the y_e, about rhs in all, are new."""
     ys = []
     b = rhs
-    for Linv, Xl, Xr in levels:
-        y = Linv @ b[0::2]
-        b = b[1::2] - Xr.transpose(0, 2, 1) @ y[:len(Xr)]
-        b[:len(Xl)] -= Xl.transpose(0, 2, 1) @ y[1:]
-        ys.append(y)
-    x = b  # no unknowns are left
-    for (Linv, Xl, Xr), y in zip(reversed(levels), reversed(ys)):
-        y[:len(Xr)] -= Xr @ x
-        y[1:] -= Xl @ x[:len(Xl)]
-        full = np.empty((len(y) + len(x),) + y.shape[1:])
-        full[0::2] = Linv.transpose(0, 2, 1) @ y
-        full[1::2] = x
-        x = full
-    return x
+    with small_ufunc_buffers():
+        for Linv, Xl, Xr in levels:
+            y = Linv @ b[0::2]
+            ys.append((y, b))
+            b = b[1::2]
+            b -= Xr.transpose(0, 2, 1) @ y[:len(Xr)]
+            b[:len(Xl)] -= Xl.transpose(0, 2, 1) @ y[1:]
+        x = b  # no unknowns are left
+        for Linv, Xl, Xr in reversed(levels):
+            y, b = ys.pop()  # freed on the way up
+            y[:len(Xr)] -= Xr @ x
+            y[1:] -= Xl @ x[:len(Xl)]
+            np.matmul(Linv.transpose(0, 2, 1), y, out=b[0::2])
+            x = b
+    return rhs
 
 
 def abs_row_sums(P):
@@ -231,29 +243,40 @@ def inverse_norm1(solve, Y):
     algorithm of Higham and Tisseur (SIAM J. Matrix Anal. Appl. 21(4),
     2000) with two columns, started from the probes. Y = N^{-1} probes(n)
     is solved by the caller, together with its own right-hand sides;
-    solve(V) solves N for the columns of V. Each column x gives the lower
-    bound |N^{-1} x|_1 / |x|_1, and the estimate is the largest, in
-    practice within a small factor. One column alone (LAPACK's xLACON)
-    stops at a local maximum more often: on small block-diagonal N it
-    read 1/5 of the norm."""
+    solve(V) solves N for the columns of V, in V's storage. Each column x
+    gives the lower bound |N^{-1} x|_1 / |x|_1, and the estimate is the
+    largest, in practice within a small factor. One column alone
+    (LAPACK's xLACON) stops at a local maximum more often: on small
+    block-diagonal N it read 1/5 of the norm."""
     n = len(Y)
     est = (np.abs(Y).sum(axis=0) / [1.0, 1.5 * n]).max()  # probes' 1-norms
     best = None
     visited = np.zeros(n, dtype=bool)
     for _ in range(5):
-        h = np.abs(solve(np.where(Y >= 0, 1.0, -1.0))).max(axis=1)
+        Y = np.where(Y >= 0, 1.0, -1.0)  # solve writes over it
+        h = np.abs(solve(Y)).max(axis=1)
         if best is not None and h.max() <= h[best]:
             break  # no unit vector promises more than the best so far
-        order = np.argsort(-h, kind="stable")
-        new = order[~visited[order]][:2]
+        new = best_unvisited(h, visited)
         if not len(new):
             break
         visited[new] = True
-        X = np.zeros((n, len(new)))
-        X[new, np.arange(len(new))] = 1.0
-        Y = solve(X)
-        col = np.abs(Y).sum(axis=0)
+        Y = np.zeros((n, len(new)))  # unit columns, solved in place
+        Y[new, np.arange(len(new))] = 1.0
+        col = np.abs(solve(Y)).sum(axis=0)
         if col.max() <= est:
             break
         est, best = col.max(), new[np.argmax(col)]
     return float(est)
+
+
+def best_unvisited(h, visited):
+    """Indices of the two largest h (h >= 0) not visited, largest first,
+    ties to the lower index: the first two unvisited entries of a stable
+    argsort of -h, by a masked argmax per pick in O(n). Overwrites h."""
+    h[visited] = -1.0
+    new = []
+    while len(new) < 2 and h.max() >= 0:
+        new.append(int(np.argmax(h)))
+        h[new[-1]] = -1.0
+    return np.array(new, dtype=int)

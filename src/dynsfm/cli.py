@@ -39,11 +39,11 @@ class _CliFailure(Exception):
 def _load(path, what, parse, code=EXIT_IO):
     """parse(the JSON object in the file at path).
 
-    An unreadable file exits EXIT_IO. A file that is not JSON, and a
-    document that parse rejects with TypeError or a DynSfmError (every
-    parser names a document that is not a JSON object), exit with code:
-    EXIT_CONFIG for the documents that configure a run, EXIT_IO for data
-    files.
+    An unreadable file exits EXIT_IO. A file that is not JSON (or nested or
+    sized past what the reader can hold), and a document that parse
+    rejects with TypeError or a DynSfmError (every parser names a document
+    that is not a JSON object), exit with code: EXIT_CONFIG for the
+    documents that configure a run, EXIT_IO for data files.
     """
     try:
         return parse(jsonio.read_json(path))
@@ -52,6 +52,8 @@ def _load(path, what, parse, code=EXIT_IO):
     except (ValueError, TypeError, DynSfmError) as err:
         # ValueError covers invalid JSON
         raise _CliFailure(code, f"bad {what}: {err}")
+    except (RecursionError, MemoryError) as err:
+        raise _CliFailure(code, f"bad {what}: {type(err).__name__}: {err}")
 
 
 def _load_config(path, seed_override=None):

@@ -322,11 +322,13 @@ def recover_rotation_blocks(Mt_cols, C, omega, domega, t_s, lambda_R):
     Returns (M'', info): info["residual"] is |Mt_cols - C M''|,
     info["cond"] a 1-norm estimate of the normal matrix's condition
     number and info["normal_ratio"] the relative normal-equation residual.
-    Raises RankDeficient when the normal matrix is not numerically
-    positive definite and NumericalFailure when the condition estimate
-    exceeds COND_LIMIT.
+    Raises TooFewFramesOrPoints for no frames, RankDeficient when the
+    normal matrix is not numerically positive definite and
+    NumericalFailure when the condition estimate exceeds COND_LIMIT.
     """
     F = omega.shape[0]
+    if F == 0:
+        raise TooFewFramesOrPoints("need at least one frame, got none")
     if Mt_cols.shape != (6 * F, 3):
         raise LengthMismatch(
             f"expected {(6 * F, 3)} motion columns, got {Mt_cols.shape}")
@@ -409,8 +411,14 @@ def metric_upgrade(M2):
     return K, fit
 
 
+def span_basis(St_rows):
+    """[St_rows^T, 1] (P x 4): its columns span the structure columns of
+    both reflection candidates and the ones vector."""
+    return np.column_stack([St_rows.T, np.ones(St_rows.shape[1])])
+
+
 def extract_rotations_structure(M2, K_upg, St_rows, reflection="auto",
-                                W=None, C=None, m_hat=None):
+                                WS=None, C=None, m_hat=None):
     """Project the upgraded motion blocks to rotations and undo the
     upgrade on the structure.
 
@@ -423,12 +431,13 @@ def extract_rotations_structure(M2, K_upg, St_rows, reflection="auto",
     W - (C stack(R^T) S^T + m 1^T) within the span of the structure's
     columns and the ones vector, where both candidates' model rows lie.
     The part of W outside that span is common to both candidates and
-    dropped. "positive"/"negative" select the unflipped/flipped
-    candidate directly.
+    dropped, so W is read only as WS = W span_basis(St_rows) (6F x 4).
+    "positive"/"negative" select the unflipped/flipped candidate
+    directly.
     """
     F = M2.shape[0] // 3
-    if reflection == "auto" and (W is None or C is None or m_hat is None):
-        raise ValueError("reflection='auto' needs W, C and m_hat to score "
+    if reflection == "auto" and (WS is None or C is None or m_hat is None):
+        raise ValueError("reflection='auto' needs WS, C and m_hat to score "
                          "the two candidates")
     U, s, Vt = np.linalg.svd((M2 @ K_upg).reshape(F, 3, 3))
     structure = np.linalg.solve(K_upg, St_rows).T
@@ -442,9 +451,9 @@ def extract_rotations_structure(M2, K_upg, St_rows, reflection="auto",
         candidates.append((np.ascontiguousarray(rotations), structure))
     if len(candidates) == 1:
         return candidates[0]
-    # the two structures differ in the sign of z, so they span one space
-    Q, _ = np.linalg.qr(np.column_stack([structure, np.ones(len(structure))]))
-    WQ = W @ Q
+    # Q = span_basis(St_rows) R^-1 spans both structures and the ones
+    Q, R = np.linalg.qr(span_basis(St_rows))
+    WQ = WS @ np.linalg.inv(R)
     pos, neg = (_reflection_residual(WQ, Q, C, *candidate, m_hat)
                 for candidate in candidates)
     return candidates[int(neg < pos)]
@@ -540,15 +549,18 @@ class _TranslationRows:
 
     def normal_equations(self):
         """(P, Nzg, Ngg, rz, rg) of banded.solve_normal, in closed form:
-        the data rows' 9 x 9 Gram per frame, plus, on N_f,f+j (j < window),
-        2 x 2 tap-pair coefficients of (tau, nu) times R_f^T R_f+j, and on
-        N_nu_f,g sn^2 times the taps reaching frame f times R_f^T."""
+        the blocks of the data rows' per-frame Gram that N reads, plus, on
+        N_f,f+j (j < window), 2 x 2 tap-pair coefficients of (tau, nu)
+        times R_f^T R_f+j, and on N_nu_f,g sn^2 times the taps reaching
+        frame f times R_f^T."""
         R, taps, st2, sn2 = self.R, self.taps, self.st ** 2, self.sn ** 2
         F, w, half = len(R), len(taps), len(taps) // 2
         data = self._data()
-        G = data.transpose(0, 2, 1) @ data
         rz, rg = self._transpose(data, *self.rhs)
-        del data
+        dz, dg = data[:, :, :6], data[:, :, 6:]
+        Gzz, Nzg = (dz.transpose(0, 2, 1) @ x for x in (dz, dg))
+        Ngg = (dg.transpose(0, 2, 1) @ dg).sum(axis=0)
+        del data, dz, dg  # the solve peaks above P: hold no data rows
         P, cells = banded.group_storage(F, banded.group_size(6, w), 6)
         mid = np.r_[np.zeros(half), np.ones(self.n), np.zeros(half)]
         tap = np.r_[taps, np.zeros(w)]  # 0 past either end of the window
@@ -562,13 +574,15 @@ class _TranslationRows:
             Q = (R[:F - j].transpose(0, 2, 1) @ R[j:] if j
                  else np.broadcast_to(np.eye(3), R.shape))  # R_f^T R_f = I
             N = np.einsum("fab,fij->faibj", c, Q).reshape(F - j, 6, 6)
-            banded.place(cells, j, N + G[:, :6, :6] if j == 0 else N)
+            if j == 0:
+                N += Gzz
+                del Gzz
+            banded.place(cells, j, N)
             if j:
                 banded.place(cells, -j, N.transpose(0, 2, 1), first=j)
-        Nzg = G[:, :6, 6:].copy()
         reach = _convolve(taps, mid[self.mid])[:, None, None]
         Nzg[:, 3:] += sn2 * reach * R.transpose(0, 2, 1)
-        Ngg = G[:, 6:, 6:].sum(axis=0) + sn2 * self.n * np.eye(3)
+        Ngg += sn2 * self.n * np.eye(3)
         return P, Nzg, Ngg, rz[..., None], rg[:, None]
 
 
@@ -708,15 +722,17 @@ def reconstruct(measurements, options=None):
     Mt, St, sigma_ratio = _stage("factor_rank4", factor_rank4, W)
     Mt, St = _stage("fix_similarity", fix_similarity, Mt, St)
     Mt, St, m_hat = _stage("center_structure", center_structure, Mt, St)
+    WS = W @ span_basis(St[:3])  # all that the reflection choice reads of W
+    del W  # the linear stages peak above it
     M2, rot_info = _stage(
         "recover_rotation_blocks", recover_rotation_blocks, Mt[:, :3], C,
         omega, domega, measurements.t_s, options.lambda_R)
     K_upg, q_fit = _stage("metric_upgrade", metric_upgrade, M2)
     rotations, structure = _stage(
         "extract_rotations_structure", extract_rotations_structure, M2,
-        K_upg, St[:3], reflection=options.reflection_resolution, W=W, C=C,
+        K_upg, St[:3], reflection=options.reflection_resolution, WS=WS, C=C,
         m_hat=m_hat)
-    del W  # unread from here on, and the translation solve peaks above it
+    del Mt, St, WS, C, M2  # unread from here on: the translation solve peaks
     reg = _stage("recover_translations", _filter, "reg_filter",
                  options.reg_filter, len(omega))
     tau, nu, gravity, tr_info = _stage(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 import dynsfm
-from dynsfm import banded, so3
+from dynsfm import banded, so3, solver
 from dynsfm.config import reference_config, reference_noise_config
 from dynsfm.derivatives import savgol_filter
 from dynsfm.errors import LengthMismatch
@@ -179,6 +179,47 @@ def block_normal_matrix(F, s, d, border, blocks, widths):
     return P, Nzg, Ngg
 
 
+def full_gram_normal_equations(rows):
+    """(P, Nzg, Ngg, rz, rg) of a solver._TranslationRows from the whole
+    (F, 9, 9) Gram of its data rows: the oracle of its normal_equations,
+    which forms only the Gram's (tau, nu) block, its (tau, nu) by g block
+    and the frame sum of its g block, by the same products."""
+    R, taps, st2, sn2 = rows.R, rows.taps, rows.st ** 2, rows.sn ** 2
+    F, w, half = len(R), len(taps), len(taps) // 2
+    data = rows._data()
+    G = data.transpose(0, 2, 1) @ data
+    rz, rg = rows._transpose(data, *rows.rhs)
+    P, cells = banded.group_storage(F, banded.group_size(6, w), 6)
+    mid = np.r_[np.zeros(half), np.ones(rows.n), np.zeros(half)]
+    tap = np.r_[taps, np.zeros(w)]
+    for j in range(w):
+        S = solver._convolve(taps[:w - j] * taps[j:], mid[rows.mid])
+        c = np.zeros((F - j, 2, 2))
+        c[:, 0, 0], c[:, 1, 1] = st2 * S, sn2 * S
+        c[:, 1, 1] += st2 * mid[:F - j] * (j == 0)
+        c[:, 0, 1] = -st2 * tap[half - j] * mid[j:]
+        c[:, 1, 0] = -st2 * tap[half + j] * mid[:F - j]
+        Q = (R[:F - j].transpose(0, 2, 1) @ R[j:] if j
+             else np.broadcast_to(np.eye(3), R.shape))
+        N = np.einsum("fab,fij->faibj", c, Q).reshape(F - j, 6, 6)
+        banded.place(cells, j, N + G[:, :6, :6] if j == 0 else N)
+        if j:
+            banded.place(cells, -j, N.transpose(0, 2, 1), first=j)
+    Nzg = G[:, :6, 6:].copy()
+    reach = solver._convolve(taps, mid[rows.mid])[:, None, None]
+    Nzg[:, 3:] += sn2 * reach * R.transpose(0, 2, 1)
+    Ngg = G[:, 6:, 6:].sum(axis=0) + sn2 * rows.n * np.eye(3)
+    return P, Nzg, Ngg, rz[..., None], rg[:, None]
+
+
+def stable_argsort_pick(h, visited):
+    """The condition estimator's column pick by sorting, the oracle of
+    banded.best_unvisited: the first two unvisited entries of a stable
+    argsort of -h."""
+    order = np.argsort(-h, kind="stable")
+    return order[~visited[order]][:2]
+
+
 def translation_vector(omega, domega, tau, nu, accel, rotations, gravity):
     """Ground-truth translation vector m of the decomposition (6F,): the
     factorization-identity oracle; the solver recovers m from the data."""
@@ -305,7 +346,7 @@ def fine_noiseless_stages():
     from dynsfm.solver import (assemble_C, assemble_W, center_structure,
                                extract_rotations_structure, factor_rank4,
                                fix_similarity, metric_upgrade,
-                               recover_rotation_blocks)
+                               recover_rotation_blocks, span_basis)
     t_s = 1.0 / 240.0
     traj = generate_trajectory(2.5, t_s, 0.2, np.radians(30), seed=3,
                                trans_freq_band=(0.02, 0.06),
@@ -324,7 +365,8 @@ def fine_noiseless_stages():
                                            traj.domega, t_s, 1.0)
     K_upg, q_fit = metric_upgrade(M2)
     rotations, structure = extract_rotations_structure(
-        M2, K_upg, St[:3], reflection="auto", W=W, C=C, m_hat=m_hat)
+        M2, K_upg, St[:3], reflection="auto", WS=W @ span_basis(St[:3]),
+        C=C, m_hat=m_hat)
     return {"trajectory": traj, "scene": scene, "measurements": meas,
             "W": W, "C": C, "m_hat": m_hat, "M2": M2, "K_upg": K_upg,
             "rotations": rotations, "structure": structure,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import dynsfm
 from dynsfm import banded
 
-from conftest import block_lstsq, block_normal_matrix
+from conftest import block_lstsq, block_normal_matrix, stable_argsort_pick
 
 EPS = np.finfo(float).eps
 
@@ -318,3 +318,17 @@ def test_lstsq_solve_count_on_60hz_reconstruct(monkeypatch):
     monkeypatch.setattr(banded, "solve", counting_solve)
     dynsfm.reconstruct(ds.measurements)
     assert len(counts) == 2 and counts[0] <= 6 and counts[1] <= 4
+
+
+@given(data=st.data())
+def test_best_unvisited_matches_stable_argsort(data):
+    # the estimator's O(n) column pick equals the stable argsort's on
+    # vectors drawn from four values, so ties are the rule: the same two
+    # columns, in the same order, none when every column is visited
+    n = data.draw(st.integers(1, 30), "n")
+    h = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                                    min_size=n, max_size=n), "h"))
+    visited = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                          max_size=n), "visited"))
+    expected = stable_argsort_pick(h, visited)
+    assert np.array_equal(banded.best_unvisited(h.copy(), visited), expected)

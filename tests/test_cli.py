@@ -349,6 +349,25 @@ def test_solve_names_the_stage_an_arithmetic_error_stops(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, code", [
+    ("solve", "--dataset", 3), ("pipeline", "--config", 2)])
+def test_deeply_nested_document_exits_with_one_error_line(tmp_path, command,
+                                                          flag, code):
+    # a JSON array nested past the interpreter's recursion limit raises
+    # RecursionError in the reader: the document's exit code (3 for data,
+    # 2 for a config) and one error line, not exit 1 with a traceback
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dynsfm", command, flag, str(path), "--out",
+         str(tmp_path / "out")], capture_output=True, text=True)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad ")
+    assert "RecursionError" in err[0]
+
+
 def _ragged_tracks(doc):
     doc["measurements"]["tracks"][4].pop()
     return doc

@@ -24,17 +24,18 @@ from dynsfm.simulate import (DEFAULT_GRAVITY, DEFAULT_INERTIA,
 from dynsfm.config import (REFERENCE_NOISE, reference_config,
                            reference_noise_config)
 from dynsfm.solver import (COND_LIMIT, SolverOptions, _omega_dot_for,
-                           _reflection_residual, assemble_C,
+                           _reflection_residual, _TranslationRows, assemble_C,
                            assemble_W, center_structure,
                            extract_rotations_structure, factor_rank4,
                            fix_similarity, lstsq_checked, metric_upgrade,
                            reconstruct, recover_rotation_blocks,
-                           rotation_regularizer,
+                           rotation_regularizer, span_basis,
                            recover_translations)
 
 from conftest import (block_lstsq, block_normal_matrix, block_transpose,
                       dense_C, dense_rotation_system, deterministic_svd,
-                      make_dataset, translation_blocks, translation_system,
+                      full_gram_normal_equations, make_dataset,
+                      translation_blocks, translation_system,
                       translation_vector)
 
 G = DEFAULT_GRAVITY
@@ -491,6 +492,15 @@ def test_rotation_normal_equations_match_block_rows(F, lambda_R):
     assert info["normal_ratio"] == normal_ratio
 
 
+def test_recover_rotation_blocks_rejects_no_frames():
+    # F = 0 stops before any arithmetic with a typed error, not a bare
+    # ValueError from the condition estimate's empty reduction
+    empty = np.zeros((0, 3))
+    with pytest.raises(TooFewFramesOrPoints):
+        recover_rotation_blocks(np.zeros((0, 3)), assemble_C(empty, empty),
+                                empty, empty, 1 / 30, 1.0)
+
+
 def test_recover_rotation_blocks_rejects_dense_C():
     omega = np.zeros((4, 3))
     with pytest.raises(LengthMismatch):
@@ -510,21 +520,23 @@ def _reconstruct_peak(ds):
 
 def test_reconstruct_peak_memory_without_dense_C():
     # 5 s at 60 Hz (F=300): no dense C or rotation system is built, the
-    # banded factor reuses the normal matrix's storage, and the translation
-    # stage builds its normal equations without block rows; the peak is
-    # ~1.69 MB, and the bound is under the 2.40 MB of the block rows
+    # banded factor reuses the normal matrix's storage, the translation
+    # stage builds its normal equations without block rows or the whole
+    # data Gram, the solves work in their right-hand sides' storage and W
+    # is released before the linear stages; the peak is ~0.86 MB, and the
+    # bound (1.1x) is under the 1.14 MB of a run that held W and the Gram
     ds = simulate_dataset(duration=5.0, t_s=1 / 60, n_points=24, extent=2.0,
                           amp_trans=0.35, amp_rot=np.radians(30), seed=0)
-    assert _reconstruct_peak(ds) < 2.0e6
+    assert _reconstruct_peak(ds) < 0.95e6
 
 
 def test_reconstruct_peak_memory_linear_at_240hz():
     # 5 s at 240 Hz (F=1200): both banded solves are linear in F; the
-    # peak is ~6.70 MB, and the bound is under the 9.59 MB of the
-    # translation stage's block rows
+    # peak is ~3.40 MB, and the bound (1.1x) is under the 4.51 MB of a run
+    # that held W and the whole data Gram through the linear stages
     ds = simulate_dataset(duration=5.0, t_s=1 / 240, n_points=24, extent=2.0,
                           amp_trans=0.35, amp_rot=np.radians(30), seed=0)
-    assert _reconstruct_peak(ds) < 8.0e6
+    assert _reconstruct_peak(ds) < 3.75e6
 
 
 def test_rotation_regularizer_matches_relative_rotations():
@@ -697,6 +709,7 @@ def test_extract_rotations_auto_resolves_reflection(reference_dataset):
     W, C, Mt, St, m_hat, M2, _ = _pipeline_to_rotations(ds)
     K, _ = metric_upgrade(M2)
     D = np.diag([1.0, 1.0, -1.0])
+    WS = W @ span_basis(St[:3])
 
     def resid(rot, struct):
         M_proj = rot.transpose(0, 2, 1).reshape(-1, 3)
@@ -704,9 +717,9 @@ def test_extract_rotations_auto_resolves_reflection(reference_dataset):
             W - (dense_C(C) @ M_proj @ struct.T + np.outer(m_hat, np.ones(W.shape[1]))))
 
     rot_a, struct_a = extract_rotations_structure(
-        M2, K, St[:3], reflection="auto", W=W, C=C, m_hat=m_hat)
+        M2, K, St[:3], reflection="auto", WS=WS, C=C, m_hat=m_hat)
     rot_b, struct_b = extract_rotations_structure(
-        M2, K @ D, St[:3], reflection="auto", W=W, C=C, m_hat=m_hat)
+        M2, K @ D, St[:3], reflection="auto", WS=WS, C=C, m_hat=m_hat)
     assert np.allclose(struct_a, struct_b, atol=1e-9)
     assert np.allclose(rot_a, rot_b, atol=1e-9)
     forced = [extract_rotations_structure(M2, K, St[:3], reflection=mode)
@@ -752,7 +765,8 @@ def test_auto_reflection_is_argmin_of_dense_residual(case, reference_dataset):
         W - (dense_C(C) @ rot.transpose(0, 2, 1).reshape(-1, 3) @ struct.T
              + m_hat[:, None])) for rot, struct in forced]
     rot, struct = extract_rotations_structure(
-        M2, K, S3, reflection="auto", W=W, C=C, m_hat=m_hat)
+        M2, K, S3, reflection="auto", WS=W @ span_basis(S3), C=C,
+        m_hat=m_hat)
     best_rot, best_struct = forced[int(np.argmin(full))]
     assert np.array_equal(rot, best_rot)
     assert np.array_equal(struct, best_struct)
@@ -775,7 +789,8 @@ def test_extract_rotations_auto_takes_one_svd_batch(reference_dataset,
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    extract_rotations_structure(M2, K, S3, reflection="auto", W=W, C=C,
+    extract_rotations_structure(M2, K, S3, reflection="auto",
+                                WS=W @ span_basis(S3), C=C,
                                 m_hat=m_hat)
     assert calls == [(len(M2) // 3, 3, 3)]
 
@@ -1034,6 +1049,32 @@ def test_translation_normal_equations_match_block_rows(data):
     assert np.isclose(info["residual"], residual, rtol=1e-10, atol=0)
     # A^T r of the least-squares solution vanishes, by any correct transpose
     assert info["normal_ratio"] < 1e-9
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_translation_normal_equations_match_full_gram(data):
+    # formed from the data rows' Gram blocks it reads, (P, Nzg, Ngg, rz,
+    # rg) equal, bit for bit, those formed from the whole (F, 9, 9) Gram:
+    # windows 3, 5 and 7, weights other than 1, F on and around the group
+    # boundaries
+    window = data.draw(st.sampled_from([3, 5, 7]), "window")
+    s = banded.group_size(6, window)
+    F = data.draw(st.sampled_from(sorted(
+        {window, s - 1, s, s + 1, 2 * s, 2 * s + 1, 61} - set(range(window)))),
+        "F")
+    st_, sn = data.draw(st.tuples(*[st.sampled_from([0.3, 1.0, 2.5])] * 2),
+                        "weights")
+    taps = savgol_filter(data.draw(st.sampled_from([1, 2]), "order"),
+                         window, 1).taps * 60.0
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    R = so3.exp_so3(rng.normal(size=(F, 3)))
+    omega, domega, accel = rng.normal(size=(3, F, 3))
+    rows = _TranslationRows(rng.normal(size=6 * F), R, omega, domega, accel,
+                            taps, st_, sn)
+    for got, ref in zip(rows.normal_equations(),
+                        full_gram_normal_equations(rows), strict=True):
+        assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
 def test_recover_translations_static_hover():
