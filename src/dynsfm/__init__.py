@@ -7,7 +7,7 @@ pipeline. Includes an IMU-only dead-reckoning baseline and a
 Procrustes-based evaluation harness.
 """
 
-from .baseline import DeadReckonState, imu_dead_reckon
+from .baseline import imu_dead_reckon
 from .config import RunConfig, reference_config, reference_noise_config
 from .derivatives import (DerivFilter, differentiate_series,
                           differentiate_tracks, euler_omega_dot,
@@ -22,7 +22,7 @@ from .solver import (Reconstruction, SolverOptions, assemble_C, assemble_W,
                      factor_rank4, reconstruct)
 
 __all__ = [
-    "Alignment", "Dataset", "DeadReckonState", "DerivFilter", "ErrorReport",
+    "Alignment", "Dataset", "DerivFilter", "ErrorReport",
     "MeasurementSet", "NoiseSpec", "Reconstruction", "RunConfig", "Scene",
     "SolverOptions", "Trajectory", "DEFAULT_GRAVITY", "DEFAULT_INERTIA",
     "add_noise", "assemble_C", "assemble_W", "differentiate_series",

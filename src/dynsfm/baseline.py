@@ -1,55 +1,42 @@
 """IMU-only dead reckoning, the comparison baseline for the solver."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import so3
 from .errors import LengthMismatch
-from .simulate import DEFAULT_GRAVITY
 
 
-@dataclass
-class DeadReckonState:
-    """Pose and spatial-frame velocity of the integrator."""
-    rotation: np.ndarray  # (3, 3)
-    position: np.ndarray  # (3,)
-    velocity: np.ndarray  # (3,)
+def imu_dead_reckon(gyro, accel, gravity, init, t_s):
+    """Integrate gyro and accelerometer readings from init = (R0, T0, v0).
 
-
-def imu_dead_reckon(gyro, accel, gravity=DEFAULT_GRAVITY, init=None,
-                    t_s=1.0 / 30.0):
-    """Integrate gyro and accelerometer readings from a known initial state.
-
-    Per step: spatial acceleration a = R a_imu - g (inverting the
-    accelerometer model), position advances with the pre-update velocity
-    plus the half-step acceleration term (exact for piecewise-constant
-    acceleration), then velocity and attitude update. The attitude
-    increments exp(t_s gyro_f) come from one batched exp_so3; their
-    product is sequential. Returns one state per input frame, the first
-    being the initial state itself.
+    Per step: a = R a_imu - g (inverting the accelerometer model); the
+    position advances by the pre-update velocity plus the half-step
+    acceleration term (exact for piecewise-constant acceleration); then
+    the velocity and the attitude, R exp(t_s gyro_f), update. Returns the
+    attitudes (F, 3, 3), positions (F, 3) and spatial-frame velocities
+    (F, 3), frame 0 being init.
     """
     gyro = np.asarray(gyro, dtype=float)
     accel = np.asarray(accel, dtype=float)
-    if gyro.shape != accel.shape:
-        raise LengthMismatch("gyro and accel series lengths differ")
-    if init is None:
-        init = DeadReckonState(np.eye(3), np.zeros(3), np.zeros(3))
-    R = init.rotation.copy()
-    T = init.position.copy()
-    v = init.velocity.copy()
-    states = [DeadReckonState(R.copy(), T.copy(), v.copy())]
+    if gyro.shape != accel.shape or gyro.shape[1:] != (3,) or not len(gyro):
+        raise LengthMismatch("gyro and accel must both be (F, 3), F >= 1")
+    R0, T0, v0 = init
+    R = np.empty((len(gyro), 3, 3))
+    R[0] = R0
     steps = so3.exp_so3(t_s * gyro[:-1])
-    for f in range(len(gyro) - 1):
-        a = R @ accel[f] - gravity
-        T = T + t_s * v + 0.5 * t_s * t_s * a
-        v = v + t_s * a
-        R = R @ steps[f]
-        states.append(DeadReckonState(R.copy(), T.copy(), v.copy()))
-    return states
+    for f, step in enumerate(steps):
+        np.matmul(R[f], step, out=R[f + 1])
+    a = so3.matvec(R[:-1], accel[:-1]) - gravity
+    v = np.add.accumulate(np.vstack([v0, t_s * a]))
+    # T_f+1 = (T_f + t_s v_f) + t_s^2 a_f / 2: the two terms interleaved
+    # and summed in that order round exactly as the per-step update does
+    terms = np.empty((2 * len(a) + 1, 3))
+    terms[0], terms[1::2], terms[2::2] = T0, t_s * v[:-1], 0.5 * t_s * t_s * a
+    return R, np.add.accumulate(terms)[::2].copy(), v
 
 
-def dead_reckon_positions(gyro, accel, gravity, init, t_s):
-    """Convenience: (F, 3) array of integrated positions."""
-    states = imu_dead_reckon(gyro, accel, gravity, init, t_s)
-    return np.array([s.position for s in states])
+def terminal_rmse(positions, truth):
+    """Position RMSE over the last max(1, F // 4) frames."""
+    window = max(1, len(truth) // 4)
+    err = positions[-window:] - truth[-window:]
+    return float(np.sqrt((err ** 2).sum(axis=1).mean()))

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio, so3
-from .baseline import DeadReckonState, dead_reckon_positions
+from .baseline import imu_dead_reckon, terminal_rmse
 from .config import (NOISE_SEED_OFFSET, _integer, _number, _object,
                      config_from_dict, config_to_dict, options_from_dict,
                      reference_config)
@@ -114,14 +114,9 @@ def _eval_outputs(recon, dataset):
     gt_log = so3.rotation_vector(traj.rotations)
     est_log = so3.rotation_vector(align.rotation @ recon.rotations)
     meas = dataset.measurements
-    init = DeadReckonState(traj.rotations[0].copy(), traj.T[0].copy(),
-                           traj.dT[0].copy())
-    imu_T = dead_reckon_positions(meas.gyro, meas.accel, dataset.gravity,
-                                  init, dataset.t_s)
-    F = traj.n_frames
-    window = max(1, F // 4)
-    dr_err = imu_T[F - window:] - traj.T[F - window:]
-    dr_rmse = float(np.sqrt((dr_err ** 2).sum(axis=1).mean()))
+    _, imu_T, _ = imu_dead_reckon(
+        meas.gyro, meas.accel, dataset.gravity,
+        (traj.rotations[0], traj.T[0], traj.dT[0]), dataset.t_s)
     est_T = align.apply(recon.positions)
     table = np.hstack([gt_log, est_log, traj.T, est_T, imu_T])
     rows = [[f, f * dataset.t_s, *r] for f, r in enumerate(table.tolist())]
@@ -135,7 +130,8 @@ def _eval_outputs(recon, dataset):
     struct_header = ["point", "gt_x", "gt_y", "gt_z", "est_x", "est_y", "est_z"]
     struct_rows = [[p, *r] for p, r in enumerate(struct_table.tolist())]
     report_dict = jsonio.report_to_dict(
-        report, extra={"dead_reckoning_terminal_rmse": dr_rmse})
+        report, extra={"dead_reckoning_terminal_rmse":
+                       terminal_rmse(imu_T, traj.T)})
     for name, value in [*report_dict.items(), ("trajectory table", table),
                         ("structure table", struct_table)]:
         if not np.isfinite(value).all():

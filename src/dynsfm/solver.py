@@ -533,7 +533,8 @@ class _TranslationRows:
         nu[self.mid] -= self.st * r_tau
         h[:, :3] += so3.matvec(RT, self.st * _convolve(self.taps, r_tau))
         h[:, 3:6] += so3.matvec(RT, nu)
-        return h[:, :6], h[:, 6:].sum(axis=0) + self.sn * r_nu.sum(axis=0)
+        rg = h[:, 6:].sum(axis=0) + self.sn * r_nu.sum(axis=0)
+        return h[:, :6].copy(), rg  # a view would hold all of h
 
     def residual(self, z, g):
         """The rows times (z, g) less rhs, z (F, 6) of (tau_f, nu_f), and

@@ -6,6 +6,7 @@ from hypothesis import settings
 
 import dynsfm
 from dynsfm import banded, so3, solver
+from dynsfm.baseline import terminal_rmse
 from dynsfm.config import reference_config, reference_noise_config
 from dynsfm.derivatives import savgol_filter
 from dynsfm.errors import LengthMismatch
@@ -53,16 +54,10 @@ def run_noisy_seed(seed):
     recon = dynsfm.reconstruct(ds.measurements, cfg.solver)
     report = dynsfm.evaluate(recon, ds.trajectory, ds.scene, ds.gravity)
     traj = ds.trajectory
-    init = dynsfm.DeadReckonState(traj.rotations[0].copy(), traj.T[0].copy(),
-                                  traj.dT[0].copy())
-    from dynsfm.baseline import dead_reckon_positions
-    imu_T = dead_reckon_positions(ds.measurements.gyro, ds.measurements.accel,
-                                  ds.gravity, init, ds.t_s)
-    F = traj.n_frames
-    window = max(1, F // 4)
-    dr_rmse = float(np.sqrt(
-        ((imu_T[F - window:] - traj.T[F - window:]) ** 2).sum(axis=1).mean()))
-    return report, dr_rmse
+    _, imu_T, _ = dynsfm.imu_dead_reckon(
+        ds.measurements.gyro, ds.measurements.accel, ds.gravity,
+        (traj.rotations[0], traj.T[0], traj.dT[0]), ds.t_s)
+    return report, terminal_rmse(imu_T, traj.T)
 
 
 @pytest.fixture(scope="session")

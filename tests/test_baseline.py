@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dynsfm import so3
-from dynsfm.baseline import (DeadReckonState, dead_reckon_positions,
-                             imu_dead_reckon)
+from dynsfm.baseline import imu_dead_reckon
 from dynsfm.errors import LengthMismatch
 from dynsfm.simulate import (DEFAULT_GRAVITY, generate_trajectory,
                              synthesize_imu)
 
 G = DEFAULT_GRAVITY
+REST = (np.eye(3), np.zeros(3), np.zeros(3))
+
+
+def _initial_state(traj):
+    return traj.rotations[0], traj.T[0], traj.dT[0]
 
 
 def test_stationary_input_constant_state():
@@ -16,13 +22,12 @@ def test_stationary_input_constant_state():
     R0 = so3.exp_so3([0.2, -0.1, 0.4])
     gyro = np.zeros((F, 3))
     accel = np.tile(R0.T @ G, (F, 1))  # exactly cancels gravity
-    init = DeadReckonState(R0, np.array([1.0, 2.0, 3.0]), np.zeros(3))
-    states = imu_dead_reckon(gyro, accel, G, init, t_s=1 / 30)
-    assert len(states) == F
-    for s in states:
-        assert np.allclose(s.rotation, R0, atol=1e-12)
-        assert np.allclose(s.position, [1.0, 2.0, 3.0], atol=1e-12)
-        assert np.allclose(s.velocity, 0.0, atol=1e-12)
+    init = (R0, np.array([1.0, 2.0, 3.0]), np.zeros(3))
+    R, T, v = imu_dead_reckon(gyro, accel, G, init, t_s=1 / 30)
+    assert R.shape == (F, 3, 3) and T.shape == v.shape == (F, 3)
+    assert np.allclose(R, R0, atol=1e-12)
+    assert np.allclose(T, [1.0, 2.0, 3.0], atol=1e-12)
+    assert np.allclose(v, 0.0, atol=1e-12)
 
 
 def test_constant_acceleration_exact():
@@ -32,8 +37,7 @@ def test_constant_acceleration_exact():
     a = np.array([0.7, -0.3, 0.1])
     gyro = np.zeros((F, 3))
     accel = np.tile(a, (F, 1))
-    init = DeadReckonState(np.eye(3), np.zeros(3), np.zeros(3))
-    pos = dead_reckon_positions(gyro, accel, np.zeros(3), init, t_s)
+    _, pos, _ = imu_dead_reckon(gyro, accel, np.zeros(3), REST, t_s)
     t_end = (F - 1) * t_s
     assert np.linalg.norm(pos[-1] - 0.5 * a * t_end ** 2) < 1e-9
 
@@ -44,9 +48,8 @@ def test_noiseless_halving_step_improves():
     for t_s in (1 / 30, 1 / 60, 1 / 120):
         traj = generate_trajectory(4.0, t_s, 0.35, np.radians(30), seed=7)
         gyro, accel = synthesize_imu(traj, G)
-        init = DeadReckonState(traj.rotations[0].copy(), traj.T[0].copy(),
-                               traj.dT[0].copy())
-        pos = dead_reckon_positions(gyro, accel, G, init, t_s)
+        _, pos, _ = imu_dead_reckon(gyro, accel, G, _initial_state(traj),
+                                    t_s)
         errs.append(np.linalg.norm(pos[-1] - traj.T[-1]))
     assert errs[0] / errs[1] > 1.8
     assert errs[1] / errs[2] > 1.8
@@ -56,15 +59,21 @@ def test_rotation_stays_orthonormal_many_steps():
     rng = np.random.default_rng(3)
     gyro = rng.normal(0.0, 0.5, size=(10_000, 3))
     accel = np.zeros((10_000, 3))
-    init = DeadReckonState(np.eye(3), np.zeros(3), np.zeros(3))
-    states = imu_dead_reckon(gyro, accel, np.zeros(3), init, t_s=1 / 100)
-    R = states[-1].rotation
-    assert np.linalg.norm(R @ R.T - np.eye(3)) < 1e-9
+    R, _, _ = imu_dead_reckon(gyro, accel, np.zeros(3), REST, t_s=1 / 100)
+    assert np.linalg.norm(R[-1] @ R[-1].T - np.eye(3)) < 1e-9
 
 
 def test_length_mismatch():
     with pytest.raises(LengthMismatch):
-        imu_dead_reckon(np.zeros((5, 3)), np.zeros((4, 3)))
+        imu_dead_reckon(np.zeros((5, 3)), np.zeros((4, 3)), G, REST, 1 / 30)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (5, 2), (3,), (5, 3, 1)])
+def test_rejects_series_not_f_by_3(shape):
+    # no frames, or frames that are not 3-vectors: one LengthMismatch, not
+    # a lone initial state or a bare IndexError
+    with pytest.raises(LengthMismatch):
+        imu_dead_reckon(np.zeros(shape), np.zeros(shape), G, REST, 1 / 30)
 
 
 def test_noise_grows_error_over_time():
@@ -76,9 +85,7 @@ def test_noise_grows_error_over_time():
     rng = np.random.default_rng(4)
     gyro = gyro + rng.normal(0, np.radians(3.0), gyro.shape)
     accel = accel + rng.normal(0, 0.2, accel.shape)
-    init = DeadReckonState(traj.rotations[0].copy(), traj.T[0].copy(),
-                           traj.dT[0].copy())
-    pos = dead_reckon_positions(gyro, accel, G, init, t_s)
+    _, pos, _ = imu_dead_reckon(gyro, accel, G, _initial_state(traj), t_s)
     err = np.linalg.norm(pos - traj.T, axis=1)
     q = len(err) // 4
     assert err[-q:].mean() > 3.0 * err[:q].mean()
@@ -87,7 +94,7 @@ def test_noise_grows_error_over_time():
 def _dead_reckon_oracle(gyro, accel, gravity, init, t_s):
     """The integrator one step at a time, each increment its own
     exp_so3 call."""
-    R, T, v = init.rotation.copy(), init.position.copy(), init.velocity.copy()
+    R, T, v = (np.array(x, dtype=float) for x in init)
     states = [(R, T, v)]
     for f in range(len(gyro) - 1):
         a = R @ accel[f] - gravity
@@ -95,22 +102,20 @@ def _dead_reckon_oracle(gyro, accel, gravity, init, t_s):
         v = v + t_s * a
         R = R @ so3.exp_so3(t_s * gyro[f])
         states.append((R, T, v))
-    return states
+    return [np.array(x) for x in zip(*states)]
 
 
-def test_batched_increments_equal_per_step_oracle():
-    t_s = 1 / 30
-    traj = generate_trajectory(5.0, t_s, 0.35, np.radians(30), seed=9)
-    gyro, accel = synthesize_imu(traj, G)
-    gyro = gyro + np.random.default_rng(5).normal(0, np.radians(3.0),
-                                                  gyro.shape)
-    gyro[10] = 1e-10  # an increment on the small-angle branch
-    init = DeadReckonState(traj.rotations[0].copy(), traj.T[0].copy(),
-                           traj.dT[0].copy())
-    states = imu_dead_reckon(gyro, accel, G, init, t_s)
-    oracle = _dead_reckon_oracle(gyro, accel, G, init, t_s)
-    assert len(states) == len(oracle) == traj.n_frames
-    for s, (R, T, v) in zip(states, oracle):
-        assert np.array_equal(s.rotation, R)
-        assert np.array_equal(s.position, T)
-        assert np.array_equal(s.velocity, v)
+@given(F=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1),
+       t_s=st.sampled_from([1 / 30, 1 / 200]), data=st.data())
+def test_batched_increments_equal_per_step_oracle(F, seed, t_s, data):
+    # the array integrator rounds as the per-step loop does, one increment
+    # on the small-angle branch of exp_so3
+    rng = np.random.default_rng(seed)
+    gyro = rng.normal(0.0, 1.0, (F, 3))
+    gyro[data.draw(st.integers(0, F - 1))] = 1e-10
+    accel = rng.normal(0.0, 3.0, (F, 3)) + [0.0, 0.0, 9.8]
+    init = (so3.exp_so3(rng.normal(size=3)), rng.normal(size=3),
+            rng.normal(size=3))
+    got = imu_dead_reckon(gyro, accel, G, init, t_s)
+    for x, y in zip(got, _dead_reckon_oracle(gyro, accel, G, init, t_s)):
+        assert np.array_equal(x, y)

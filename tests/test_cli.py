@@ -471,7 +471,7 @@ def _mutate(draw, doc):
     meas = doc["measurements"]
     kind = draw(st.sampled_from(["bad_leaf", "truncate", "ragged",
                                  "drop_key", "t_s", "wrong_type",
-                                 "gyro_length"]))
+                                 "gyro_length", "nest"]))
     holder, name = _array_entry(draw, doc)
     array = holder[name]
     if kind == "bad_leaf":
@@ -499,6 +499,14 @@ def _mutate(draw, doc):
         name = draw(st.sampled_from(["t_s", "seed", *NOISE_FIELDS]))
         holder = doc["noise_spec"] if name in NOISE_FIELDS else doc
         holder[name] = draw(st.sampled_from(BAD_SCALARS))
+    elif kind == "nest":
+        # json.dumps cannot write past ~1000 levels; the 100000-deep
+        # document has its own subprocess test
+        outer, key = holder, name
+        if isinstance(array[0], list) and draw(st.booleans()):
+            outer, key = array, draw(st.integers(0, len(array) - 1))
+        for _ in range(draw(st.integers(1, 50))):
+            outer[key] = [outer[key]]
     else:
         F = len(meas["gyro"])
         n = draw(st.integers(0, 2 * F).filter(lambda n: n != F))
