@@ -109,9 +109,11 @@ def solve_normal(P, Nzg, Ngg, rz, rg):
     zs, gs = bordered(Xz, vg)
 
     def solve_flat(v):
-        """N^{-1} v, v (dF + border, columns), written over v."""
-        vz = np.zeros((n_groups * m, v.shape[1]))
-        vz[:dF] = v[:dF]
+        """N^{-1} v, v C-contiguous (dF + border, columns), written over
+        v; padded to whole groups only when F leaves the last one short."""
+        vz = (np.zeros((n_groups * m, v.shape[1])) if n_groups * m > dF
+              else v[:dF])
+        vz[:dF] = v[:dF]  # a no-op on v's own rows
         solve(levels, vz.reshape(n_groups, m, -1))
         v[:dF], v[dF:] = bordered(vz[:dF], v[dF:])
         return v

@@ -15,9 +15,8 @@ import numpy as np
 
 from . import jsonio, so3
 from .baseline import imu_dead_reckon, terminal_rmse
-from .config import (NOISE_SEED_OFFSET, _integer, _number, _object,
-                     config_from_dict, config_to_dict, options_from_dict,
-                     reference_config)
+from .config import (config_from_dict, config_to_dict, options_from_dict,
+                     reference_config, reseeded)
 from .derivatives import savgol_filter
 from .errors import ConfigError, DynSfmError
 from .evaluate import evaluate
@@ -59,7 +58,7 @@ def _load(path, what, parse, code=EXIT_IO):
 def _load_config(path, seed_override=None):
     cfg = _load(path, "config", config_from_dict, EXIT_CONFIG)
     if seed_override is not None:
-        cfg.seed = seed_override
+        cfg = reseeded(cfg, seed_override)
         try:
             cfg.validate()
         except ConfigError as err:
@@ -219,12 +218,13 @@ SWEEP_HEADER = ["seed", "noise_scale", "status", "trans_rmse",
 
 def _sweep_spec(doc, default_seed):
     """(seeds, noise scales) of a sweep document."""
-    _object(doc, {"seeds", "noise_scales"}, "sweep")
+    jsonio.json_object(doc, {"seeds", "noise_scales"}, "sweep")
     for name in ("seeds", "noise_scales"):
         if not isinstance(doc.get(name, []), list):
             raise ConfigError(f"{name}: must be a list, got {doc[name]!r}")
-    seeds = [_integer(s, "seeds") for s in doc.get("seeds", [default_seed])]
-    scales = [_number(s, "noise_scales")
+    seeds = [jsonio.integer(s, "seeds")
+             for s in doc.get("seeds", [default_seed])]
+    scales = [jsonio.number(s, "noise_scales")
               for s in doc.get("noise_scales", [1.0])]
     if not seeds or min(seeds) < 0:
         raise ConfigError("seeds: need a nonempty list of nonnegative integers")
@@ -242,9 +242,8 @@ def cmd_sweep(args):
     failures = 0
     for scale in scales:
         for seed in seeds:
-            noise = replace(cfg.noise.scaled(scale),
-                            seed=seed + NOISE_SEED_OFFSET)
-            run_cfg = replace(cfg, seed=seed, noise=noise)
+            run_cfg = reseeded(replace(cfg, noise=cfg.noise.scaled(scale)),
+                               seed)
             try:
                 dataset = _simulate(run_cfg)
                 recon = _solve(dataset, run_cfg.solver)

@@ -2,20 +2,20 @@
 
 The dataclasses are the schema. The fields of RunConfig, and of the
 NoiseSpec and SolverOptions in its noise and solver sections, are the
-allowed keys; each field's declared type picks its parser (float, int,
-an [order, window] tuple, or a str that validate() checks), and a key
-the document leaves out keeps its default. Unknown keys are rejected by
-name so typos in sweep studies fail loudly instead of silently falling
-back to defaults. The writer is dataclasses.asdict, except that a
-config file holds flow_filter as {"order", "window"}.
+allowed keys, read and written by jsonio's one reader and writer: each
+field's declared type picks its parser (float, int, an [order, window]
+tuple, or a str that validate() checks), and a key the document leaves
+out keeps its default. Unknown keys are rejected by name so typos in
+sweep studies fail loudly instead of silently falling back to defaults.
+A config file holds flow_filter as {"order", "window"}.
 """
 
 import math
-from dataclasses import asdict, dataclass, field, fields
-from functools import partial
+from dataclasses import dataclass, field, fields, replace
 
 from .derivatives import check_filter_spec
 from .errors import BadFilterSpec, ConfigError
+from .jsonio import from_json, integer, json_object, to_json
 from .simulate import NoiseSpec
 from .solver import SolverOptions
 
@@ -110,97 +110,38 @@ class RunConfig:
         return self
 
 
-def _object(d, allowed, where, required=()):
-    """d itself, once it is a JSON object with no key outside allowed and
-    every key of required."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}: must be a JSON object, not "
-                          f"{type(d).__name__}")
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"{where}: unknown field {key!r}")
-    for key in required:
-        if key not in d:
-            raise ConfigError(f"{where}: missing field {key!r}")
-    return d
-
-
-def _number(value, name):
-    """A JSON number as a float; not a string, a boolean or null."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ConfigError(f"{name}: must be a number, got {value!r}")
-
-
-def _integer(value, name):
-    """An integral JSON number (5 or 5.0) as an int; 5.5 is rejected, not
-    truncated."""
-    if (isinstance(value, int) and not isinstance(value, bool)
-            or isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise ConfigError(f"{name}: must be an integer, got {value!r}")
-
-
-def _pair(value, name):
-    """An [order, window] filter spec as a tuple of two ints."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{name}: need [order, window], got {value!r}")
-    return tuple(_integer(v, name) for v in value)
-
-
-_PARSERS = {float: _number, int: _integer, tuple: _pair,
-            str: lambda value, name: value}  # validate() checks a str
-
-
-def _parse(cls, d, path=None):
-    """The dataclass cls of the JSON object d, whose keys are field names
-    of cls. Each value is parsed by its field's declared type; a nested
-    dataclass recurses with its field path (path.name) as the prefix of
-    its error messages, and a field d leaves out keeps its default. path
-    None is the top level of a config: bare field names."""
-    _object(d, {f.name for f in fields(cls)}, path or "config")
-    values = {}
-    for f in fields(cls):
-        if f.name in d:
-            parse = _PARSERS.get(f.type) or partial(_parse, f.type)
-            values[f.name] = parse(d[f.name],
-                                   f"{path}.{f.name}" if path else f.name)
-    return cls(**values)
-
-
 def options_from_dict(d):
     """SolverOptions of a solver-options JSON object; every error is a
     ConfigError that names options.<field>."""
-    opts = _parse(SolverOptions, d, "options")
-    try:
-        opts.validate()
-    except ValueError as err:
-        raise ConfigError(f"options: {err}") from err
-    return opts
+    return from_json(SolverOptions, d, "options", "options")
 
 
 def config_from_dict(d):
-    doc = dict(_object(d, {"schema_version", *(f.name for f in
-                                               fields(RunConfig))}, "config"))
+    doc = dict(json_object(d, {"schema_version", *(
+        f.name for f in fields(RunConfig))}, "config"))
     version = doc.pop("schema_version", CONFIG_SCHEMA_VERSION)
-    if _integer(version, "schema_version") != CONFIG_SCHEMA_VERSION:
+    if integer(version, "schema_version") != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"schema_version: unsupported value {version!r}")
     if "flow_filter" in doc:
-        ff = _object(doc["flow_filter"], {"order", "window"}, "flow_filter")
+        ff = json_object(doc["flow_filter"], {"order", "window"},
+                         "flow_filter")
         if len(ff) != 2:
             raise ConfigError("flow_filter: need order and window")
-        doc["flow_filter"] = [_integer(ff[key], f"flow_filter.{key}")
+        doc["flow_filter"] = [integer(ff[key], f"flow_filter.{key}")
                               for key in ("order", "window")]
-    return _parse(RunConfig, doc).validate()
+    return from_json(RunConfig, doc, "config", defaults=True).validate()
 
 
 def config_to_dict(cfg):
     order, window = cfg.flow_filter
-    return {"schema_version": CONFIG_SCHEMA_VERSION, **asdict(cfg),
+    return {"schema_version": CONFIG_SCHEMA_VERSION, **to_json(cfg),
             "flow_filter": {"order": order, "window": window}}
+
+
+def reseeded(cfg, seed):
+    """cfg run with seed, its noise drawn with seed + NOISE_SEED_OFFSET."""
+    return replace(cfg, seed=seed,
+                   noise=replace(cfg.noise, seed=seed + NOISE_SEED_OFFSET))
 
 
 def reference_config(seed=0):
@@ -215,9 +156,6 @@ def reference_noise_config(seed=0):
     physically meaningful pipeline); an 11-tap quadratic filter keeps the
     derivative noise amplification manageable at 30 Hz.
     """
-    cfg = RunConfig(seed=seed,
-                    noise=NoiseSpec(seed=seed + NOISE_SEED_OFFSET,
-                                    **REFERENCE_NOISE),
-                    flow_mode="numeric",
+    cfg = RunConfig(noise=NoiseSpec(**REFERENCE_NOISE), flow_mode="numeric",
                     flow_filter=(2, 11))
-    return cfg.validate()
+    return reseeded(cfg, seed).validate()

@@ -1,23 +1,23 @@
-"""Deterministic JSON/CSV serialization for datasets and results.
+"""Deterministic JSON/CSV serialization, and the one reader and writer of
+the dataclass documents.
 
 Floats are printed with 17 significant digits (lossless for IEEE-754
 doubles), so identical inputs produce byte-identical files. Line endings
 are LF everywhere. Each array, frame table and CSV table is printed by
 one printf template with one % over a flat tuple of its values, in full
-before its file is opened.
+before its file is opened. The fields of a dataclass are its document's
+schema: from_json reads every document into one, and to_json writes it.
 """
 
 import json
-from dataclasses import asdict, fields
+from dataclasses import MISSING, fields, is_dataclass
 from functools import lru_cache
 from itertools import chain, compress, repeat
 
 import numpy as np
 
-from .config import _PARSERS, _integer, _number, _object, options_from_dict
 from .errors import ConfigError, DimensionMismatch, NonFiniteInput
-from .simulate import (Dataset, MeasurementSet, NoiseSpec, Scene, Trajectory,
-                       check_shape)
+from .simulate import Dataset, MeasurementSet, Trajectory, check_shape
 from .solver import Reconstruction, SolverOptions
 
 SCHEMA_VERSION = 1
@@ -120,6 +120,56 @@ def write_csv(path, header, rows):
         fh.write(text)
 
 
+def json_object(d, allowed, where, required=()):
+    """d itself, once it is a JSON object with no key outside allowed and
+    every key of required."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: must be a JSON object, not "
+                          f"{type(d).__name__}")
+    for key in d:
+        if key not in allowed:
+            raise ConfigError(f"{where}: unknown field {key!r}")
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"{where}: missing field {key!r}")
+    return d
+
+
+def number(value, name):
+    """A JSON number as a float; not a string, a boolean or null."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{name}: must be a number, got {value!r}")
+
+
+def integer(value, name):
+    """An integral JSON number (5 or 5.0) as an int; 5.5 is rejected, not
+    truncated."""
+    if (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ConfigError(f"{name}: must be an integer, got {value!r}")
+
+
+def _pair(value, name):
+    """An [order, window] filter spec as a tuple of two ints."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{name}: need [order, window], got {value!r}")
+    return tuple(integer(v, name) for v in value)
+
+
+# the reader of a field by its declared type; validate() checks a str, and
+# a dict (the residuals) holds numbers
+_PARSERS = {float: number, int: integer, tuple: _pair,
+            str: lambda value, name: value,
+            dict: lambda value, name: {
+                k: number(v, f"{name}.{k}")
+                for k, v in json_object(value, value, name).items()}}
+
+
 def _array(value, dims, name, sizes, finite):
     """value as a float array: nested lists of JSON numbers (no str, bool
     or null) of shape dims by check_shape, a trailing (3, 3) written as 9."""
@@ -139,16 +189,23 @@ def _array(value, dims, name, sizes, finite):
     return a if written == dims else a.reshape(*a.shape[:-1], 3, 3)
 
 
-def _read(cls, d, path, sizes, **given):
-    """The cls of the JSON object d, keyed by the fields of cls but given;
-    only one defaulting to None may be missing. An array field goes
-    through _array, with one F and P per document in sizes, and must be
-    finite unless it is a measurement (validate() checks those). path
-    prefixes the names in messages; None is the top of a document."""
+def from_json(cls, d, where, path="", defaults=False, sizes=None, **given):
+    """The cls of the JSON object d, keyed by the fields of cls but those
+    given (the t_s a document holds once, at its top). A field left out
+    keeps its default if defaults (configs; a SolverOptions always), else
+    only one defaulting to None may be left out. Each value is read by its
+    field's type: an array by its shape, one F and P per document in
+    sizes, finite unless a measurement (validate() checks those); a
+    nested dataclass by this reader. where names d in messages, a field
+    is path.name (name if path is ""). A SolverOptions is validated as it
+    is read."""
+    defaults = defaults or cls is SolverOptions
+    sizes = {} if sizes is None else sizes
     own = [f for f in fields(cls) if f.name not in given]
-    _object(d, {f.name for f in own}, path or cls.__name__.lower(),
-            [f.name for f in own if f.default is not None])
-    values = dict(given)
+    json_object(d, {f.name for f in own}, where, [
+        f.name for f in own if f.default is not None and not defaults
+        or f.default is f.default_factory is MISSING])
+    values = {f.name: given[f.name] for f in fields(cls) if f.name in given}
     for f in (f for f in own if f.name in d):
         value, name = d[f.name], f"{path}.{f.name}" if path else f.name
         if "shape" in f.metadata:
@@ -156,21 +213,34 @@ def _read(cls, d, path, sizes, **given):
                            cls is not MeasurementSet)
         elif f.type in _PARSERS:
             value = _PARSERS[f.type](value, name)
-        elif f.type is dict:  # the residuals
-            value = {k: _number(v, f"{name}.{k}")
-                     for k, v in _object(value, value, name).items()}
-        elif f.type is SolverOptions:
-            value = options_from_dict(value)
-        else:  # a dataset writes its scene as the points, t_s at its top
-            if f.type is Scene:
-                value = {"points": value}
-            if f.type is Trajectory:
-                value = _frame_columns(value, name)
-            t_s = ({"t_s": values["t_s"]}
-                   if f.type in (Trajectory, MeasurementSet) else {})
-            value = _read(f.type, value, name, sizes, **t_s)
+        else:  # a nested dataclass, handed the document's t_s
+            value = from_json(f.type, value, name, name, defaults, sizes, **{
+                k: values[k] for k in {"t_s"} & values.keys()})
         values[f.name] = value
-    return cls(**values)
+    obj = cls(**values)
+    if cls is SolverOptions:
+        try:
+            obj.validate()
+        except ValueError as err:
+            raise ConfigError(f"{where}: {err}") from err
+    return obj
+
+
+def to_json(obj, given=()):
+    """The JSON object of the dataclass obj, the mirror of from_json: its
+    fields but those given and those that are None, a (..., 3, 3) array as
+    (..., 9), a nested dataclass without the t_s that obj holds."""
+    doc = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.name in given or value is None:
+            continue
+        if f.metadata.get("shape", ())[-2:] == (3, 3):
+            value = np.reshape(value, np.shape(value)[:-2] + (9,))
+        elif is_dataclass(value):
+            value = to_json(value, {"t_s"} & vars(obj).keys())
+        doc[f.name] = value
+    return doc
 
 
 def _frame_columns(records, name):
@@ -181,52 +251,39 @@ def _frame_columns(records, name):
     if not isinstance(records, list):
         raise ConfigError(f"{name}: must be a JSON array of frames")
     for i, record in enumerate(records):
-        _object(record, keys, f"{name}[{i}]", keys)
+        json_object(record, keys, f"{name}[{i}]", keys)
     return {field: [r[key] for r in records] for key, field in keys.items()}
 
 
 def dataset_to_dict(ds):
-    """The dataset document; its "trajectory" entry is written by dumps."""
-    traj = ds.trajectory
-    frames = _FrameRecords({"R": traj.rotations.reshape(-1, 9), "T": traj.T,
-                            "dT": traj.dT, "ddT": traj.ddT,
-                            "omega": traj.omega, "domega": traj.domega})
-    meas = ds.measurements
-    mdict = {f.name: getattr(meas, f.name) for f in fields(meas)
-             if "shape" in f.metadata and getattr(meas, f.name) is not None}
-    if meas.inertia is not None:
-        mdict["inertia"] = np.asarray(meas.inertia).reshape(9)
-    return {"schema_version": SCHEMA_VERSION,
-            "t_s": float(ds.t_s),
-            "gravity": ds.gravity,
-            "scene": ds.scene.points,
-            "trajectory": frames,
-            "measurements": mdict,
-            "noise_spec": asdict(ds.noise_spec),
-            "seed": int(ds.seed)}
+    """The dataset document: the scene as its points, the trajectory as
+    one record per frame (written by dumps)."""
+    doc = to_json(ds)
+    frames = {("R" if k == "rotations" else k): v
+              for k, v in doc["trajectory"].items()}
+    return {"schema_version": SCHEMA_VERSION, **doc,
+            "scene": doc["scene"]["points"],
+            "trajectory": _FrameRecords(frames)}
 
 
 def dataset_from_dict(d):
-    doc = dict(_object(d, d, "dataset", ["schema_version"]))
+    doc = dict(json_object(d, d, "dataset", ["schema_version"]))
     version = doc.pop("schema_version")
-    if _integer(version, "schema_version") != SCHEMA_VERSION:
+    if integer(version, "schema_version") != SCHEMA_VERSION:
         raise DimensionMismatch(f"unsupported schema_version {version!r}")
-    return _read(Dataset, doc, None, {})
+    if "scene" in doc:
+        doc["scene"] = {"points": doc["scene"]}
+    if "trajectory" in doc:
+        doc["trajectory"] = _frame_columns(doc["trajectory"], "trajectory")
+    return from_json(Dataset, doc, "dataset")
 
 
 def reconstruction_to_dict(recon):
-    return {
-        "rotations": recon.rotations.reshape(-1, 9),
-        "tau": recon.tau,
-        "nu": recon.nu,
-        "gravity": recon.gravity,
-        "structure": recon.structure,
-        "residuals": {k: float(v) for k, v in recon.residuals.items()},
-        "options": asdict(recon.options)}
+    return to_json(recon)
 
 
 def reconstruction_from_dict(d):
-    return _read(Reconstruction, d, None, {})
+    return from_json(Reconstruction, d, "reconstruction")
 
 
 def report_to_dict(report, extra=None):

@@ -137,10 +137,10 @@ def project_to_so3(A):
     DegenerateMatrix when any smallest singular value is <= 1e-12 (nearest
     rotation not unique).
     """
-    return _rotation_from_svd(*np.linalg.svd(np.asarray(A, dtype=float)))
+    return rotation_from_svd(*np.linalg.svd(np.asarray(A, dtype=float)))
 
 
-def _rotation_from_svd(U, s, Vt):
+def rotation_from_svd(U, s, Vt):
     """project_to_so3 of the matrices whose SVD stack is (U, s, Vt)."""
     if np.any(s[..., -1] <= 1e-12):
         raise DegenerateMatrix("smallest singular value below 1e-12")

@@ -447,7 +447,7 @@ def extract_rotations_structure(M2, K_upg, St_rows, reflection="auto",
                  "auto": [False, True]}[reflection]:
         if flip:
             Vt, structure = Vt * mirror, structure * mirror
-        rotations = so3._rotation_from_svd(U, s, Vt).transpose(0, 2, 1)
+        rotations = so3.rotation_from_svd(U, s, Vt).transpose(0, 2, 1)
         candidates.append((np.ascontiguousarray(rotations), structure))
     if len(candidates) == 1:
         return candidates[0]

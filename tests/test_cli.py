@@ -736,6 +736,23 @@ def test_example_config_unwritable_out_is_io_error(tmp_path, capfd):
 
 
 @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_seed_override_reseeds_the_noise(command, tmp_path):
+    # --seed N runs the config as sweep runs seed N, its noise drawn with
+    # seed N + NOISE_SEED_OFFSET, so it writes the dataset of the config
+    # that holds seed N
+    datasets = []
+    for seed, override in ((0, ["--seed", 3]), (3, [])):
+        path = tmp_path / f"config{seed}.json"
+        jsonio.write_json(path, config_to_dict(reference_noise_config(seed)))
+        out = tmp_path / f"out{seed}"
+        assert run_cli(command, "--config", path, "--out", out, *override,
+                       "--quiet") == 0
+        datasets.append((out / "dataset.json" if command == "pipeline"
+                         else out).read_bytes())
+    assert datasets[0] == datasets[1]
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
 def test_negative_seed_override_is_config_error(command, small_cfg_path,
                                                 tmp_path, capfd):
     out = tmp_path / "out"

@@ -1,6 +1,7 @@
 import functools
 import json
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +186,81 @@ def test_dataset_roundtrip_with_one_optional_series(drop):
     for name in ({"torque", "inertia"} - {drop}):
         assert np.array_equal(getattr(back, name),
                               getattr(ds.measurements, name))
+
+
+def _bits(value):
+    """The shape and the bytes of value as float64: equal for two values
+    that read the same bit for bit, -0.0 and 0.0 told apart."""
+    a = np.asarray(value, dtype=float)
+    return a.shape, a.tobytes()
+
+
+def _assert_same_fields(back, orig, path=""):
+    """Every field of the dataclass back, nested ones field by field, is
+    the same as orig's: arrays and numbers bit for bit, in their order."""
+    for f in fields(orig):
+        a, b = getattr(back, f.name), getattr(orig, f.name)
+        name = path + f.name
+        if is_dataclass(b):
+            _assert_same_fields(a, b, name + ".")
+        elif isinstance(b, dict):
+            assert list(a) == list(b), name
+            assert [_bits(v) for v in a.values()] == [
+                _bits(v) for v in b.values()], name
+        elif b is None or isinstance(b, str):
+            assert a == b, name
+        else:
+            assert _bits(a) == _bits(b), name
+
+
+def _assert_roundtrip(obj, to_dict, from_dict):
+    """obj written, read back and written again: every field the same, the
+    second document byte-identical to the first."""
+    text = jsonio.dumps(to_dict(obj))
+    back = from_dict(json.loads(text))
+    _assert_same_fields(back, obj)
+    assert jsonio.dumps(to_dict(back)) == text
+
+
+@pytest.mark.parametrize("drop", [(), ("torque",), ("inertia",),
+                                  ("torque", "inertia")])
+def test_dataset_roundtrip_of_every_field(drop):
+    ds = _dataset()
+    ds.measurements = replace(ds.measurements, **dict.fromkeys(drop))
+    assert all(getattr(ds.measurements, name) is not None
+               for name in {"torque", "inertia"} - set(drop))
+    _assert_roundtrip(ds, jsonio.dataset_to_dict, jsonio.dataset_from_dict)
+
+
+def test_reconstruction_roundtrip_of_every_field():
+    recon = reconstruct(_dataset().measurements,
+                        SolverOptions(lambda_R=2.0, reg_filter=(2, 5),
+                                      reflection_resolution="positive"))
+    _assert_roundtrip(recon, jsonio.reconstruction_to_dict,
+                      jsonio.reconstruction_from_dict)
+
+
+@pytest.mark.parametrize("cfg", [
+    reference_config(seed=3), reference_noise_config(seed=4),
+    RunConfig(duration=4.0, t_s=0.025, points=10, extent=3.0,
+              amp_trans=0.2, amp_rot=0.4,
+              noise=NoiseSpec(0.01, 0.02, 0.003, seed=5),
+              solver=SolverOptions(2.0, 3.0, 4.0, "numeric", (3, 7), (2, 5),
+                                   "positive"),
+              flow_mode="numeric", flow_filter=(3, 9), seed=7)],
+    ids=["noiseless", "noise", "every-field-changed"])
+def test_config_roundtrip_of_every_field(cfg):
+    _assert_roundtrip(cfg, config_to_dict, config_from_dict)
+
+
+@pytest.mark.parametrize("name, make", [
+    ("reference_noiseless", reference_config),
+    ("reference_noise", reference_noise_config)])
+def test_shipped_configs_are_the_writers_output(name, make, tmp_path):
+    path = tmp_path / "config.json"
+    jsonio.write_json(path, config_to_dict(make()))
+    shipped = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    assert shipped.read_bytes() == path.read_bytes()
 
 
 @functools.cache

@@ -64,3 +64,32 @@ def test_no_import_inside_a_function_or_class():
                 nested += [f"{path.name}:{n.lineno}" for n in ast.walk(stmt)
                            if isinstance(n, (ast.Import, ast.ImportFrom))]
     assert nested == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_reads_another_modules_private_name():
+    # a leading underscore keeps a name to its module: another module that
+    # imports it, or reads it as an attribute of an imported name, leans
+    # on what its owner may change freely, so a shared name is public
+    reads = []
+    for path in SOURCES:
+        tree = _tree(path)
+        imported = set()
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Import, ast.ImportFrom)):
+                for alias in n.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.add(name)
+                    if isinstance(n, ast.ImportFrom) and _private(alias.name):
+                        reads.append(f"{path.name}:{n.lineno} {alias.name}")
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and _private(n.attr):
+                root = n.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if getattr(root, "id", None) in imported:
+                    reads.append(f"{path.name}:{n.lineno} {n.attr}")
+    assert reads == []
