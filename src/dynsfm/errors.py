@@ -66,7 +66,7 @@ class DimensionMismatch(DynSfmError):
 
 
 class NonFiniteInput(DynSfmError):
-    """An input array holds a NaN or an infinity."""
+    """An input array holds a NaN, an infinity or a value that overflows."""
 
 
 class NumericalFailure(DynSfmError):

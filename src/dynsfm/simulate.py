@@ -149,9 +149,9 @@ class MeasurementSet:
         and at least MIN_SAMPLE_INTERVAL; for each array present,
         LengthMismatch unless it has the shape its field declares
         (shaped), with one F and one P, and NonFiniteInput if it holds a
-        NaN or an infinity; BadSampling if the gyro turns
-        MAX_SAMPLE_ROTATION or more in one sample. Inertia definiteness is
-        checked where it is used (euler_omega_dot)."""
+        NaN, an infinity or (an image band) a value that overflows W's
+        Gram; BadSampling if the gyro turns MAX_SAMPLE_ROTATION or more in
+        one sample. Inertia definiteness is checked in euler_omega_dot."""
         t_s = self.t_s
         if not isinstance(t_s, numbers.Real) or isinstance(t_s, bool):
             raise BadSampling(f"t_s must be a number, got {t_s!r}")
@@ -167,6 +167,15 @@ class MeasurementSet:
                 check_shape(f.name, np.shape(value), dims, sizes)
                 if not np.isfinite(value).all():
                     raise NonFiniteInput(f"{f.name} holds a non-finite value")
+                if dims == ("F", "P", 2):  # an image band, a third of W
+                    # factor_rank4's Gram of the 6F x P W, and its products
+                    # with unit vectors, are at most |W|_F^2 <= 6FP max|x|^2:
+                    # under half the float range, with a margin for rounding
+                    bound = np.sqrt(np.finfo(float).max / 12
+                                    / max(sizes["F"] * sizes["P"], 1))
+                    if np.abs(value).max(initial=0.0) >= bound:
+                        raise NonFiniteInput(f"{f.name} reaches {bound:.3g}, "
+                                             "where W's Gram overflows")
         with np.errstate(over="ignore"):  # an overflow is above the bound
             turn = np.hypot.reduce(self.gyro, axis=1).max(initial=0.0) * t_s
         if turn >= MAX_SAMPLE_ROTATION:
@@ -306,21 +315,24 @@ def synthesize_images(trajectory, scene, gravity=DEFAULT_GRAVITY):
       x   = P (R^T X - tau)
       dx  = P (-W1 R^T X + W1 tau - nu)
       ddx = P (W2 (R^T X - tau) + 2 W1 nu - a_imu + R^T g)
-    where P drops the third coordinate.
+    where P drops the third coordinate (it takes the first two).
     """
-    R = trajectory.rotations
-    tau = body_translation(trajectory)
+    RX, tau, tracks = _tracks(trajectory, scene)
     nu = body_velocity(trajectory)
     _, accel = synthesize_imu(trajectory, gravity)
     W1, W2 = so3.rate_blocks(trajectory.omega, trajectory.domega)
-    RX = scene.points @ R  # (F, P, 3), rows are R_f^T X_p
     offset1 = so3.matvec(W1, tau) - nu
     offset2 = (so3.matvec(-W2, tau) + so3.matvec(2.0 * W1, nu) - accel
-               + so3.matvec(R.transpose(0, 2, 1), gravity))
-    tracks = (RX - tau[:, None]) @ PROJECTOR.T
-    flows = (-(RX @ W1.transpose(0, 2, 1)) + offset1[:, None]) @ PROJECTOR.T
-    dflows = ((RX @ W2.transpose(0, 2, 1)) + offset2[:, None]) @ PROJECTOR.T
+               + so3.matvec(trajectory.rotations.transpose(0, 2, 1), gravity))
+    flows = (-(RX @ W1.transpose(0, 2, 1)) + offset1[:, None])[..., :2]
+    dflows = ((RX @ W2.transpose(0, 2, 1)) + offset2[:, None])[..., :2]
     return tracks, flows, dflows
+
+
+def _tracks(trajectory, scene):
+    """R_f^T X_p (F, P, 3), tau and the tracks P (R^T X - tau)."""
+    RX, tau = scene.points @ trajectory.rotations, body_translation(trajectory)
+    return RX, tau, (RX - tau[:, None])[..., :2]
 
 
 def torque_for_trajectory(trajectory, inertia=DEFAULT_INERTIA):
@@ -344,19 +356,20 @@ def add_noise(measurements, spec, flow_mode="analytic",
     """
     rng = np.random.default_rng(spec.seed)
     t_s = measurements.t_s
-    gyro = measurements.gyro + rng.normal(0.0, 1.0, measurements.gyro.shape) * spec.gyro_std
-    accel = measurements.accel + rng.normal(0.0, 1.0, measurements.accel.shape) * spec.accel_std
+    normal = rng.standard_normal
+    gyro = measurements.gyro + normal(measurements.gyro.shape) * spec.gyro_std
+    accel = measurements.accel + normal(measurements.accel.shape) * spec.accel_std
     img_std = spec.image_rel_std * np.abs(measurements.tracks).max(initial=0.0)
-    tracks = measurements.tracks + rng.normal(0.0, 1.0, measurements.tracks.shape) * img_std
+    tracks = measurements.tracks + normal(measurements.tracks.shape) * img_std
     if flow_mode == "numeric":
         if flow_filters is None:
             flow_filters = (savgol_filter(2, 5, 1), savgol_filter(2, 5, 2))
         flows, dflows = differentiate_tracks(tracks, t_s, *flow_filters)
     elif flow_mode == "analytic":
-        flows = measurements.flows + rng.normal(
-            0.0, 1.0, measurements.flows.shape) * (img_std / t_s)
-        dflows = measurements.double_flows + rng.normal(
-            0.0, 1.0, measurements.double_flows.shape) * (img_std / t_s ** 2)
+        flows = measurements.flows + normal(
+            measurements.flows.shape) * (img_std / t_s)
+        dflows = measurements.double_flows + normal(
+            measurements.double_flows.shape) * (img_std / t_s ** 2)
     else:
         raise ValueError(f"unknown flow mode {flow_mode!r}")
     return replace(measurements, tracks=tracks, flows=flows,
@@ -374,7 +387,10 @@ def simulate_dataset(duration, t_s, n_points, extent, amp_trans, amp_rot,
     trajectory = generate_trajectory(duration, t_s, amp_trans, amp_rot,
                                      seed + 1)
     gyro, accel = synthesize_imu(trajectory, gravity)
-    tracks, flows, dflows = synthesize_images(trajectory, scene, gravity)
+    if flow_mode == "numeric":  # add_noise differentiates the noisy tracks
+        tracks, flows, dflows = _tracks(trajectory, scene)[2], None, None
+    else:
+        tracks, flows, dflows = synthesize_images(trajectory, scene, gravity)
     torque = torque_for_trajectory(trajectory, inertia)
     clean = MeasurementSet(t_s=t_s, tracks=tracks, flows=flows,
                            double_flows=dflows, gyro=gyro, accel=accel,

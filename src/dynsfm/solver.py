@@ -4,10 +4,10 @@ inertial measurements.
 The stacked measurement matrix W (tracks, flows, double flows) admits an
 exact decomposition W = C M S + m 1^T where C depends only on the gyro
 readings and their rates, M stacks the transposed rotations, S holds the
-structure and m the translation-dependent terms. Recovery proceeds in five
-closed-form stages: rank-4 factorization, similarity fix, centering,
-rotation recovery with metric upgrade, and a final linear solve for the
-body-frame translations, velocities and the gravity vector.
+structure and m the translation-dependent terms. Recovery proceeds in four
+closed-form steps: rank-4 factorization, the affine gauge (similarity fix
+and centering), rotation recovery with metric upgrade, and a final linear
+solve for the body-frame translations, velocities and the gravity vector.
 """
 
 import math
@@ -249,10 +249,11 @@ def _deflate(r, Q):
 
 
 def fix_similarity(Mt, St):
-    """Normalize the factorization so the last row of St is ~ 1^T.
+    """Put the factors in the affine gauge; returns (Mt', St', m_hat).
 
-    Solves k^T St = 1^T in least squares and applies the similarity
-    transform K = [[I, 0], [k^T]] (and its inverse) to the factors.
+    Applies the similarity K = [[I, 0], [k^T]], k^T St = 1^T in least
+    squares, then the shift c with mean(St[:3] - c St[3]) = 0 per row,
+    which zeroes the structure centroid; m_hat is the fourth column of Mt'.
     """
     P = St.shape[1]
     k = lstsq_checked(St.T, np.ones(P), "fix_similarity")
@@ -260,24 +261,12 @@ def fix_similarity(Mt, St):
         raise SingularTransform("similarity transform is singular")
     K = np.eye(4)
     K[3] = k
-    return Mt @ np.linalg.inv(K), K @ St
-
-
-def center_structure(Mt, St):
-    """Shift the reconstruction so the structure centroid is exactly zero.
-
-    The shift c solves mean(St[:3] - c * St[3]) = 0 per row, which reduces
-    to the plain row mean when the last row of St is exactly ones. Returns
-    (Mt'', St'', m_hat) with m_hat the fourth column of Mt''.
-    """
+    Mt, St = Mt @ np.linalg.inv(K), K @ St
     c = St[:3].mean(axis=1) / St[3].mean()
-    K = np.eye(4)
-    K[:3, 3] = -c
-    Kinv = np.eye(4)
-    Kinv[:3, 3] = c
-    Mt2 = Mt @ Kinv
-    St2 = K @ St
-    return Mt2, St2, Mt2[:, 3].copy()
+    K, Kinv = np.eye(4), np.eye(4)
+    K[:3, 3], Kinv[:3, 3] = -c, c
+    Mt = Mt @ Kinv
+    return Mt, K @ St, Mt[:, 3].copy()
 
 
 def rotation_regularizer(omega, domega, t_s):
@@ -588,7 +577,7 @@ class _TranslationRows:
 
 
 def recover_translations(m_hat, rotations, omega, domega, accel, t_s,
-                         lambda_tau, lambda_nu, reg_filter=None):
+                         lambda_tau, lambda_nu, reg_filter):
     """Linear solve for body translations, velocities and gravity.
 
     Data rows restate the three bands of the translation vector m with
@@ -600,32 +589,30 @@ def recover_translations(m_hat, rotations, omega, domega, accel, t_s,
         D(R tau)_f - R_f nu_f          = 0
         D(R nu)_f + g                  = R_f a_imu_f
 
-    with D the filter derivative. The rows (_TranslationRows) span one
-    frame (data) or one filter window (regularizer) of the per-frame
-    unknowns (tau_f, nu_f), with gravity as a 3-column border. Their
-    normal equations are built in closed form from the rotations and the
-    taps, and banded.solve_normal solves them in O(F).
+    with D the first-derivative filter of the (order, window) spec
+    reg_filter, built here (SeriesTooShort for a window longer than F).
+    The rows (_TranslationRows) span one frame (data) or one filter window
+    (regularizer) of the per-frame unknowns (tau_f, nu_f), with gravity as
+    a 3-column border. Their normal equations are built in closed form
+    from the rotations and the taps, and banded.solve_normal solves them
+    in O(F).
 
     Returns (tau, nu, gravity, info): info["residual"] is the norm of the
     stacked residual, data and regularizer rows; "cond" and
     "normal_ratio" are as in recover_rotation_blocks. Raises
     RankDeficient when the normal matrix is not numerically positive
-    definite (no filter window fits, or an exact null family such as
-    static hover). A condition estimate above COND_LIMIT raises an
-    IllConditionedWarning and the banded solution is returned: its
-    weakly observable components (depth at near-zero rotation rate) are
-    not recovered.
+    definite (an exact null family such as static hover). A condition
+    estimate above COND_LIMIT raises an IllConditionedWarning and the
+    banded solution is returned: its weakly observable components (depth
+    at near-zero rotation rate) are not recovered.
     """
     F = len(rotations)
     if not (len(omega) == len(domega) == len(accel) == F):
         raise LengthMismatch("series lengths differ")
-    if reg_filter is None:
-        reg_filter = savgol_filter(1, 3, 1)
+    taps = _filter("reg_filter", reg_filter, F).taps
     rows = _TranslationRows(m_hat, np.asarray(rotations), omega, domega,
-                            accel, reg_filter.taps / t_s, np.sqrt(lambda_tau),
+                            accel, taps / t_s, np.sqrt(lambda_tau),
                             np.sqrt(lambda_nu))
-    if rows.n == 0:  # 6 F data rows for 6 F + 3 unknowns
-        raise RankDeficient("normal matrix is not positive definite")
     try:
         normal = rows.normal_equations()
         z, g, cond = banded.solve_normal(*normal)
@@ -705,9 +692,9 @@ def _stage(name, fn, *args, **kwargs):
 
 
 def reconstruct(measurements, options=None):
-    """Run the full five-stage closed-form recovery on a measurement set.
+    """Run the full closed-form recovery on a measurement set.
 
-    Its eleven stages, validate (MeasurementSet.validate, the input
+    Its ten stages, validate (MeasurementSet.validate, the input
     contract) to recover_translations, each run through _stage, which
     prefixes a failure with the stage name and raises NumericalFailure on a
     LAPACK failure, an ArithmeticError or a non-finite array, scalar or
@@ -721,8 +708,7 @@ def reconstruct(measurements, options=None):
     domega = _stage("omega_dot", _omega_dot_for, measurements, options)
     C = _stage("assemble_C", assemble_C, omega, domega)
     Mt, St, sigma_ratio = _stage("factor_rank4", factor_rank4, W)
-    Mt, St = _stage("fix_similarity", fix_similarity, Mt, St)
-    Mt, St, m_hat = _stage("center_structure", center_structure, Mt, St)
+    Mt, St, m_hat = _stage("fix_similarity", fix_similarity, Mt, St)
     WS = W @ span_basis(St[:3])  # all that the reflection choice reads of W
     del W  # the linear stages peak above it
     M2, rot_info = _stage(
@@ -734,12 +720,10 @@ def reconstruct(measurements, options=None):
         K_upg, St[:3], reflection=options.reflection_resolution, WS=WS, C=C,
         m_hat=m_hat)
     del Mt, St, WS, C, M2  # unread from here on: the translation solve peaks
-    reg = _stage("recover_translations", _filter, "reg_filter",
-                 options.reg_filter, len(omega))
     tau, nu, gravity, tr_info = _stage(
         "recover_translations", recover_translations, m_hat, rotations,
         omega, domega, measurements.accel, measurements.t_s,
-        options.lambda_tau, options.lambda_nu, reg)
+        options.lambda_tau, options.lambda_nu, options.reg_filter)
     residuals = {
         "sigma_ratio": sigma_ratio, "rotation_lsq": rot_info["residual"],
         "rotation_cond": rot_info["cond"],

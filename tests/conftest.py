@@ -338,7 +338,7 @@ def fine_noiseless_stages():
     from dynsfm.simulate import (MeasurementSet, generate_scene,
                                  generate_trajectory, synthesize_images,
                                  synthesize_imu)
-    from dynsfm.solver import (assemble_C, assemble_W, center_structure,
+    from dynsfm.solver import (assemble_C, assemble_W,
                                extract_rotations_structure, factor_rank4,
                                fix_similarity, metric_upgrade,
                                recover_rotation_blocks, span_basis)
@@ -354,8 +354,7 @@ def fine_noiseless_stages():
     W = assemble_W(meas)
     C = assemble_C(traj.omega, traj.domega)
     Mt, St, sigma_ratio = factor_rank4(W)
-    Mt, St = fix_similarity(Mt, St)
-    Mt, St, m_hat = center_structure(Mt, St)
+    Mt, St, m_hat = fix_similarity(Mt, St)
     M2, rot_info = recover_rotation_blocks(Mt[:, :3], C, traj.omega,
                                            traj.domega, t_s, 1.0)
     K_upg, q_fit = metric_upgrade(M2)

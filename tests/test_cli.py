@@ -303,6 +303,37 @@ def test_solve_stops_non_finite_residual(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, field, scale", [
+    ("pipeline", "extent", 1e200), ("pipeline", "amp_trans", 1e160),
+    ("solve", "tracks", 1e300)])
+def test_extreme_image_bands_stop_at_validate(command, field, scale,
+                                              tmp_path):
+    # finite image bands large enough to overflow W's Gram in factor_rank4
+    # stop at [validate]: exit 4 with one error line, no numpy warning
+    # before it, and no file. A subprocess, as the suite turns numpy's
+    # RuntimeWarnings into exceptions.
+    if command == "pipeline":  # example-config's config, one field scaled
+        doc = config_to_dict(reference_config())
+        doc[field] *= scale
+        flag, out = "--config", tmp_path / "out"
+    else:  # the 1 s dataset, its tracks scaled
+        doc = _one_second_dataset_doc()
+        meas = doc["measurements"]
+        meas[field] = (np.array(meas[field]) * scale).tolist()
+        flag, out = "--dataset", tmp_path / "r.json"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dynsfm", command, flag, str(path), "--out",
+         str(out), "--quiet"], capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error: solver failed: [validate] ")
+    assert not out.exists()
+
+
 def test_eval_stops_non_finite_dead_reckoning(tmp_path):
     # accel x 1e200 is finite and passes validate, but the dead reckoning
     # overflows to inf: exit 5 naming the report value, not a traceback

@@ -1,10 +1,16 @@
 """The example scripts run end to end and write the files they document."""
 
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from dynsfm.derivatives import differentiate_tracks, savgol_filter
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+README = SCRIPTS.parent / "README.md"
 
 
 def run_script(name, out, cwd):
@@ -38,3 +44,20 @@ def test_noise_sweep_writes_aggregate(tmp_path):
     assert len(rows) == 21 and all(",ok," in row for row in rows[1:])
     assert lines[0] == "runs: 20"
     assert lines[-1] == f"aggregate table: {out / 'aggregate.csv'}"
+
+
+def test_readme_library_example_runs(capsys):
+    # the python block under "## Library example" runs as written, and its
+    # numeric flows are add_noise's default: quadratic 5-tap fits
+    section = README.read_text().split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    report, meas = namespace["report"], namespace["dataset"].measurements
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 1 and printed[0].startswith(f"{report.trans_rmse} ")
+    assert math.isfinite(report.trans_rmse)
+    filters = (savgol_filter(2, 5, 1), savgol_filter(2, 5, 2))
+    flows, dflows = differentiate_tracks(meas.tracks, meas.t_s, *filters)
+    assert np.array_equal(meas.flows, flows)
+    assert np.array_equal(meas.double_flows, dflows)

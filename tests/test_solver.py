@@ -14,7 +14,8 @@ from dynsfm.derivatives import savgol_filter
 from dynsfm.errors import (BadSampling, DynSfmError, IllConditionedWarning,
                            IndefiniteQ,
                            LengthMismatch, NumericalFailure, RankDeficient,
-                           SingularTransform, TooFewFramesOrPoints)
+                           SeriesTooShort, SingularTransform,
+                           TooFewFramesOrPoints)
 from dynsfm.simulate import (DEFAULT_GRAVITY, DEFAULT_INERTIA,
                              MeasurementSet, NoiseSpec, PROJECTOR, Scene,
                              add_noise, body_translation, body_velocity,
@@ -25,8 +26,7 @@ from dynsfm.config import (REFERENCE_NOISE, reference_config,
                            reference_noise_config)
 from dynsfm.solver import (COND_LIMIT, SolverOptions, _omega_dot_for,
                            _reflection_residual, _TranslationRows, assemble_C,
-                           assemble_W, center_structure,
-                           extract_rotations_structure, factor_rank4,
+                           assemble_W, extract_rotations_structure, factor_rank4,
                            fix_similarity, lstsq_checked, metric_upgrade,
                            reconstruct, recover_rotation_blocks,
                            rotation_regularizer, span_basis,
@@ -286,18 +286,22 @@ def test_factor_rank4_lanczos_is_repeatable(wide_scene_W):
 
 
 def test_fix_similarity_already_normalized():
+    # St's last row is exactly ones: the similarity is the identity and
+    # only the centering shift c moves the factors
     rng = np.random.default_rng(3)
     St = np.vstack([rng.normal(size=(3, 10)), np.ones(10)])
     Mt = rng.normal(size=(30, 4))
-    Mt2, St2 = fix_similarity(Mt, St)
-    assert np.allclose(Mt2, Mt, atol=1e-12)
-    assert np.allclose(St2, St, atol=1e-12)
+    Mt2, St2, _ = fix_similarity(Mt, St)
+    c = St[:3].mean(axis=1)
+    assert np.allclose(Mt2, Mt + np.outer(Mt[:, :3] @ c, [0, 0, 0, 1]),
+                       atol=1e-12)
+    assert np.allclose(St2, St - np.append(c, 0)[:, None], atol=1e-12)
 
 
 def test_fix_similarity_noiseless_last_row(reference_dataset):
     W = assemble_W(reference_dataset.measurements)
     Mt, St, _ = factor_rank4(W)
-    Mt2, St2 = fix_similarity(Mt, St)
+    Mt2, St2, _ = fix_similarity(Mt, St)
     assert np.abs(St2[3] - 1.0).max() < 1e-9
     assert (np.linalg.norm(Mt2 @ St2 - Mt @ St)
             / np.linalg.norm(Mt @ St) < 1e-12)
@@ -314,8 +318,8 @@ def test_fix_similarity_singular():
 
 def test_center_structure_properties(reference_dataset):
     W = assemble_W(reference_dataset.measurements)
-    Mt, St = fix_similarity(*factor_rank4(W)[:2])
-    Mt2, St2, m_hat = center_structure(Mt, St)
+    Mt, St, _ = factor_rank4(W)
+    Mt2, St2, m_hat = fix_similarity(Mt, St)
     assert np.linalg.norm(St2[:3].mean(axis=1)) < 1e-12
     assert (np.linalg.norm(Mt2 @ St2 - Mt @ St)
             / np.linalg.norm(Mt @ St) < 1e-12)
@@ -328,7 +332,7 @@ def test_center_structure_identity_when_centered():
     S3 -= S3.mean(axis=1, keepdims=True)
     St = np.vstack([S3, np.ones(12)])
     Mt = rng.normal(size=(18, 4))
-    Mt2, St2, m_hat = center_structure(Mt, St)
+    Mt2, St2, m_hat = fix_similarity(Mt, St)
     assert np.allclose(St2, St, atol=1e-12)
     assert np.allclose(Mt2, Mt, atol=1e-12)
 
@@ -336,7 +340,7 @@ def test_center_structure_identity_when_centered():
 def test_center_structure_recovers_translation_vector(reference_dataset):
     # the fourth column after centering is the true m, gauge-free
     W = assemble_W(reference_dataset.measurements)
-    _, _, m_hat = center_structure(*fix_similarity(*factor_rank4(W)[:2]))
+    _, _, m_hat = fix_similarity(*factor_rank4(W)[:2])
     _, _, _, m = ground_truth_factors(reference_dataset)
     assert np.abs(m_hat - m).max() < 1e-9
 
@@ -346,8 +350,7 @@ def _pipeline_to_rotations(dataset, lambda_R=1.0):
     traj = dataset.trajectory
     C = assemble_C(traj.omega, traj.domega)
     Mt, St, _ = factor_rank4(W)
-    Mt, St = fix_similarity(Mt, St)
-    Mt, St, m_hat = center_structure(Mt, St)
+    Mt, St, m_hat = fix_similarity(Mt, St)
     M2, info = recover_rotation_blocks(Mt[:, :3], C, traj.omega,
                                        traj.domega, dataset.t_s, lambda_R)
     return W, C, Mt, St, m_hat, M2, info
@@ -737,8 +740,7 @@ def _reflection_inputs(ds):
     W = assemble_W(meas)
     C = assemble_C(meas.gyro, domega)
     Mt, St, _ = factor_rank4(W)
-    Mt, St = fix_similarity(Mt, St)
-    Mt, St, m_hat = center_structure(Mt, St)
+    Mt, St, m_hat = fix_similarity(Mt, St)
     M2, _ = recover_rotation_blocks(Mt[:, :3], C, meas.gyro, domega,
                                     meas.t_s, 1.0)
     K, _ = metric_upgrade(M2)
@@ -820,7 +822,8 @@ def test_recover_translations_noiseless_true_rotations(reference_dataset):
     _, accel = synthesize_imu(traj, ds.gravity)
     _, _, _, m = ground_truth_factors(ds)
     tau_h, nu_h, g_h, info = recover_translations(
-        m, traj.rotations, traj.omega, traj.domega, accel, ds.t_s, 1.0, 1.0)
+        m, traj.rotations, traj.omega, traj.domega, accel, ds.t_s, 1.0, 1.0,
+        (1, 3))
     assert np.linalg.norm(tau_h - tau, axis=1).max() < 2e-5
     assert np.linalg.norm(nu_h - nu, axis=1).max() < 2e-5
     assert np.linalg.norm(g_h - ds.gravity) < 1e-5
@@ -857,7 +860,7 @@ def test_recover_translations_fine_sampling_hits_micro_accuracy():
     # the filter-consistency bias scales as t_s^2: a gently excited
     # 120 Hz instance recovers translations and gravity below 1e-6
     args, tau = translation_problem(fine_trajectory())
-    tau_h, nu_h, g_h, _ = recover_translations(*args)
+    tau_h, nu_h, g_h, _ = recover_translations(*args, (1, 3))
     assert np.linalg.norm(tau_h - tau, axis=1).max() < 1e-6
     assert np.linalg.norm(g_h - G) < 1e-6
 
@@ -870,7 +873,7 @@ def test_recover_translations_matches_dense_oracle(instance,
                                       reference_dataset.gravity)
     else:
         args, _ = translation_problem(fine_trajectory())
-    *estimate, info = recover_translations(*args)
+    *estimate, info = recover_translations(*args, (1, 3))
     assert info["cond"] <= COND_LIMIT  # the banded path ran
     for est, ref in zip(estimate, dense_translation_solution(args)):
         assert np.linalg.norm(est - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -883,7 +886,7 @@ def test_recover_translations_matches_dense_oracle_over_120hz_family(seed):
     # meets only by an instance's luck (cond(N) is 1.6e6 to 2.1e9 over
     # seeds 3-32, and the error 4e-12 to 4e-9)
     args, _ = translation_problem(fine_trajectory(seed))
-    *estimate, _ = recover_translations(*args)
+    *estimate, _ = recover_translations(*args, (1, 3))
     x, _, _, sv = np.linalg.lstsq(*translation_system(*args), rcond=None)
     cond = (sv[0] / sv[-1]) ** 2  # of N = A^T A
     error = np.concatenate([est.ravel() for est in estimate]) - x
@@ -893,17 +896,18 @@ def test_recover_translations_matches_dense_oracle_over_120hz_family(seed):
 
 @pytest.mark.parametrize("frames", [3, 2])
 def test_recover_translations_few_frames(frames, reference_dataset):
-    # F=3 leaves one filter center; F=2 none, so the system is
-    # underdetermined and the normal matrix singular
+    # F=3 leaves one filter center; F=2 none, so the stage refuses the
+    # window before it forms the underdetermined system
     args, _ = translation_problem(reference_dataset.trajectory,
                                   reference_dataset.gravity, frames)
     if frames == 2:
-        with pytest.raises(RankDeficient, match="not positive definite"):
-            recover_translations(*args)
+        with pytest.raises(SeriesTooShort, match="^reg_filter window 3 is "
+                           "longer than the 2 frames$"):
+            recover_translations(*args, (1, 3))
         return
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
-        *estimate, info = recover_translations(*args)
+        *estimate, info = recover_translations(*args, (1, 3))
         dense = dense_translation_solution(args)
     assert estimate[0].shape == (frames, 3)
     # the normal equations square the condition number of the system
@@ -915,13 +919,14 @@ def test_recover_translations_few_frames(frames, reference_dataset):
 @pytest.mark.parametrize("group_unknowns", [24, 30, 36, 48])
 def test_recover_translations_two_frames_rank_deficient_at_any_group_size(
         group_unknowns, reference_dataset, monkeypatch):
-    # F=2 gives 12 rows for 15 unknowns: singular in exact arithmetic,
-    # whatever the rounding of the factorization at this group size
+    # F=2 would give 12 rows for 15 unknowns: no group size factors it,
+    # as the stage refuses the window, which has no centre, first
     monkeypatch.setattr(banded, "GROUP_UNKNOWNS", group_unknowns)
     args, _ = translation_problem(reference_dataset.trajectory,
                                   reference_dataset.gravity, 2)
-    with pytest.raises(RankDeficient, match="not positive definite"):
-        recover_translations(*args)
+    with pytest.raises(SeriesTooShort, match="^reg_filter window 3 is "
+                       "longer than the 2 frames$"):
+        recover_translations(*args, (1, 3))
 
 
 def test_recover_translations_memory_is_linear():
@@ -930,7 +935,7 @@ def test_recover_translations_memory_is_linear():
     args, tau = translation_problem(traj)
     tracemalloc.start()
     try:
-        tau_h, _, _, _ = recover_translations(*args)
+        tau_h, _, _, _ = recover_translations(*args, (1, 3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1017,8 +1022,8 @@ def test_translation_normal_equations_match_block_rows(data):
         "F")
     weights = data.draw(st.tuples(*[st.sampled_from([0.3, 1.0, 2.5])] * 2),
                         "weights")
-    filt = savgol_filter(data.draw(st.sampled_from([1, 2]), "order"),
-                         window, 1)
+    order = data.draw(st.sampled_from([1, 2]), "order")
+    filt = savgol_filter(order, window, 1)
     t_s = data.draw(st.sampled_from([1 / 30, 1 / 240]), "t_s")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     R = so3.exp_so3(rng.normal(size=(F, 3)))
@@ -1032,7 +1037,7 @@ def test_translation_normal_equations_match_block_rows(data):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(banded, "solve_normal", capturing)
-        tau, nu, g, info = recover_translations(*args, reg_filter=filt)
+        tau, nu, g, info = recover_translations(*args, (order, window))
     data_rows, data_rhs, reg, reg_rhs = translation_blocks(*args, filt)
     blocks, rhs = [data_rows, reg], [data_rhs[..., None], reg_rhs[..., None]]
     expected = [*block_normal_matrix(F, s, 6, 3, blocks, [1, window]),
@@ -1089,7 +1094,8 @@ def test_recover_translations_static_hover():
     accel = np.tile(G, (F, 1))  # a_imu = R^T (0 + g) = g with R = I
     m = translation_vector(omega, domega, tau, np.zeros((F, 3)), accel, R, G)
     with pytest.raises(RankDeficient, match="not positive definite"):
-        recover_translations(m, R, omega, domega, accel, 1 / 30, 1.0, 1.0)
+        recover_translations(m, R, omega, domega, accel, 1 / 30, 1.0, 1.0,
+                             (1, 3))
 
 
 def test_recover_translations_slow_rotation_warns_and_keeps_lateral():
@@ -1111,7 +1117,7 @@ def test_recover_translations_slow_rotation_warns_and_keeps_lateral():
         [data, reg], [data_rhs[..., None], reg_rhs[..., None]], 6, 3)
     assert cond > COND_LIMIT
     with pytest.warns(IllConditionedWarning, match="not recovered"):
-        tau_h, nu_h, g_h, info = recover_translations(*args)
+        tau_h, nu_h, g_h, info = recover_translations(*args, (1, 3))
     assert np.abs(tau_h[:, :2] - tau[:, :2]).max() < 1e-5
     assert np.abs(nu_h[:, :2]).max() < 1e-5
     assert np.abs(g_h[:2] - G[:2]).max() < 1e-5
@@ -1194,14 +1200,13 @@ def test_reconstruct_annotates_stage():
         reconstruct(broken)
 
 
-# (stage name, owner, attribute) of the eleven reconstruct stages, in order
+# (stage name, owner, attribute) of the ten reconstruct stages, in order
 STAGES = [("validate", MeasurementSet, "validate"),
           ("assemble_W", solver, "assemble_W"),
           ("omega_dot", solver, "_omega_dot_for"),
           ("assemble_C", solver, "assemble_C"),
           ("factor_rank4", solver, "factor_rank4"),
           ("fix_similarity", solver, "fix_similarity"),
-          ("center_structure", solver, "center_structure"),
           ("recover_rotation_blocks", solver, "recover_rotation_blocks"),
           ("metric_upgrade", solver, "metric_upgrade"),
           ("extract_rotations_structure", solver,
@@ -1226,6 +1231,20 @@ def test_reconstruct_stage_failure_is_prefixed(stage, owner, attr, raised,
     with pytest.raises(expected, match=rf"^\[{stage}\] boom$") as info:
         reconstruct(reference_dataset.measurements)
     assert type(info.value) is expected
+
+
+def test_reconstruct_runs_the_stage_table(reference_dataset, monkeypatch):
+    # the names reconstruct hands _stage are STAGES' names, each once and
+    # in order: no stage runs twice or outside the table
+    names, stage = [], solver._stage
+
+    def recording(name, *args, **kwargs):
+        names.append(name)
+        return stage(name, *args, **kwargs)
+    monkeypatch.setattr(solver, "_stage", recording)
+    reconstruct(reference_dataset.measurements)
+    assert names == [name for name, _, _ in STAGES]
+    assert len(set(names)) == len(names) == 10
 
 
 @pytest.mark.parametrize("stage", ["fix_similarity", "metric_upgrade"])
