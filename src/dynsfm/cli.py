@@ -4,6 +4,7 @@ Exit codes: 0 success, 2 configuration, 3 I/O, 4 solver, 5 evaluation.
 """
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -66,14 +67,26 @@ def _load_config(path, seed_override=None):
     return cfg
 
 
+@contextlib.contextmanager
+def _phase(code, what):
+    """A CLI phase, run with numpy overflows and invalid operations raising:
+    a DynSfmError or an ArithmeticError exits code naming what failed."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (DynSfmError, ArithmeticError) as err:
+        raise _CliFailure(code, f"{what} failed: {err}")
+
+
 def _simulate(cfg):
     filters = (tuple(savgol_filter(*cfg.flow_filter, d) for d in (1, 2))
                if cfg.flow_mode == "numeric" else None)
-    return simulate_dataset(
-        duration=cfg.duration, t_s=cfg.t_s, n_points=cfg.points,
-        extent=cfg.extent, amp_trans=cfg.amp_trans, amp_rot=cfg.amp_rot,
-        seed=cfg.seed, noise=cfg.noise, flow_mode=cfg.flow_mode,
-        flow_filters=filters)
+    with _phase(EXIT_CONFIG, "simulation"):
+        return simulate_dataset(
+            duration=cfg.duration, t_s=cfg.t_s, n_points=cfg.points,
+            extent=cfg.extent, amp_trans=cfg.amp_trans, amp_rot=cfg.amp_rot,
+            seed=cfg.seed, noise=cfg.noise, flow_mode=cfg.flow_mode,
+            flow_filters=filters)
 
 
 def _write(path, obj):
@@ -104,33 +117,29 @@ def _eval_outputs(recon, dataset):
     measurements the dead reckoning reads are validated first, and a
     non-finite report value or table exits EXIT_EVAL naming it."""
     traj, scene = dataset.trajectory, dataset.scene
-    try:
-        dataset.measurements.validate()
-        report = evaluate(recon, traj, scene, dataset.gravity)
-    except DynSfmError as err:
-        raise _CliFailure(EXIT_EVAL, f"evaluation failed: {err}")
-    align = report.alignment
-    gt_log = so3.rotation_vector(traj.rotations)
-    est_log = so3.rotation_vector(align.rotation @ recon.rotations)
     meas = dataset.measurements
-    _, imu_T, _ = imu_dead_reckon(
-        meas.gyro, meas.accel, dataset.gravity,
-        (traj.rotations[0], traj.T[0], traj.dT[0]), dataset.t_s)
-    est_T = align.apply(recon.positions)
-    table = np.hstack([gt_log, est_log, traj.T, est_T, imu_T])
+    with _phase(EXIT_EVAL, "evaluation"):
+        meas.validate()
+        report = evaluate(recon, traj, scene, dataset.gravity)
+        align = report.alignment
+        gt_log = so3.rotation_vector(traj.rotations)
+        est_log = so3.rotation_vector(align.rotation @ recon.rotations)
+        _, imu_T, _ = imu_dead_reckon(
+            meas.gyro, meas.accel, dataset.gravity,
+            (traj.rotations[0], traj.T[0], traj.dT[0]), dataset.t_s)
+        est_T = align.apply(recon.positions)
+        table = np.hstack([gt_log, est_log, traj.T, est_T, imu_T])
+        struct_table = np.hstack([scene.points,
+                                  align.apply(recon.structure)])
+        report_dict = jsonio.report_to_dict(
+            report, extra={"dead_reckoning_terminal_rmse":
+                           terminal_rmse(imu_T, traj.T)})
     rows = [[f, f * dataset.t_s, *r] for f, r in enumerate(table.tolist())]
-    traj_header = ["frame", "t",
-                   "gt_logR_x", "gt_logR_y", "gt_logR_z",
-                   "est_logR_x", "est_logR_y", "est_logR_z",
-                   "gt_T_x", "gt_T_y", "gt_T_z",
-                   "est_T_x", "est_T_y", "est_T_z",
-                   "imu_T_x", "imu_T_y", "imu_T_z"]
-    struct_table = np.hstack([scene.points, align.apply(recon.structure)])
+    traj_header = ["frame", "t", *(
+        f"{column}_{axis}" for column in
+        ("gt_logR", "est_logR", "gt_T", "est_T", "imu_T") for axis in "xyz")]
     struct_header = ["point", "gt_x", "gt_y", "gt_z", "est_x", "est_y", "est_z"]
     struct_rows = [[p, *r] for p, r in enumerate(struct_table.tolist())]
-    report_dict = jsonio.report_to_dict(
-        report, extra={"dead_reckoning_terminal_rmse":
-                       terminal_rmse(imu_T, traj.T)})
     for name, value in [*report_dict.items(), ("trajectory table", table),
                         ("structure table", struct_table)]:
         if not np.isfinite(value).all():
@@ -274,6 +283,32 @@ def cmd_print_config(args):
     return 0
 
 
+# every flag, declared once; "out" writes a file, "out/" a directory
+_FLAGS = {
+    "config": {"required": True},
+    "dataset": {"required": True},
+    "recon": {"required": True},
+    "sweep": {"required": True, "help": "sweep spec JSON"},
+    "out": {"required": True},
+    "out/": {"required": True, "help": "output directory"},
+    "options": {"default": None, "help": "JSON file with solver options"},
+    "seed": {"type": int, "default": None, "help": "override the config seed"},
+    "quiet": {"action": "store_true", "help": "suppress the summary line"},
+}
+
+# (subcommand, help, its flags in --help order)
+_SUBCOMMANDS = [
+    ("simulate", "generate a dataset file", "config out seed quiet"),
+    ("solve", "reconstruct motion and structure", "dataset out options quiet"),
+    ("eval", "compare a reconstruction to ground truth",
+     "recon dataset out/ quiet"),
+    ("sweep", "run a seed/noise sweep", "config sweep out/ quiet"),
+    ("pipeline", "simulate, solve and eval in one go",
+     "config out/ seed quiet"),
+    ("example-config", "write the default config", "out"),
+]
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process."""
@@ -283,46 +318,10 @@ def build_parser():
                     "measurements: simulation, closed-form solver, "
                     "dead-reckoning baseline and evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress the summary line")
-
-    p = sub.add_parser("simulate", help="generate a dataset file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the config seed")
-    common(p)
-
-    p = sub.add_parser("solve", help="reconstruct motion and structure")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--options", default=None,
-                   help="JSON file with solver options")
-    common(p)
-
-    p = sub.add_parser("eval", help="compare a reconstruction to ground truth")
-    p.add_argument("--recon", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True, help="output directory")
-    common(p)
-
-    p = sub.add_parser("sweep", help="run a seed/noise sweep")
-    p.add_argument("--config", required=True)
-    p.add_argument("--sweep", required=True, help="sweep spec JSON")
-    p.add_argument("--out", required=True, help="output directory")
-    common(p)
-
-    p = sub.add_parser("pipeline", help="simulate, solve and eval in one go")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("example-config", help="write the default config")
-    p.add_argument("--out", required=True)
-    p.set_defaults(quiet=True)
+    for name, help_text, flags in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument("--" + flag.rstrip("/"), **_FLAGS[flag])
     return parser
 
 

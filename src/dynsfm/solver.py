@@ -667,9 +667,9 @@ def _finite(value):
 def _stage(name, fn, *args, **kwargs):
     """fn(*args, **kwargs), run as the solver stage name.
 
-    A DynSfmError is re-raised as the same type, and a LAPACK failure or an
-    ArithmeticError (a Python float overflowing, say) as a
-    NumericalFailure, with "[name] " before the message. A result, or a
+    fn runs with numpy overflows raising. A DynSfmError is re-raised as the
+    same type, and a LAPACK failure or an ArithmeticError (an overflow) as
+    a NumericalFailure, with "[name] " before the message. A result, or a
     member of a tuple result, that is a float array, a float scalar or a
     dict of them (a stage's residuals and condition numbers) and holds a
     NaN or an infinity raises NumericalFailure at [name], so a non-finite
@@ -677,7 +677,8 @@ def _stage(name, fn, *args, **kwargs):
     a copy of the bands validate checked, is not checked.
     """
     try:
-        out = fn(*args, **kwargs)
+        with np.errstate(over="raise"):
+            out = fn(*args, **kwargs)
         if name != "assemble_W" and not all(
                 map(_finite, out if isinstance(out, tuple) else (out,))):
             raise NumericalFailure("non-finite result")

@@ -265,13 +265,14 @@ def test_solve_stops_overflow_at_the_stage_that_made_it(tmp_path):
 
 
 def test_pipeline_prints_a_warning_as_one_line(tmp_path):
-    # without translation regularizers the translation solve warns that it
-    # is ill-conditioned and the pipeline goes on: one "warning:" line,
-    # not Python's two-line warning with its source line. A subprocess,
-    # whose stderr no test harness's warning capture stands in front of.
+    # with translation regularizers of 1e-12 the translation solve warns
+    # that it is ill-conditioned (cond ~1e13, stably between COND_LIMIT
+    # and singular) and the pipeline goes on: one "warning:" line, not
+    # Python's two-line warning with its source line. A subprocess, whose
+    # stderr no test harness's warning capture stands in front of.
     config = Path(__file__).resolve().parents[1] / "configs"
     doc = json.loads((config / "reference_noise.json").read_text())
-    doc["solver"].update(lambda_tau=0, lambda_nu=0)
+    doc["solver"].update(lambda_tau=1e-12, lambda_nu=1e-12)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(doc))
     proc = subprocess.run(
@@ -285,9 +286,9 @@ def test_pipeline_prints_a_warning_as_one_line(tmp_path):
 
 
 def test_solve_stops_non_finite_residual(tmp_path):
-    # accel x 1e300 leaves the translation solve's arrays finite but its
-    # residual norm inf: exit 4 at the stage, not a traceback from the
-    # JSON writer, and no file
+    # accel x 1e300 leaves the translation solve's arrays finite but
+    # overflows its residual norm: exit 4 at the stage, not a traceback
+    # from the JSON writer, and no file
     doc = _one_second_dataset_doc()
     doc["measurements"]["accel"] = [[1e300 * v for v in row]
                                     for row in doc["measurements"]["accel"]]
@@ -299,7 +300,8 @@ def test_solve_stops_non_finite_residual(tmp_path):
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert proc.stderr.splitlines()[-1] == (
-        "error: solver failed: [recover_translations] non-finite result")
+        "error: solver failed: [recover_translations] FloatingPointError: "
+        "overflow encountered in dot")
     assert not out.exists()
 
 
@@ -335,8 +337,8 @@ def test_extreme_image_bands_stop_at_validate(command, field, scale,
 
 
 def test_eval_stops_non_finite_dead_reckoning(tmp_path):
-    # accel x 1e200 is finite and passes validate, but the dead reckoning
-    # overflows to inf: exit 5 naming the report value, not a traceback
+    # accel x 1e200 is finite and passes validate, but the dead reckoning's
+    # terminal RMSE overflows: exit 5 naming the overflow, not a traceback
     # from the writer, and no report or table written. A subprocess, as
     # the suite turns numpy's overflow RuntimeWarning into an exception.
     doc = _one_second_dataset_doc()
@@ -353,8 +355,61 @@ def test_eval_stops_non_finite_dead_reckoning(tmp_path):
     assert proc.returncode == 5
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1] == (
-        "error: evaluation failed: non-finite dead_reckoning_terminal_rmse")
+        "error: evaluation failed: overflow encountered in square")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("simulate", "extent", 1.7e308), ("pipeline", "extent", 1.7e308),
+    ("sweep", "extent", 1.7e308), ("simulate", "amp_rot", 1e308),
+    ("pipeline", "amp_rot", 1e308), ("eval", "tau", 1e300),
+    ("eval", "gravity", 1e300)])
+def test_overflowing_simulation_or_evaluation_exits_with_one_line(
+        command, field, value, tmp_path):
+    # a finite config field the simulation overflows on (set to value), or
+    # a reconstruction field the evaluation overflows on (scaled by value):
+    # the phase's exit code with one stderr line, no numpy warning, LAPACK
+    # message or traceback around it, and no file from the failed run. A
+    # subprocess, as the suite turns numpy's RuntimeWarnings into
+    # exceptions.
+    out = tmp_path / "out"
+    if command == "eval":  # a reference pipeline's own files
+        ref = tmp_path / "ref"
+        config = Path(__file__).resolve().parents[1] / "configs"
+        assert run_cli("pipeline", "--config", config / "reference_noise.json",
+                       "--out", ref, "--quiet") == 0
+        doc = json.loads((ref / "reconstruction.json").read_text())
+        doc[field] = (np.array(doc[field]) * value).tolist()
+        recon = tmp_path / "recon.json"
+        recon.write_text(json.dumps(doc))
+        args = ["--recon", recon, "--dataset", ref / "dataset.json"]
+    else:  # example-config's config, one field set
+        doc = config_to_dict(reference_config())
+        doc[field] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        args = ["--config", path]
+        if command == "sweep":  # one run: the config's seed, noise scale 1
+            (tmp_path / "sweep.json").write_text("{}")
+            args += ["--sweep", tmp_path / "sweep.json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "dynsfm", command,
+         *map(str, args), "--out", str(out), "--quiet"],
+        capture_output=True, text=True)
+    code, message = {"simulate": (2, "error: simulation failed: "),
+                     "pipeline": (2, "error: simulation failed: "),
+                     "sweep": (4, "error: all sweep runs failed"),
+                     "eval": (5, "error: evaluation failed: ")}[command]
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith(message), proc.stderr
+    if command == "sweep":  # the table the failed run is recorded in
+        assert [p.name for p in out.iterdir()] == ["aggregate.csv"]
+        assert (out / "aggregate.csv").read_text() == csv_text(
+            SWEEP_HEADER, [[0, 1.0, "failed", *[""] * 9]])
+    else:
+        assert not out.exists()
 
 
 def test_solve_names_the_stage_an_arithmetic_error_stops(tmp_path):
@@ -1248,6 +1303,18 @@ def test_main_builds_one_parser_and_dispatches_by_name(small_cfg_path,
     assert solved == [str(ds)]
     assert not (tmp_path / "r.json").exists()
     assert built.count("dynsfm") == 1
+
+
+def test_seed_flag_reads_the_same_in_every_subcommand(capsys):
+    # --seed is declared once: its --help line is the same in simulate and
+    # pipeline, the two subcommands that take it
+    lines = []
+    for command in ("simulate", "pipeline"):
+        with pytest.raises(SystemExit):
+            run_cli(command, "--help")
+        lines += [line for line in capsys.readouterr().out.splitlines()
+                  if line.lstrip().startswith("--seed")]
+    assert lines == ["  --seed SEED      override the config seed"] * 2
 
 @settings(max_examples=30,
           suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1284,17 +1284,37 @@ def test_reconstruct_stops_non_finite_scalar_at_its_stage(
 
 def test_reconstruct_stops_overflowing_residual():
     # accel x 1e300 on the 1 s reference dataset leaves every array of the
-    # translation solve finite, but its residual norm overflows to inf and
-    # the normal ratio to NaN; they stop at the stage, not in a file
+    # translation solve finite, but its residual norm overflows; the
+    # overflow raises inside the stage and stops there, not in a file
     cfg = reference_noise_config(seed=0)
     cfg.duration, cfg.points = 1.0, 8
     meas = make_dataset(cfg).measurements
     meas = dataclasses.replace(meas, accel=meas.accel * 1e300)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow
-        with pytest.raises(NumericalFailure, match=r"^\[recover_translations\] "
-                           r"non-finite result$"):
-            reconstruct(meas)
+    with pytest.raises(NumericalFailure, match=r"^\[recover_translations\] "
+                       r"FloatingPointError: overflow encountered in dot$"):
+        reconstruct(meas)
+
+
+@pytest.mark.parametrize("exponent", [30, 150, 300, -30, -150, -300])
+@pytest.mark.parametrize("field", ["t_s", "tracks", "flows", "double_flows",
+                                   "gyro", "accel", "torque", "inertia"])
+def test_reconstruct_any_magnitude_is_finite_or_typed(field, exponent):
+    # one field of the 1 s reference dataset x 10^k, numpy's RuntimeWarnings
+    # being errors in this suite: a finite Reconstruction or a DynSfmError,
+    # never a numpy warning (an overflow inside a stage is that stage's
+    # failure) and never a non-finite value
+    cfg = reference_noise_config(seed=0)
+    cfg.duration, cfg.points = 1.0, 8
+    meas = make_dataset(cfg).measurements
+    meas = dataclasses.replace(
+        meas, **{field: getattr(meas, field) * 10.0 ** exponent})
+    try:
+        recon = reconstruct(meas)
+    except DynSfmError:
+        return
+    assert all(np.isfinite(a).all() for a in (
+        recon.rotations, recon.tau, recon.nu, recon.gravity,
+        recon.structure, list(recon.residuals.values())))
 
 
 @pytest.mark.parametrize("zero_gyro", [False, True], ids=["gyro", "zero-gyro"])
