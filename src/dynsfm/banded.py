@@ -12,7 +12,10 @@ N_zz is factored by block cyclic reduction, ~log2(groups) batched numpy
 steps with no per-group Python loop, in the storage of P: each level
 writes its couplings over the blocks of P it has just read, so the
 factor costs P plus ~P/2 for the inverse Cholesky factors, and a solve,
-which overwrites its right-hand sides, about their size. The border is
+which overwrites its right-hand sides, about their size. The reduction
+stops at COARSE_GROUPS groups or fewer, the coarse block, which is
+factored as one dense matrix of at most COARSE_GROUPS m unknowns: its
+levels would cost numpy calls, not arithmetic. The border is
 eliminated through its Schur complement, the arrowhead elimination of
 bundle adjustment.
 """
@@ -37,6 +40,24 @@ import numpy as np
 #
 # 6 differs from 12 only in the rotation stage and measured the same.
 GROUP_UNKNOWNS = 12
+# Groups left to cholesky's dense coarse block, of at most COARSE_GROUPS *
+# GROUP_UNKNOWNS unknowns: one cholesky and one inv to factor it and two
+# matmuls in each solve, where a cyclic-reduction level takes ~10 numpy
+# calls in the factor and ~5 each way in every solve. reconstruct on the
+# default trajectory (F=150: configs/reference_noise.json), median of 15
+# interleaved rounds, and the tracemalloc peak (2 vCPUs):
+#
+#   groups   F=150     F=300              F=12000
+#   1        7.71 ms   11.89 ms  0.840 MB  32.92 MB
+#   2        7.52 ms   12.07 ms  0.838 MB  32.92 MB
+#   4        7.51 ms   11.95 ms  0.849 MB  32.92 MB
+#   6        7.46 ms   11.68 ms  0.849 MB  32.94 MB
+#   8        7.46 ms   11.85 ms  0.849 MB  32.94 MB
+#
+# 1 is plain cyclic reduction down to one group. Beyond 2 the times
+# agree within noise; 4 is the largest before the F=12000 peak grows
+# (its translation factor ends at 5 groups, 60 unknowns, from 6 on).
+COARSE_GROUPS = 4
 
 
 def group_size(d, span):
@@ -141,17 +162,19 @@ def _norm1(F, d, P, Nzg, Ngg):
 
 def cholesky(P):
     """Block cyclic reduction (odd-even elimination) of the group storage
-    P, in place.
+    P, in place, down to a dense coarse block.
 
     Each level eliminates the even-indexed groups e of the current block
     tridiagonal matrix, in one batched step: with L_e L_e^T = N_ee, it
     keeps Linv_e = L_e^{-1}, Xl_e = Linv_e N_e,e-1 and Xr_e = Linv_e N_e,e+1.
     The Schur complement on the odd groups o is again block tridiagonal,
     N_oo - Xr_o-1^T Xr_o-1 - Xl_o+1^T Xl_o+1 on the diagonal and
-    -Xl_o+1^T Xr_o+1 coupling o to o + 2, and is reduced in turn; about
-    log2(groups) levels. For N symmetric positive definite this is the
-    Cholesky factorization of N with its groups reordered, so it is as
-    stable (D. Heller, SIAM J. Numer. Anal. 13(4), 1976).
+    -Xl_o+1^T Xr_o+1 coupling o to o + 2, and is reduced in turn while
+    more than COARSE_GROUPS groups remain. Those are factored as one dense
+    matrix (partial cyclic reduction: B. Buzbee, G. Golub and C. Nielson,
+    SIAM J. Numer. Anal. 7(4), 1970). For N symmetric positive definite
+    this is the Cholesky factorization of N with its groups reordered, so
+    it is as stable (D. Heller, SIAM J. Numer. Anal. 13(4), 1976).
 
     Only the Linv are new arrays. Xr_e goes over N_ee and Xl_e over
     N_e,e+1, both read by then; the Schur complement goes over N_oo and
@@ -160,13 +183,15 @@ def cholesky(P):
 
     Returns the levels [(Linv, Xl, Xr)], Xl and Xr views of P: Xl has one
     block per even group but the first, Xr one per even group that has a
-    right neighbour. Raises np.linalg.LinAlgError when N is not
-    numerically positive definite.
+    right neighbour. The last entry is the coarse block: Linv the inverse
+    Cholesky factor of the n <= COARSE_GROUPS remaining groups as one
+    (n m, n m) matrix, Xl and Xr empty. Raises np.linalg.LinAlgError when
+    N is not numerically positive definite.
     """
     D, E = P[:, 0], P[:, 1]  # N_ii and N_i,i+1
     levels = []
     with small_ufunc_buffers():
-        while len(D):
+        while len(D) > COARSE_GROUPS:
             n_odd = len(D) // 2
             Linv = np.linalg.inv(np.linalg.cholesky(D[0::2]))
             Xr = np.matmul(Linv[:n_odd], E[0:2 * n_odd:2],
@@ -181,6 +206,15 @@ def cholesky(P):
             coupling = np.matmul(Xl[:n_odd - 1].transpose(0, 2, 1), Xr[1:],
                                  out=E[:n_odd - 1])
             np.negative(coupling, out=coupling)  # exact: -(A B) is (-A) B
+    n, m = len(D), D.shape[1]
+    dense = np.zeros((n, m, n, m))
+    for i in range(n):  # the lower triangle, all that cholesky reads
+        dense[i, :, i] = D[i]
+        if i:
+            dense[i, :, i - 1] = E[i - 1].T
+    L = np.linalg.cholesky(dense.reshape(n * m, n * m))
+    del dense  # hold one (n m)^2 temporary at a time
+    levels.append((np.linalg.inv(L), D[:0], E[:0]))
     return levels
 
 
@@ -200,19 +234,23 @@ def solve(levels, rhs):
     """Solve N x = rhs, rhs (groups, m, k), with the levels of cholesky,
     in the storage of rhs, which is returned: down through the levels
     (y_e = Linv_e b_e, the odd right-hand sides reduced with it in
-    place), then back up (x_e = Linv_e^T (y_e - Xl_e x_e-1 - Xr_e x_e+1),
-    written over b_e). Only the y_e, about rhs in all, are new."""
+    place), the coarse block's x = Linv^T Linv b, then back up (x_e =
+    Linv_e^T (y_e - Xl_e x_e-1 - Xr_e x_e+1), written over b_e). Only the
+    y_e, about rhs in all, are new."""
+    *reduced, (coarse, _, _) = levels
     ys = []
     b = rhs
     with small_ufunc_buffers():
-        for Linv, Xl, Xr in levels:
+        for Linv, Xl, Xr in reduced:
             y = Linv @ b[0::2]
             ys.append((y, b))
             b = b[1::2]
             b -= Xr.transpose(0, 2, 1) @ y[:len(Xr)]
             b[:len(Xl)] -= Xl.transpose(0, 2, 1) @ y[1:]
-        x = b  # no unknowns are left
-        for Linv, Xl, Xr in reversed(levels):
+        x = coarse.T @ (coarse @ b.reshape(-1, b.shape[2]))
+        b[...] = x.reshape(b.shape)
+        x = b
+        for Linv, Xl, Xr in reversed(reduced):
             y, b = ys.pop()  # freed on the way up
             y[:len(Xr)] -= Xr @ x
             y[1:] -= Xl @ x[:len(Xl)]

@@ -471,14 +471,21 @@ def _reflection_residual(WQ, Q, C, rotations, structure, m_hat):
 
 
 def _correlate(taps, x):
-    """sum_k taps[k] x[c + k] over axis 0, for each filter centre c."""
-    return np.lib.stride_tricks.sliding_window_view(x, len(taps), 0) @ taps
+    """sum_k taps[k] x[c + k] over axis 0, for each filter centre c,
+    accumulated in place as derivatives.differentiate_series does."""
+    n = len(x) - len(taps) + 1
+    out = taps[0] * x[:n]
+    for k in range(1, len(taps)):
+        out += taps[k] * x[k:k + n]
+    return out
 
 
 def _convolve(taps, y):
     """The transpose of _correlate: len(y) + len(taps) - 1 frames."""
-    pad = [(len(taps) - 1,) * 2] + [(0, 0)] * (y.ndim - 1)
-    return _correlate(taps[::-1], np.pad(y, pad))
+    w = len(taps)
+    padded = np.zeros((len(y) + 2 * (w - 1),) + y.shape[1:])
+    padded[w - 1:w - 1 + len(y)] = y
+    return _correlate(taps[::-1], padded)
 
 
 class _TranslationRows:

@@ -259,7 +259,13 @@ def test_cholesky_takes_one_batched_step_per_level(groups, monkeypatch):
                         lambda a: calls.append(a.shape) or cholesky(a))
     levels = banded.cholesky(P)
     assert len(calls) == len(levels) <= int(np.ceil(np.log2(groups))) + 1
-    assert sum(shape[0] for shape in calls) == groups
+    # one batched call per reduced level, then one dense call for the
+    # remaining groups of s frames, d unknowns each
+    *reduced, coarse = calls
+    assert all(len(shape) == 3 for shape in reduced) and len(coarse) == 2
+    remaining = coarse[0] // (d * s)
+    assert 1 <= remaining <= banded.COARSE_GROUPS
+    assert sum(shape[0] for shape in reduced) + remaining == groups
 
 
 @pytest.mark.parametrize("groups", [75, 76])
