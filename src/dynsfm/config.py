@@ -16,19 +16,10 @@ from dataclasses import dataclass, field, fields, replace
 from .derivatives import check_filter_spec
 from .errors import BadFilterSpec, ConfigError
 from .jsonio import from_json, integer, json_object, to_json
-from .simulate import NoiseSpec
+from .simulate import MAX_FRAMES, MAX_W_BYTES, NoiseSpec
 from .solver import SolverOptions
 
 CONFIG_SCHEMA_VERSION = 1
-
-# Size budget of a run: 10x the 60 s, 200 Hz, 24-point regime (12000
-# frames, a 13.8 MB W). In-process under tracemalloc, a noiseless
-# pipeline run peaks at 120.0 MB (~10.0 kB per frame) with 24 points at
-# 12000 frames, and at 76.6 MB (~6.6x W) with 4000 points at 60 frames.
-# Extrapolated linearly, not measured, a run at either limit would peak
-# near 0.9-1.2 GB; one above it is rejected before anything is allocated.
-MAX_FRAMES = 120_000
-MAX_W_BYTES = 10 * 6 * 12_000 * 24 * 8  # 6F x P doubles
 
 NOISE_SEED_OFFSET = 10_000_019  # noise seed of a run = run seed + this
 

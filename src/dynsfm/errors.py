@@ -74,6 +74,11 @@ class NumericalFailure(DynSfmError):
     produced non-finite values."""
 
 
+class OverBudget(DynSfmError):
+    """An input above the size budget (simulate.MAX_FRAMES, MAX_W_BYTES),
+    or a solver stage that ran out of memory."""
+
+
 class ConfigError(DynSfmError):
     """Invalid run configuration; message names the offending field."""
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import so3
 from .derivatives import differentiate_tracks, savgol_filter
 from .errors import (BadSampling, DegenerateScene, LengthMismatch,
-                     NonFiniteInput, TooFewPoints)
+                     NonFiniteInput, OverBudget, TooFewPoints)
 
 DEFAULT_GRAVITY = np.array([0.0, 0.0, -9.8])
 DEFAULT_INERTIA = np.diag([0.01, 0.01, 0.02])
@@ -118,6 +118,17 @@ class NoiseSpec:
                          self.image_rel_std * factor, self.seed)
 
 
+# Size budget of a measurement set, and of a run that makes one: 10x the
+# 60 s, 200 Hz, 24-point regime (12000 frames, a 13.8 MB W). In-process
+# under tracemalloc, a noiseless pipeline run peaks at 120.0 MB (~10.0 kB
+# per frame) with 24 points at 12000 frames, and at 76.6 MB (~6.6x W) with
+# 4000 points at 60 frames. Extrapolated linearly, not measured, a run at
+# either limit would peak near 0.9-1.2 GB; one above it is rejected before
+# anything is allocated.
+MAX_FRAMES = 120_000
+MAX_W_BYTES = 10 * 6 * 12_000 * 24 * 8  # 6F x P doubles
+
+
 @dataclass
 class MeasurementSet:
     """Per-frame camera and IMU observations.
@@ -148,10 +159,12 @@ class MeasurementSet:
         BadSampling unless t_s is a real number (no str or bool), finite
         and at least MIN_SAMPLE_INTERVAL; for each array present,
         LengthMismatch unless it has the shape its field declares
-        (shaped), with one F and one P, and NonFiniteInput if it holds a
-        NaN, an infinity or (an image band) a value that overflows W's
-        Gram; BadSampling if the gyro turns MAX_SAMPLE_ROTATION or more in
-        one sample. Inertia definiteness is checked in euler_omega_dot."""
+        (shaped), with one F and one P; OverBudget if F or the 6F x P W is
+        above MAX_FRAMES or MAX_W_BYTES, before any array is read;
+        NonFiniteInput if an array holds a NaN, an infinity or (an image
+        band) a value that overflows W's Gram; BadSampling if the gyro
+        turns MAX_SAMPLE_ROTATION or more in one sample. Inertia
+        definiteness is checked in euler_omega_dot."""
         t_s = self.t_s
         if not isinstance(t_s, numbers.Real) or isinstance(t_s, bool):
             raise BadSampling(f"t_s must be a number, got {t_s!r}")
@@ -160,22 +173,31 @@ class MeasurementSet:
         if t_s < MIN_SAMPLE_INTERVAL:
             raise BadSampling(f"t_s {t_s:.3g} is below MIN_SAMPLE_INTERVAL "
                               f"{MIN_SAMPLE_INTERVAL:.3g} s")
-        sizes = {}
+        arrays, sizes = {}, {}
         for f in fields(self):
             value, dims = getattr(self, f.name), f.metadata.get("shape")
             if dims and value is not None:
                 check_shape(f.name, np.shape(value), dims, sizes)
-                if not np.isfinite(value).all():
-                    raise NonFiniteInput(f"{f.name} holds a non-finite value")
-                if dims == ("F", "P", 2):  # an image band, a third of W
-                    # factor_rank4's Gram of the 6F x P W, and its products
-                    # with unit vectors, are at most |W|_F^2 <= 6FP max|x|^2:
-                    # under half the float range, with a margin for rounding
-                    bound = np.sqrt(np.finfo(float).max / 12
-                                    / max(sizes["F"] * sizes["P"], 1))
-                    if np.abs(value).max(initial=0.0) >= bound:
-                        raise NonFiniteInput(f"{f.name} reaches {bound:.3g}, "
-                                             "where W's Gram overflows")
+                arrays[f.name] = value, dims
+        frames, points = sizes.get("F", 0), sizes.get("P", 0)
+        if frames > MAX_FRAMES:
+            raise OverBudget(f"{frames} frames, above the budget of "
+                             f"{MAX_FRAMES}")
+        if 6 * frames * points * 8 > MAX_W_BYTES:
+            raise OverBudget(f"W of {frames} frames x {points} points is "
+                             f"above the budget of {MAX_W_BYTES} bytes")
+        for name, (value, dims) in arrays.items():
+            if not np.isfinite(value).all():
+                raise NonFiniteInput(f"{name} holds a non-finite value")
+            if dims == ("F", "P", 2):  # an image band, a third of W
+                # factor_rank4's Gram of the 6F x P W, and its products
+                # with unit vectors, are at most |W|_F^2 <= 6FP max|x|^2:
+                # under half the float range, with a margin for rounding
+                bound = np.sqrt(np.finfo(float).max / 12
+                                / max(frames * points, 1))
+                if np.abs(value).max(initial=0.0) >= bound:
+                    raise NonFiniteInput(f"{name} reaches {bound:.3g}, "
+                                         "where W's Gram overflows")
         with np.errstate(over="ignore"):  # an overflow is above the bound
             turn = np.hypot.reduce(self.gyro, axis=1).max(initial=0.0) * t_s
         if turn >= MAX_SAMPLE_ROTATION:

@@ -20,8 +20,8 @@ from . import banded, so3
 from .derivatives import check_filter_spec, omega_dot_series, savgol_filter
 from .errors import (BadSampling, DynSfmError, IllConditionedWarning,
                      IndefiniteQ, LengthMismatch, NumericalFailure,
-                     RankDeficient, SeriesTooShort, SingularTransform,
-                     TooFewFramesOrPoints)
+                     OverBudget, RankDeficient, SeriesTooShort,
+                     SingularTransform, TooFewFramesOrPoints)
 from .simulate import MAX_SAMPLE_ROTATION, PROJECTOR, shaped
 
 COND_LIMIT = 1e12  # normal-equation condition number a stage does not trust
@@ -422,7 +422,10 @@ def extract_rotations_structure(M2, K_upg, St_rows, reflection="auto",
     The part of W outside that span is common to both candidates and
     dropped, so W is read only as WS = W span_basis(St_rows) (6F x 4).
     "positive"/"negative" select the unflipped/flipped candidate
-    directly.
+    directly. A score that is not finite decides nothing: "auto" raises
+    NumericalFailure. Both arrays are returned C-contiguous, as a file
+    reader returns them, so the arithmetic after this stage rounds the
+    same on either.
     """
     F = M2.shape[0] // 3
     if reflection == "auto" and (WS is None or C is None or m_hat is None):
@@ -437,7 +440,8 @@ def extract_rotations_structure(M2, K_upg, St_rows, reflection="auto",
         if flip:
             Vt, structure = Vt * mirror, structure * mirror
         rotations = so3.rotation_from_svd(U, s, Vt).transpose(0, 2, 1)
-        candidates.append((np.ascontiguousarray(rotations), structure))
+        candidates.append((np.ascontiguousarray(rotations),
+                           np.ascontiguousarray(structure)))
     if len(candidates) == 1:
         return candidates[0]
     # Q = span_basis(St_rows) R^-1 spans both structures and the ones
@@ -445,6 +449,9 @@ def extract_rotations_structure(M2, K_upg, St_rows, reflection="auto",
     WQ = WS @ np.linalg.inv(R)
     pos, neg = (_reflection_residual(WQ, Q, C, *candidate, m_hat)
                 for candidate in candidates)
+    if not (math.isfinite(pos) and math.isfinite(neg)):
+        raise NumericalFailure(f"reflection scores {pos:.3g} and {neg:.3g} "
+                               "are not both finite")
     return candidates[int(neg < pos)]
 
 
@@ -675,13 +682,14 @@ def _stage(name, fn, *args, **kwargs):
     """fn(*args, **kwargs), run as the solver stage name.
 
     fn runs with numpy overflows raising. A DynSfmError is re-raised as the
-    same type, and a LAPACK failure or an ArithmeticError (an overflow) as
-    a NumericalFailure, with "[name] " before the message. A result, or a
-    member of a tuple result, that is a float array, a float scalar or a
-    dict of them (a stage's residuals and condition numbers) and holds a
-    NaN or an infinity raises NumericalFailure at [name], so a non-finite
-    residual never reaches the Reconstruction or its file. W (assemble_W),
-    a copy of the bands validate checked, is not checked.
+    same type, a LAPACK failure or an ArithmeticError (an overflow) as a
+    NumericalFailure, and a MemoryError as OverBudget, with "[name] "
+    before the message. A result, or a member of a tuple result, that is
+    a float array, a float scalar or a dict of them (a stage's residuals
+    and condition numbers) and holds a NaN or an infinity raises
+    NumericalFailure at [name], so a non-finite residual never reaches
+    the Reconstruction or its file. W (assemble_W), a copy of the bands
+    validate checked, is not checked.
     """
     try:
         with np.errstate(over="raise"):
@@ -696,6 +704,8 @@ def _stage(name, fn, *args, **kwargs):
     except ArithmeticError as err:
         raise NumericalFailure(
             f"[{name}] {type(err).__name__}: {err}") from err
+    except MemoryError as err:
+        raise OverBudget(f"[{name}] MemoryError: {err}") from err
     return out
 
 
@@ -706,7 +716,7 @@ def reconstruct(measurements, options=None):
     contract) to recover_translations, each run through _stage, which
     prefixes a failure with the stage name and raises NumericalFailure on a
     LAPACK failure, an ArithmeticError or a non-finite array, scalar or
-    dict value in a stage's result.
+    dict value in a stage's result, and OverBudget on a MemoryError.
     """
     options = options if options is not None else SolverOptions()
     options.validate()

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
-from dynsfm import cli, jsonio
+from dynsfm import cli, jsonio, solver
 from dynsfm.cli import SWEEP_HEADER, main
 from dynsfm.config import (MAX_FRAMES, MAX_W_BYTES, config_to_dict,
                            reference_config, reference_noise_config)
@@ -433,6 +433,41 @@ def test_solve_names_the_stage_an_arithmetic_error_stops(tmp_path):
     assert len(err) == 1 and err[0].startswith(
         "error: solver failed: [recover_rotation_blocks] OverflowError: ")
     assert not out.exists()
+
+
+def test_memory_error_in_a_stage_exits_4_naming_it(tmp_path, capfd,
+                                                  monkeypatch):
+    # a MemoryError is not an ArithmeticError or a LAPACK failure; _stage
+    # maps it to OverBudget at its stage, so it is one error line
+    def exhausted(W):
+        raise MemoryError("cannot allocate the Gram")
+
+    monkeypatch.setattr(solver, "factor_rank4", exhausted)
+    code, err, written = _solve_doc(_one_second_dataset_doc(), tmp_path,
+                                    capfd)
+    assert code == 4 and not written
+    assert err == ["error: solver failed: [factor_rank4] MemoryError: "
+                   "cannot allocate the Gram"]
+
+
+@pytest.mark.parametrize("config", ["reference_noise", "reference_noiseless"])
+def test_pipeline_and_separate_commands_write_the_same_bytes(config,
+                                                             tmp_path):
+    # simulate -> solve -> eval reads back what pipeline holds in memory;
+    # the evaluation must round alike on both, so the five files match
+    cfg = Path(__file__).resolve().parents[1] / "configs" / f"{config}.json"
+    one, apart = tmp_path / "pipeline", tmp_path / "apart"
+    assert run_cli("pipeline", "--config", cfg, "--out", one, "--quiet") == 0
+    for args in (
+            ["simulate", "--config", cfg, "--out", apart / "dataset.json"],
+            ["solve", "--dataset", apart / "dataset.json", "--out",
+             apart / "reconstruction.json"],
+            ["eval", "--recon", apart / "reconstruction.json", "--dataset",
+             apart / "dataset.json", "--out", apart]):
+        assert run_cli(*args, "--quiet") == 0
+    for name in ("dataset.json", "reconstruction.json", "report.json",
+                 "trajectory.csv", "structure.csv"):
+        assert (one / name).read_bytes() == (apart / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("command, flag, code", [

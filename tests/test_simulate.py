@@ -1,13 +1,16 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import dynsfm
 from dynsfm import simulate, so3
 from dynsfm.derivatives import euler_omega_dot
 from dynsfm.errors import (BadSampling, LengthMismatch, NonFiniteInput,
-                           SingularInertia, TooFewPoints)
-from dynsfm.simulate import (DEFAULT_GRAVITY, DEFAULT_INERTIA, MeasurementSet,
+                           OverBudget, SingularInertia, TooFewPoints)
+from dynsfm.simulate import (DEFAULT_GRAVITY, DEFAULT_INERTIA, MAX_FRAMES,
+                             MAX_W_BYTES, MeasurementSet,
                              NoiseSpec, Scene, Trajectory, add_noise,
                              generate_scene, generate_trajectory,
                              simulate_dataset, synthesize_images,
@@ -421,6 +424,39 @@ def test_measurement_set_validate_rejects(change, error):
     meas.validate()
     with pytest.raises(error):
         replace(meas, **change(meas)).validate()
+
+
+def _zero_stride_set(frames, points):
+    """A measurement set of F frames and P points whose arrays are
+    zero-stride views of one value each: no band is allocated."""
+    def band(*shape):
+        return np.broadcast_to(np.zeros(()), shape)
+    return MeasurementSet(
+        t_s=1 / 200, tracks=band(frames, points, 2),
+        flows=band(frames, points, 2), double_flows=band(frames, points, 2),
+        gyro=band(frames, 3), accel=band(frames, 3))
+
+
+@pytest.mark.parametrize("frames, points, match", [
+    (MAX_FRAMES + 1, 4, "frames, above"),                 # F over
+    (MAX_W_BYTES // (48 * 4000) + 1, 4000, "bytes"),      # one frame over W
+    (60, MAX_W_BYTES // (48 * 60) + 1, "bytes"),          # one point over W
+    (MAX_FRAMES, MAX_W_BYTES // (48 * MAX_FRAMES) + 1, "bytes")])
+def test_measurement_set_validate_holds_the_size_budget(frames, points,
+                                                        match):
+    # the budget is checked from the shapes before any array is scanned:
+    # a scan of the zero-stride bands would allocate up to ~1 GB
+    meas = _zero_stride_set(frames, points)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverBudget, match=match):
+            meas.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
+    with pytest.raises(OverBudget, match=r"^\[validate\] "):
+        dynsfm.reconstruct(meas)
 
 
 def test_check_shape_holds_one_size_per_name():

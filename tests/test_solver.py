@@ -732,6 +732,31 @@ def test_extract_rotations_auto_resolves_reflection(reference_dataset):
     assert np.isclose(resid(rot_a, struct_a), min(resids), rtol=1e-9)
 
 
+@pytest.mark.parametrize("scores", [
+    (np.inf, np.inf), (np.nan, np.nan), (1.0, np.inf), (np.nan, 1.0)])
+def test_non_finite_reflection_score_decides_nothing(scores, reference_dataset,
+                                                     monkeypatch):
+    # neg < pos is False for any NaN and for inf against inf, which would
+    # keep the positive candidate on no evidence
+    returned = iter(scores)
+    monkeypatch.setattr(solver, "_reflection_residual",
+                        lambda *args: next(returned))
+    with pytest.raises(NumericalFailure,
+                       match=r"^\[extract_rotations_structure\] reflection"):
+        reconstruct(reference_dataset.measurements)
+
+
+@pytest.mark.parametrize("mode", ["auto", "positive", "negative"])
+def test_extract_rotations_returns_c_contiguous_arrays(mode,
+                                                       reference_dataset):
+    # a reader returns C-ordered arrays, and the evaluation must round
+    # alike on the solver's own output and on its file
+    W, C, m_hat, M2, K, S3 = _reflection_inputs(reference_dataset)
+    out = extract_rotations_structure(M2, K, S3, reflection=mode,
+                                      WS=W @ span_basis(S3), C=C, m_hat=m_hat)
+    assert all(a.flags.c_contiguous for a in out)
+
+
 def _reflection_inputs(ds):
     """(W, C, m_hat, M2, K_upg, S3) of the reflection choice, formed as
     reconstruct forms them from the measurements."""
