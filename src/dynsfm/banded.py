@@ -132,9 +132,10 @@ def solve_normal(P, Nzg, Ngg, rz, rg):
     def solve_flat(v):
         """N^{-1} v, v C-contiguous (dF + border, columns), written over
         v; padded to whole groups only when F leaves the last one short."""
-        vz = (np.zeros((n_groups * m, v.shape[1])) if n_groups * m > dF
-              else v[:dF])
-        vz[:dF] = v[:dF]  # a no-op on v's own rows
+        vz = v[:dF]
+        if n_groups * m > dF:
+            vz = np.zeros((n_groups * m, v.shape[1]))
+            vz[:dF] = v[:dF]
         solve(levels, vz.reshape(n_groups, m, -1))
         v[:dF], v[dF:] = bordered(vz[:dF], v[dF:])
         return v
@@ -155,8 +156,12 @@ def normal_ratio(atb, atr):
 def _norm1(F, d, P, Nzg, Ngg):
     """Exact 1-norm (largest absolute row sum; N is symmetric) of the
     bordered normal matrix, padding frames left out."""
-    rows = abs_row_sums(P).reshape(-1, d)[:F] + np.abs(Nzg).sum(axis=2)
-    g_rows = np.abs(Nzg).sum(axis=(0, 1)) + np.abs(Ngg).sum(axis=1)
+    rows = abs_row_sums(P).reshape(-1, d)[:F]
+    a = np.abs(Nzg)
+    # the border's few columns summed as columns, in the order sum(axis=2)
+    # takes them, which would reduce over the short axis ~5x slower
+    rows = rows + sum(a.transpose(2, 0, 1))
+    g_rows = a.sum(axis=(0, 1)) + np.abs(Ngg).sum(axis=1)
     return float(max(rows.max(), g_rows.max(initial=0.0)))
 
 
@@ -274,8 +279,8 @@ def probes(n):
     """The two start columns (n, 2) of inverse_norm1: Hager's x = 1/n and
     Higham's alternating-sign vector."""
     i = np.arange(n)
-    return np.stack([np.full(n, 1.0 / n), (-1.0) ** i * (1.0 + i / (n - 1))],
-                    axis=1)
+    return np.stack([np.full(n, 1.0 / n),
+                     np.where(i % 2, -1.0, 1.0) * (1.0 + i / (n - 1))], axis=1)
 
 
 def inverse_norm1(solve, Y):
@@ -294,7 +299,11 @@ def inverse_norm1(solve, Y):
     visited = np.zeros(n, dtype=bool)
     for _ in range(5):
         Y = np.where(Y >= 0, 1.0, -1.0)  # solve writes over it
-        h = np.abs(solve(Y)).max(axis=1)
+        solve(Y)
+        h = np.abs(Y[:, 0])  # the row maxima of the <= 2 columns
+        if Y.shape[1] > 1:
+            np.maximum(h, np.abs(Y[:, 1]), out=h)
+        del Y  # freed before the unit columns are allocated
         if best is not None and h.max() <= h[best]:
             break  # no unit vector promises more than the best so far
         new = best_unvisited(h, visited)
@@ -316,7 +325,10 @@ def best_unvisited(h, visited):
     argsort of -h, by a masked argmax per pick in O(n). Overwrites h."""
     h[visited] = -1.0
     new = []
-    while len(new) < 2 and h.max() >= 0:
-        new.append(int(np.argmax(h)))
-        h[new[-1]] = -1.0
+    while len(new) < 2:
+        i = int(np.argmax(h))  # the first NaN, if h holds one
+        if not h[i] >= 0:
+            break
+        new.append(i)
+        h[i] = -1.0
     return np.array(new, dtype=int)

@@ -8,11 +8,13 @@ samples evaluate the fit of the first and last window off-centre, so
 outputs keep full length.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import so3
 from .errors import (BadFilterSpec, LengthMismatch, SeriesTooShort,
                      SingularInertia)
 
@@ -46,8 +48,12 @@ def check_filter_spec(order, window, deriv, name="filter"):
             f"order <= {MAX_ORDER}, got order={order} window={window}")
 
 
+@functools.lru_cache(maxsize=16)
 def savgol_filter(order, window, deriv):
-    """Savitzky-Golay derivative filter from one least-squares fit."""
+    """Savitzky-Golay derivative filter from one least-squares fit, made
+    once per (order, window, deriv) and process: its arrays are read-only,
+    so every caller shares them. A run uses at most four specs (two flow
+    filters, the omega-dot and the regularizer filter)."""
     check_filter_spec(order, window, deriv)
     # a centred, scaled abscissa: on k itself the Vandermonde matrix loses
     # the polynomial at moderate orders (order 5 at window 1001)
@@ -57,7 +63,10 @@ def savgol_filter(order, window, deriv):
     j = np.arange(order + 1)
     falling = np.array([math.perm(i, deriv) for i in j], dtype=float)
     basis = falling * x[:, None] ** np.maximum(j - deriv, 0) / h ** deriv
-    return DerivFilter(taps=basis[half] @ fit, fit=fit, basis=basis,
+    taps = basis[half] @ fit
+    for a in (taps, fit, basis):
+        a.flags.writeable = False
+    return DerivFilter(taps=taps, fit=fit, basis=basis,
                        order=order, window=window, deriv=deriv)
 
 
@@ -111,7 +120,7 @@ def euler_omega_dot(inertia, torque, omega):
     torque = np.atleast_2d(np.asarray(torque, dtype=float))
     if torque.shape != omega.shape:
         raise LengthMismatch("torque and omega series lengths differ")
-    rhs = torque - np.cross(omega, omega @ J.T)
+    rhs = torque - so3.cross(omega, omega @ J.T)
     return np.linalg.solve(J, rhs.T).T
 
 

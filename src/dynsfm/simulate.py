@@ -12,6 +12,7 @@ are emitted in closed form so that the stacked measurement matrix is
 exactly rank four in the noiseless case.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
 
@@ -187,7 +188,10 @@ class MeasurementSet:
             raise OverBudget(f"W of {frames} frames x {points} points is "
                              f"above the budget of {MAX_W_BYTES} bytes")
         for name, (value, dims) in arrays.items():
-            if not np.isfinite(value).all():
+            # one pass each: a NaN is the max, +inf the max, -inf the min
+            value = np.asarray(value)
+            hi, lo = value.max(initial=0.0), value.min(initial=0.0)
+            if not (math.isfinite(hi) and math.isfinite(lo)):
                 raise NonFiniteInput(f"{name} holds a non-finite value")
             if dims == ("F", "P", 2):  # an image band, a third of W
                 # factor_rank4's Gram of the 6F x P W, and its products
@@ -195,11 +199,11 @@ class MeasurementSet:
                 # under half the float range, with a margin for rounding
                 bound = np.sqrt(np.finfo(float).max / 12
                                 / max(frames * points, 1))
-                if np.abs(value).max(initial=0.0) >= bound:
+                if max(hi, -lo) >= bound:  # max |value|
                     raise NonFiniteInput(f"{name} reaches {bound:.3g}, "
                                          "where W's Gram overflows")
         with np.errstate(over="ignore"):  # an overflow is above the bound
-            turn = np.hypot.reduce(self.gyro, axis=1).max(initial=0.0) * t_s
+            turn = so3.norm(self.gyro).max(initial=0.0) * t_s
         if turn >= MAX_SAMPLE_ROTATION:
             raise BadSampling(f"gyro turns {turn:.3g} rad in one sample; a "
                               f"sampled rotation must stay below pi")
@@ -362,7 +366,7 @@ def torque_for_trajectory(trajectory, inertia=DEFAULT_INERTIA):
     the Euler-equation mode reproduces domega exactly."""
     J = np.asarray(inertia, dtype=float)
     om, dom = trajectory.omega, trajectory.domega
-    return dom @ J.T + np.cross(om, om @ J.T)
+    return dom @ J.T + so3.cross(om, om @ J.T)
 
 
 def add_noise(measurements, spec, flow_mode="analytic",

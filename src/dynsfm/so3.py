@@ -41,6 +41,26 @@ def rate_blocks(omega, domega):
     return W1, W1 @ W1 - hat(domega)
 
 
+def cross(a, b):
+    """np.cross of two (..., 3) stacks, bit for bit: the same products and
+    differences per component, ~2x faster on an (F, 3) stack."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    for k in range(3):  # out_k = a_i b_j - a_j b_i, (k, i, j) cyclic
+        i, j = (k + 1) % 3, (k + 2) % 3
+        np.multiply(a[..., i], b[..., j], out=out[..., k])
+        out[..., k] -= a[..., j] * b[..., i]
+    return out
+
+
+def norm(v):
+    """|v| over the last axis of a (..., 3) stack as np.hypot.reduce takes
+    it, hypot(hypot(v_0, v_1), v_2), without its slow 3-wide reduction:
+    no overflow below the largest float."""
+    v = np.asarray(v)
+    return np.hypot(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
+
+
 def matvec(A, x):
     """Stacked matrix-vector product A @ x over the leading axes.
 
@@ -140,12 +160,13 @@ def project_to_so3(A):
     return rotation_from_svd(*np.linalg.svd(np.asarray(A, dtype=float)))
 
 
-def rotation_from_svd(U, s, Vt):
-    """project_to_so3 of the matrices whose SVD stack is (U, s, Vt)."""
+def rotation_from_svd(U, s, Vt, det=None):
+    """project_to_so3 of the matrices whose SVD stack is (U, s, Vt); det,
+    if given, stands for the stack of det(U Vt), whose sign it reads."""
     if np.any(s[..., -1] <= 1e-12):
         raise DegenerateMatrix("smallest singular value below 1e-12")
     R = U @ Vt
-    flip = np.linalg.det(R) < 0
+    flip = (np.linalg.det(R) if det is None else det) < 0
     if np.any(flip):
         U = np.where(flip[..., None, None], U * [1.0, 1.0, -1.0], U)
         R = U @ Vt

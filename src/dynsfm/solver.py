@@ -289,8 +289,8 @@ def rotation_regularizer(omega, domega, t_s):
     w0, w1 = omega[:-1], omega[1:]
     with np.errstate(over="ignore"):  # an overflow is above the bound
         phi = (0.5 * t_s * (w0 + w1) + t_s ** 2 / 12.0
-               * ((domega[:-1] - domega[1:]) + np.cross(w0, w1)))
-        turn = np.hypot.reduce(phi, axis=1).max(initial=0.0)
+               * ((domega[:-1] - domega[1:]) + so3.cross(w0, w1)))
+        turn = so3.norm(phi).max(initial=0.0)
     if turn >= MAX_SAMPLE_ROTATION:
         raise BadSampling(f"rotation increment turns {turn:.3g} rad in one "
                           f"sample; a sampled rotation must stay below pi")
@@ -434,12 +434,13 @@ def extract_rotations_structure(M2, K_upg, St_rows, reflection="auto",
     U, s, Vt = np.linalg.svd((M2 @ K_upg).reshape(F, 3, 3))
     structure = np.linalg.solve(K_upg, St_rows).T
     mirror = np.array([1.0, 1.0, -1.0])
+    det = np.linalg.det(U @ Vt)  # the mirror's, det(U Vt D), is -det
     candidates = []
     for flip in {"positive": [False], "negative": [True],
                  "auto": [False, True]}[reflection]:
         if flip:
-            Vt, structure = Vt * mirror, structure * mirror
-        rotations = so3.rotation_from_svd(U, s, Vt).transpose(0, 2, 1)
+            Vt, structure, det = Vt * mirror, structure * mirror, -det
+        rotations = so3.rotation_from_svd(U, s, Vt, det).transpose(0, 2, 1)
         candidates.append((np.ascontiguousarray(rotations),
                            np.ascontiguousarray(structure)))
     if len(candidates) == 1:
@@ -566,8 +567,9 @@ class _TranslationRows:
         Ngg = (dg.transpose(0, 2, 1) @ dg).sum(axis=0)
         del data, dz, dg  # the solve peaks above P: hold no data rows
         P, cells = banded.group_storage(F, banded.group_size(6, w), 6)
-        mid = np.r_[np.zeros(half), np.ones(self.n), np.zeros(half)]
-        tap = np.r_[taps, np.zeros(w)]  # 0 past either end of the window
+        mid = np.zeros(F)  # 1 at the filter centres' middle frames
+        mid[self.mid] = 1.0
+        tap = np.concatenate([taps, np.zeros(w)])  # 0 past the window's ends
         for j in range(w):
             S = _convolve(taps[:w - j] * taps[j:], mid[self.mid])
             c = np.zeros((F - j, 2, 2))  # (tau_f, nu_f) by (tau_f+j, nu_f+j)
@@ -577,7 +579,8 @@ class _TranslationRows:
             c[:, 1, 0] = -st2 * tap[half + j] * mid[:F - j]
             Q = (R[:F - j].transpose(0, 2, 1) @ R[j:] if j
                  else np.broadcast_to(np.eye(3), R.shape))  # R_f^T R_f = I
-            N = np.einsum("fab,fij->faibj", c, Q).reshape(F - j, 6, 6)
+            N = (c[:, :, None, :, None] * Q[:, None, :, None]).reshape(
+                F - j, 6, 6)  # N[f, a i, b j] = c[f, a, b] Q[f, i, j]
             if j == 0:
                 N += Gzz
                 del Gzz

@@ -20,6 +20,7 @@ from dynsfm import cli, jsonio, solver
 from dynsfm.cli import SWEEP_HEADER, main
 from dynsfm.config import (MAX_FRAMES, MAX_W_BYTES, config_to_dict,
                            reference_config, reference_noise_config)
+from dynsfm.derivatives import savgol_filter
 from dynsfm.errors import NumericalFailure
 from dynsfm.solver import SolverOptions, reconstruct
 
@@ -1089,8 +1090,10 @@ def test_pipeline_fits_only_the_filters_it_applies(noisy, fits, monkeypatch,
                                                    tmp_path):
     # numeric flows fit their two filters, analytic flows none; the
     # simulated run carries torque, so auto omega-dot uses the Euler
-    # equation and fits nothing; the translation regularizer fits one
+    # equation and fits nothing; the translation regularizer fits one. A
+    # filter is fitted once per process: start from an empty cache
     cfg = reference_noise_config(seed=0) if noisy else reference_config(seed=0)
+    savgol_filter.cache_clear()
     path = tmp_path / "config.json"
     jsonio.write_json(path, config_to_dict(cfg))
     calls = []

@@ -246,6 +246,7 @@ def _counted_pinv(monkeypatch):
 
 
 def test_filter_is_fitted_once_and_applied_without_refitting(monkeypatch):
+    savgol_filter.cache_clear()  # fitted once per process: count from none
     calls = _counted_pinv(monkeypatch)
     f1, f2 = savgol_filter(2, 11, 1), savgol_filter(2, 11, 2)
     assert calls == [(11, 3), (11, 3)]
