@@ -1,5 +1,7 @@
 """IMU-only dead reckoning, the comparison baseline for the solver."""
 
+import math
+
 import numpy as np
 
 from . import so3
@@ -36,7 +38,15 @@ def imu_dead_reckon(gyro, accel, gravity, init, t_s):
 
 
 def terminal_rmse(positions, truth):
-    """Position RMSE over the last max(1, F // 4) frames."""
+    """Position RMSE over the last max(1, F // 4) frames.
+
+    The errors are divided by 2^e, e the exponent of their largest
+    magnitude, before they are squared, and the root is multiplied by it
+    after: a power of two commutes with rounding, so the result is the
+    plain formula's wherever that does not overflow, and is finite for
+    any finite errors."""
     window = max(1, len(truth) // 4)
     err = positions[-window:] - truth[-window:]
-    return float(np.sqrt((err ** 2).sum(axis=1).mean()))
+    e = int(np.frexp(np.abs(err).max(initial=0.0))[1])
+    root = np.sqrt((np.ldexp(err, -e) ** 2).sum(axis=1).mean())
+    return math.ldexp(float(root), e)

@@ -123,9 +123,11 @@ class NoiseSpec:
 # 60 s, 200 Hz, 24-point regime (12000 frames, a 13.8 MB W). In-process
 # under tracemalloc, a noiseless pipeline run peaks at 120.0 MB (~10.0 kB
 # per frame) with 24 points at 12000 frames, and at 76.6 MB (~6.6x W) with
-# 4000 points at 60 frames. Extrapolated linearly, not measured, a run at
-# either limit would peak near 0.9-1.2 GB; one above it is rejected before
-# anything is allocated.
+# 4000 points at 60 frames. reconstruct, measured in-process at each limit
+# on the noiseless default trajectory (2 vCPUs, one run), takes 3.9 s and
+# peaks at 328 MB (~2.7 kB per frame) at 120000 frames x 24 points, and
+# 0.23 s and 147.5 MB (1.07x W) at 60 frames x 48000 points, W 138 MB. A
+# set above either limit is rejected before anything is allocated.
 MAX_FRAMES = 120_000
 MAX_W_BYTES = 10 * 6 * 12_000 * 24 * 8  # 6F x P doubles
 

@@ -338,3 +338,37 @@ def test_best_unvisited_matches_stable_argsort(data):
                                           max_size=n), "visited"))
     expected = stable_argsort_pick(h, visited)
     assert np.array_equal(banded.best_unvisited(h.copy(), visited), expected)
+
+
+def test_best_unvisited_stops_at_a_nan():
+    # a NaN among the candidates ends the pick, as a NaN maximum did
+    h = np.array([1.0, np.nan, 3.0, 2.0])
+    assert len(banded.best_unvisited(h, np.zeros(4, dtype=bool))) == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 903, 72003])
+def test_probes_are_hager_and_higham_start_vectors(n):
+    # bit for bit: x = 1/n, and (-1)^i (1 + i / (n - 1))
+    i = np.arange(n)
+    probe = banded.probes(n)
+    assert np.array_equal(probe[:, 0], np.full(n, 1.0 / n))
+    assert np.array_equal(probe[:, 1], (-1.0) ** i * (1.0 + i / (n - 1)))
+
+
+def test_inverse_norm1_is_exact_through_a_one_column_unit_solve():
+    # 3 unknowns: the first unit solve visits two of them, the second the
+    # last one alone, so the next sign solve has one column. With every
+    # unit vector visited the estimate is the exact norm of N^-1
+    N = np.array([[0.264, 0.169, -0.021],
+                  [0.169, 0.292, -0.089],
+                  [-0.021, -0.089, 0.15]])
+    widths = []
+
+    def solve(V):
+        widths.append(V.shape[1])
+        V[...] = np.linalg.solve(N, V)
+        return V
+    est = banded.inverse_norm1(solve, np.linalg.solve(N, banded.probes(3)))
+    assert widths == [2, 2, 2, 1, 1]
+    exact = np.abs(np.linalg.inv(N)).sum(axis=0).max()
+    assert est == pytest.approx(exact, rel=1e-14)

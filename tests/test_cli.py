@@ -337,11 +337,12 @@ def test_extreme_image_bands_stop_at_validate(command, field, scale,
     assert not out.exists()
 
 
-def test_eval_stops_non_finite_dead_reckoning(tmp_path):
-    # accel x 1e200 is finite and passes validate, but the dead reckoning's
-    # terminal RMSE overflows: exit 5 naming the overflow, not a traceback
-    # from the writer, and no report or table written. A subprocess, as
-    # the suite turns numpy's overflow RuntimeWarning into an exception.
+def test_eval_reports_a_huge_dead_reckoning_rmse(tmp_path):
+    # accel x 1e200 is finite and passes validate, and so is the dead
+    # reckoning (~1e200 m) and its terminal RMSE, whose squares would
+    # overflow unscaled: exit 0, no warning, and the RMSE of the written
+    # trajectory table. A subprocess, as the suite turns numpy's
+    # RuntimeWarnings into exceptions.
     doc = _one_second_dataset_doc()
     doc["measurements"]["accel"] = [[1e200 * v for v in row]
                                     for row in doc["measurements"]["accel"]]
@@ -351,13 +352,23 @@ def test_eval_stops_non_finite_dead_reckoning(tmp_path):
     out = tmp_path / "eval"
     proc = subprocess.run(
         [sys.executable, "-m", "dynsfm", "eval", "--recon", str(recon),
-         "--dataset", str(ds_path), "--out", str(out)],
+         "--dataset", str(ds_path), "--out", str(out), "--quiet"],
         capture_output=True, text=True)
-    assert proc.returncode == 5
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines()[-1] == (
-        "error: evaluation failed: overflow encountered in square")
-    assert not out.exists()
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    rmse = json.loads((out / "report.json").read_text())[
+        "dead_reckoning_terminal_rmse"]
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = np.array([line.split(",") for line in lines[1:]], float)
+    gt = rows[:, [header.index(f"gt_T_{a}") for a in "xyz"]]
+    imu = rows[:, [header.index(f"imu_T_{a}") for a in "xyz"]]
+    window = max(1, len(rows) // 4)
+    # math.hypot scales internally, so this reference cannot overflow
+    dists = [math.hypot(*d) for d in (imu - gt)[-window:]]
+    expected = math.sqrt(sum((d / 1e200) ** 2 for d in dists) / window) * 1e200
+    assert math.isfinite(rmse) and rmse > 1e199
+    assert math.isclose(rmse, expected, rel_tol=1e-9)
 
 
 @pytest.mark.parametrize("command, field, value", [

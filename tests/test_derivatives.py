@@ -257,6 +257,19 @@ def test_filter_is_fitted_once_and_applied_without_refitting(monkeypatch):
     assert calls == []
 
 
+def test_savgol_filter_is_fitted_once_per_process(monkeypatch):
+    # a second call returns the same filter, fitting nothing, and its
+    # arrays, shared by every caller, are read-only
+    savgol_filter.cache_clear()
+    calls = _counted_pinv(monkeypatch)
+    filt = savgol_filter(3, 9, 2)
+    assert savgol_filter(3, 9, 2) is filt and calls == [(9, 4)]
+    for array in (filt.taps, filt.fit, filt.basis):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
 def test_differentiate_series_holds_no_window_sized_copy():
     # the interior is summed from shifted slices of the series, not from a
     # stack of window-many shifted copies (~11x the series at 11 taps)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -424,6 +425,42 @@ def test_measurement_set_validate_rejects(change, error):
     meas.validate()
     with pytest.raises(error):
         replace(meas, **change(meas)).validate()
+
+
+ARRAY_FIELDS = ("tracks", "flows", "double_flows", "gyro", "accel", "torque",
+                "inertia")
+
+
+@pytest.mark.parametrize("name", ARRAY_FIELDS)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_measurement_set_validate_names_a_non_finite_array(name, value):
+    meas = simulate_dataset(duration=0.3, t_s=1 / 30, n_points=5, extent=1.0,
+                            amp_trans=0.1, amp_rot=0.2, seed=0).measurements
+    array = getattr(meas, name)
+    changed = replace(meas, **{name: _with_value(array, (1,) * array.ndim,
+                                                 value)})
+    with pytest.raises(NonFiniteInput,
+                       match=f"^{name} holds a non-finite value$"):
+        changed.validate()
+
+
+@pytest.mark.parametrize("name", ARRAY_FIELDS[:3])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_measurement_set_validate_holds_an_image_band_under_its_bound(
+        name, sign):
+    # |x| >= sqrt(max float / (12 F P)) is refused, of either sign; the
+    # float just below the bound passes
+    meas = simulate_dataset(duration=0.3, t_s=1 / 30, n_points=5, extent=1.0,
+                            amp_trans=0.1, amp_rot=0.2, seed=0).measurements
+    bound = np.sqrt(np.finfo(float).max / 12
+                    / (meas.n_frames * meas.n_points))
+    band = getattr(meas, name)
+    replace(meas, **{name: _with_value(band, (2, 3, 1), sign * np.nextafter(
+        bound, 0.0))}).validate()
+    message = f"{name} reaches {bound:.3g}, where W's Gram overflows"
+    with pytest.raises(NonFiniteInput, match=f"^{re.escape(message)}$"):
+        replace(meas, **{name: _with_value(band, (2, 3, 1), sign * bound)}
+                ).validate()
 
 
 def _zero_stride_set(frames, points):

@@ -27,7 +27,7 @@ from dynsfm.config import (REFERENCE_NOISE, reference_config,
 from dynsfm.solver import (COND_LIMIT, SolverOptions, _omega_dot_for,
                            _reflection_residual, _TranslationRows, assemble_C,
                            assemble_W, extract_rotations_structure, factor_rank4,
-                           fix_similarity, lstsq_checked, metric_upgrade,
+                           fix_similarity, metric_upgrade,
                            reconstruct, recover_rotation_blocks,
                            rotation_regularizer, span_basis,
                            recover_translations)
@@ -874,11 +874,13 @@ def fine_trajectory(seed=3):
                                rot_freq_band=(0.05, 0.15))
 
 
-def dense_translation_solution(args):
-    """(tau, nu, g) of the dense least-squares oracle."""
+def dense_translation_solution(args, with_cond=False):
+    """(tau, nu, g) of the dense least-squares oracle, and with_cond the
+    condition number of its normal matrix N = A^T A."""
     F = len(args[1])
-    x = lstsq_checked(*translation_system(*args))
-    return x[:3 * F].reshape(F, 3), x[3 * F:6 * F].reshape(F, 3), x[6 * F:]
+    x, _, _, sv = np.linalg.lstsq(*translation_system(*args), rcond=None)
+    parts = x[:3 * F].reshape(F, 3), x[3 * F:6 * F].reshape(F, 3), x[6 * F:]
+    return (parts, (sv[0] / sv[-1]) ** 2) if with_cond else parts
 
 
 def test_recover_translations_fine_sampling_hits_micro_accuracy():
@@ -900,8 +902,14 @@ def test_recover_translations_matches_dense_oracle(instance,
         args, _ = translation_problem(fine_trajectory())
     *estimate, info = recover_translations(*args, (1, 3))
     assert info["cond"] <= COND_LIMIT  # the banded path ran
-    for est, ref in zip(estimate, dense_translation_solution(args)):
-        assert np.linalg.norm(est - ref) <= 1e-10 * np.linalg.norm(ref)
+    dense, cond = dense_translation_solution(args, with_cond=True)
+    # fine_120hz takes its family's bound, ~eps cond(N) (see below): over
+    # seeds 3-32 each part's error is at most 0.13 eps cond(N), and 4.4e-9
+    # at seed 30, so a fixed 1e-10 held at seed 3 (7.7e-11) by luck
+    tol = 1e-10 if instance == "reference" else (
+        10 * np.finfo(float).eps * cond)
+    for est, ref in zip(estimate, dense):
+        assert np.linalg.norm(est - ref) <= tol * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("seed", range(4, 8))
