@@ -156,11 +156,10 @@ def normal_ratio(atb, atr):
 def _norm1(F, d, P, Nzg, Ngg):
     """Exact 1-norm (largest absolute row sum; N is symmetric) of the
     bordered normal matrix, padding frames left out."""
-    rows = abs_row_sums(P).reshape(-1, d)[:F]
     a = np.abs(Nzg)
-    # the border's few columns summed as columns, in the order sum(axis=2)
-    # takes them, which would reduce over the short axis ~5x slower
-    rows = rows + sum(a.transpose(2, 0, 1))
+    # the border's columns added one by one, in sum(axis=2)'s order, which
+    # reduces over so short an axis ~5x slower
+    rows = abs_row_sums(P).reshape(-1, d)[:F] + sum(a.transpose(2, 0, 1))
     g_rows = a.sum(axis=(0, 1)) + np.abs(Ngg).sum(axis=1)
     return float(max(rows.max(), g_rows.max(initial=0.0)))
 
