@@ -48,12 +48,13 @@ def check_filter_spec(order, window, deriv, name="filter"):
             f"order <= {MAX_ORDER}, got order={order} window={window}")
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16, typed=True)
 def savgol_filter(order, window, deriv):
     """Savitzky-Golay derivative filter from one least-squares fit, made
-    once per (order, window, deriv) and process: its arrays are read-only,
-    so every caller shares them. A run uses at most four specs (two flow
-    filters, the omega-dot and the regularizer filter)."""
+    once per (order, window, deriv), types included (3.0 is refused where
+    3 is cached), and process: its arrays are read-only, so every caller
+    shares them. A run uses at most four specs (two flow filters, the
+    omega-dot and the regularizer filter)."""
     check_filter_spec(order, window, deriv)
     # a centred, scaled abscissa: on k itself the Vandermonde matrix loses
     # the polynomial at moderate orders (order 5 at window 1001)

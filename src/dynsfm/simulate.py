@@ -190,10 +190,14 @@ class MeasurementSet:
             raise OverBudget(f"W of {frames} frames x {points} points is "
                              f"above the budget of {MAX_W_BYTES} bytes")
         for name, (value, dims) in arrays.items():
-            # one pass each: a NaN is the max, +inf the max, -inf the min
             value = np.asarray(value)
-            hi, lo = value.max(initial=0.0), value.min(initial=0.0)
-            if not (math.isfinite(hi) and math.isfinite(lo)):
+            real = value.dtype.kind in "biuf"
+            if real:  # one pass each: NaN is the max, +inf too, -inf the min
+                hi, lo = value.max(initial=0.0), value.min(initial=0.0)
+                finite = math.isfinite(hi) and math.isfinite(lo)
+            else:  # complex (either part) or objects: elementwise
+                finite = np.isfinite(value).all()
+            if not finite:
                 raise NonFiniteInput(f"{name} holds a non-finite value")
             if dims == ("F", "P", 2):  # an image band, a third of W
                 # factor_rank4's Gram of the 6F x P W, and its products
@@ -201,7 +205,9 @@ class MeasurementSet:
                 # under half the float range, with a margin for rounding
                 bound = np.sqrt(np.finfo(float).max / 12
                                 / max(frames * points, 1))
-                if max(hi, -lo) >= bound:  # max |value|
+                peak = (max(abs(hi), abs(lo)) if real  # max |value|
+                        else np.abs(value).max(initial=0.0))
+                if peak >= bound:
                     raise NonFiniteInput(f"{name} reaches {bound:.3g}, "
                                          "where W's Gram overflows")
         with np.errstate(over="ignore"):  # an overflow is above the bound

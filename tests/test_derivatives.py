@@ -268,6 +268,9 @@ def test_savgol_filter_is_fitted_once_per_process(monkeypatch):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
+    # keyed by type too: an order of 3.0 equals 3 but is refused, cached
+    with pytest.raises(TypeError):
+        savgol_filter(3.0, 9, 2)
 
 
 def test_differentiate_series_holds_no_window_sized_copy():

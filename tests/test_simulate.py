@@ -432,13 +432,14 @@ ARRAY_FIELDS = ("tracks", "flows", "double_flows", "gyro", "accel", "torque",
 
 
 @pytest.mark.parametrize("name", ARRAY_FIELDS)
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1j * np.inf])
 def test_measurement_set_validate_names_a_non_finite_array(name, value):
+    # a complex array is non-finite where either part is
     meas = simulate_dataset(duration=0.3, t_s=1 / 30, n_points=5, extent=1.0,
                             amp_trans=0.1, amp_rot=0.2, seed=0).measurements
-    array = getattr(meas, name)
-    changed = replace(meas, **{name: _with_value(array, (1,) * array.ndim,
-                                                 value)})
+    array = np.array(getattr(meas, name), dtype=type(value))
+    array[(1,) * array.ndim] = value
+    changed = replace(meas, **{name: array})
     with pytest.raises(NonFiniteInput,
                        match=f"^{name} holds a non-finite value$"):
         changed.validate()
@@ -461,6 +462,18 @@ def test_measurement_set_validate_holds_an_image_band_under_its_bound(
     with pytest.raises(NonFiniteInput, match=f"^{re.escape(message)}$"):
         replace(meas, **{name: _with_value(band, (2, 3, 1), sign * bound)}
                 ).validate()
+
+
+def test_measurement_set_validate_bounds_a_complex_band_by_its_modulus():
+    # both parts under the bound, the modulus at it: refused
+    meas = simulate_dataset(duration=0.3, t_s=1 / 30, n_points=5, extent=1.0,
+                            amp_trans=0.1, amp_rot=0.2, seed=0).measurements
+    bound = np.sqrt(np.finfo(float).max / 12
+                    / (meas.n_frames * meas.n_points))
+    tracks = meas.tracks.astype(complex)
+    tracks[2, 3, 1] = complex(bound / 1.2, bound / 1.2)
+    with pytest.raises(NonFiniteInput, match="^tracks reaches "):
+        replace(meas, tracks=tracks).validate()
 
 
 def _zero_stride_set(frames, points):

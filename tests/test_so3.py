@@ -31,6 +31,23 @@ def test_hat_is_cross_product(v, w):
     assert np.allclose(so3.hat(v) @ w, np.cross(v, w), atol=1e-12)
 
 
+def test_cross_and_norm_equal_numpy_bit_for_bit():
+    # np.cross and np.hypot.reduce over the last axis are the references;
+    # the stacks mix magnitudes, a broadcast row, and overflowing values
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-200, 200,
+                                                            (50, 3))
+    b = rng.standard_normal((50, 3))
+    a[3] = [1e308, 1e308, 0.0]
+    a[4] = [np.inf, np.nan, 1.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, y in ((a, b), (b, a[7]), (b[:, None], b[None])):
+            assert np.array_equal(so3.cross(x, y), np.cross(x, y),
+                                  equal_nan=True)
+        assert np.array_equal(so3.norm(a), np.hypot.reduce(a, axis=-1),
+                              equal_nan=True)
+
+
 @given(finite_vec, finite_vec, st.floats(-5, 5), st.floats(-5, 5))
 def test_hat_linearity(u, w, a, b):
     assert np.array_equal(so3.hat(a * u + b * w),
