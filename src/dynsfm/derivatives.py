@@ -21,6 +21,12 @@ from .errors import (BadFilterSpec, LengthMismatch, SeriesTooShort,
 # Largest filter order: windows up to 120001 differentiate monomials, edges
 # included, to 2e-10 relative at order 10 (6e-9 at 15, 2e-6 at 20).
 MAX_ORDER = 10
+# Elements of one tile of differentiate_series' interior (128 kB), so the
+# tile, its product buffer and the window's input rows stay in cache. Best
+# of 5 on 2 vCPUs, untiled -> tiles of 2^12, 2^14, 2^16: 169 -> 63, 49, 58
+# ms on a 60 x 96000 series (window 11), 5.4 -> 2.8, 2.2, 2.1 ms at
+# 12000 x 48 and 2.5 -> 2.1, 1.2, 1.3 ms at 120000 x 3 (window 5).
+TILE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -90,12 +96,24 @@ def differentiate_series(series, t_s, filt):
     # boundaries: the fit of the first and last window, evaluated off-centre
     out[:half] = filt.basis[:half] @ (filt.fit @ y[:w]) * scale
     out[F - half:] = filt.basis[half + 1:] @ (filt.fit @ y[F - w:]) * scale
-    # interior: correlation with the centred taps, accumulated in place
-    inner = out[half:F - half]
-    np.multiply(filt.taps[0], y[:len(inner)], out=inner)
-    for k in range(1, w):
-        inner += filt.taps[k] * y[k:k + len(inner)]
-    inner *= scale
+    # interior: correlation with the centred taps, accumulated in place one
+    # tile at a time; each element takes the same products and sums in the
+    # same order as over the whole interior at once
+    n, d = F - 2 * half, y.shape[1]
+    cols = min(d, TILE)
+    rows = max(1, TILE // cols)
+    taps = filt.taps.tolist()
+    product = np.empty((min(rows, n), cols))
+    for c in range(0, d, cols):
+        for r in range(0, n, rows):
+            tile = out[half + r:half + min(r + rows, n), c:c + cols]
+            term = product[:len(tile), :tile.shape[1]]
+            window = y[r:r + len(tile) + w - 1, c:c + cols]
+            np.multiply(taps[0], window[:len(tile)], tile)
+            for k in range(1, w):
+                np.multiply(taps[k], window[k:k + len(tile)], term)
+                tile += term
+            tile *= scale
     return out.reshape(shape)
 
 

@@ -120,14 +120,17 @@ class NoiseSpec:
 
 
 # Size budget of a measurement set, and of a run that makes one: 10x the
-# 60 s, 200 Hz, 24-point regime (12000 frames, a 13.8 MB W). In-process
-# under tracemalloc, a noiseless pipeline run peaks at 120.0 MB (~10.0 kB
-# per frame) with 24 points at 12000 frames, and at 76.6 MB (~6.6x W) with
-# 4000 points at 60 frames. reconstruct, measured in-process at each limit
-# on the noiseless default trajectory (2 vCPUs, one run), takes 3.9 s and
-# peaks at 328 MB (~2.7 kB per frame) at 120000 frames x 24 points, and
-# 0.23 s and 147.5 MB (1.07x W) at 60 frames x 48000 points, W 138 MB. A
-# set above either limit is rejected before anything is allocated.
+# 60 s, 200 Hz, 24-point regime (12000 frames, 13.8 MB of image bands).
+# MAX_W_BYTES bounds the three input bands, 6F x P doubles: the size W
+# would have, though reconstruct never forms a W above solver.CHUNK_BYTES.
+# In-process under tracemalloc, a noiseless pipeline run peaks at 120.0 MB
+# (~10.0 kB per frame) with 24 points at 12000 frames, and at 75.6 MB
+# (~6.6x the bands) with 4000 points at 60 frames. reconstruct, measured
+# in-process at each limit on the noiseless default trajectory (2 vCPUs),
+# takes 4.1-4.4 s and peaks at 328 MB (~2.7 kB per frame) at 120000 frames
+# x 24 points, and 0.20 s and 9.3 MB at 60 frames x 48000 points, where
+# the bands are 138 MB (a formed W took 147.5 MB). A set above either
+# limit is rejected before anything is allocated.
 MAX_FRAMES = 120_000
 MAX_W_BYTES = 10 * 6 * 12_000 * 24 * 8  # 6F x P doubles
 

@@ -42,6 +42,16 @@ DENSE_GRAM_LIMIT = 200
 # stops at 112-128 steps.
 LANCZOS_TOL = 1e-15
 LANCZOS_CHECK = 8  # steps between convergence checks
+# Byte budget of one block DataMatrix forms from the image bands: a chunk
+# of W for the Gram matrix (a W within it is formed whole), or a complex
+# operand or product of a thin product. At F=60, P=4000 (W 11.5 MB)
+# reconstruct peaks at 4.2 MB with 2 MB chunks and 5.9 MB with 4 MB, where
+# the Gram takes 9.6 and 9.3 ms against 8.4-8.7 ms for forming W and one
+# product (2 vCPUs, medians of 60 alternating pairs).
+CHUNK_BYTES = 1 << 22
+# Relative norm of the part of B outside the span of an orthonormal M up
+# to which DataMatrix takes W @ B from W @ M.
+RANGE_TOL = 1e-13
 
 
 @dataclass
@@ -111,18 +121,199 @@ def assemble_W(measurements):
     """Stack tracks, flows and double flows into the 6F x P data matrix.
 
     Row layout: 2F track rows (frame-major), then 2F flow rows, then 2F
-    double-flow rows; columns follow the point index.
+    double-flow rows; columns follow the point index. reconstruct reads W
+    in place through DataMatrix; this dense copy is its oracle.
     """
+    F, P = _frames_points(measurements)
+    W = np.empty((6 * F, P))
+    rows = W.reshape(3, F, 2, P)  # (band, frame, coordinate, point)
+    for band, data in enumerate(_bands(measurements)):
+        rows[band] = data.transpose(0, 2, 1)  # written in place, no copy
+    return W
+
+
+def _frames_points(measurements):
     F, P = measurements.n_frames, measurements.n_points
     if F < 3 or P < 4:
         raise TooFewFramesOrPoints(f"need F >= 3 and P >= 4, got F={F} P={P}")
-    bands = (measurements.tracks, measurements.flows,
-             measurements.double_flows)
-    W = np.empty((6 * F, P))
-    rows = W.reshape(3, F, 2, P)  # (band, frame, coordinate, point)
-    for band, data in enumerate(bands):
-        rows[band] = data.transpose(0, 2, 1)  # written in place, no copy
-    return W
+    return F, P
+
+
+def _bands(measurements):
+    return (measurements.tracks, measurements.flows,
+            measurements.double_flows)
+
+
+class DataMatrix:
+    """The 6F x P data matrix W of assemble_W, or its transpose, read in
+    place from the three (F, P, 2) image bands.
+
+    A W of at most CHUNK_BYTES is one chunk: it is formed once, by
+    assemble_W, and every product is the ndarray's, bit for bit. A larger
+    W is never formed. Its products are taken on each band viewed as an
+    (F, P) complex matrix z = x + iy, x and y the coordinates' rows of W
+    (a zero-copy view of the (F, P, 2) band): W @ M is z M = x M + i y M,
+    and M @ W sums Re((a - ib) z) = a x + b y over the bands, a and b the
+    columns of M that multiply x and y. Each is one complex GEMM per band
+    and chunk of points, its complex operand or product at most
+    CHUNK_BYTES. The Gram matrix, W W^T or W^T W, sums the Grams of dense
+    chunks of W of at most CHUNK_BYTES, taken along the side it sums over
+    (W's long side in factor_rank4).
+
+    It offers what factor_rank4 and reconstruct do with W: shape, len, .T,
+    W @ M, M @ W and A @ A.T, each as on the dense ndarray
+    (__array_ufunc__ = None makes an ndarray @ DataMatrix defer to
+    __rmatmul__). A band is read in place if it is a C-contiguous float64
+    array that a complex view can read; any other band is copied into
+    one, cast as assemble_W casts it (a complex band warns and drops its
+    imaginary part), one band each. W @ M (not W^T's products) keeps M
+    and its product, so a later W @ B with B = M M^T B to rounding (M with
+    orthonormal columns, as factor_rank4's Q on a wide W) is
+    (W M) (M^T B), without a pass over the bands.
+    """
+    __array_ufunc__ = None
+
+    def __init__(self, measurements):
+        F, P = _frames_points(measurements)
+        self.shape, self.transposed = (6 * F, P), False
+        self.dense = bands = None
+        if 48 * F * P <= CHUNK_BYTES:
+            self.dense = assemble_W(measurements)
+        else:
+            bands = tuple(_float64(data) for data in _bands(measurements))
+        self.bands = bands
+        self._range = None  # (M, W @ M) of the last W @ M
+
+    @property
+    def T(self):
+        other = object.__new__(DataMatrix)
+        other.__dict__.update(self.__dict__, shape=self.shape[::-1],
+                              transposed=not self.transposed, _range=None)
+        return other
+
+    def __len__(self):
+        return self.shape[0]
+
+    def _matrix(self):
+        return self.dense.T if self.transposed else self.dense
+
+    def __matmul__(self, other):
+        if isinstance(other, DataMatrix):
+            if (other.dense is not self.dense or other.bands is not self.bands
+                    or other.transposed == self.transposed):
+                return NotImplemented
+            if self.dense is not None:
+                return self._matrix() @ other._matrix()
+            return self._gram(summed_over_points=not self.transposed)
+        if self.dense is not None:
+            return self._matrix() @ other
+        if self.transposed:
+            return self._left(np.transpose(other)).T
+        M = np.asarray(other, dtype=float)
+        product = self._in_range(M) if self._range is not None else None
+        if product is None:
+            product = self._right(M)
+            self._range = M, product
+        return product
+
+    def __rmatmul__(self, other):
+        if self.dense is not None:
+            return other @ self._matrix()
+        if self.transposed:
+            return self._right(np.transpose(other)).T
+        return self._left(other)
+
+    def _points(self):
+        """Each band as its (F, P) complex view x + iy."""
+        return [band.view(complex)[..., 0] for band in self.bands]
+
+    def _right(self, M):
+        """W @ M for M (P x k), (6F x k)."""
+        M = np.asarray(M, dtype=float)
+        F, P = self.bands[0].shape[:2]
+        k = M.shape[1]
+        out = np.zeros((3, F, 2, k))
+        n = _chunk(P, 16 * k)  # points per complex chunk of M
+        for p0 in range(0, P, n):
+            m = M[p0:p0 + n].astype(complex)
+            for rows, z in zip(out, self._points()):
+                xy = z[:, p0:p0 + n] @ m
+                rows[:, 0] += xy.real
+                rows[:, 1] += xy.imag
+        return out.reshape(6 * F, k)
+
+    def _in_range(self, B):
+        """(W M) (M^T B) if B = M M^T B to within RANGE_TOL, for the M of
+        the last W @ M, else None."""
+        M, WM = self._range
+        X = M.T @ B
+        if np.linalg.norm(B - M @ X) > RANGE_TOL * np.linalg.norm(B):
+            return None
+        return WM @ X
+
+    def _left(self, M):
+        """M @ W for M (k x 6F), (k x P)."""
+        M = np.asarray(M, dtype=float)
+        F, P = self.bands[0].shape[:2]
+        k = M.shape[0]
+        out = np.zeros((k, P))
+        n = _chunk(P, 16 * k)  # points per complex product
+        for ab, z in zip(M.reshape(k, 3, F, 2).transpose(1, 0, 2, 3),
+                         self._points()):
+            ab = ab[..., 0] - 1j * ab[..., 1]
+            for p0 in range(0, P, n):
+                out[:, p0:p0 + n] += (ab @ z[:, p0:p0 + n]).real
+        return out
+
+    def _gram(self, summed_over_points):
+        """W W^T (summed over points) or W^T W (over frames), from dense
+        chunks of W of at most CHUNK_BYTES, formed in one buffer; the
+        Gram of each chunk after the first is written into one more
+        buffer and added."""
+        F, P = self.bands[0].shape[:2]
+        if summed_over_points:
+            n = _chunk(P, 48 * F)  # points per chunk
+            chunks = [np.s_[:, p0:p0 + n] for p0 in range(0, P, n)]
+            buffer = np.empty(6 * F * n)
+        else:
+            n = _chunk(F, 48 * P)  # frames per chunk
+            chunks = [np.s_[f0:f0 + n] for f0 in range(0, F, n)]
+            buffer = np.empty(6 * n * P)
+        G = part = None
+        for chunk in chunks:
+            blocks = [band[chunk].transpose(0, 2, 1) for band in self.bands]
+            X = buffer[:3 * blocks[0].size].reshape(3, *blocks[0].shape)
+            for rows, block in zip(X, blocks):
+                rows[...] = block
+            X = X.reshape(-1, X.shape[-1])
+            X, Y = (X, X.T) if summed_over_points else (X.T, X)
+            if G is None:
+                G = X @ Y
+            else:
+                part = np.matmul(X, Y, out=part)
+                G += part
+        return G
+
+
+def _chunk(length, nbytes):
+    """Items per chunk when `length` items of `nbytes` each are split into
+    the fewest chunks of at most CHUNK_BYTES (at least one item each), all
+    of about one size."""
+    count = max(1, -(-length * nbytes // CHUNK_BYTES))
+    return -(-length // min(count, length))
+
+
+def _float64(data):
+    """data itself if it is a C-contiguous float64 array aligned for a
+    complex view, else a copy that is one, cast as assigning it into
+    assemble_W's W casts it."""
+    if (isinstance(data, np.ndarray) and data.dtype == np.float64
+            and data.flags.c_contiguous
+            and data.ctypes.data % np.dtype(complex).alignment == 0):
+        return data
+    out = np.empty(np.shape(data))
+    out[...] = data
+    return out
 
 
 def assemble_C(omega, domega):
@@ -148,6 +339,9 @@ def assemble_C(omega, domega):
 
 def factor_rank4(W):
     """Rank-four factorization W ~ Mt @ St via truncated SVD.
+
+    W is an ndarray or a DataMatrix: it is read only through A A^T,
+    V^T A and A Q.
 
     One range finder with one power step (Halko, Martinsson & Tropp 2011)
     on the short side of W, from a deterministic start: with A = W if W
@@ -400,14 +594,8 @@ def metric_upgrade(M2):
     return K, fit
 
 
-def span_basis(St_rows):
-    """[St_rows^T, 1] (P x 4): its columns span the structure columns of
-    both reflection candidates and the ones vector."""
-    return np.column_stack([St_rows.T, np.ones(St_rows.shape[1])])
-
-
 def extract_rotations_structure(M2, K_upg, St_rows, reflection="auto",
-                                WS=None, C=None, m_hat=None):
+                                WS=None, C=None):
     """Project the upgraded motion blocks to rotations and undo the
     upgrade on the structure.
 
@@ -417,20 +605,22 @@ def extract_rotations_structure(M2, K_upg, St_rows, reflection="auto",
     solve(K D, S) = D solve(K, S) negates the structure's z, both
     exactly. Mode "auto" keeps the candidate whose projected rotations
     reproduce the data better, by _reflection_residual: the residual
-    W - (C stack(R^T) S^T + m 1^T) within the span of the structure's
-    columns and the ones vector, where both candidates' model rows lie.
-    The part of W outside that span is common to both candidates and
-    dropped, so W is read only as WS = W span_basis(St_rows) (6F x 4).
-    "positive"/"negative" select the unflipped/flipped candidate
-    directly. A score that is not finite decides nothing: "auto" raises
-    NumericalFailure. Both arrays are returned C-contiguous, as a file
-    reader returns them, so the arithmetic after this stage rounds the
-    same on either.
+    W - C stack(R^T) S^T within the span of the structure's columns,
+    where both candidates' model rows lie. The part of W outside that
+    span is common to both candidates and dropped, so W is read only as
+    WS = W St_rows^T (6F x 3). Both structures are centred (1^T S = 0:
+    fix_similarity zeroes the centroid, and the upgrade and the mirror
+    are linear), so the m 1^T term of the model adds the same amount to
+    both squared scores and is left out too. "positive"/"negative"
+    select the unflipped/flipped candidate directly. A score that is not
+    finite decides nothing: "auto" raises NumericalFailure. Both arrays
+    are returned C-contiguous, as a file reader returns them, so the
+    arithmetic after this stage rounds the same on either.
     """
     F = M2.shape[0] // 3
-    if reflection == "auto" and (WS is None or C is None or m_hat is None):
-        raise ValueError("reflection='auto' needs WS, C and m_hat to score "
-                         "the two candidates")
+    if reflection == "auto" and (WS is None or C is None):
+        raise ValueError("reflection='auto' needs WS and C to score the two "
+                         "candidates")
     U, s, Vt = np.linalg.svd((M2 @ K_upg).reshape(F, 3, 3))
     structure = np.linalg.solve(K_upg, St_rows).T
     mirror = np.array([1.0, 1.0, -1.0])
@@ -445,10 +635,10 @@ def extract_rotations_structure(M2, K_upg, St_rows, reflection="auto",
                            np.ascontiguousarray(structure)))
     if len(candidates) == 1:
         return candidates[0]
-    # Q = span_basis(St_rows) R^-1 spans both structures and the ones
-    Q, R = np.linalg.qr(span_basis(St_rows))
+    # Q = St_rows^T R^-1 spans both structures
+    Q, R = np.linalg.qr(St_rows.T)
     WQ = WS @ np.linalg.inv(R)
-    pos, neg = (_reflection_residual(WQ, Q, C, *candidate, m_hat)
+    pos, neg = (_reflection_residual(WQ, Q, C, *candidate)
                 for candidate in candidates)
     if not (math.isfinite(pos) and math.isfinite(neg)):
         raise NumericalFailure(f"reflection scores {pos:.3g} and {neg:.3g} "
@@ -456,24 +646,24 @@ def extract_rotations_structure(M2, K_upg, St_rows, reflection="auto",
     return candidates[int(neg < pos)]
 
 
-def _reflection_residual(WQ, Q, C, rotations, structure, m_hat):
-    """|(W - (C stack(R^T) S^T + m 1^T)) Q|, the in-span residual.
+def _reflection_residual(WQ, Q, C, rotations, structure):
+    """|(W - C stack(R^T) S^T) Q|, the in-span residual.
 
-    Q (P x 4) is an orthonormal basis of the span of the structure's
-    columns and the ones vector, and WQ = W Q. The model rows lie in that
-    span, so |W - A|^2 = |W (I - Q Q^T)|^2 + |W Q - A Q|^2; the first
-    term is the same for both reflection candidates and is dropped, and
-    this is the square root of the second, formed in 6F x 4 instead of
-    6F x P. It is not the full residual |W - A|: what carries over is
-    the difference of the candidates' squared values. The per-frame
-    products C_f R_f^T stack into 6F x 3 rows in the row order of W.
-    The norm is taken of the direct difference: the expanded form
-    |W Q|^2 - 2<W Q, .> + |.|^2 cancels on noiseless data and can flip
-    the reflection choice.
+    Q (P x 3) is an orthonormal basis of the span of the structure's
+    columns, and WQ = W Q. The model rows lie in that span, so
+    |W - A|^2 = |W (I - Q Q^T)|^2 + |W Q - A Q|^2; the first term is the
+    same for both reflection candidates and is dropped, and this is the
+    square root of the second, formed in 6F x 3 instead of 6F x P. The
+    model's m 1^T term is left out: with 1^T S = 0 it changes |W - A|^2
+    by -2 <W, m 1^T> + |m 1^T|^2 for either candidate. So this is not the
+    full residual: what carries over is the difference of the
+    candidates' squared values. The per-frame products C_f R_f^T stack
+    into 6F x 3 rows in the row order of W. The norm is taken of the
+    direct difference: the expanded form |W Q|^2 - 2<W Q, .> + |.|^2
+    cancels on noiseless data and can flip the reflection choice.
     """
     CM = (C @ rotations.transpose(0, 2, 1)).reshape(-1, 3)
     E = CM @ (structure.T @ Q)
-    E += m_hat[:, None] * Q.sum(axis=0)
     E -= WQ
     return np.linalg.norm(E)
 
@@ -691,8 +881,8 @@ def _stage(name, fn, *args, **kwargs):
     a float array, a float scalar or a dict of them (a stage's residuals
     and condition numbers) and holds a NaN or an infinity raises
     NumericalFailure at [name], so a non-finite residual never reaches
-    the Reconstruction or its file. W (assemble_W), a copy of the bands
-    validate checked, is not checked.
+    the Reconstruction or its file. W (the assemble_W stage's DataMatrix),
+    which reads the bands validate checked, is not checked.
     """
     try:
         with np.errstate(over="raise"):
@@ -724,22 +914,21 @@ def reconstruct(measurements, options=None):
     options = options if options is not None else SolverOptions()
     options.validate()
     _stage("validate", measurements.validate)
-    W = _stage("assemble_W", assemble_W, measurements)
+    W = _stage("assemble_W", DataMatrix, measurements)
     omega = measurements.gyro
     domega = _stage("omega_dot", _omega_dot_for, measurements, options)
     C = _stage("assemble_C", assemble_C, omega, domega)
     Mt, St, sigma_ratio = _stage("factor_rank4", factor_rank4, W)
     Mt, St, m_hat = _stage("fix_similarity", fix_similarity, Mt, St)
-    WS = W @ span_basis(St[:3])  # all that the reflection choice reads of W
-    del W  # the linear stages peak above it
+    WS = W @ St[:3].T  # all that the reflection choice reads of W
+    del W  # the linear stages peak above what it holds
     M2, rot_info = _stage(
         "recover_rotation_blocks", recover_rotation_blocks, Mt[:, :3], C,
         omega, domega, measurements.t_s, options.lambda_R)
     K_upg, q_fit = _stage("metric_upgrade", metric_upgrade, M2)
     rotations, structure = _stage(
         "extract_rotations_structure", extract_rotations_structure, M2,
-        K_upg, St[:3], reflection=options.reflection_resolution, WS=WS, C=C,
-        m_hat=m_hat)
+        K_upg, St[:3], reflection=options.reflection_resolution, WS=WS, C=C)
     del Mt, St, WS, C, M2  # unread from here on: the translation solve peaks
     tau, nu, gravity, tr_info = _stage(
         "recover_translations", recover_translations, m_hat, rotations,

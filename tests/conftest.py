@@ -341,7 +341,7 @@ def fine_noiseless_stages():
     from dynsfm.solver import (assemble_C, assemble_W,
                                extract_rotations_structure, factor_rank4,
                                fix_similarity, metric_upgrade,
-                               recover_rotation_blocks, span_basis)
+                               recover_rotation_blocks)
     t_s = 1.0 / 240.0
     traj = generate_trajectory(2.5, t_s, 0.2, np.radians(30), seed=3,
                                trans_freq_band=(0.02, 0.06),
@@ -359,8 +359,7 @@ def fine_noiseless_stages():
                                            traj.domega, t_s, 1.0)
     K_upg, q_fit = metric_upgrade(M2)
     rotations, structure = extract_rotations_structure(
-        M2, K_upg, St[:3], reflection="auto", WS=W @ span_basis(St[:3]),
-        C=C, m_hat=m_hat)
+        M2, K_upg, St[:3], reflection="auto", WS=W @ St[:3].T, C=C)
     return {"trajectory": traj, "scene": scene, "measurements": meas,
             "W": W, "C": C, "m_hat": m_hat, "M2": M2, "K_upg": K_upg,
             "rotations": rotations, "structure": structure,

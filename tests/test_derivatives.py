@@ -287,6 +287,34 @@ def test_differentiate_series_holds_no_window_sized_copy():
     assert peak < 4 * y.nbytes
 
 
+def _untiled_interior(y, t_s, filt):
+    """The interior over the whole series at once: the same multiplies and
+    adds per element, in the same order, as each tile."""
+    n = len(y) - filt.window + 1
+    inner = filt.taps[0] * y[:n]
+    for k in range(1, filt.window):
+        inner += filt.taps[k] * y[k:k + n]
+    inner *= 1.0 / t_s ** filt.deriv
+    return inner
+
+
+@pytest.mark.parametrize("tile", [1, 4, 6, 7, 16, 1 << 14])
+@pytest.mark.parametrize("frames, columns", [(5, 1), (9, 3), (12, 6),
+                                             (13, 7), (20, 17), (11, 16)])
+def test_tiled_interior_is_bit_equal_to_the_untiled_loop(tile, frames,
+                                                         columns,
+                                                         monkeypatch):
+    # tiles split rows and columns on and next to their edges
+    monkeypatch.setattr(dynsfm.derivatives, "TILE", tile)
+    y = np.random.default_rng(frames * columns).normal(size=(frames, columns))
+    for spec in ((2, 5, 1), (3, 5, 2), (1, 3, 1)):
+        filt = savgol_filter(*spec)
+        half = filt.window // 2
+        out = differentiate_series(y, 1 / 30, filt)
+        assert np.array_equal(out[half:frames - half],
+                              _untiled_interior(y, 1 / 30, filt))
+
+
 @pytest.mark.parametrize("order, window", [(7, 101), (5, 1001), (4, 10001)])
 def test_wide_filters_stay_exact_on_polynomials(order, window):
     # fitted on the raw abscissa k = 0..window-1, these filters missed the

@@ -29,7 +29,7 @@ from dynsfm.solver import (COND_LIMIT, SolverOptions, _omega_dot_for,
                            assemble_W, extract_rotations_structure, factor_rank4,
                            fix_similarity, metric_upgrade,
                            reconstruct, recover_rotation_blocks,
-                           rotation_regularizer, span_basis,
+                           rotation_regularizer,
                            recover_translations)
 
 from conftest import (block_lstsq, block_normal_matrix, block_transpose,
@@ -712,7 +712,7 @@ def test_extract_rotations_auto_resolves_reflection(reference_dataset):
     W, C, Mt, St, m_hat, M2, _ = _pipeline_to_rotations(ds)
     K, _ = metric_upgrade(M2)
     D = np.diag([1.0, 1.0, -1.0])
-    WS = W @ span_basis(St[:3])
+    WS = W @ St[:3].T
 
     def resid(rot, struct):
         M_proj = rot.transpose(0, 2, 1).reshape(-1, 3)
@@ -720,9 +720,9 @@ def test_extract_rotations_auto_resolves_reflection(reference_dataset):
             W - (dense_C(C) @ M_proj @ struct.T + np.outer(m_hat, np.ones(W.shape[1]))))
 
     rot_a, struct_a = extract_rotations_structure(
-        M2, K, St[:3], reflection="auto", WS=WS, C=C, m_hat=m_hat)
+        M2, K, St[:3], reflection="auto", WS=WS, C=C)
     rot_b, struct_b = extract_rotations_structure(
-        M2, K @ D, St[:3], reflection="auto", WS=WS, C=C, m_hat=m_hat)
+        M2, K @ D, St[:3], reflection="auto", WS=WS, C=C)
     assert np.allclose(struct_a, struct_b, atol=1e-9)
     assert np.allclose(rot_a, rot_b, atol=1e-9)
     forced = [extract_rotations_structure(M2, K, St[:3], reflection=mode)
@@ -753,7 +753,7 @@ def test_extract_rotations_returns_c_contiguous_arrays(mode,
     # alike on the solver's own output and on its file
     W, C, m_hat, M2, K, S3 = _reflection_inputs(reference_dataset)
     out = extract_rotations_structure(M2, K, S3, reflection=mode,
-                                      WS=W @ span_basis(S3), C=C, m_hat=m_hat)
+                                      WS=W @ S3.T, C=C)
     assert all(a.flags.c_contiguous for a in out)
 
 
@@ -792,13 +792,12 @@ def test_auto_reflection_is_argmin_of_dense_residual(case, reference_dataset):
         W - (dense_C(C) @ rot.transpose(0, 2, 1).reshape(-1, 3) @ struct.T
              + m_hat[:, None])) for rot, struct in forced]
     rot, struct = extract_rotations_structure(
-        M2, K, S3, reflection="auto", WS=W @ span_basis(S3), C=C,
-        m_hat=m_hat)
+        M2, K, S3, reflection="auto", WS=W @ S3.T, C=C)
     best_rot, best_struct = forced[int(np.argmin(full))]
     assert np.array_equal(rot, best_rot)
     assert np.array_equal(struct, best_struct)
     Q, _ = np.linalg.qr(np.column_stack([forced[0][1], np.ones(W.shape[1])]))
-    in_span = [_reflection_residual(W @ Q, Q, C, *cand, m_hat)
+    in_span = [_reflection_residual(W @ Q, Q, C, *cand)
                for cand in forced]
     assert np.isclose(in_span[0] ** 2 - in_span[1] ** 2,
                       full[0] ** 2 - full[1] ** 2, rtol=1e-9, atol=0)
@@ -817,8 +816,7 @@ def test_extract_rotations_auto_takes_one_svd_batch(reference_dataset,
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     extract_rotations_structure(M2, K, S3, reflection="auto",
-                                WS=W @ span_basis(S3), C=C,
-                                m_hat=m_hat)
+                                WS=W @ S3.T, C=C)
     assert calls == [(len(M2) // 3, 3, 3)]
 
 
@@ -1235,7 +1233,7 @@ def test_reconstruct_annotates_stage():
 
 # (stage name, owner, attribute) of the ten reconstruct stages, in order
 STAGES = [("validate", MeasurementSet, "validate"),
-          ("assemble_W", solver, "assemble_W"),
+          ("assemble_W", solver, "DataMatrix"),
           ("omega_dot", solver, "_omega_dot_for"),
           ("assemble_C", solver, "assemble_C"),
           ("factor_rank4", solver, "factor_rank4"),
