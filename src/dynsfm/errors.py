@@ -65,6 +65,11 @@ class DimensionMismatch(DynSfmError):
     pass
 
 
+class BadDtype(DynSfmError, TypeError):
+    """An input array that is not an ndarray of integers or floats of at
+    most 64 bits (MeasurementSet.validate)."""
+
+
 class NonFiniteInput(DynSfmError):
     """An input array holds a NaN, an infinity or a value that overflows."""
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import so3
 from .derivatives import differentiate_tracks, savgol_filter
-from .errors import (BadSampling, DegenerateScene, LengthMismatch,
-                     NonFiniteInput, OverBudget, TooFewPoints)
+from .errors import (BadDtype, BadSampling, DegenerateScene,
+                     LengthMismatch, NonFiniteInput, OverBudget, TooFewPoints)
 
 DEFAULT_GRAVITY = np.array([0.0, 0.0, -9.8])
 DEFAULT_INERTIA = np.diag([0.01, 0.01, 0.02])
@@ -164,12 +164,13 @@ class MeasurementSet:
         """Check the input contract before any arithmetic runs on it:
         BadSampling unless t_s is a real number (no str or bool), finite
         and at least MIN_SAMPLE_INTERVAL; for each array present,
-        LengthMismatch unless it has the shape its field declares
-        (shaped), with one F and one P; OverBudget if F or the 6F x P W is
-        above MAX_FRAMES or MAX_W_BYTES, before any array is read;
-        NonFiniteInput if an array holds a NaN, an infinity or (an image
-        band) a value that overflows W's Gram; BadSampling if the gyro
-        turns MAX_SAMPLE_ROTATION or more in one sample. Inertia
+        BadDtype unless it is an np.ndarray of integers or floats of at
+        most 64 bits, and LengthMismatch unless it has the shape its field
+        declares (shaped), with one F and one P; OverBudget if F or the
+        6F x P W is above MAX_FRAMES or MAX_W_BYTES, before any array is
+        read; NonFiniteInput if an array holds a NaN, an infinity or (an
+        image band) a value that overflows W's Gram; BadSampling if the
+        gyro turns MAX_SAMPLE_ROTATION or more in one sample. Inertia
         definiteness is checked in euler_omega_dot."""
         t_s = self.t_s
         if not isinstance(t_s, numbers.Real) or isinstance(t_s, bool):
@@ -183,7 +184,13 @@ class MeasurementSet:
         for f in fields(self):
             value, dims = getattr(self, f.name), f.metadata.get("shape")
             if dims and value is not None:
-                check_shape(f.name, np.shape(value), dims, sizes)
+                if not (isinstance(value, np.ndarray)
+                        and value.dtype.kind in "iuf"
+                        and value.dtype.itemsize <= 8):
+                    got = getattr(value, "dtype", type(value).__name__)
+                    raise BadDtype(f"{f.name} must be an ndarray of integers "
+                                   f"or floats of at most 64 bits, got {got}")
+                check_shape(f.name, value.shape, dims, sizes)
                 arrays[f.name] = value, dims
         frames, points = sizes.get("F", 0), sizes.get("P", 0)
         if frames > MAX_FRAMES:
@@ -193,14 +200,9 @@ class MeasurementSet:
             raise OverBudget(f"W of {frames} frames x {points} points is "
                              f"above the budget of {MAX_W_BYTES} bytes")
         for name, (value, dims) in arrays.items():
-            value = np.asarray(value)
-            real = value.dtype.kind in "biuf"
-            if real:  # one pass each: NaN is the max, +inf too, -inf the min
-                hi, lo = value.max(initial=0.0), value.min(initial=0.0)
-                finite = math.isfinite(hi) and math.isfinite(lo)
-            else:  # complex (either part) or objects: elementwise
-                finite = np.isfinite(value).all()
-            if not finite:
+            # one pass each: NaN is the max, +inf too, -inf the min
+            hi, lo = value.max(initial=0.0), value.min(initial=0.0)
+            if not (math.isfinite(hi) and math.isfinite(lo)):
                 raise NonFiniteInput(f"{name} holds a non-finite value")
             if dims == ("F", "P", 2):  # an image band, a third of W
                 # factor_rank4's Gram of the 6F x P W, and its products
@@ -208,9 +210,9 @@ class MeasurementSet:
                 # under half the float range, with a margin for rounding
                 bound = np.sqrt(np.finfo(float).max / 12
                                 / max(frames * points, 1))
-                peak = (max(abs(hi), abs(lo)) if real  # max |value|
-                        else np.abs(value).max(initial=0.0))
-                if peak >= bound:
+                # max |value|, as lo <= 0 <= hi; in floats, where no
+                # integer's negation overflows
+                if max(float(hi), -float(lo)) >= bound:
                     raise NonFiniteInput(f"{name} reaches {bound:.3g}, "
                                          "where W's Gram overflows")
         with np.errstate(over="ignore"):  # an overflow is above the bound

@@ -49,9 +49,6 @@ LANCZOS_CHECK = 8  # steps between convergence checks
 # the Gram takes 9.6 and 9.3 ms against 8.4-8.7 ms for forming W and one
 # product (2 vCPUs, medians of 60 alternating pairs).
 CHUNK_BYTES = 1 << 22
-# Relative norm of the part of B outside the span of an orthonormal M up
-# to which DataMatrix takes W @ B from W @ M.
-RANGE_TOL = 1e-13
 
 
 @dataclass
@@ -160,16 +157,12 @@ class DataMatrix:
     chunks of W of at most CHUNK_BYTES, taken along the side it sums over
     (W's long side in factor_rank4).
 
-    It offers what factor_rank4 and reconstruct do with W: shape, len, .T,
-    W @ M, M @ W and A @ A.T, each as on the dense ndarray
-    (__array_ufunc__ = None makes an ndarray @ DataMatrix defer to
-    __rmatmul__). A band is read in place if it is a C-contiguous float64
-    array that a complex view can read; any other band is copied into
-    one, cast as assemble_W casts it (a complex band warns and drops its
-    imaginary part), one band each. W @ M (not W^T's products) keeps M
-    and its product, so a later W @ B with B = M M^T B to rounding (M with
-    orthonormal columns, as factor_rank4's Q on a wide W) is
-    (W M) (M^T B), without a pass over the bands.
+    It offers what factor_rank4 does with W: shape, len, .T, W @ M,
+    M @ W and A @ A.T, each as on the dense ndarray (__array_ufunc__ =
+    None makes an ndarray @ DataMatrix defer to __rmatmul__). A band is
+    read in place if it is a C-contiguous float64 array that a complex
+    view can read; any other band is copied into one, cast as assemble_W
+    casts it, one band each.
     """
     __array_ufunc__ = None
 
@@ -182,13 +175,12 @@ class DataMatrix:
         else:
             bands = tuple(_float64(data) for data in _bands(measurements))
         self.bands = bands
-        self._range = None  # (M, W @ M) of the last W @ M
 
     @property
     def T(self):
         other = object.__new__(DataMatrix)
         other.__dict__.update(self.__dict__, shape=self.shape[::-1],
-                              transposed=not self.transposed, _range=None)
+                              transposed=not self.transposed)
         return other
 
     def __len__(self):
@@ -209,12 +201,7 @@ class DataMatrix:
             return self._matrix() @ other
         if self.transposed:
             return self._left(np.transpose(other)).T
-        M = np.asarray(other, dtype=float)
-        product = self._in_range(M) if self._range is not None else None
-        if product is None:
-            product = self._right(M)
-            self._range = M, product
-        return product
+        return self._right(other)
 
     def __rmatmul__(self, other):
         if self.dense is not None:
@@ -241,15 +228,6 @@ class DataMatrix:
                 rows[:, 0] += xy.real
                 rows[:, 1] += xy.imag
         return out.reshape(6 * F, k)
-
-    def _in_range(self, B):
-        """(W M) (M^T B) if B = M M^T B to within RANGE_TOL, for the M of
-        the last W @ M, else None."""
-        M, WM = self._range
-        X = M.T @ B
-        if np.linalg.norm(B - M @ X) > RANGE_TOL * np.linalg.norm(B):
-            return None
-        return WM @ X
 
     def _left(self, M):
         """M @ W for M (k x 6F), (k x P)."""
@@ -305,8 +283,7 @@ def _chunk(length, nbytes):
 
 def _float64(data):
     """data itself if it is a C-contiguous float64 array aligned for a
-    complex view, else a copy that is one, cast as assigning it into
-    assemble_W's W casts it."""
+    complex view, else a float64 copy that is one."""
     if (isinstance(data, np.ndarray) and data.dtype == np.float64
             and data.flags.c_contiguous
             and data.ctypes.data % np.dtype(complex).alignment == 0):
@@ -608,7 +585,8 @@ def extract_rotations_structure(M2, K_upg, St_rows, reflection="auto",
     W - C stack(R^T) S^T within the span of the structure's columns,
     where both candidates' model rows lie. The part of W outside that
     span is common to both candidates and dropped, so W is read only as
-    WS = W St_rows^T (6F x 3). Both structures are centred (1^T S = 0:
+    WS = W St_rows^T (6F x 3), which reconstruct takes from the rank-4
+    factors as Mt St St_rows^T. Both structures are centred (1^T S = 0:
     fix_similarity zeroes the centroid, and the upgrade and the mirror
     are linear), so the m 1^T term of the model adds the same amount to
     both squared scores and is left out too. "positive"/"negative"
@@ -919,9 +897,10 @@ def reconstruct(measurements, options=None):
     domega = _stage("omega_dot", _omega_dot_for, measurements, options)
     C = _stage("assemble_C", assemble_C, omega, domega)
     Mt, St, sigma_ratio = _stage("factor_rank4", factor_rank4, W)
+    del W  # read only by the factorization: the linear stages peak above it
     Mt, St, m_hat = _stage("fix_similarity", fix_similarity, Mt, St)
-    WS = W @ St[:3].T  # all that the reflection choice reads of W
-    del W  # the linear stages peak above what it holds
+    # W St^T: the fit's residual W - Mt St is orthogonal to St's rows
+    WS = Mt @ (St @ St[:3].T)
     M2, rot_info = _stage(
         "recover_rotation_blocks", recover_rotation_blocks, Mt[:, :3], C,
         omega, domega, measurements.t_s, options.lambda_R)

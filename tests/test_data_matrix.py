@@ -4,6 +4,7 @@ contract of reading the image bands in place."""
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from dynsfm import solver
 from dynsfm.config import REFERENCE_NOISE, reference_config
 from dynsfm.derivatives import savgol_filter
+from dynsfm.errors import BadDtype
 from dynsfm.simulate import MeasurementSet, NoiseSpec, simulate_dataset
 from dynsfm.solver import DataMatrix, assemble_W, reconstruct
 
@@ -60,25 +62,6 @@ def test_products_match_the_dense_W(F, P, budget, monkeypatch):
         tall, short = rng.standard_normal((6 * F, k)), rng.standard_normal((k, P))
         assert_close(D.T @ tall, W.T @ tall)
         assert_close(short @ D.T, short @ W.T)
-
-
-def test_product_in_the_range_of_the_last_one(monkeypatch):
-    # W @ B for B in the span of the last right product's orthonormal M is
-    # (W M)(M^T B) with no pass over the bands; any other B is a full pass
-    monkeypatch.setattr(solver, "CHUNK_BYTES", 48 * 3 * 8)
-    m = random_measurements(3, 40)
-    W, D = assemble_W(m), DataMatrix(m)
-    rng = np.random.default_rng(2)
-    Q, _ = np.linalg.qr(rng.standard_normal((40, 8)))
-    assert_close(D @ Q, W @ Q)
-    points, passes = D._points, []
-    monkeypatch.setattr(D, "_points", lambda: passes.append(1) or points())
-    inside = Q @ rng.standard_normal((8, 3))
-    assert_close(D @ inside, W @ inside)
-    assert passes == []
-    outside = rng.standard_normal((40, 3))
-    assert_close(D @ outside, W @ outside)
-    assert passes
 
 
 def test_one_chunk_is_the_dense_W_bit_for_bit(reference_dataset):
@@ -147,14 +130,43 @@ def test_c_contiguous_float64_bands_are_read_in_place(reference_dataset,
 @pytest.mark.parametrize("budget", [None, 4096], ids=["one-chunk", "banded"])
 def test_complex_band_warns_and_drops_its_imaginary_part(
         budget, reference_dataset, monkeypatch):
-    # as assemble_W's assignment does: a ComplexWarning, then the real part
+    # a complex band never reaches W: validate refuses it by its dtype,
+    # with no warning and no part of it dropped
     if budget:
         monkeypatch.setattr(solver, "CHUNK_BYTES", budget)
     m = reference_dataset.measurements
     tracks = m.tracks + 1e-3j
-    with pytest.warns(RuntimeWarning, match="discards the imaginary part"):
-        recon = reconstruct(dataclasses.replace(m, tracks=tracks))
-    assert _same_reconstruction(recon, reconstruct(m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadDtype, match=r"^\[validate\] tracks must be"):
+            reconstruct(dataclasses.replace(m, tracks=tracks))
+
+
+def _wide_measurements():
+    cfg = reference_config(seed=4)
+    cfg.duration, cfg.points = 1.0, 400
+    return make_dataset(cfg).measurements
+
+
+@pytest.mark.parametrize("wide", [True, False], ids=["wide", "tall"])
+def test_reconstruct_reads_W_only_to_factor_it(wide, reference_dataset,
+                                              monkeypatch):
+    # a band-backed W (6F x 400 wide, or the reference's 6F x 24 tall) is
+    # read by factor_rank4 and nowhere after: with its bands made
+    # unreadable once the factorization returns, reconstruct returns the
+    # same arrays as with them
+    monkeypatch.setattr(solver, "CHUNK_BYTES", 1 << 16)
+    m = _wide_measurements() if wide else reference_dataset.measurements
+    assert DataMatrix(m).dense is None
+    expected = reconstruct(m)
+    factor_rank4 = solver.factor_rank4
+
+    def factor_then_drop_the_bands(W):
+        out = factor_rank4(W)
+        W.bands = None  # a later read of W raises TypeError
+        return out
+    monkeypatch.setattr(solver, "factor_rank4", factor_then_drop_the_bands)
+    assert _same_reconstruction(reconstruct(m), expected)
 
 
 def _wide_scene():
@@ -188,9 +200,7 @@ def test_wide_reconstruct_matches_the_dense_W(monkeypatch):
     # multiplied densely, as reconstruct did before; 64 kB chunks it. The
     # structure's depth, the weakly observed axis of an affine camera,
     # moves most: 9e-12 of its scale
-    cfg = reference_config(seed=4)
-    cfg.duration, cfg.points = 1.0, 400
-    m = make_dataset(cfg).measurements
+    m = _wide_measurements()
     dense = reconstruct(m)
     monkeypatch.setattr(solver, "CHUNK_BYTES", 1 << 16)
     banded = reconstruct(m)

@@ -8,8 +8,9 @@ import pytest
 import dynsfm
 from dynsfm import simulate, so3
 from dynsfm.derivatives import euler_omega_dot
-from dynsfm.errors import (BadSampling, LengthMismatch, NonFiniteInput,
-                           OverBudget, SingularInertia, TooFewPoints)
+from dynsfm.errors import (BadDtype, BadSampling, DynSfmError,
+                           LengthMismatch, NonFiniteInput, OverBudget,
+                           SingularInertia, TooFewPoints)
 from dynsfm.simulate import (DEFAULT_GRAVITY, DEFAULT_INERTIA, MAX_FRAMES,
                              MAX_W_BYTES, MeasurementSet,
                              NoiseSpec, Scene, Trajectory, add_noise,
@@ -434,14 +435,16 @@ ARRAY_FIELDS = ("tracks", "flows", "double_flows", "gyro", "accel", "torque",
 @pytest.mark.parametrize("name", ARRAY_FIELDS)
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1j * np.inf])
 def test_measurement_set_validate_names_a_non_finite_array(name, value):
-    # a complex array is non-finite where either part is
+    # a complex array is refused by its dtype before its values are read
     meas = simulate_dataset(duration=0.3, t_s=1 / 30, n_points=5, extent=1.0,
                             amp_trans=0.1, amp_rot=0.2, seed=0).measurements
     array = np.array(getattr(meas, name), dtype=type(value))
     array[(1,) * array.ndim] = value
     changed = replace(meas, **{name: array})
-    with pytest.raises(NonFiniteInput,
-                       match=f"^{name} holds a non-finite value$"):
+    error, message = ((BadDtype, f"^{name} must be an ndarray of integers")
+                      if isinstance(value, complex)
+                      else (NonFiniteInput, f"^{name} holds a non-finite value$"))
+    with pytest.raises(error, match=message):
         changed.validate()
 
 
@@ -465,15 +468,43 @@ def test_measurement_set_validate_holds_an_image_band_under_its_bound(
 
 
 def test_measurement_set_validate_bounds_a_complex_band_by_its_modulus():
-    # both parts under the bound, the modulus at it: refused
+    # both parts under the bound, the modulus at it: a complex band is
+    # refused by its dtype, whatever its values
     meas = simulate_dataset(duration=0.3, t_s=1 / 30, n_points=5, extent=1.0,
                             amp_trans=0.1, amp_rot=0.2, seed=0).measurements
     bound = np.sqrt(np.finfo(float).max / 12
                     / (meas.n_frames * meas.n_points))
     tracks = meas.tracks.astype(complex)
     tracks[2, 3, 1] = complex(bound / 1.2, bound / 1.2)
-    with pytest.raises(NonFiniteInput, match="^tracks reaches "):
+    with pytest.raises(BadDtype, match="^tracks must be an ndarray"):
         replace(meas, tracks=tracks).validate()
+
+
+@pytest.mark.parametrize("name, change", [
+    ("gyro", lambda a: a.astype(bool)),
+    ("accel", lambda a: a.astype(object)),
+    ("gyro", lambda a: a.astype(str)),
+    ("tracks", lambda a: a.tolist()),
+    ("gyro", lambda a: a.astype(complex)),
+    ("accel", lambda a: a.astype(complex)),
+    pytest.param("accel", lambda a: a.astype(np.longdouble),
+                 marks=pytest.mark.skipif(
+                     np.dtype(np.longdouble).itemsize <= 8,
+                     reason="longdouble is float64 here"))],
+    ids=["bool", "object", "str", "list", "complex-gyro", "complex-accel",
+         "longdouble"])
+def test_measurement_set_validate_refuses_a_non_real_array(name, change):
+    # one typed error naming the field, from validate and from reconstruct's
+    # validate stage, before any arithmetic reads the array
+    meas = simulate_dataset(duration=0.3, t_s=1 / 30, n_points=5, extent=1.0,
+                            amp_trans=0.1, amp_rot=0.2, seed=0).measurements
+    changed = replace(meas, **{name: change(getattr(meas, name))})
+    assert issubclass(BadDtype, DynSfmError) and issubclass(BadDtype, TypeError)
+    with pytest.raises(BadDtype, match=f"^{name} must be an ndarray of "
+                                       "integers or floats of at most 64 bits"):
+        changed.validate()
+    with pytest.raises(BadDtype, match=rf"^\[validate\] {name} must be"):
+        dynsfm.reconstruct(changed)
 
 
 def _zero_stride_set(frames, points):
