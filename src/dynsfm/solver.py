@@ -68,13 +68,16 @@ class SolverOptions:
     reflection_resolution: str = "auto"  # auto | positive | negative
 
     def validate(self):
+        """Raise ValueError for a value the solver or the JSON reader
+        (jsonio.number and jsonio.integer) refuses, a bool included."""
         weights = (self.lambda_R, self.lambda_tau, self.lambda_nu)
-        if not all(math.isfinite(w) and w >= 0 for w in weights):
+        if not all(not isinstance(w, (bool, np.bool_)) and math.isfinite(w)
+                   and w >= 0 for w in weights):
             raise ValueError("regularization weights must be finite and "
-                             "nonnegative")
+                             "nonnegative numbers")
         for name in ("omega_dot_filter", "reg_filter"):
             spec = tuple(getattr(self, name))
-            if len(spec) != 2 or not all(isinstance(v, int) for v in spec):
+            if len(spec) != 2 or not all(type(v) is int for v in spec):
                 raise ValueError(f"{name}: need integers (order, window)")
             check_filter_spec(*spec, 1, name)  # a BadFilterSpec is a ValueError
         if self.omega_dot_mode not in ("auto", "euler", "zero", "numeric"):
@@ -572,7 +575,7 @@ def metric_upgrade(M2):
 
 
 def extract_rotations_structure(M2, K_upg, St_rows, reflection="auto",
-                                WS=None, C=None):
+                                Mt_cols=None, C=None):
     """Project the upgraded motion blocks to rotations and undo the
     upgrade on the structure.
 
@@ -581,24 +584,20 @@ def extract_rotations_structure(M2, K_upg, St_rows, reflection="auto",
     no second SVD: M_hat_f D has the SVD (U, s, Vt D), and
     solve(K D, S) = D solve(K, S) negates the structure's z, both
     exactly. Mode "auto" keeps the candidate whose projected rotations
-    reproduce the data better, by _reflection_residual: the residual
-    W - C stack(R^T) S^T within the span of the structure's columns,
-    where both candidates' model rows lie. The part of W outside that
-    span is common to both candidates and dropped, so W is read only as
-    WS = W St_rows^T (6F x 3), which reconstruct takes from the rank-4
-    factors as Mt St St_rows^T. Both structures are centred (1^T S = 0:
-    fix_similarity zeroes the centroid, and the upgrade and the mirror
-    are linear), so the m 1^T term of the model adds the same amount to
-    both squared scores and is left out too. "positive"/"negative"
-    select the unflipped/flipped candidate directly. A score that is not
-    finite decides nothing: "auto" raises NumericalFailure. Both arrays
-    are returned C-contiguous, as a file reader returns them, so the
-    arithmetic after this stage rounds the same on either.
+    reproduce the data better, by _reflection_residual, which scores
+    each from the fitted motion columns Mt_cols = Mt[:, :3] (6F x 3)
+    and the 3 x 3 Gram St_rows St_rows^T: the two scores differ by
+    exactly the difference of the candidates' |W - (C M S^T + m 1^T)|^2.
+    "positive"/"negative" select the unflipped/flipped candidate
+    directly. A score that is not finite decides nothing: "auto" raises
+    NumericalFailure. Both arrays are returned C-contiguous, as a file
+    reader returns them, so the arithmetic after this stage rounds the
+    same on either.
     """
     F = M2.shape[0] // 3
-    if reflection == "auto" and (WS is None or C is None):
-        raise ValueError("reflection='auto' needs WS and C to score the two "
-                         "candidates")
+    if reflection == "auto" and (Mt_cols is None or C is None):
+        raise ValueError("reflection='auto' needs Mt_cols and C to score the "
+                         "two candidates")
     U, s, Vt = np.linalg.svd((M2 @ K_upg).reshape(F, 3, 3))
     structure = np.linalg.solve(K_upg, St_rows).T
     mirror = np.array([1.0, 1.0, -1.0])
@@ -613,37 +612,33 @@ def extract_rotations_structure(M2, K_upg, St_rows, reflection="auto",
                            np.ascontiguousarray(structure)))
     if len(candidates) == 1:
         return candidates[0]
-    # Q = St_rows^T R^-1 spans both structures
-    Q, R = np.linalg.qr(St_rows.T)
-    WQ = WS @ np.linalg.inv(R)
-    pos, neg = (_reflection_residual(WQ, Q, C, *candidate)
-                for candidate in candidates)
+    X = np.linalg.inv(K_upg)  # S^T = X St_rows, and D X for the mirror
+    G = St_rows @ St_rows.T
+    pos, neg = (_reflection_residual(Mt_cols, G, C, rot, x) for (rot, _), x
+                in zip(candidates, (X, mirror[:, None] * X)))
     if not (math.isfinite(pos) and math.isfinite(neg)):
         raise NumericalFailure(f"reflection scores {pos:.3g} and {neg:.3g} "
                                "are not both finite")
     return candidates[int(neg < pos)]
 
 
-def _reflection_residual(WQ, Q, C, rotations, structure):
-    """|(W - C stack(R^T) S^T) Q|, the in-span residual.
+def _reflection_residual(Mt_cols, G, C, rotations, X):
+    """<Y, Y G> = |Y St_rows|^2 for Y = stack_f(C_f R_f^T) X - Mt_cols,
+    the candidate's structure S^T = X St_rows and G = St_rows St_rows^T.
 
-    Q (P x 3) is an orthonormal basis of the span of the structure's
-    columns, and WQ = W Q. The model rows lie in that span, so
-    |W - A|^2 = |W (I - Q Q^T)|^2 + |W Q - A Q|^2; the first term is the
-    same for both reflection candidates and is dropped, and this is the
-    square root of the second, formed in 6F x 3 instead of 6F x P. The
-    model's m 1^T term is left out: with 1^T S = 0 it changes |W - A|^2
-    by -2 <W, m 1^T> + |m 1^T|^2 for either candidate. So this is not the
-    full residual: what carries over is the difference of the
-    candidates' squared values. The per-frame products C_f R_f^T stack
-    into 6F x 3 rows in the row order of W. The norm is taken of the
-    direct difference: the expanded form |W Q|^2 - 2<W Q, .> + |.|^2
+    With W = Mt St + E and St[3] = 1^T - r, where E and r are orthogonal
+    to St's rows (the rank-4 fit and fix_similarity's least squares), and
+    m = Mt[:, 3]: W - (C M S^T + m 1^T) = (E - m r) - Y St_rows, so
+    |W - (C M S^T + m 1^T)|^2 = |E - m r|^2 + <Y, Y G>. The first term is
+    the same for both reflection candidates, so the difference of their
+    scores is the difference of their full squared residuals. The
+    per-frame products C_f R_f^T stack into 6F x 3 rows in the row order
+    of W. Y is formed as a direct difference: expanding the squares
     cancels on noiseless data and can flip the reflection choice.
     """
-    CM = (C @ rotations.transpose(0, 2, 1)).reshape(-1, 3)
-    E = CM @ (structure.T @ Q)
-    E -= WQ
-    return np.linalg.norm(E)
+    Y = (C @ rotations.transpose(0, 2, 1)).reshape(-1, 3) @ X
+    Y -= Mt_cols
+    return float(np.sum(Y * (Y @ G)))
 
 
 def _correlate(taps, x):
@@ -859,14 +854,12 @@ def _stage(name, fn, *args, **kwargs):
     a float array, a float scalar or a dict of them (a stage's residuals
     and condition numbers) and holds a NaN or an infinity raises
     NumericalFailure at [name], so a non-finite residual never reaches
-    the Reconstruction or its file. W (the assemble_W stage's DataMatrix),
-    which reads the bands validate checked, is not checked.
+    the Reconstruction or its file.
     """
     try:
         with np.errstate(over="raise"):
             out = fn(*args, **kwargs)
-        if name != "assemble_W" and not all(
-                map(_finite, out if isinstance(out, tuple) else (out,))):
+        if not all(map(_finite, out if isinstance(out, tuple) else (out,))):
             raise NumericalFailure("non-finite result")
     except DynSfmError as err:
         raise type(err)(f"[{name}] {err}") from err
@@ -899,16 +892,15 @@ def reconstruct(measurements, options=None):
     Mt, St, sigma_ratio = _stage("factor_rank4", factor_rank4, W)
     del W  # read only by the factorization: the linear stages peak above it
     Mt, St, m_hat = _stage("fix_similarity", fix_similarity, Mt, St)
-    # W St^T: the fit's residual W - Mt St is orthogonal to St's rows
-    WS = Mt @ (St @ St[:3].T)
     M2, rot_info = _stage(
         "recover_rotation_blocks", recover_rotation_blocks, Mt[:, :3], C,
         omega, domega, measurements.t_s, options.lambda_R)
     K_upg, q_fit = _stage("metric_upgrade", metric_upgrade, M2)
     rotations, structure = _stage(
         "extract_rotations_structure", extract_rotations_structure, M2,
-        K_upg, St[:3], reflection=options.reflection_resolution, WS=WS, C=C)
-    del Mt, St, WS, C, M2  # unread from here on: the translation solve peaks
+        K_upg, St[:3], reflection=options.reflection_resolution,
+        Mt_cols=Mt[:, :3], C=C)
+    del Mt, St, C, M2  # unread from here on: the translation solve peaks
     tau, nu, gravity, tr_info = _stage(
         "recover_translations", recover_translations, m_hat, rotations,
         omega, domega, measurements.accel, measurements.t_s,

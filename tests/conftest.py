@@ -359,7 +359,7 @@ def fine_noiseless_stages():
                                            traj.domega, t_s, 1.0)
     K_upg, q_fit = metric_upgrade(M2)
     rotations, structure = extract_rotations_structure(
-        M2, K_upg, St[:3], reflection="auto", WS=W @ St[:3].T, C=C)
+        M2, K_upg, St[:3], reflection="auto", Mt_cols=Mt[:, :3], C=C)
     return {"trajectory": traj, "scene": scene, "measurements": meas,
             "W": W, "C": C, "m_hat": m_hat, "M2": M2, "K_upg": K_upg,
             "rotations": rotations, "structure": structure,

@@ -372,3 +372,59 @@ def test_inverse_norm1_is_exact_through_a_one_column_unit_solve():
     assert widths == [2, 2, 2, 1, 1]
     exact = np.abs(np.linalg.inv(N)).sum(axis=0).max()
     assert est == pytest.approx(exact, rel=1e-14)
+
+
+def test_solve_normal_refuses_an_indefinite_border():
+    # N_zz = I and N_zg = 0 leave the border's Schur complement at N_gg =
+    # diag(1, -1, 1): nonsingular, so only its Cholesky factor refuses it
+    F, d = 4, 3
+    P, cells = banded.group_storage(F, banded.group_size(d, 2), d)
+    banded.place(cells, 0, np.broadcast_to(np.eye(d), (F, d, d)))
+    with pytest.raises(np.linalg.LinAlgError):
+        banded.solve_normal(P, np.zeros((F, d, 3)), np.diag([1.0, -1.0, 1.0]),
+                            np.ones((F, d, 1)), np.ones((3, 1)))
+
+
+def dense_inverse_norm1(N):
+    """inverse_norm1 of the dense symmetric N."""
+    def solve(V):
+        V[...] = np.linalg.solve(N, V)
+        return V
+    probes = np.linalg.solve(N, banded.probes(len(N)))
+    return banded.inverse_norm1(solve, probes)
+
+
+@pytest.mark.parametrize("N", [
+    # the first unit solve visits both unknowns, so the next finds none
+    [[6.0, 4.0], [4.0, 6.0]],
+    # the second unit solve promises less than the first one's estimate,
+    # which is the exact norm and is kept
+    [[149.5, 149.0, 52.0], [149.0, 149.5, 52.0], [52.0, 52.0, 100.5]]],
+    ids=["all-visited", "no-better"])
+def test_inverse_norm1_stops_at_the_exact_norm(N):
+    N = np.array(N)
+    exact = np.abs(np.linalg.inv(N)).sum(axis=0).max()
+    assert dense_inverse_norm1(N) == pytest.approx(exact, rel=1e-14)
+
+
+@pytest.mark.parametrize("indefinite", [False, True],
+                         ids=["returns", "raises"])
+def test_cholesky_restores_the_ufunc_buffer_size(indefinite):
+    # cholesky shrinks numpy's iteration buffer while it reduces and gives
+    # the caller's size back whether it returns or raises in a level
+    d = 3
+    s = banded.GROUP_UNKNOWNS // d
+    F = group_frames(9, s)
+    P, cells = banded.group_storage(F, s, d)
+    banded.place(cells, 0, np.broadcast_to(np.eye(d), (F, d, d)))
+    P[0, 0, 0, 0] = -1.0 if indefinite else 1.0  # level 0 factors group 0
+    before = np.setbufsize(1 << 14)  # a caller's size, not cholesky's
+    try:
+        if indefinite:
+            with pytest.raises(np.linalg.LinAlgError):
+                banded.cholesky(P)
+        else:
+            banded.cholesky(P)
+        assert np.getbufsize() == 1 << 14
+    finally:
+        np.setbufsize(before)

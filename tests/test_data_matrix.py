@@ -44,6 +44,21 @@ CHUNKINGS = [(3, 19, 48 * 3 * 6), (3, 18, 48 * 3 * 6), (3, 17, 48 * 3 * 6),
              (12, 6, 48 * 6 * 5), (3, 4, 1)]
 
 
+@pytest.mark.parametrize("budget", [solver.CHUNK_BYTES, 1])
+def test_only_a_matrix_times_its_own_transpose_is_a_gram(budget,
+                                                         monkeypatch):
+    # W @ W.T of one W is its Gram; a product with another W, or with W
+    # itself unflipped, is refused (a TypeError), not read as a Gram
+    monkeypatch.setattr(solver, "CHUNK_BYTES", budget)
+    m = random_measurements(3, 8)
+    W, D1 = assemble_W(m), DataMatrix(m)
+    D2 = DataMatrix(random_measurements(3, 8, seed=1))
+    assert_close(D1 @ D1.T, W @ W.T)
+    for left, right in ((D1, D2.T), (D1.T, D2), (D1, D1), (D1.T, D1.T)):
+        with pytest.raises(TypeError):
+            left @ right
+
+
 @pytest.mark.parametrize("F, P, budget", CHUNKINGS)
 def test_products_match_the_dense_W(F, P, budget, monkeypatch):
     monkeypatch.setattr(solver, "CHUNK_BYTES", budget)

@@ -398,6 +398,26 @@ def test_solver_options_validation():
         SolverOptions(reflection_resolution="maybe").validate()
 
 
+@pytest.mark.parametrize("name, value", [
+    ("lambda_R", True), ("lambda_tau", False), ("lambda_nu", np.True_),
+    ("omega_dot_filter", (True, 5)), ("omega_dot_filter", (2, True)),
+    ("reg_filter", (True, 3)), ("reg_filter", (1, True))])
+def test_solver_options_refuse_a_bool(name, value):
+    # the JSON reader refuses a bool for a number or an integer, so options
+    # that hold one would write a reconstruction.json it cannot read back
+    message = ("^regularization weights" if name.startswith("lambda")
+               else f"^{name}: need integers")
+    with pytest.raises(ValueError, match=message):
+        SolverOptions(**{name: value}).validate()
+
+
+def test_validated_solver_options_round_trip():
+    opts = SolverOptions(2, 0.5, 3.0, "numeric", (2, 7), (2, 5), "negative")
+    opts.validate()
+    doc = json.loads(jsonio.dumps(jsonio.to_json(opts)))
+    assert options_from_dict(doc) == opts
+
+
 @pytest.mark.parametrize("spec, rule", [
     ((11, 13), "order <= 10"), ((0, 3), "<= order"), ((2, 4), "odd window"),
     ((3, 3), "order < window")])

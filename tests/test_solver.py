@@ -516,6 +516,71 @@ def test_recover_rotation_blocks_rejects_dense_C():
                                 omega, 1 / 30, 1.0)
 
 
+@pytest.mark.parametrize("case", ["Mt_cols", "domega"])
+def test_recover_rotation_blocks_length_mismatch(case):
+    # one input sized for 5 frames against a 4-frame gyro series
+    omega = np.full((4, 3), 0.1)
+    args = {"Mt_cols": np.zeros((24, 3)), "C": assemble_C(omega, omega),
+            "omega": omega, "domega": omega, "t_s": 1 / 30, "lambda_R": 1.0}
+    args[case] = {"Mt_cols": np.zeros((30, 3)),
+                  "domega": np.full((5, 3), 0.1)}[case]
+    with pytest.raises(LengthMismatch):
+        recover_rotation_blocks(**args)
+
+
+def test_recover_rotation_blocks_refuses_an_ill_conditioned_solve():
+    # 20 frames turning 1e-6 rad/s about x at a constant rate: the third
+    # row of each block, which the projector drops, is seen only through
+    # the rate blocks, and the normal matrix's condition estimate is
+    # ~5e12, above COND_LIMIT
+    omega = np.zeros((20, 3))
+    omega[:, 0] = 1e-6
+    domega = np.zeros_like(omega)
+    Mt_cols = np.random.default_rng(0).standard_normal((120, 3))
+    with pytest.raises(NumericalFailure,
+                       match=r"condition number \S+ above 1e\+12$"):
+        recover_rotation_blocks(Mt_cols, assemble_C(omega, domega), omega,
+                                domega, 1 / 30, 1.0)
+
+
+def test_reconstruct_refuses_a_rotation_increment_above_pi(reference_dataset):
+    # a zero gyro leaves the increment's t_s^2 (dw_f - dw_f+1) term, which
+    # t_s x 1e150 makes ~1e295 rad, far above the bound of pi
+    meas = reference_dataset.measurements
+    meas = dataclasses.replace(meas, t_s=meas.t_s * 1e150,
+                               gyro=np.zeros_like(meas.gyro))
+    with pytest.raises(BadSampling, match=r"^\[recover_rotation_blocks\] "
+                       r"rotation increment turns"):
+        reconstruct(meas)
+
+
+@pytest.mark.parametrize("series", ["omega", "domega", "accel"])
+def test_recover_translations_length_mismatch(series, reference_dataset):
+    args, _ = translation_problem(reference_dataset.trajectory)
+    args = dict(zip(["m_hat", "rotations", "omega", "domega", "accel", "t_s",
+                     "lambda_tau", "lambda_nu"], args), reg_filter=(1, 3))
+    args[series] = args[series][:-1]
+    with pytest.raises(LengthMismatch, match="series lengths differ"):
+        recover_translations(**args)
+
+
+@pytest.mark.parametrize("shape", [(3, 10), (10, 3)])
+def test_factor_rank4_needs_four_rows_and_columns(shape):
+    with pytest.raises(TooFewFramesOrPoints, match="at least 4 rows"):
+        factor_rank4(np.ones(shape))
+
+
+def test_metric_upgrade_fit_warns_on_a_near_static_rotation():
+    # 5 s at 120 Hz turning at most 3e-4 rad: the metric upgrade's fit
+    # reads a condition number of ~3e15, which lstsq_checked reports as a
+    # warning and does not stop on
+    ds = simulate_dataset(duration=5.0, t_s=1 / 120, n_points=24,
+                          extent=2.0, amp_trans=0.35, amp_rot=3e-4, seed=0)
+    with pytest.warns(IllConditionedWarning, match=r"^metric_upgrade: "
+                      r"normal-equation condition number"):
+        reconstruct(ds.measurements)
+
+
 def _reconstruct_peak(ds):
     tracemalloc.start()
     try:
@@ -716,7 +781,6 @@ def test_extract_rotations_auto_resolves_reflection(reference_dataset):
     W, C, Mt, St, m_hat, M2, _ = _pipeline_to_rotations(ds)
     K, _ = metric_upgrade(M2)
     D = np.diag([1.0, 1.0, -1.0])
-    WS = W @ St[:3].T
 
     def resid(rot, struct):
         M_proj = rot.transpose(0, 2, 1).reshape(-1, 3)
@@ -724,9 +788,9 @@ def test_extract_rotations_auto_resolves_reflection(reference_dataset):
             W - (dense_C(C) @ M_proj @ struct.T + np.outer(m_hat, np.ones(W.shape[1]))))
 
     rot_a, struct_a = extract_rotations_structure(
-        M2, K, St[:3], reflection="auto", WS=WS, C=C)
+        M2, K, St[:3], reflection="auto", Mt_cols=Mt[:, :3], C=C)
     rot_b, struct_b = extract_rotations_structure(
-        M2, K @ D, St[:3], reflection="auto", WS=WS, C=C)
+        M2, K @ D, St[:3], reflection="auto", Mt_cols=Mt[:, :3], C=C)
     assert np.allclose(struct_a, struct_b, atol=1e-9)
     assert np.allclose(rot_a, rot_b, atol=1e-9)
     forced = [extract_rotations_structure(M2, K, St[:3], reflection=mode)
@@ -755,15 +819,15 @@ def test_extract_rotations_returns_c_contiguous_arrays(mode,
                                                        reference_dataset):
     # a reader returns C-ordered arrays, and the evaluation must round
     # alike on the solver's own output and on its file
-    W, C, m_hat, M2, K, S3 = _reflection_inputs(reference_dataset)
+    W, C, m_hat, M2, K, S3, Mt_cols = _reflection_inputs(reference_dataset)
     out = extract_rotations_structure(M2, K, S3, reflection=mode,
-                                      WS=W @ S3.T, C=C)
+                                      Mt_cols=Mt_cols, C=C)
     assert all(a.flags.c_contiguous for a in out)
 
 
 def _reflection_inputs(ds):
-    """(W, C, m_hat, M2, K_upg, S3) of the reflection choice, formed as
-    reconstruct forms them from the measurements."""
+    """(W, C, m_hat, M2, K_upg, S3, Mt_cols) of the reflection choice,
+    formed as reconstruct forms them from the measurements."""
     meas = ds.measurements
     domega = _omega_dot_for(meas, SolverOptions())
     W = assemble_W(meas)
@@ -773,15 +837,15 @@ def _reflection_inputs(ds):
     M2, _ = recover_rotation_blocks(Mt[:, :3], C, meas.gyro, domega,
                                     meas.t_s, 1.0)
     K, _ = metric_upgrade(M2)
-    return W, C, m_hat, M2, K, St[:3]
+    return W, C, m_hat, M2, K, St[:3], Mt[:, :3]
 
 
 @pytest.mark.parametrize("case", ["noiseless", 1, 2, 3, "wide"])
 def test_auto_reflection_is_argmin_of_dense_residual(case, reference_dataset):
     # auto keeps the candidate with the smaller full residual
-    # |W - (C M S^T + m 1^T)|, formed densely here; the in-span residual
-    # it compares differs from the full one by a term common to both, so
-    # the squared differences agree
+    # |W - (C M S^T + m 1^T)|, formed densely here; the score it compares
+    # differs from the squared full residual by a term common to both, so
+    # the margin between the candidates' scores is the dense margin
     if case == "noiseless":
         ds = reference_dataset
     else:
@@ -789,29 +853,30 @@ def test_auto_reflection_is_argmin_of_dense_residual(case, reference_dataset):
         if case == "wide":
             cfg.duration, cfg.points = 1.0, 400  # 6F = 180 rows < P
         ds = make_dataset(cfg)
-    W, C, m_hat, M2, K, S3 = _reflection_inputs(ds)
+    W, C, m_hat, M2, K, S3, Mt_cols = _reflection_inputs(ds)
     forced = [extract_rotations_structure(M2, K, S3, reflection=mode)
               for mode in ("positive", "negative")]
     full = [np.linalg.norm(
         W - (dense_C(C) @ rot.transpose(0, 2, 1).reshape(-1, 3) @ struct.T
              + m_hat[:, None])) for rot, struct in forced]
     rot, struct = extract_rotations_structure(
-        M2, K, S3, reflection="auto", WS=W @ S3.T, C=C)
+        M2, K, S3, reflection="auto", Mt_cols=Mt_cols, C=C)
     best_rot, best_struct = forced[int(np.argmin(full))]
     assert np.array_equal(rot, best_rot)
     assert np.array_equal(struct, best_struct)
-    Q, _ = np.linalg.qr(np.column_stack([forced[0][1], np.ones(W.shape[1])]))
-    in_span = [_reflection_residual(W @ Q, Q, C, *cand)
-               for cand in forced]
-    assert np.isclose(in_span[0] ** 2 - in_span[1] ** 2,
-                      full[0] ** 2 - full[1] ** 2, rtol=1e-9, atol=0)
+    X = np.linalg.inv(K)  # S^T = X S3, and D X for the mirror
+    mirror = np.diag([1.0, 1.0, -1.0])
+    scores = [_reflection_residual(Mt_cols, S3 @ S3.T, C, rot, x)
+              for (rot, _), x in zip(forced, (X, mirror @ X))]
+    assert np.isclose(scores[0] - scores[1], full[0] ** 2 - full[1] ** 2,
+                      rtol=1e-12, atol=0)
 
 
 def test_extract_rotations_auto_takes_one_svd_batch(reference_dataset,
                                                     monkeypatch):
     # the mirror candidate's SVD is (U, s, Vt diag(1, 1, -1)), so scoring
     # both candidates takes the one SVD batch of the unflipped one
-    W, C, m_hat, M2, K, S3 = _reflection_inputs(reference_dataset)
+    W, C, m_hat, M2, K, S3, Mt_cols = _reflection_inputs(reference_dataset)
     svd, calls = np.linalg.svd, []
 
     def counted(*args, **kwargs):
@@ -820,7 +885,7 @@ def test_extract_rotations_auto_takes_one_svd_batch(reference_dataset,
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     extract_rotations_structure(M2, K, S3, reflection="auto",
-                                WS=W @ S3.T, C=C)
+                                Mt_cols=Mt_cols, C=C)
     assert calls == [(len(M2) // 3, 3, 3)]
 
 
