@@ -683,6 +683,37 @@ def test_eval_exit_code_on_invalid_measurements(path, value, tmp_path,
     assert not written
 
 
+@pytest.mark.parametrize("document, path, literal", [
+    ("dataset", ("noise_spec", "gyro_std"), "NaN"),
+    ("reconstruction", ("residuals", "sigma_ratio"), "Infinity"),
+    ("reconstruction", ("residuals", "sigma_ratio"), "1e400")],
+    ids=["nan-gyro_std", "infinite-sigma_ratio", "1e400-sigma_ratio"])
+def test_readers_refuse_a_non_finite_number_the_writer_refuses(
+        document, path, literal, tmp_path, capfd):
+    # json reads NaN, Infinity and 1e400 as floats; a document that holds
+    # one outside its measurements could not be written back, so solve
+    # and eval exit 3 naming the field, with no output
+    docs = {"dataset": _one_second_dataset_doc(),
+            "reconstruction": copy.deepcopy(_one_second_reconstruction_doc())}
+    docs[document][path[0]][path[1]] = 0.125  # a marker, printed as is
+    files = {name: tmp_path / f"{name}.json" for name in docs}
+    for name, doc in docs.items():
+        text = json.dumps(doc)
+        files[name].write_text(text.replace(
+            f'"{path[1]}": 0.125', f'"{path[1]}": {literal}'))
+    out = tmp_path / "out"
+    command = (["solve"] if document == "dataset"
+               else ["eval", "--recon", files["reconstruction"]])
+    capfd.readouterr()
+    code = run_cli(*command, "--dataset", files["dataset"], "--out",
+                   out / "r.json", "--quiet")
+    err = capfd.readouterr().err.splitlines()
+    assert code == 3
+    assert err == [f"error: bad {document} file: {'.'.join(path)}: must be "
+                   f"finite, got {float(literal)!r}"]
+    assert not out.exists()
+
+
 @functools.cache
 def _one_second_config_doc():
     """The run config of _one_second_dataset_doc, as a JSON document."""

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -115,6 +115,114 @@ def test_non_finite_error_names_the_first_value_in_c_order(tmp_path):
     rows = [[0, 1.0, "x", np.float64(np.nan)], [1, -np.inf, "y", 2.0]]
     with pytest.raises(ValueError, match="non-finite float nan$"):
         jsonio.write_csv(path, ["f", "a", "s", "b"], rows)
+    assert not path.exists()
+
+
+# arrays the kernel prints: its cutoff, one block's size -1, +0 and +1,
+# and past two blocks
+KERNEL_SIZES = [jsonio.KERNEL_MIN, jsonio.BLOCK - 1, jsonio.BLOCK,
+                jsonio.BLOCK + 1, 2 * jsonio.BLOCK + 12]
+# where %.17g switches notation, their neighbours, zeros, subnormals and
+# values that print as integers
+KERNEL_EDGES = np.array([1e-5, 1e-4, 1e16, 1e17, 2.0 ** 53, 0.0, 5e-324,
+                         2.2250738585072014e-308, 1.0, 3.0, 1e15,
+                         9999999999999998.0, 123456789.0, 0.1])
+KERNEL_EDGES = np.concatenate([KERNEL_EDGES, np.nextafter(KERNEL_EDGES, 0.0),
+                               np.nextafter(KERNEL_EDGES, np.inf)])
+
+
+def _half_way_ties(rng, size):
+    """Values whose 18th significant digit is a final 5: odd / 2^(k+1) with
+    17 - k integer digits, k = 1..7."""
+    k = rng.integers(1, 8, size)
+    low = np.ceil(10.0 ** (16 - k) * 2.0 ** (k + 1))
+    high = np.minimum(10.0 ** (17 - k) * 2.0 ** (k + 1), 2.0 ** 53)
+    odd = np.floor(rng.uniform(low, high) / 2) * 2 + 1
+    return odd / 2.0 ** (k + 1)
+
+
+KERNEL_SOURCES = {
+    "bits": lambda rng, size: np.nan_to_num(rng.integers(
+        0, 2 ** 64, size, dtype=np.uint64).view(np.float64), nan=0.5,
+        posinf=1.5, neginf=-2.5),
+    "ties": _half_way_ties,
+    "edges": lambda rng, size: rng.choice(KERNEL_EDGES, size),
+    "decades": lambda rng, size: rng.normal(size=size) * 10.0 ** rng.integers(
+        -8, 19, size),
+    "integers": lambda rng, size: rng.integers(
+        -2 ** 53, 2 ** 53, size).astype(float) // 10.0 ** rng.integers(
+        0, 16, size),
+    "float32": lambda rng, size: rng.integers(  # the finite bit patterns
+        0, 0x7F800000, size, dtype=np.uint32).view(np.float32),
+    "float16": lambda rng, size: (rng.normal(size=size) * 100).astype(
+        np.float16),
+}
+
+
+def _kernel_array(source, size, seed, layout):
+    """size values of source with random signs, as a 1-d array or in a
+    layout: an F-ordered (size // 12, 12) array, a strided 1-d view."""
+    rng = np.random.default_rng(seed)
+    x = KERNEL_SOURCES[source](rng, size)
+    x = x * rng.choice(np.array([-1, 1], dtype=x.dtype), size)
+    if layout == "F":
+        return np.asfortranarray(x[:size // 12 * 12].reshape(12, -1).T)
+    if layout == "strided":
+        return np.repeat(x, 2)[::2]
+    return x
+
+
+@pytest.mark.parametrize("size", KERNEL_SIZES)
+@settings(max_examples=8)
+@given(source=st.sampled_from(sorted(KERNEL_SOURCES)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       layout=st.sampled_from(["C", "F", "strided"]))
+def test_kernel_prints_arrays_as_the_row_template_writer(size, source, seed,
+                                                         layout):
+    a = _kernel_array(source, size, seed, layout)
+    assert jsonio.dumps(a) == row_template_dumps_floats(a)
+    records = a.reshape(-1, 12) if a.size % 12 == 0 else a.reshape(-1, 1)
+    fields = {"R": records[:, :9], "T": records[:, 9:]} if (
+        records.shape[1] == 12) else {"t": records}
+    assert jsonio.dumps(jsonio._FrameRecords(fields)) == (
+        per_frame_records_dumps(fields))
+
+
+@pytest.mark.parametrize("size", [*KERNEL_SIZES, jsonio.CSV_CELLS])
+@settings(max_examples=3)
+@given(source=st.sampled_from(sorted(KERNEL_SOURCES)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_kernel_prints_csv_tables_as_the_row_writer(tmp_path_factory, size,
+                                                    source, seed):
+    # a table of an int, a str and float cells of mixed types per row,
+    # as the CLI's trajectory table and the sweep's aggregate table are;
+    # the largest is printed in two chunks
+    x = _kernel_array(source, size, seed, "C")
+    rows = [[i, "ok" if i % 3 else "failed", *r] for i, r in enumerate(
+        x[:size // 4 * 4].reshape(-1, 4).tolist())]
+    for row in rows[::5]:
+        row[2:4] = np.float64(row[2]), np.float32(min(max(row[3], -1e38),
+                                                      1e38))
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    header = ["n", "status", "a", "b", "c", "d"]
+    jsonio.write_csv(path, header, rows)
+    assert path.read_bytes() == csv_text(header, rows).encode()
+
+
+def test_kernel_names_the_first_non_finite_value_in_c_order(tmp_path):
+    a = np.asfortranarray(np.ones((jsonio.BLOCK + 1, 3)))
+    a[jsonio.BLOCK, 0] = np.nan  # first in Fortran order
+    a[5, 2] = -np.inf            # first in C order
+    path = tmp_path / "a.json"
+    with pytest.raises(ValueError, match="non-finite float -inf$"):
+        jsonio.write_json(path, {"a": a})
+    with pytest.raises(ValueError, match="non-finite float -inf$"):
+        jsonio.write_json(path, jsonio._FrameRecords({"R": a, "T": a}))
+    assert not path.exists()
+    path = tmp_path / "t.csv"
+    rows = [[i, *r] for i, r in enumerate(a.tolist())]
+    with pytest.raises(ValueError, match="non-finite float -inf$"):
+        jsonio.write_csv(path, ["f", "a", "b", "c"], rows)
     assert not path.exists()
 
 
@@ -335,6 +443,40 @@ def test_readers_name_a_missing_field(kind, key):
     del target[last]
     with pytest.raises(ConfigError, match=f"missing field '{last}'"):
         READERS[kind](doc)
+
+
+WRITERS = {"dataset": jsonio.dataset_to_dict,
+           "reconstruction": jsonio.reconstruction_to_dict}
+# the entries whose values the reader leaves to MeasurementSet.validate
+MEASURED = [(kind, path) for kind, path in ENTRIES
+            if path[0] == "measurements" or path == ("t_s",)]
+
+
+@given(entry=st.sampled_from([e for e in ENTRIES if e not in MEASURED]),
+       value=st.floats() | st.sampled_from([1e400, -1e400, 1e308, 5e-324]),
+       data=st.data())
+def test_a_document_the_reader_accepts_is_one_dumps_writes(entry, value,
+                                                           data):
+    # a NaN or an infinity (json reads NaN, Infinity and 1e400 as floats)
+    # in a scalar such as noise_spec.gyro_std or residuals.sigma_ratio, or
+    # in a ground-truth or reconstruction array, is refused as it is read,
+    # naming its field; the measurements are MeasurementSet.validate's
+    kind, path = entry
+    doc = _documents()[kind]
+    *head, last = path
+    target = doc
+    for k in head:
+        target = target[k]
+    while isinstance(target[last], list):
+        target, last = target[last], data.draw(
+            st.integers(0, len(target[last]) - 1))
+    target[last] = value
+    try:
+        read = READERS[kind](doc)
+    except DynSfmError as err:
+        assert ("rotations" if path[-1] == "R" else path[-1]) in str(err)
+    else:
+        jsonio.dumps(WRITERS[kind](read))
 
 
 def test_dataset_schema_version_checked():

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dynsfm
 from dynsfm import simulate, so3
@@ -505,6 +507,59 @@ def test_measurement_set_validate_refuses_a_non_real_array(name, change):
         changed.validate()
     with pytest.raises(BadDtype, match=rf"^\[validate\] {name} must be"):
         dynsfm.reconstruct(changed)
+
+
+# every kind of array a caller may hand the library, and every layout
+INPUT_DTYPES = [bool, np.int8, np.int16, np.int32, np.int64, np.uint8,
+                np.uint16, np.uint32, np.uint64, np.float16, np.float32,
+                np.float64, np.longdouble, complex, object, str]
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "non-contiguous": lambda a: np.repeat(a, 2, axis=0)[::2],
+    "zero-stride": lambda a: np.broadcast_to(a[:1], a.shape),
+    "read-only": lambda a: _read_only(a.copy()),
+    "list": lambda a: a.tolist(),
+}
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.fixture(scope="module")
+def one_second_measurements():
+    return simulate_dataset(duration=1.0, t_s=1 / 30, n_points=8, extent=2.0,
+                            amp_trans=0.35, amp_rot=np.radians(30), seed=0,
+                            noise=NoiseSpec(0.05, 0.2, 0.005, seed=1)
+                            ).measurements
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(ARRAY_FIELDS),
+       dtype=st.sampled_from(INPUT_DTYPES),
+       layout=st.sampled_from(sorted(LAYOUTS)))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::dynsfm.errors.IllConditionedWarning")
+def test_reconstruct_returns_a_finite_result_or_a_typed_error(
+        one_second_measurements, name, dtype, layout):
+    # the library boundary holds the CLI's input contract for any array a
+    # caller hands it: a finite Reconstruction, or one DynSfmError; an
+    # integer cast or a repeated frame may well leave a degenerate,
+    # ill-conditioned problem, which is warned of
+    meas = one_second_measurements
+    with np.errstate(all="ignore"):  # the cast itself (-0.5 to uint8) may
+        array = getattr(meas, name).astype(dtype)  # wrap or overflow
+    array = LAYOUTS[layout](array)
+    try:
+        recon = dynsfm.reconstruct(replace(meas, **{name: array}))
+    except DynSfmError:
+        return
+    for f in ("rotations", "tau", "nu", "gravity", "structure"):
+        assert np.isfinite(getattr(recon, f)).all()
+    assert all(np.isfinite(v) for v in recon.residuals.values())
 
 
 def _zero_stride_set(frames, points):
